@@ -24,8 +24,11 @@ for eps_x in (1, -1):
             print(f"  {dx}  {dy}   {v1:+.12f}  {v2:+.12f}  {abs(v1 - v2):.1e}")
 
 # Larger widths no longer admit the dense reference; the spectral sum still
-# enumerates the full Fock basis up to N = 10 and switches to a
+# enumerates the full Fock basis up to N = 12 and switches to a
 # particle-number cutoff beyond that.
 c12 = Couplings.from_kx_ky(0.4, 0.7, 12)
-print("\nN = 12 with default particle cutoff:",
+print("\nN = 12 with the full Fock basis:",
       two_point_correlation(c12, 8, 2, 3))
+c14 = Couplings.from_kx_ky(0.4, 0.7, 14)
+print("N = 14 with default particle cutoff:",
+      two_point_correlation(c14, 8, 2, 3))

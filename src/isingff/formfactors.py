@@ -15,6 +15,7 @@ swapping two momenta flips the sign of the form factor in both routes.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import warnings
@@ -28,8 +29,9 @@ from .exceptions import DomainError, VerificationError
 from .linalg import pfaffian
 from .spectral import Couplings, gamma_of_theta, nu_of_gamma, theta_of_index
 
-_FULL_ENUMERATION_MAX_N = 10
+_FULL_ENUMERATION_MAX_N = 12
 _DEFAULT_PARTICLE_CUTOFF = 4
+_BLOCK_ROWS = 256  # bra rows per block of a streamed |F|^2 table
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,14 @@ def induced_rotation(c: Couplings, site: int) -> InducedRotation:
 
 @lru_cache(maxsize=64)
 def _site_independent_tables(c: Couplings) -> dict:
-    """Pair ratios entering all closed-form matrices, independent of the site."""
+    """Pair ratios entering all closed-form matrices, independent of the site.
+
+    The ``log_*`` entries are contributions to log|F|^2: ``log_vac2`` =
+    log(xi * xi_T) and ``log_amp2_*`` = 2 log amp.  The pair ratios enter
+    log|F|^2 through :func:`_log_ratio2` at the point of use: caching their
+    N x N logs as well cost each N=256 ``isingff ff`` call about 2,000 more
+    minor page faults (8 MiB of fresh pages), a quarter of its time.
+    """
     ga, gp = c.gamma_a, c.gamma_p
     rho2 = c.sinh2ky / c.sinh2kx
     tab = {}
@@ -158,8 +167,20 @@ def _site_independent_tables(c: Couplings) -> dict:
         tab[f"{sec}{sec}_ratio"] = ratio
     tab["amp_a"] = np.exp(c.nu_a / 2.0) / np.sqrt(c.n * np.sinh(ga))
     tab["amp_p"] = np.exp(-c.nu_p / 2.0) / np.sqrt(c.n * np.sinh(gp))
+    tab["log_amp2_a"] = c.nu_a - np.log(c.n * np.sinh(ga))
+    tab["log_amp2_p"] = -c.nu_p - np.log(c.n * np.sinh(gp))
     tab["rho2"] = rho2
+    tab["log_rho2"] = math.log(rho2)
+    tab["log_vac2"] = math.log(c.xi) + (c.nu_p.sum() - c.nu_a.sum()) / 4.0
     return tab
+
+
+def _log_ratio2(ratio: np.ndarray) -> np.ndarray:
+    """2 log|ratio| entrywise, and 0 where the ratio vanishes (the diagonal of
+    a same-sector table, which is no factor of any form factor)."""
+    out = np.zeros(ratio.shape)
+    np.log(np.abs(ratio), out=out, where=ratio != 0.0)
+    return 2.0 * out
 
 
 def two_particle_matrices(c: Couplings, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,42 +289,134 @@ def ff_pfaffian(spec: FormFactorSpec, c: Couplings) -> complex:
 def ff_closed(spec: FormFactorSpec, c: Couplings) -> complex:
     """Fully factorized closed form of the (m, n)-particle form factor.
 
-    The leading power of i has an integer exponent for even m + n and is
-    evaluated as such, so no branch choice enters; the result agrees with the
-    pfaffian route including its phase.
+    The modulus is accumulated in log space from the same factors that
+    :func:`abs_ff2_table` sums, so large N and many particles cannot
+    overflow.  The sign is the parity of the negative factors: momentum
+    indices increase, so every same-sector ratio is negative, and a mixed
+    ratio is negative exactly when the bra index lies below the ket index.
+    The phase exp(i*ell*(sum theta_p - sum theta_a)) is reduced modulo 2*pi
+    in integers, and the leading power of i has an integer exponent for even
+    m + n, so no branch choice enters; the result agrees with the pfaffian
+    route including its phase.
     """
     _check_spec(spec, c)
-    m, n = len(spec.bra), len(spec.ket)
-    ia = np.array(spec.bra.indices, dtype=int)
-    ip = np.array(spec.ket.indices, dtype=int)
+    bra, ket = spec.bra.indices, spec.ket.indices
+    m, n = len(bra), len(ket)
+    ia = np.array(bra, dtype=int)
+    ip = np.array(ket, dtype=int)
     tab = _site_independent_tables(c)
-    ell = spec.site - 0.5
 
+    log_f2 = (tab["log_vac2"] + 0.5 * (m - n) ** 2 * tab["log_rho2"]
+              + tab["log_amp2_a"][ia].sum() + tab["log_amp2_p"][ip].sum()
+              + 0.5 * _log_ratio2(tab["aa_ratio"][ia][:, ia]).sum()
+              + 0.5 * _log_ratio2(tab["pp_ratio"][ip][:, ip]).sum()
+              + _log_ratio2(tab["ap_ratio"][ia][:, ip]).sum())
+    negative = (m * (m - 1) + n * (n - 1)) // 2 \
+        + int(np.count_nonzero(ia[:, None] < ip[None, :]))
+    # N/pi * (sum theta_p - sum theta_a) is the integer 2*sum(ket) - 2*sum(bra) - m
+    # and ell = (2*site - 1)/2, so the phase angle is pi*turns/(2N) modulo 2*pi
+    turns = (2 * spec.site - 1) * (2 * sum(ket) - 2 * sum(bra) - m) % (4 * c.n)
     ipower = (2 * m * n - (m + n) // 2) % 4
-    val = complex(1j) ** ipower * math.sqrt(c.xi * xi_t(c))
-    val *= tab["rho2"] ** ((m - n) ** 2 / 4.0)
-    val *= np.prod(np.exp(-1j * ell * c.thetas_a[ia]) * tab["amp_a"][ia])
-    val *= np.prod(np.exp(1j * ell * c.thetas_p[ip]) * tab["amp_p"][ip])
-    aa = tab["aa_ratio"][np.ix_(ia, ia)]
-    pp = tab["pp_ratio"][np.ix_(ip, ip)]
-    val *= np.prod(aa[np.triu_indices(m, k=1)])
-    val *= np.prod(pp[np.triu_indices(n, k=1)])
-    if m and n:
-        val *= np.prod(tab["ap_ratio"][np.ix_(ia, ip)])
+    val = ((-1) ** negative * math.exp(0.5 * log_f2) * complex(1j) ** ipower
+           * cmath.exp(1j * math.pi * turns / (2 * c.n)))
     return complex(val)
 
 
-# ---- two-point correlation -------------------------------------------------
+# ---- Fock basis and the batched |F|^2 kernel ---------------------------------
 
 
-def _sector_states(c: Couplings, sector: str, parity: int,
-                   max_particles: int | None) -> list[tuple[int, ...]]:
+@dataclass(frozen=True)
+class FockBasis:
+    """Every Fock state of one sector with a fixed particle-number parity.
+
+    States are ordered by particle number, then in ``itertools.combinations``
+    order.  ``occupancy`` is the 0/1 matrix (states x momenta); the reduced
+    energy (log of the transfer-matrix eigenvalue without its common
+    prefactor) and the total momentum are its products with gamma and theta.
+    """
+
+    sector: str
+    parity: int
+    states: tuple[tuple[int, ...], ...]
+    occupancy: np.ndarray
+    particles: np.ndarray
+    energies: np.ndarray
+    momenta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def blocks(self):
+        """Consecutive (slice, basis) blocks of at most ``_BLOCK_ROWS`` states.
+
+        The block boundaries depend only on the basis size, so sums streamed
+        over the blocks repeat bit for bit.
+        """
+        for start in range(0, len(self), _BLOCK_ROWS):
+            sel = slice(start, start + _BLOCK_ROWS)
+            yield sel, FockBasis(self.sector, self.parity, self.states[sel],
+                                 self.occupancy[sel], self.particles[sel],
+                                 self.energies[sel], self.momenta[sel])
+
+
+def fock_basis(c: Couplings, sector: str, parity: int,
+               cutoff: int | None = None) -> FockBasis:
+    """All states of ``sector`` with particle number = parity (mod 2), up to ``cutoff``."""
+    if sector not in ("a", "p"):
+        raise DomainError(f"sector must be 'a' or 'p', got {sector!r}")
     n = c.n
-    cap = n if max_particles is None else min(n, max_particles)
-    states = []
-    for k in range(parity % 2, cap + 1, 2):
-        states.extend(itertools.combinations(range(n), k))
-    return states
+    cap = n if cutoff is None else min(n, cutoff)
+    counts = range(parity % 2, cap + 1, 2)
+    states = tuple(s for k in counts for s in itertools.combinations(range(n), k))
+    occupancy = np.zeros((len(states), n))
+    for row, s in enumerate(states):
+        occupancy[row, list(s)] = 1.0
+    gammas = c.gammas(sector)
+    return FockBasis(
+        sector=sector,
+        parity=parity % 2,
+        states=states,
+        occupancy=occupancy,
+        particles=np.array([len(s) for s in states], dtype=int),
+        energies=0.5 * gammas.sum() - occupancy @ gammas,
+        momenta=occupancy @ c.thetas(sector),
+    )
+
+
+def _log_ff2_one_side(basis: FockBasis, amp2: np.ndarray, pair: np.ndarray,
+                      log_rho2: float) -> np.ndarray:
+    """The part of log|F|^2 that depends on the bra (or the ket) alone."""
+    occ = basis.occupancy
+    pairs = 0.5 * np.einsum("ij,ij->i", occ @ pair, occ)
+    return 0.5 * basis.particles ** 2 * log_rho2 + occ @ amp2 + pairs
+
+
+def abs_ff2_table(c: Couplings, bras: FockBasis, kets: FockBasis) -> np.ndarray:
+    """|F|^2 of every (bra, ket) pair; the modulus does not depend on the site.
+
+    log|F|^2 splits into a constant, a per-bra and a per-ket term, and the
+    cross term O_a . L_ap . O_p^T - m*n*log(rho^2), so the whole table is a
+    few matrix products and one exponential.
+    """
+    if bras.sector != "a" or kets.sector != "p":
+        raise DomainError("bras must be antiperiodic and kets periodic")
+    if bras.parity != kets.parity:
+        raise DomainError(
+            "bra and ket parities differ; odd matrix elements vanish by charge selection"
+        )
+    tab = _site_independent_tables(c)
+    lr = tab["log_rho2"]
+    log_f2 = bras.occupancy @ (_log_ratio2(tab["ap_ratio"]) @ kets.occupancy.T)
+    log_f2 -= lr * np.outer(bras.particles, kets.particles)
+    log_f2 += _log_ff2_one_side(bras, tab["log_amp2_a"],
+                                _log_ratio2(tab["aa_ratio"]), lr)[:, None]
+    log_f2 += (tab["log_vac2"]
+               + _log_ff2_one_side(kets, tab["log_amp2_p"],
+                                   _log_ratio2(tab["pp_ratio"]), lr))[None, :]
+    return np.exp(log_f2, out=log_f2)
+
+
+# ---- two-point correlation -------------------------------------------------
 
 
 def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
@@ -315,10 +428,11 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
     weighted by transfer-matrix and translation eigenvalues, with the
     spin-flip insertion for eps_x = -1 and the state-parity selection implied
     by eps_y.  The double sum runs over the full even- (or odd-) particle
-    Fock basis of both sectors for N <= 10; beyond that a particle-number
+    Fock basis of both sectors for N <= 12; beyond that a particle-number
     cutoff (default 4) is applied and a truncation bound is estimated.
 
-    Summation order is fixed, so repeated runs are bit-identical.
+    The |F|^2 table is streamed in fixed blocks of bra rows, so memory stays
+    bounded and repeated runs are bit-identical.
     """
     if eps_x not in (1, -1) or eps_y not in (1, -1):
         raise DomainError("eps_x and eps_y must be +1 or -1")
@@ -330,21 +444,15 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
     cutoff = max_particles
     if c.n > _FULL_ENUMERATION_MAX_N and cutoff is None:
         cutoff = _DEFAULT_PARTICLE_CUTOFF
-    states_a = _sector_states(c, "a", parity, cutoff)
-    states_p = _sector_states(c, "p", parity, cutoff)
-    if not states_a or not states_p:
+    basis_a = fock_basis(c, "a", parity, cutoff)
+    basis_p = fock_basis(c, "p", parity, cutoff)
+    if not len(basis_a) or not len(basis_p):
         raise DomainError("no states of the required parity below the cutoff")
 
-    # reduced energies: log of V-eigenvalue without the common prefactor
-    e_a = np.array([0.5 * c.gamma_a.sum() - c.gamma_a[list(s)].sum()
-                    for s in states_a])
-    e_p = np.array([0.5 * c.gamma_p.sum() - c.gamma_p[list(s)].sum()
-                    for s in states_p])
-    ph_a = np.array([c.thetas_a[list(s)].sum() for s in states_a])
-    ph_p = np.array([c.thetas_p[list(s)].sum() for s in states_p])
-    e_max = max(e_a.max(), e_p.max())
-    e_a -= e_max
-    e_p -= e_max
+    e_max = max(basis_a.energies.max(), basis_p.energies.max())
+    e_a = basis_a.energies - e_max
+    e_p = basis_p.energies - e_max
+    ph_a, ph_p = basis_a.momenta, basis_p.momenta
 
     chi = (1 - eps_x) // 2
     # U charge of a-sector states is +eps_y^... : a-vacuum carries +1, the
@@ -353,17 +461,17 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
     u_a = float(eps_y) if chi else 1.0
     u_p = -float(eps_y) if chi else 1.0
 
-    abs_f2 = np.empty((len(states_a), len(states_p)))
-    for i, sa in enumerate(states_a):
-        bra = FockState("a", sa)
-        for j, sp in enumerate(states_p):
-            f = ff_closed(FormFactorSpec(0, bra, FockState("p", sp)), c)
-            abs_f2[i, j] = abs(f) ** 2
-
-    w1 = np.exp(dx * e_p[None, :] + (m_height - dx) * e_a[:, None]) * u_a
-    w2 = np.exp(dx * e_a[:, None] + (m_height - dx) * e_p[None, :]) * u_p
-    phase = np.exp(-1j * dy * (ph_p[None, :] - ph_a[:, None]))
-    num = np.sum(abs_f2 * (w1 * phase + w2 * phase.conj()))
+    # both weights times their translation phase are outer products of a bra
+    # and a ket vector, so the double sum is two bilinear forms in |F|^2
+    left = np.stack([u_a * np.exp((m_height - dx) * e_a + 1j * dy * ph_a),
+                     u_p * np.exp(dx * e_a - 1j * dy * ph_a)], axis=1)
+    right = np.stack([np.exp(dx * e_p - 1j * dy * ph_p),
+                      np.exp((m_height - dx) * e_p + 1j * dy * ph_p)], axis=1)
+    num = 0j
+    for rows, bras in basis_a.blocks():
+        # a real product with the (re, im) columns of ``right``
+        partial = (abs_ff2_table(c, bras, basis_p) @ right.view(float)).view(complex)
+        num += np.sum(left[rows] * partial)
     den = np.sum(np.exp(m_height * e_a)) * u_a + np.sum(np.exp(m_height * e_p)) * u_p
     if abs(den) < 1e-300:
         raise DomainError("partition sum vanishes for these boundary conditions")

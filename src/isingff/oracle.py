@@ -20,7 +20,6 @@ returns.  Singleton blocks reduce to plain matrix elements.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 from scipy.linalg import eigh, schur
 
 from .exceptions import AmbiguousLabelError, DomainError, ResourceError
-from .formfactors import FormFactorSpec
+from .formfactors import FormFactorSpec, fock_basis
 from .spectral import Couplings
 
 _MAX_DENSE_N = 12
@@ -138,15 +137,13 @@ def predicted_fock_labels(c: Couplings, eps_y: int):
     parity = 0 if eps_y == 1 else 1
     pref = (2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0)
     labels = []
-    for sector, gam, thetas in (("a", c.gamma_a, c.thetas_a),
-                                ("p", c.gamma_p, c.thetas_p)):
-        base_charge = 1 if sector == "a" else -1
-        for k in range(parity, c.n + 1, 2):
-            for s in itertools.combinations(range(c.n), k):
-                lam = pref * math.exp(0.5 * gam.sum() - gam[list(s)].sum())
-                t_val = np.exp(-1j * thetas[list(s)].sum())
-                charge = base_charge * (-1) ** k
-                labels.append((sector, s, lam, complex(t_val), charge))
+    for sector, base_charge in (("a", 1), ("p", -1)):
+        basis = fock_basis(c, sector, parity)
+        lams = (pref * np.exp(basis.energies)).tolist()
+        t_vals = np.exp(-1j * basis.momenta).tolist()
+        charge = base_charge * (-1) ** parity
+        labels += [(sector, s, lam, t_val, charge)
+                   for s, lam, t_val in zip(basis.states, lams, t_vals)]
     return labels
 
 

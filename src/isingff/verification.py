@@ -18,10 +18,10 @@ import numpy as np
 from . import cauchy as cf
 from .elliptic import jacobi_sn_cn_dn, theta
 from .exceptions import DomainError
-from .formfactors import (FockState, FormFactorSpec, assemble_r_elliptic,
-                          assemble_r_matrix, ff_closed, ff_pfaffian,
-                          induced_rotation, two_particle_matrices,
-                          vacuum_overlap, xi_t)
+from .formfactors import (_FULL_ENUMERATION_MAX_N, FockState, FormFactorSpec,
+                          abs_ff2_table, assemble_r_elliptic, assemble_r_matrix,
+                          ff_closed, ff_pfaffian, fock_basis, induced_rotation,
+                          two_particle_matrices, vacuum_overlap, xi_t)
 from .linalg import det_and_inverse, pfaffian
 from .spectral import Couplings, b_elliptic, b_of_theta, gamma_of_theta, u_of_theta
 
@@ -328,9 +328,26 @@ def _specs_up_to(c: Couplings, site: int, max_mn: int):
                                          FockState("p", ket))
 
 
+def completeness_sum_rule(c: Couplings) -> float:
+    """Largest |sum over kets of |F|^2 - 1| over every bra.
+
+    sigma^2 = 1, and a bra couples only to kets of its own particle-number
+    parity, so each row of the full |F|^2 table sums to one.
+    """
+    worst = 0.0
+    for parity in (0, 1):
+        kets = fock_basis(c, "p", parity)
+        for _, bras in fock_basis(c, "a", parity).blocks():
+            sums = abs_ff2_table(c, bras, kets).sum(axis=1)
+            # np.maximum keeps a NaN, where max() could drop it
+            worst = np.maximum(worst, np.max(np.abs(sums - 1.0)))
+    return float(worst)
+
+
 def formfactor_suite(c: Couplings, site: int | None = None,
                      max_mn: int = 4) -> dict[str, float]:
-    """Multiparticle closed form against the pfaffian route and its assembly."""
+    """Multiparticle closed form against the pfaffian route and its assembly,
+    and the completeness sum rule wherever the full Fock basis is enumerated."""
     site = c.n // 2 if site is None else site
     out: dict[str, float] = {}
     r_route = r_asm = 0.0
@@ -369,6 +386,8 @@ def formfactor_suite(c: Couplings, site: int | None = None,
             perm = np.eye(m)[::-1]
             r = abs(pfaffian(perm @ rmat @ perm.T) - sign * pfaffian(rmat))
     out["bra_reversal_antisymmetry"] = r
+    if c.n <= _FULL_ENUMERATION_MAX_N:
+        out["completeness_sum_rule"] = completeness_sum_rule(c)
     return out
 
 

@@ -1,18 +1,21 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from isingff.exceptions import DomainError
-from isingff.formfactors import (FockState, FormFactorSpec, assemble_r_elliptic,
-                                 assemble_r_matrix, ff_closed, ff_pfaffian,
+from isingff.formfactors import (FockState, FormFactorSpec, abs_ff2_table,
+                                 assemble_r_elliptic, assemble_r_matrix,
+                                 ff_closed, ff_pfaffian, fock_basis,
                                  induced_rotation, nu_of_theta,
                                  two_particle_matrices, two_point_correlation,
                                  vacuum_overlap, xi_t)
 from isingff.linalg import det_and_inverse, pfaffian
 from isingff.spectral import Couplings, gamma_of_theta
-from isingff.verification import formfactor_suite, rotation_suite
+from isingff.verification import (completeness_sum_rule, formfactor_suite,
+                                  rotation_suite)
 
 C4 = Couplings.from_kx_ky(0.4, 0.7, 4)
 
@@ -180,6 +183,65 @@ class TestFormFactors:
         res = formfactor_suite(Couplings.from_kx_ky(0.5, 0.5, 4))
         assert max(res.values()) < 1e-10, res
 
+    def test_large_n_many_particles_stays_finite(self):
+        # 24 + 24 particles at N=256: the linear product of the factors
+        # overflows, the log-space sum does not
+        c = Couplings.from_kx_ky(0.4, 0.7, 256)
+        block = FockState("a", tuple(range(24))), FockState("p", tuple(range(24)))
+        spec = FormFactorSpec(0, *block)
+        f, ref = ff_closed(spec, c), ff_pfaffian(spec, c)
+        assert np.isfinite(f.real) and np.isfinite(f.imag)
+        assert abs(f - ref) <= 1e-10 * abs(ref)
+
+
+class TestFockBasis:
+    def test_order_energies_and_momenta(self):
+        c = Couplings.from_kx_ky(0.3, 0.9, 6)
+        for sector in ("a", "p"):
+            gam, th = c.gammas(sector), c.thetas(sector)
+            for parity in (0, 1):
+                basis = fock_basis(c, sector, parity, cutoff=5)
+                ref = [s for k in range(parity, 6, 2)
+                       for s in itertools.combinations(range(6), k)]
+                assert list(basis.states) == ref
+                for row, s in enumerate(ref):
+                    assert list(np.nonzero(basis.occupancy[row])[0]) == list(s)
+                    assert basis.particles[row] == len(s)
+                    e = 0.5 * gam.sum() - gam[list(s)].sum()
+                    assert abs(basis.energies[row] - e) < 1e-13
+                    assert abs(basis.momenta[row] - th[list(s)].sum()) < 1e-13
+
+    def test_blocks_cover_the_basis_in_order(self):
+        basis = fock_basis(Couplings.from_kx_ky(0.4, 0.7, 12), "a", 0)
+        states = [s for _, block in basis.blocks() for s in block.states]
+        assert states == list(basis.states)
+
+
+class TestAbsFf2Table:
+    def test_matches_closed_form(self):
+        c = Couplings.from_kx_ky(0.3, 0.9, 6)
+        for parity in (0, 1):
+            bras, kets = fock_basis(c, "a", parity), fock_basis(c, "p", parity)
+            table = abs_ff2_table(c, bras, kets)
+            for i, sa in enumerate(bras.states):
+                for j, sp in enumerate(kets.states):
+                    f = ff_closed(FormFactorSpec(2, FockState("a", sa),
+                                                 FockState("p", sp)), c)
+                    assert abs(table[i, j] - abs(f) ** 2) <= 1e-12 * abs(f) ** 2
+
+    def test_parity_and_sector_checked(self):
+        with pytest.raises(DomainError):
+            abs_ff2_table(C4, fock_basis(C4, "a", 0), fock_basis(C4, "p", 1))
+        with pytest.raises(DomainError):
+            abs_ff2_table(C4, fock_basis(C4, "p", 0), fock_basis(C4, "p", 0))
+
+    def test_completeness_sum_rule(self):
+        # the couplings of the acceptance suite
+        for kxy in ((0.3, 0.9), (0.5, 0.5), (0.7, 0.8)):
+            for n in range(4, 11):
+                res = completeness_sum_rule(Couplings.from_kx_ky(*kxy, n))
+                assert res < 1e-12, (kxy, n, res)
+
 
 class TestTwoPointCorrelation:
     def test_coincident_points(self):
@@ -202,6 +264,22 @@ class TestTwoPointCorrelation:
     def test_bad_eps(self):
         with pytest.raises(DomainError):
             two_point_correlation(C4, 3, 1, 0, eps_x=2)
+
+    def test_repeat_is_bit_identical(self):
+        # N=10 streams the |F|^2 table in two blocks of bra rows
+        c = Couplings.from_kx_ky(0.5, 0.5, 10)
+        for eps_x, eps_y in ((1, 1), (-1, -1)):
+            a = two_point_correlation(c, 16, 5, 3, eps_x=eps_x, eps_y=eps_y)
+            assert a == two_point_correlation(c, 16, 5, 3, eps_x=eps_x, eps_y=eps_y)
+
+    def test_full_enumeration_up_to_n12(self):
+        c = Couplings.from_kx_ky(0.4, 0.7, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = two_point_correlation(c, 8, 2, 3)
+        with pytest.warns(UserWarning, match="cutoff"):
+            trunc = two_point_correlation(c, 8, 2, 3, max_particles=4)
+        assert abs(full - trunc) < 1e-4
 
     def test_cutoff_warning(self):
         c = Couplings.from_kx_ky(0.4, 0.7, 12)

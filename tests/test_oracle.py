@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -67,6 +68,26 @@ class TestLabeledSpectrum:
             w = np.sort(np.linalg.eigvalsh(ops.v))
             pred = np.sort([lab[2] for lab in predicted_fock_labels(c, 1)])
             assert np.max(np.abs(w - pred) / pred) < 1e-9
+
+    def test_labels_match_direct_enumeration(self):
+        c = Couplings.from_kx_ky(0.3, 0.9, 5)
+        pref = (2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0)
+        for eps_y in (1, -1):
+            parity = 0 if eps_y == 1 else 1
+            ref = []
+            for sector, charge in (("a", 1), ("p", -1)):
+                gam, th = c.gammas(sector), c.thetas(sector)
+                for k in range(parity, c.n + 1, 2):
+                    for s in itertools.combinations(range(c.n), k):
+                        lam = pref * math.exp(0.5 * gam.sum() - gam[list(s)].sum())
+                        ref.append((sector, s, lam, np.exp(-1j * th[list(s)].sum()),
+                                    charge * (-1) ** k))
+            labels = predicted_fock_labels(c, eps_y)
+            assert [lab[:2] + lab[4:] for lab in labels] \
+                == [lab[:2] + lab[4:] for lab in ref]
+            for lab, r in zip(labels, ref):
+                assert abs(lab[2] - r[2]) <= 1e-13 * r[2]
+                assert abs(lab[3] - r[3]) <= 1e-13
 
     def test_translation_eigenvalues(self):
         for st in SPECT4:
@@ -148,6 +169,14 @@ class TestOracleCorrelation:
             v1 = two_point_correlation(C4, 4, 1, 2, eps_x=eps_x, eps_y=1)
             v2 = oracle_correlation(OPS4, 4, 1, 2, eps_x=eps_x)
             assert v1 == pytest.approx(v2, abs=1e-12)
+
+    def test_matches_spectral_route_n10(self):
+        c = Couplings.from_kx_ky(0.3, 0.9, 10)
+        ops = build_operators(c, eps_y=1)
+        for eps_x in (1, -1):
+            v1 = two_point_correlation(c, 6, 2, 3, eps_x=eps_x, eps_y=1)
+            v2 = oracle_correlation(ops, 6, 2, 3, eps_x=eps_x)
+            assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1), abs(v2))
 
     def test_limits(self):
         with pytest.raises(ResourceError):
