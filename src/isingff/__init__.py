@@ -15,14 +15,14 @@ from .formfactors import (FockState, FormFactorSpec, InducedRotation,
                           nu_of_theta, two_particle_matrices,
                           two_point_correlation, vacuum_overlap, xi_t)
 from .linalg import det_and_inverse, pfaffian
-from .spectral import (Couplings, SpectralPoint, b_elliptic, b_of_theta,
-                       eta_of_couplings, gamma_of_theta, quasimomenta,
-                       sqrt_b_of_theta, u_of_theta)
+from .spectral import (Couplings, b_elliptic, b_of_theta, eta_of_couplings,
+                       gamma_of_theta, quasimomenta, sqrt_b_of_theta,
+                       u_of_theta)
 
 __all__ = [
     "AmbiguousLabelError", "ConvergenceError", "Couplings", "DomainError",
     "EllipticModulus", "FockState", "FormFactorSpec", "InducedRotation",
-    "IsingFFError", "ResourceError", "SingularMatrixError", "SpectralPoint",
+    "IsingFFError", "ResourceError", "SingularMatrixError",
     "VerificationError", "b_elliptic", "b_of_theta", "complete_elliptic_K",
     "det_and_inverse", "eta_of_couplings", "ff_closed", "ff_pfaffian",
     "gamma_of_theta", "induced_rotation", "inverse_sn_real",

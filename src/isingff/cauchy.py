@@ -12,13 +12,18 @@ with rows on the periodic momentum set and columns on the antiperiodic one.
 Their inverse and the products Psi*Phi^-1, Phi^-1*Psi are evaluated in closed
 form.  The default code paths use the reduced sn-forms; the raw theta-product
 forms are kept behind a ``theta_route`` flag purely for cross-checks.
+
+Every closed form is array algebra over the point grid: theta_1 and sn/cn/dn
+are evaluated once on the whole array of pairwise differences, products over
+j != i leave the diagonal out with a mask, and products over i < j take the
+upper triangle.  The theta-product determinant of Phi is a sum of complex
+logarithms, so its N^2 factors cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,18 +34,17 @@ from .spectral import Couplings, log_sinh
 _LATTICE_TOL = 1e-11
 
 
-def _theta1_zero_distance(z: complex, q: float) -> float:
-    """Distance from z to the zero lattice pi*Z + pi*tau*Z of theta_1."""
-    pit = -math.log(q)
-    return math.hypot(math.remainder(z.real, math.pi),
-                      math.remainder(z.imag, pit))
-
-
-def _th1(z, q: float):
-    """theta_1 over an array of arguments."""
+def _theta1_zero_distance(z, q: float):
+    """Distance from each z to the zero lattice pi*Z + pi*tau*Z of theta_1."""
     z = np.asarray(z, dtype=complex)
-    flat = np.array([theta(1, zi, q) for zi in z.ravel()])
-    return flat.reshape(z.shape) if z.shape else complex(flat[0])
+    pit = -math.log(q)
+    return np.hypot(z.real - math.pi * np.rint(z.real / math.pi),
+                    z.imag - pit * np.rint(z.imag / pit))
+
+
+def _prod_off_diagonal(grid: np.ndarray) -> np.ndarray:
+    """Product along each row of a square grid, leaving out its diagonal entry."""
+    return np.prod(grid, axis=1, where=~np.eye(len(grid), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,12 @@ class EllipticPointConfig:
         object.__setattr__(self, "ys", tuple(complex(y) for y in self.ys))
         if len(self.xs) != len(self.ys):
             raise DomainError("xs and ys must have the same length")
-        for x in self.xs:
-            for y in self.ys:
-                if _theta1_zero_distance(x - y, self.q) < _LATTICE_TOL:
-                    raise DomainError(
-                        f"x - y = {x - y} is on the zero lattice of theta_1"
-                    )
+        diff = np.subtract.outer(np.array(self.xs, dtype=complex),
+                            np.array(self.ys, dtype=complex))
+        on_lattice = _theta1_zero_distance(diff, self.q) < _LATTICE_TOL
+        if np.any(on_lattice):
+            raise DomainError(f"x - y = {complex(diff[on_lattice][0])} is on the "
+                              f"zero lattice of theta_1")
 
     @property
     def size(self) -> int:
@@ -71,12 +75,11 @@ class EllipticPointConfig:
 
 def elliptic_cauchy_matrix(cfg: EllipticPointConfig) -> np.ndarray:
     """Dense entries theta_1(x_i - y_j + alpha)/(theta_1(x_i - y_j) theta_1(alpha))."""
-    xs, ys = np.array(cfg.xs), np.array(cfg.ys)
     ta = theta(1, cfg.alpha_shift, cfg.q)
     if abs(ta) < _LATTICE_TOL:
         raise DomainError("theta_1(alpha) vanishes; Cauchy entries undefined")
-    diff = xs[:, None] - ys[None, :]
-    return _th1(diff + cfg.alpha_shift, cfg.q) / (_th1(diff, cfg.q) * ta)
+    diff = np.subtract.outer(cfg.xs, cfg.ys)
+    return theta(1, diff + cfg.alpha_shift, cfg.q) / (theta(1, diff, cfg.q) * ta)
 
 
 def frobenius_det(cfg: EllipticPointConfig) -> complex:
@@ -85,13 +88,10 @@ def frobenius_det(cfg: EllipticPointConfig) -> complex:
     ta = theta(1, cfg.alpha_shift, q)
     if abs(ta) < _LATTICE_TOL:
         raise DomainError("theta_1(alpha) vanishes; determinant undefined")
-    n = cfg.size
+    i, j = np.triu_indices(cfg.size, 1)
     total = theta(1, xs.sum() - ys.sum() + cfg.alpha_shift, q) / ta
-    for i in range(n):
-        for j in range(i + 1, n):
-            total *= theta(1, xs[i] - xs[j], q) * theta(1, ys[j] - ys[i], q)
-    diff = xs[:, None] - ys[None, :]
-    total /= np.prod(_th1(diff, q))
+    total *= np.prod(theta(1, xs[i] - xs[j], q) * theta(1, ys[j] - ys[i], q))
+    total /= np.prod(theta(1, np.subtract.outer(xs, ys), q))
     return complex(total)
 
 
@@ -106,40 +106,20 @@ def frobenius_inverse(cfg: EllipticPointConfig) -> np.ndarray:
         If theta_1 vanishes at the balancing sum sum(x) - sum(y) + alpha.
     """
     xs, ys, q = np.array(cfg.xs), np.array(cfg.ys), cfg.q
-    n = cfg.size
     bal = xs.sum() - ys.sum() + cfg.alpha_shift
     t_bal = theta(1, bal, q)
-    if _theta1_zero_distance(complex(bal), q) < _LATTICE_TOL:
+    if _theta1_zero_distance(bal, q) < _LATTICE_TOL:
         raise SingularMatrixError("balancing sum on the zero lattice; matrix singular")
-    tx = _th1(xs[:, None] - ys[None, :], q)          # theta_1(x_i - y_j)
-    out = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        for nn in range(n):
-            num = theta(1, bal - xs[nn] + ys[m], q)
-            val = -num / (t_bal * theta(1, xs[nn] - ys[m], q))
-            prod = np.prod(tx[nn, :]) * np.prod(_th1(ys[m] - xs, q))
-            for i in range(n):
-                if i != nn:
-                    prod /= theta(1, xs[nn] - xs[i], q)
-                if i != m:
-                    prod /= theta(1, ys[m] - ys[i], q)
-            out[m, nn] = val * prod
-    return out
+    diff = np.subtract.outer(xs, ys).T  # x_n - y_m at [m, n]
+    return (-theta(1, bal - diff, q) / (t_bal * theta(1, diff, q))
+            * _interpolation_terms(ys, xs, q)[:, None]
+            * _interpolation_terms(xs, ys, q)[None, :])
 
 
 def _interpolation_terms(zs, zs_prime, q: float) -> np.ndarray:
-    zs = np.asarray(zs, dtype=complex)
-    zp = np.asarray(zs_prime, dtype=complex)
-    m = len(zs)
-    terms = np.empty(m, dtype=complex)
-    for i in range(m):
-        num = np.prod(_th1(zs[i] - zp, q))
-        den = 1.0 + 0.0j
-        for j in range(m):
-            if j != i:
-                den *= theta(1, zs[i] - zs[j], q)
-        terms[i] = num / den
-    return terms
+    """prod_j theta_1(z_i - z'_j) / prod_{j != i} theta_1(z_i - z_j) for each i."""
+    return (np.prod(theta(1, np.subtract.outer(zs, zs_prime), q), axis=1)
+            / _prod_off_diagonal(theta(1, np.subtract.outer(zs, zs), q)))
 
 
 def theta_interpolation_sum(zs, zs_prime, q: float) -> complex:
@@ -173,25 +153,12 @@ def sn_pfaffian_product(us, mod: EllipticModulus) -> complex:
     us = np.asarray(us, dtype=complex)
     if len(us) % 2 != 0:
         raise DomainError("sn pfaffian product needs an even number of points")
-    sqk = math.sqrt(mod.k)
-    total = 1.0 + 0.0j
-    for i in range(len(us)):
-        for j in range(i + 1, len(us)):
-            d = us[i] - us[j]
-            sn = 0.0 if d == 0 else jacobi_sn_cn_dn(d, mod)[0]
-            total *= sqk * sn
-    return complex(total)
+    i, j = np.triu_indices(len(us), 1)
+    sn = jacobi_sn_cn_dn(us[i] - us[j], mod)[0]
+    return complex(np.prod(math.sqrt(mod.k) * sn))
 
 
 # ---- Ising specialization ------------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _sn_tables(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
-    """(sn of periodic u's, sn of antiperiodic u's)."""
-    sn_p = np.array([jacobi_sn_cn_dn(u, c.modulus)[0].real for u in c.u_p])
-    sn_a = np.array([jacobi_sn_cn_dn(u, c.modulus)[0].real for u in c.u_a])
-    return sn_p, sn_a
 
 
 def ising_xy(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
@@ -211,10 +178,8 @@ def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
     xs, ys = ising_xy(c)
     n = c.n
     res = {"x1_plus_half_pi": abs(xs[0] + math.pi / 2.0)}
-    pair_x = max((abs(xs[j] + xs[n - j]) for j in range(1, n)), default=0.0)
-    pair_y = max((abs(ys[k] + ys[n - 1 - k]) for k in range(n)), default=0.0)
-    res["x_pairing"] = pair_x
-    res["y_pairing"] = pair_y
+    res["x_pairing"] = float(np.max(np.abs(xs[1:] + xs[:0:-1]), initial=0.0))
+    res["y_pairing"] = float(np.max(np.abs(ys + ys[::-1])))
     if n % 2 == 0:
         res["middle_point"] = abs(xs[n // 2])
     else:
@@ -223,30 +188,15 @@ def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
     return res
 
 
-def _diff_sn(u_rows: np.ndarray, u_cols: np.ndarray, mod: EllipticModulus,
-             which: int) -> np.ndarray:
-    """sn/cn/dn (which = 0/1/2) of all pairwise differences, real arguments."""
-    out = np.empty((len(u_rows), len(u_cols)))
-    for i, ui in enumerate(u_rows):
-        for j, uj in enumerate(u_cols):
-            d = ui - uj
-            if d == 0:
-                out[i, j] = (0.0, 1.0, 1.0)[which]
-            else:
-                out[i, j] = jacobi_sn_cn_dn(d, mod)[which].real
-    return out
-
-
 def phi_matrix(c: Couplings) -> np.ndarray:
     """Phi with rows on periodic momenta and columns on antiperiodic ones."""
-    sn = _diff_sn(c.u_p, c.u_a, c.modulus, 0)
-    dn = _diff_sn(c.u_p, c.u_a, c.modulus, 2)
-    return dn / sn
+    sn, _, dn = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_a), c.modulus)
+    return (dn / sn).real
 
 
 def psi_matrix(c: Couplings) -> np.ndarray:
     """Psi = cn of pairwise differences, same index layout as Phi."""
-    return _diff_sn(c.u_p, c.u_a, c.modulus, 1)
+    return jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_a), c.modulus)[1].real
 
 
 def fg_factors(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
@@ -255,26 +205,19 @@ def fg_factors(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     q = c.modulus.q
     t2, t3, t4 = c.modulus._theta_zeros
     pref = 1j * t3 / (t2 * t4)
-    n = c.n
-    f = np.empty(n, dtype=complex)
-    g = np.empty(n, dtype=complex)
-    for i in range(n):
-        num = np.prod(_th1(xs[i] - ys, q))
-        den = np.prod([theta(1, xs[i] - xs[j], q) for j in range(n) if j != i]) \
-            if n > 1 else 1.0
-        f[i] = pref * num / den
-        num = np.prod(_th1(ys[i] - xs, q))
-        den = np.prod([theta(1, ys[i] - ys[j], q) for j in range(n) if j != i]) \
-            if n > 1 else 1.0
-        g[i] = pref * num / den
-    return f, g
+    return (pref * _interpolation_terms(xs, ys, q),
+            pref * _interpolation_terms(ys, xs, q))
 
 
-def h_function(z: complex, c: Couplings) -> complex:
-    """h(z) = prod_i theta_1(z - x_i)/theta_1(z - y_i); verification route only."""
+def h_function(z, c: Couplings):
+    """h(z) = prod_i theta_1(z - x_i)/theta_1(z - y_i) elementwise over z;
+    verification route only."""
     xs, ys = ising_xy(c)
     q = c.modulus.q
-    return complex(np.prod(_th1(z - xs, q)) / np.prod(_th1(z - ys, q)))
+    z = np.asarray(z, dtype=complex)
+    h = (np.prod(theta(1, np.subtract.outer(z, xs), q), axis=-1)
+         / np.prod(theta(1, np.subtract.outer(z, ys), q), axis=-1))
+    return complex(h) if z.ndim == 0 else h
 
 
 def phi_inverse_closed(c: Couplings) -> np.ndarray:
@@ -284,7 +227,8 @@ def phi_inverse_closed(c: Couplings) -> np.ndarray:
     :func:`fg_factors`.
     """
     f, g = fg_factors(c)
-    sn = _diff_sn(c.u_p, c.u_a, c.modulus, 0)  # sn(u_n - v_m), index [n, m]
+    # sn(u_n - v_m), index [n, m]
+    sn = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_a), c.modulus)[0].real
     return (f[None, :] * g[:, None]) / sn.T
 
 
@@ -301,17 +245,12 @@ def phi_inverse_trig(c: Couplings) -> np.ndarray:
 
 def chi_kappa(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     """Cross-sector sn-product ratios chi (periodic) and kappa (antiperiodic)."""
-    sn_pa = _diff_sn(c.u_p, c.u_a, c.modulus, 0)
-    sn_pp = _diff_sn(c.u_p, c.u_p, c.modulus, 0)
-    sn_aa = _diff_sn(c.u_a, c.u_a, c.modulus, 0)
-    n = c.n
-    chi = np.empty(n)
-    kappa = np.empty(n)
-    for i in range(n):
-        chi[i] = np.prod(sn_pa[i, :]) / np.prod(
-            [sn_pp[i, j] for j in range(n) if j != i])
-        kappa[i] = np.prod(-sn_pa[:, i]) / np.prod(
-            [sn_aa[i, j] for j in range(n) if j != i])
+    mod = c.modulus
+    sn_pa = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_a), mod)[0].real
+    sn_pp = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_p), mod)[0].real
+    sn_aa = jacobi_sn_cn_dn(np.subtract.outer(c.u_a, c.u_a), mod)[0].real
+    chi = sn_pa.prod(axis=1) / _prod_off_diagonal(sn_pp)
+    kappa = (-sn_pa).prod(axis=0) / _prod_off_diagonal(sn_aa)
     return chi, kappa
 
 
@@ -327,18 +266,26 @@ def chi_kappa_trig(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     return chi, kappa
 
 
-def lambda_uv(u: float, v: float, c: Couplings) -> float:
-    """Ratio lambda(u, v) in its reduced sn-form."""
+def lambda_uv(u, v, c: Couplings):
+    """Ratio lambda(u, v) in its reduced sn-form, broadcast over u and v.
+
+    lambda(u, v) = w(u)/w(v) * dn u (1 + k sn v) / (dn v (1 + k sn u)) with
+    w(u) = prod over momenta of (1 - k sn_p sn u)/(1 - k sn_a sn u).  Scalar
+    u and v give a float.
+    """
     mod = c.modulus
     k = mod.k
-    sn_p, sn_a = _sn_tables(c)
-    snu, _, dnu = jacobi_sn_cn_dn(u, mod)
-    snv, _, dnv = jacobi_sn_cn_dn(v, mod)
-    snu, dnu, snv, dnv = snu.real, dnu.real, snv.real, dnv.real
-    val = dnu * (1.0 + k * snv) / (dnv * (1.0 + k * snu))
-    val *= np.prod((1.0 - k * sn_p * snu) * (1.0 - k * sn_a * snv)
-                   / ((1.0 - k * sn_a * snu) * (1.0 - k * sn_p * snv)))
-    return float(val)
+    sn_p = jacobi_sn_cn_dn(c.u_p, mod)[0].real
+    sn_a = jacobi_sn_cn_dn(c.u_a, mod)[0].real
+
+    def w(sn):
+        sn = np.asarray(sn)[..., None]
+        return np.prod((1.0 - k * sn_p * sn) / (1.0 - k * sn_a * sn), axis=-1)
+
+    snu, _, dnu = (np.real(f) for f in jacobi_sn_cn_dn(u, mod))
+    snv, _, dnv = (np.real(f) for f in jacobi_sn_cn_dn(v, mod))
+    val = dnu * (1.0 + k * snv) / (dnv * (1.0 + k * snu)) * w(snu) / w(snv)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def psi_phi_inverse_closed(c: Couplings, theta_route: bool = False) -> np.ndarray:
@@ -346,67 +293,61 @@ def psi_phi_inverse_closed(c: Couplings, theta_route: bool = False) -> np.ndarra
 
     The default path uses the reduced sn-form (chi and lambda factors); with
     ``theta_route=True`` the raw theta-product form through h(z) is used
-    instead, for cross-checking only.
+    instead, for cross-checking only.  The diagonal is zero.
     """
-    n = c.n
-    sn_pp = _diff_sn(c.u_p, c.u_p, c.modulus, 0)
-    out = np.zeros((n, n), dtype=complex)
+    sn_pp = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_p), c.modulus)[0].real
     if theta_route:
         f, _ = fg_factors(c)
         xs, _ = ising_xy(c)
-        pitau_half = math.pi * c.modulus.tau / 2.0
-        hvals = np.array([h_function(x + pitau_half, c) for x in xs])
-        for l in range(n):
-            for m in range(n):
-                if l != m:
-                    out[l, m] = f[m] * hvals[l] * sn_pp[l, m]
-        return out
-    chi, _ = chi_kappa(c)
-    for l in range(n):
-        for m in range(n):
-            if l != m:
-                out[l, m] = chi[m] * lambda_uv(c.u_p[l], c.u_p[m], c) * sn_pp[l, m]
+        hvals = h_function(xs + math.pi * c.modulus.tau / 2.0, c)
+        out = f[None, :] * hvals[:, None] * sn_pp
+    else:
+        chi, _ = chi_kappa(c)
+        out = chi[None, :] * lambda_uv(c.u_p[:, None], c.u_p[None, :], c) * sn_pp
+    out = out.astype(complex)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
 def phi_inverse_psi_closed(c: Couplings, theta_route: bool = False) -> np.ndarray:
-    """Closed form of Phi^-1 * Psi, indexed by antiperiodic momenta on both axes."""
-    n = c.n
-    sn_aa = _diff_sn(c.u_a, c.u_a, c.modulus, 0)
-    out = np.zeros((n, n), dtype=complex)
+    """Closed form of Phi^-1 * Psi, indexed by antiperiodic momenta on both axes.
+
+    The diagonal is zero.
+    """
+    sn_aa = jacobi_sn_cn_dn(np.subtract.outer(c.u_a, c.u_a), c.modulus)[0].real
     if theta_route:
         _, g = fg_factors(c)
         _, ys = ising_xy(c)
-        pitau_half = math.pi * c.modulus.tau / 2.0
-        hvals = np.array([h_function(y - pitau_half, c) for y in ys])
-        for m in range(n):
-            for l in range(n):
-                if l != m:
-                    out[m, l] = -g[m] / hvals[l] * sn_aa[m, l]
-        return out
-    _, kappa = chi_kappa(c)
-    for m in range(n):
-        for l in range(n):
-            if l != m:
-                out[m, l] = kappa[m] * lambda_uv(c.u_a[m], c.u_a[l], c) * sn_aa[l, m]
+        hvals = h_function(ys - math.pi * c.modulus.tau / 2.0, c)
+        out = -g[:, None] / hvals[None, :] * sn_aa
+    else:
+        _, kappa = chi_kappa(c)
+        out = kappa[:, None] * lambda_uv(c.u_a[:, None], c.u_a[None, :], c) * sn_aa.T
+    out = out.astype(complex)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
 def det_phi_theta(c: Couplings) -> complex:
-    """det(Phi) from the theta-function closed form."""
+    """det(Phi) from the theta-function closed form.
+
+    The N^2 theta factors are multiplied as a sum of complex logarithms and
+    exponentiated once, so the product cannot overflow at large N.
+    """
     xs, ys = ising_xy(c)
     q = c.modulus.q
     n = c.n
     t2, t3, t4 = c.modulus._theta_zeros
     pitau = math.pi * c.modulus.tau
     bal = xs.sum() - ys.sum()
-    pref = (t2**n * t4**n / t3 ** (n + 1)) * np.exp(-1j * (bal - pitau / 4.0))
-    total = pref * theta(1, bal + math.pi / 2.0 - pitau / 2.0, q)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total *= theta(1, xs[i] - xs[j], q) * theta(1, ys[j] - ys[i], q)
-    total /= np.prod(_th1(xs[:, None] - ys[None, :], q))
-    return complex(total)
+    i, j = np.triu_indices(n, 1)
+    log_total = (n * (np.log(t2) + np.log(t4)) - (n + 1) * np.log(t3)
+                 - 1j * (bal - pitau / 4.0)
+                 + np.log(theta(1, bal + math.pi / 2.0 - pitau / 2.0, q))
+                 + np.log(theta(1, xs[i] - xs[j], q)).sum()
+                 + np.log(theta(1, ys[j] - ys[i], q)).sum()
+                 - np.log(theta(1, np.subtract.outer(xs, ys), q)).sum())
+    return complex(np.exp(log_total))
 
 
 def det_phi_squared_trig(c: Couplings) -> float:

@@ -10,7 +10,9 @@ Momenta on the command line are integer indices into the sector's ordered
 quasimomentum list, never floating angles.
 
 Exit codes: 0 success, 2 unparseable flags, 3 domain error, 4 resource
-limit, 5 verification failure (a residual above tolerance).
+limit, 5 verification failure (a residual above tolerance or not finite).
+Non-finite numbers are written as the strings "nan", "inf" and "-inf", so
+the JSON output stays valid.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import verification
 from .exceptions import (AmbiguousLabelError, ConvergenceError, DomainError,
@@ -52,9 +56,21 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise DomainError(f"momentum list must be comma-separated integers: {text!r}") from exc
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by its name ("nan",
+    "inf", "-inf"), so that the output stays valid JSON."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
 def _emit(payload: dict, rows: list[dict], output: str) -> None:
     if output == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False))
         return
     if not rows:
         return
@@ -192,10 +208,13 @@ def _cmd_verify(args) -> int:
     c = _couplings(args)
     tol = args.tol
     residuals = verification.run_suite(args.suite, c, site=args.site)
-    worst = max(residuals.values())
-    results = {"residuals": residuals, "max_residual": worst,
-               "tolerance": tol, "passed": bool(worst <= tol)}
-    rows = [{"check": k, "residual": v, "passed": bool(v <= tol)}
+    # a non-finite residual fails its check, and np.max keeps a NaN
+    passes = {k: bool(math.isfinite(v) and v <= tol) for k, v in residuals.items()}
+    failed = sorted(k for k, ok in passes.items() if not ok)
+    results = {"residuals": residuals,
+               "max_residual": float(np.max(list(residuals.values()))),
+               "tolerance": tol, "passed": not failed, "failed_checks": failed}
+    rows = [{"check": k, "residual": v, "passed": passes[k]}
             for k, v in sorted(residuals.items())]
     payload = {"command": "verify",
                "inputs": {"kx": args.kx, "ky": args.ky, "n": args.n,

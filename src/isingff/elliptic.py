@@ -8,14 +8,22 @@ hence q = exp(-pi*K'/K) is real.
 All evaluation is in double precision.  Arguments with large imaginary part
 are reduced into the fundamental strip by quasiperiod shifts with exact
 bookkeeping of the accumulated phase factor.
+
+``theta``, ``jacobi_sn_cn_dn`` and ``inverse_sn_real`` take scalars or numpy
+arrays: arrays are evaluated elementwise in one pass of array arithmetic and
+keep their shape, while a scalar argument gives a Python scalar.  The four
+theta functions behind one sn/cn/dn evaluation are summed as one stacked
+theta_1 series.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
+from scipy.special import ellipkinc
 
 from .exceptions import ConvergenceError, DomainError
 
@@ -49,49 +57,74 @@ def complete_elliptic_K(k: float) -> float:
     return math.pi / (a + b)
 
 
-def _theta1_strip(z: complex, q: float) -> complex:
-    """theta_1 sine series, assuming |Im z| already inside the half-strip."""
-    if z == 0:
-        return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    peak = 0.0
-    y = abs(z.imag)
-    for n in range(_MAX_TERMS):
-        term = (-1.0) ** n * q ** ((n + 0.5) ** 2) * cmath.sin((2 * n + 1) * z)
-        total += term
-        peak = max(peak, abs(term))
-        tail = q ** ((n + 1.5) ** 2) * math.exp((2 * n + 3) * y)
-        if tail < _SERIES_CUTOFF * max(abs(total), peak, 1e-300):
-            return 2.0 * total
-    raise ConvergenceError(
-        f"theta_1 series exceeded {_MAX_TERMS} terms (q={q}, Im z={z.imag})"
-    )
+def _theta1_strip(z: np.ndarray, q: float) -> np.ndarray:
+    """theta_1 sine series over a 1-d array whose |Im z| lie inside the half-strip.
+
+    The bound q^((n+3/2)^2) exp((2n+3)|Im z|) on the first omitted term falls
+    with n in the half-strip.  Each element sums its own terms until that
+    bound is below _SERIES_CUTOFF times its first term, plus one term of
+    margin, in order of n; so an element's value does not depend on the
+    other elements of the array.
+    """
+    pit = -math.log(q)
+    y = np.abs(z.imag)
+    first = q ** 0.25 * np.abs(np.sin(z))
+    log_ratio = np.maximum(-np.log(_SERIES_CUTOFF * np.maximum(first, 1e-300)), 0.0)
+    # n + 3/2 > t solves pit*(n+3/2)^2 - 2*y*(n+3/2) > log_ratio
+    count = np.floor((y + np.sqrt(y * y + pit * log_ratio)) / pit + 1.5)
+    count[z == 0] = 0.0  # the series vanishes identically there
+    top = max(int(np.max(count, initial=0.0)), 1)
+    if top > _MAX_TERMS:
+        raise ConvergenceError(
+            f"theta_1 series needs {top} > {_MAX_TERMS} terms (q={q}, "
+            f"max |Im z|={float(np.max(y))})"
+        )
+    n = np.arange(top)[:, None]
+    terms = np.where(n < count,
+                     (-1.0) ** n * q ** ((n + 0.5) ** 2) * np.sin((2 * n + 1) * z), 0.0)
+    return 2.0 * np.cumsum(terms, axis=0)[-1]
 
 
-def _theta1(z: complex, q: float) -> complex:
-    """theta_1(z, q) for arbitrary complex z.
+def _theta1(z: np.ndarray, q: float) -> np.ndarray:
+    """theta_1(z, q) elementwise over a complex array.
 
     Uses theta_1(z + pi) = -theta_1(z) and the quasiperiodicity relation
     theta_1(z + l*pi*tau) = (-1)^l exp(-i*pi*l^2*tau - 2*i*l*z) theta_1(z)
-    to reduce the argument; the shift counts are integers so the phase
-    factor is tracked exactly.
+    to reduce each argument; the shift counts are integers (rounded to
+    nearest), so the phase factor is tracked exactly.
     """
     pit = -math.log(q)  # pi*|tau|, with tau = i*K'/K
-    z = complex(z)
-    ell = round(z.imag / pit)
-    m = round(z.real / math.pi)
-    zr = z - m * math.pi - ell * 1j * pit
-    val = _theta1_strip(zr, q)
-    if m & 1:
-        val = -val
-    if ell != 0:
-        # theta_1(zr + l*pi*tau) = (-1)^l exp(pi*|tau|*l^2 - 2i*l*zr) theta_1(zr)
-        val *= (-1.0) ** ell * cmath.exp(pit * ell * ell - 2j * ell * zr)
-    return val
+    z = z.ravel()
+    ell = np.rint(z.imag / pit)
+    m = np.rint(z.real / math.pi)
+    zr = z - m * math.pi - 1j * (ell * pit)
+    # theta_1(zr + l*pi*tau) = (-1)^l exp(pi*|tau|*l^2 - 2i*l*zr) theta_1(zr)
+    val = (-1.0) ** (m + ell) * np.exp(pit * ell * ell - 2j * ell * zr)
+    return val * _theta1_strip(zr, q)
 
 
-def theta(index: int, z: complex, q: float) -> complex:
-    """Jacobi theta function theta_index(z) of nome q.
+def _thetas(indices: tuple[int, ...], z: np.ndarray, q: float) -> np.ndarray:
+    """theta_index(z) for each index, stacked along a new first axis.
+
+    theta_2, theta_3, theta_4 are theta_1 at half-period shifts of the
+    argument, so every requested function is one theta_1 evaluation over
+    the stacked shifted arguments.
+    """
+    pit = -math.log(q)
+    shifts = {1: 0.0, 2: math.pi / 2, 3: math.pi / 2 - 0.5j * pit, 4: -0.5j * pit}
+    args = np.add.outer([shifts[i] for i in indices], z)
+    vals = _theta1(args, q).reshape(args.shape)
+    phase = np.exp(-1j * z - pit / 4)
+    for row, index in enumerate(indices):
+        if index == 3:
+            vals[row] *= phase
+        elif index == 4:
+            vals[row] *= 1j * phase
+    return vals
+
+
+def theta(index: int, z, q: float):
+    """Jacobi theta function theta_index(z) of nome q, elementwise over z.
 
     theta_1 is summed from its sine series; theta_2, theta_3, theta_4 are
     obtained from theta_1 by the half-period shifts of its argument.
@@ -100,25 +133,19 @@ def theta(index: int, z: complex, q: float) -> complex:
     ----------
     index : int
         Which theta function, 1 through 4.
-    z : complex
-        Argument (real period pi).
+    z : complex or array_like
+        Argument (real period pi); arrays are evaluated elementwise and keep
+        their shape, a scalar gives a Python complex.
     q : float
         Nome, 0 < q < 1.
     """
     if not 0.0 < q < _Q_MAX:
         raise DomainError(f"nome q={q} outside (0, {_Q_MAX})")
-    z = complex(z)
-    if index == 1:
-        return _theta1(z, q)
-    if index == 2:
-        return _theta1(z + math.pi / 2, q)
-    pit = -math.log(q)
-    phase = cmath.exp(-1j * z - pit / 4)
-    if index == 3:
-        return phase * _theta1(z + math.pi / 2 - 1j * pit / 2, q)
-    if index == 4:
-        return 1j * phase * _theta1(z - 1j * pit / 2, q)
-    raise DomainError(f"theta index must be 1..4, got {index}")
+    if index not in (1, 2, 3, 4):
+        raise DomainError(f"theta index must be 1..4, got {index}")
+    z = np.asarray(z, dtype=complex)
+    val = _thetas((index,), z, q)[0]
+    return complex(val) if z.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -160,8 +187,8 @@ class EllipticModulus:
     @cached_property
     def _theta_zeros(self) -> tuple[complex, complex, complex]:
         """(theta_2(0), theta_3(0), theta_4(0))."""
-        return (theta(2, 0.0, self.q), theta(3, 0.0, self.q),
-                theta(4, 0.0, self.q))
+        t2, t3, t4 = _thetas((2, 3, 4), np.zeros(()), self.q)
+        return complex(t2), complex(t3), complex(t4)
 
     def self_check(self) -> dict[str, float]:
         """Residuals of the defining invariants, for verification suites."""
@@ -174,47 +201,52 @@ class EllipticModulus:
         }
 
 
-def _pole_distance(u: complex, mod: EllipticModulus) -> float:
-    """Distance from u to the pole lattice iK' + 2K*Z + 2iK'*Z of sn/cn/dn."""
-    x = math.remainder(u.real, 2.0 * mod.bigK)
-    y = math.remainder(u.imag - mod.bigKprime, 2.0 * mod.bigKprime)
-    return math.hypot(x, y)
+def _pole_distance(u: np.ndarray, mod: EllipticModulus) -> np.ndarray:
+    """Distance from each u to the pole lattice iK' + 2K*Z + 2iK'*Z of sn/cn/dn."""
+    x = u.real - 2.0 * mod.bigK * np.rint(u.real / (2.0 * mod.bigK))
+    y = u.imag - mod.bigKprime
+    y = y - 2.0 * mod.bigKprime * np.rint(y / (2.0 * mod.bigKprime))
+    return np.hypot(x, y)
 
 
-def jacobi_sn_cn_dn(u: complex, mod: EllipticModulus) -> tuple[complex, complex, complex]:
-    """(sn u, cn u, dn u) for complex u via theta-function ratios.
+def jacobi_sn_cn_dn(u, mod: EllipticModulus):
+    """(sn u, cn u, dn u) for complex u via theta-function ratios, elementwise.
 
     The theta evaluator reduces large imaginary parts internally, so u may
     have any imaginary part as long as it stays away from the common pole
-    lattice iK' mod (2K, 2iK').
+    lattice iK' mod (2K, 2iK').  An array u gives three complex arrays of its
+    shape, a scalar three Python complex numbers.
 
     Raises
     ------
     DomainError
-        If u is within tolerance of a pole; the value is not extrapolated.
+        If any u is within tolerance of a pole; the value is not extrapolated.
     """
-    u = complex(u)
-    if _pole_distance(u, mod) < _POLE_TOL * (1.0 + abs(u)):
-        raise DomainError(f"u={u} within tolerance of a pole of sn/cn/dn")
-    z = u * math.pi / (2.0 * mod.bigK)
-    q = mod.q
-    t2, t3, t4 = mod._theta_zeros
-    d = theta(4, z, q)
-    sn = (t3 / t2) * theta(1, z, q) / d
-    cn = (t4 / t2) * theta(2, z, q) / d
-    dn = (t4 / t3) * theta(3, z, q) / d
+    u = np.asarray(u, dtype=complex)
+    near = _pole_distance(u, mod) < _POLE_TOL * (1.0 + np.abs(u))
+    if np.any(near):
+        raise DomainError(f"u={complex(u[near].flat[0])} within tolerance of a "
+                          f"pole of sn/cn/dn")
+    t1, t2, t3, t4 = _thetas((1, 2, 3, 4), u * (math.pi / (2.0 * mod.bigK)), mod.q)
+    c2, c3, c4 = mod._theta_zeros
+    sn = (c3 / c2) * t1 / t4
+    cn = (c4 / c2) * t2 / t4
+    dn = (c4 / c3) * t3 / t4
+    if u.ndim == 0:
+        return complex(sn), complex(cn), complex(dn)
     return sn, cn, dn
 
 
-def inverse_sn_real(s: float, mod: EllipticModulus) -> float:
-    """u in [-K, K] with sn u = s and cn u >= 0, for real s in [-1, 1].
+def inverse_sn_real(s, mod: EllipticModulus):
+    """u in [-K, K] with sn u = s and cn u >= 0, for real s in [-1, 1], elementwise.
 
     Inverts through the incomplete elliptic integral of the first kind.
-    Values of |s| exceeding 1 by no more than a few ulps are clamped.
+    Values of |s| exceeding 1 by no more than a few ulps are clamped.  A
+    scalar s gives a Python float.
     """
-    from scipy.special import ellipkinc
-
-    if abs(s) > 1.0 + 8e-16:
-        raise DomainError(f"|s|={abs(s)} exceeds 1; sn is not invertible there")
-    s = min(1.0, max(-1.0, s))
-    return float(ellipkinc(math.asin(s), mod.k**2))
+    s = np.asarray(s, dtype=float)
+    if np.any(np.abs(s) > 1.0 + 8e-16):
+        raise DomainError(f"|s|={float(np.max(np.abs(s)))} exceeds 1; "
+                          f"sn is not invertible there")
+    u = ellipkinc(np.arcsin(np.clip(s, -1.0, 1.0)), mod.k**2)
+    return float(u) if u.ndim == 0 else u

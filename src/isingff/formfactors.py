@@ -271,12 +271,11 @@ def assemble_r_elliptic(spec: FormFactorSpec, c: Couplings) -> np.ndarray:
         c.u_a[ia] + 1j * c.modulus.bigKprime,
         c.u_p[ip].astype(complex),
     ])
-    sqk = math.sqrt(c.modulus.k)
+    i, j = np.triu_indices(m + n, 1)
     rt = np.zeros((m + n, m + n), dtype=complex)
-    for i in range(m + n):
-        for j in range(i + 1, m + n):
-            rt[i, j] = sqk * jacobi_sn_cn_dn(u_tilde[i] - u_tilde[j], c.modulus)[0]
-            rt[j, i] = -rt[i, j]
+    rt[i, j] = math.sqrt(c.modulus.k) * jacobi_sn_cn_dn(u_tilde[i] - u_tilde[j],
+                                                        c.modulus)[0]
+    rt -= rt.T
     return -1j * rho * (omega[:, None] * rt * omega[None, :])
 
 

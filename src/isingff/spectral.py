@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import ellipkinc
 
 from .elliptic import EllipticModulus, inverse_sn_real, jacobi_sn_cn_dn
 from .exceptions import ConvergenceError, DomainError
@@ -52,16 +52,6 @@ def theta_of_index(sector: str, index: int, n: int) -> float:
     if sector == "p":
         return 2 * index * math.pi / n
     raise DomainError(f"sector must be 'a' or 'p', got {sector!r}")
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One point of the spectral curve: quasimomentum with its attached data."""
-
-    theta: float
-    gamma: float
-    b: complex
-    u: float
 
 
 @dataclass(frozen=True)
@@ -150,11 +140,11 @@ class Couplings:
 
     @cached_property
     def u_a(self) -> np.ndarray:
-        return np.array([u_of_theta(t, self) for t in self.thetas_a])
+        return u_of_theta(self.thetas_a, self)
 
     @cached_property
     def u_p(self) -> np.ndarray:
-        return np.array([u_of_theta(t, self) for t in self.thetas_p])
+        return u_of_theta(self.thetas_p, self)
 
     @cached_property
     def b_a(self) -> np.ndarray:
@@ -189,34 +179,15 @@ class Couplings:
     def us(self, sector: str) -> np.ndarray:
         return self.u_a if sector == "a" else self.u_p
 
-    def spectral_point(self, theta: float) -> SpectralPoint:
-        return SpectralPoint(
-            theta=float(theta),
-            gamma=float(gamma_of_theta(theta, self)),
-            b=complex(b_of_theta(theta, self)),
-            u=u_of_theta(theta, self),
-        )
-
 
 def _solve_eta(target_sinh2kx: float, modulus: EllipticModulus) -> float:
     """Solve sinh(2*kx) = i*sn(2i*eta) for eta in (-K'/2, 0).
 
-    For pure-imaginary argument, i*sn(2i*eta) = sc(2|eta|, k'), so the root
-    is bracketed on (0, K') in the variable v = 2|eta| and found with a real
-    one-dimensional solver.
+    For pure-imaginary argument, i*sn(2i*eta) = sc(2|eta|, k'), which is
+    tan am(2|eta|, k'); so v = 2|eta| is the incomplete elliptic integral
+    F(atan(sinh 2kx), k'^2).
     """
-    comp = modulus.complementary()
-
-    def sc(v: float) -> float:
-        sn, cn, _ = jacobi_sn_cn_dn(v, comp)
-        return sn.real / cn.real
-
-    hi = comp.bigK * (1.0 - 1e-12)
-    lo = comp.bigK * 1e-14
-    f = lambda v: sc(v) - target_sinh2kx
-    if not f(lo) < 0.0 < f(hi):
-        raise ConvergenceError("failed to bracket eta")
-    v = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    v = float(ellipkinc(math.atan(target_sinh2kx), modulus.kprime**2))
     eta = -0.5 * v
     sn2ieta, _, _ = jacobi_sn_cn_dn(2j * eta, modulus)
     residual = abs(target_sinh2kx - (1j * sn2ieta))
@@ -268,7 +239,7 @@ def sqrt_b_of_theta(theta, c: Couplings):
     return root
 
 
-def u_of_theta(theta: float, c: Couplings) -> float:
+def u_of_theta(theta, c: Couplings):
     """Image u_theta in [-K, K) of the spectral-curve point (e^{i theta}, e^{gamma}).
 
     Computed by inverting sn on
@@ -278,17 +249,20 @@ def u_of_theta(theta: float, c: Couplings) -> float:
     that inversion is ill-conditioned, |sn| -> 1) the complementary relation
     sn(u_theta + K) = sinh(2*ky) * sin(theta/2) / sinh((gamma_theta + gamma_0)/2)
     is inverted instead; whichever argument is smaller in magnitude wins.
+    Elementwise over an array of momenta; a scalar theta gives a float.
     """
+    theta = np.asarray(theta, dtype=float)
     gamma_0 = 2.0 * (c.ky - c.kx_star)
     gamma_pi = 2.0 * (c.ky + c.kx_star)
-    gamma_t = float(gamma_of_theta(theta, c))
-    s_direct = -c.sinh2ky * math.cos(theta / 2.0) / math.sinh((gamma_pi + gamma_t) / 2.0)
-    s_shift = c.sinh2ky * math.sin(theta / 2.0) / math.sinh((gamma_t + gamma_0) / 2.0)
-    if abs(s_direct) <= abs(s_shift):
-        s = min(1.0, max(-1.0, s_direct))
-        return inverse_sn_real(s, c.modulus)
-    w = inverse_sn_real(min(1.0, s_shift), c.modulus) - c.modulus.bigK
-    return w if theta <= math.pi else -w
+    gamma_t = gamma_of_theta(theta, c)
+    s_direct = -c.sinh2ky * np.cos(theta / 2.0) / np.sinh((gamma_pi + gamma_t) / 2.0)
+    s_shift = c.sinh2ky * np.sin(theta / 2.0) / np.sinh((gamma_t + gamma_0) / 2.0)
+    direct = np.abs(s_direct) <= np.abs(s_shift)
+    s = np.clip(np.where(direct, s_direct, s_shift), -1.0, 1.0)
+    w = inverse_sn_real(s, c.modulus)
+    shifted = w - c.modulus.bigK
+    u = np.where(direct, w, np.where(theta <= math.pi, shifted, -shifted))
+    return float(u) if u.ndim == 0 else u
 
 
 def log_sinh(x):
@@ -318,13 +292,14 @@ def nu_of_gamma(gamma, c: Couplings):
     return out if out.ndim else float(out)
 
 
-def b_elliptic(u: float, c: Couplings) -> complex:
+def b_elliptic(u, c: Couplings):
     """sqrt(b) on the curve as a function of u, with the sign fixed by sqrt(b_pi) = 1.
 
     Evaluates (dn u + i*k*sn u*cn u)/sqrt(1 - k^2 sn^4 u); its square equals
-    b_of_theta at the momentum corresponding to u.
+    b_of_theta at the momentum corresponding to u.  Elementwise over an array
+    of real u; a scalar u gives a complex.
     """
     k = c.modulus.k
-    sn, cn, dn = jacobi_sn_cn_dn(u, c.modulus)
-    sn, cn, dn = sn.real, cn.real, dn.real
-    return (dn + 1j * k * sn * cn) / math.sqrt(1.0 - k**2 * sn**4)
+    sn, cn, dn = (np.real(f) for f in jacobi_sn_cn_dn(u, c.modulus))
+    root = (dn + 1j * k * sn * cn) / np.sqrt(1.0 - k**2 * sn**4)
+    return complex(root) if np.ndim(root) == 0 else root

@@ -10,7 +10,6 @@ The CLI ``verify`` command and the test suite both call these functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -29,8 +28,16 @@ SUITES = ("elliptic", "cauchy", "rotation", "formfactor")
 
 
 def _rel(a, b) -> float:
-    a, b = complex(a), complex(b)
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+    """Largest |a - b| / max(1, |a|, |b|) over the elements; a NaN is kept."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    rel = np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return float(np.max(rel, initial=0.0))
+
+
+def _worst(*values) -> float:
+    """Largest entry over several arrays or numbers; a NaN is kept."""
+    return float(np.max([np.max(v, initial=0.0) for v in values]))
 
 
 def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
@@ -41,55 +48,47 @@ def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def elliptic_suite(c: Couplings, n_points: int = 100, seed: int = 2024) -> dict[str, float]:
-    """Elliptic-function and parametrization identities along the curve."""
+    """Elliptic-function and parametrization identities along the curve.
+
+    Each identity is checked on an array of pseudo-random points at once.
+    """
     rng = np.random.default_rng(seed)
     mod = c.modulus
     k, kk = mod.k, mod.k**2
     bigk, bigkp = mod.bigK, mod.bigKprime
     out = dict(mod.self_check())
 
+    def real_sn_cn_dn(u):
+        return tuple(f.real for f in jacobi_sn_cn_dn(u, mod))
+
     us = rng.uniform(-bigk * 0.98, bigk * 0.98, 2 * n_points)
-    r = 0.0
-    for u in us:
-        sn1, cn1, dn1 = jacobi_sn_cn_dn(u + 2.0 * bigk, mod)
-        sn0, cn0, dn0 = jacobi_sn_cn_dn(u, mod)
-        r = max(r, abs(sn1 + sn0), abs(cn1 + cn0), abs(dn1 - dn0))
-    out["half_period_shifts"] = r
+    sn1, cn1, dn1 = jacobi_sn_cn_dn(us + 2.0 * bigk, mod)
+    sn0, cn0, dn0 = jacobi_sn_cn_dn(us, mod)
+    out["half_period_shifts"] = _worst(np.abs(sn1 + sn0), np.abs(cn1 + cn0),
+                                       np.abs(dn1 - dn0))
 
-    r = 0.0
-    for _ in range(n_points):
-        u = complex(rng.uniform(-bigk, bigk), rng.uniform(-0.45, 0.45) * bigkp)
-        sn, cn, dn = jacobi_sn_cn_dn(u, mod)
-        r = max(r, abs(sn**2 + cn**2 - 1.0), abs(dn**2 + kk * sn**2 - 1.0))
-    out["algebraic_identities"] = r
+    re_im = rng.uniform((-bigk, -0.45), (bigk, 0.45), (n_points, 2))
+    sn, cn, dn = jacobi_sn_cn_dn(re_im[:, 0] + 1j * (re_im[:, 1] * bigkp), mod)
+    out["algebraic_identities"] = _worst(np.abs(sn**2 + cn**2 - 1.0),
+                                         np.abs(dn**2 + kk * sn**2 - 1.0))
 
-    r = 0.0
-    for _ in range(n_points):
-        u, v = rng.uniform(-bigk, bigk, 2)
-        snu, cnu, dnu = (x.real for x in jacobi_sn_cn_dn(u, mod))
-        snv, cnv, dnv = (x.real for x in jacobi_sn_cn_dn(v, mod))
-        lhs = jacobi_sn_cn_dn(u - v, mod)[2].real
-        rhs = (dnu * dnv + kk * snu * cnu * snv * cnv) / (1.0 - kk * snu**2 * snv**2)
-        r = max(r, _rel(lhs, rhs))
-    out["dn_addition"] = r
+    u, v = rng.uniform(-bigk, bigk, (n_points, 2)).T
+    snu, cnu, dnu = real_sn_cn_dn(u)
+    snv, cnv, dnv = real_sn_cn_dn(v)
+    out["dn_addition"] = _rel(
+        jacobi_sn_cn_dn(u - v, mod)[2].real,
+        (dnu * dnv + kk * snu * cnu * snv * cnv) / (1.0 - kk * snu**2 * snv**2))
 
-    r = 0.0
-    for _ in range(n_points):
-        u = rng.uniform(-bigk / 2, bigk / 2)
-        snu, cnu, dnu = (x.real for x in jacobi_sn_cn_dn(u, mod))
-        lhs = jacobi_sn_cn_dn(2.0 * u, mod)[0].real
-        rhs = 2.0 * snu * cnu * dnu / (1.0 - kk * snu**4)
-        r = max(r, _rel(lhs, rhs))
-    out["sn_doubling"] = r
+    u = rng.uniform(-bigk / 2, bigk / 2, n_points)
+    snu, cnu, dnu = real_sn_cn_dn(u)
+    out["sn_doubling"] = _rel(jacobi_sn_cn_dn(2.0 * u, mod)[0].real,
+                              2.0 * snu * cnu * dnu / (1.0 - kk * snu**4))
 
     pit = math.pi * mod.tau
-    r = 0.0
-    for _ in range(20):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-0.4, 0.4))
-        lhs = theta(1, z + pit, mod.q)
-        rhs = -np.exp(-1j * pit - 2j * z) * theta(1, z, mod.q)
-        r = max(r, _rel(lhs, rhs))
-    out["theta1_quasiperiod"] = r
+    re_im = rng.uniform((-2.0, -0.4), (2.0, 0.4), (20, 2))
+    z = re_im[:, 0] + 1j * re_im[:, 1]
+    out["theta1_quasiperiod"] = _rel(theta(1, z + pit, mod.q),
+                                     -np.exp(-1j * pit - 2j * z) * theta(1, z, mod.q))
     out["theta1_half_tau"] = _rel(theta(1, pit / 2.0, mod.q),
                                   1j * np.exp(-1j * pit / 4.0) * theta(4, 0.0, mod.q))
     out["theta2_is_shifted_theta1"] = _rel(theta(1, math.pi / 2.0, mod.q),
@@ -97,90 +96,65 @@ def elliptic_suite(c: Couplings, n_points: int = 100, seed: int = 2024) -> dict[
 
     thetas = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, n_points)
     gam = gamma_of_theta(thetas, c)
-    uu = np.array([u_of_theta(t, c) for t in thetas])
+    uu = u_of_theta(thetas, c)
     sqk = math.sqrt(k)
-
-    r = 0.0
-    for t, g, u in zip(thetas, gam, uu):
-        for sgn in (1.0, -1.0):
-            lhs = np.exp(-(g + sgn * 1j * t) / 2.0)
-            rhs = -sqk * jacobi_sn_cn_dn(u - sgn * 1j * c.eta, mod)[0]
-            r = max(r, _rel(lhs, rhs))
-    out["exp_gamma_vs_sn"] = r
+    out["exp_gamma_vs_sn"] = _worst(*(
+        _rel(np.exp(-(gam + sgn * 1j * thetas) / 2.0),
+             -sqk * jacobi_sn_cn_dn(uu - sgn * 1j * c.eta, mod)[0])
+        for sgn in (1.0, -1.0)))
 
     gamma_0 = 2.0 * (c.ky - c.kx_star)
     gamma_pi = 2.0 * (c.ky + c.kx_star)
-    r1 = r2 = r3 = r4 = r5 = r6 = 0.0
-    for t, g, u in zip(thetas, gam, uu):
-        sn, cn, dn = (x.real for x in jacobi_sn_cn_dn(u, mod))
-        r1 = max(r1, _rel(jacobi_sn_cn_dn(u + bigk, mod)[0].real,
-                          c.sinh2ky * math.sin(t / 2.0) / math.sinh((g + gamma_0) / 2.0)))
-        r2 = max(r2, _rel(sn, -c.sinh2ky * math.cos(t / 2.0)
-                          / math.sinh((gamma_pi + g) / 2.0)))
-        r3 = max(r3, _rel(jacobi_sn_cn_dn(2.0 * u, mod)[0].real if abs(2.0 * u) > 1e-12 else 0.0,
-                          -c.sinh2ky * math.sin(t) / math.sinh(g)))
-        r4 = max(r4, _rel(k * sn**2, math.sinh((gamma_pi - g) / 2.0)
-                          / math.sinh((gamma_pi + g) / 2.0)))
-        r5 = max(r5, _rel(cn, math.sin(t / 2.0) * math.sqrt(
-            c.sinh2ky * math.sinh(gamma_pi)
-            / (math.sinh((g + gamma_0) / 2.0) * math.sinh((g + gamma_pi) / 2.0)))))
-        r6 = max(r6, _rel(dn, math.sqrt(
-            math.sinh(gamma_pi) * math.sinh((g + gamma_0) / 2.0)
-            / (c.sinh2ky * math.sinh((g + gamma_pi) / 2.0)))))
-    out["sn_shift_quarter"] = r1
-    out["sn_of_u_theta"] = r2
-    out["sn_double_u_theta"] = r3
-    out["k_sn_squared"] = r4
-    out["cn_of_u_theta"] = r5
-    out["dn_of_u_theta"] = r6
+    sn, cn, dn = real_sn_cn_dn(uu)
+    sh_0 = np.sinh((gam + gamma_0) / 2.0)
+    sh_pi = np.sinh((gam + gamma_pi) / 2.0)
+    out["sn_shift_quarter"] = _rel(jacobi_sn_cn_dn(uu + bigk, mod)[0].real,
+                                   c.sinh2ky * np.sin(thetas / 2.0) / sh_0)
+    out["sn_of_u_theta"] = _rel(sn, -c.sinh2ky * np.cos(thetas / 2.0) / sh_pi)
+    sn_double = np.where(np.abs(2.0 * uu) > 1e-12,
+                         jacobi_sn_cn_dn(2.0 * uu, mod)[0].real, 0.0)
+    out["sn_double_u_theta"] = _rel(sn_double,
+                                    -c.sinh2ky * np.sin(thetas) / np.sinh(gam))
+    out["k_sn_squared"] = _rel(k * sn**2, np.sinh((gamma_pi - gam) / 2.0) / sh_pi)
+    out["cn_of_u_theta"] = _rel(cn, np.sin(thetas / 2.0) * np.sqrt(
+        c.sinh2ky * math.sinh(gamma_pi) / (sh_0 * sh_pi)))
+    out["dn_of_u_theta"] = _rel(dn, np.sqrt(math.sinh(gamma_pi) * sh_0
+                                            / (c.sinh2ky * sh_pi)))
 
-    r = 0.0
-    for t1, g1, u1 in zip(thetas[: n_points // 2], gam, uu):
-        t2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3)
-        g2, u2 = float(gamma_of_theta(t2, c)), u_of_theta(t2, c)
-        if abs(u1 - u2) < 1e-8:
-            continue
-        sn12 = jacobi_sn_cn_dn(u1 - u2, mod)[0].real
-        r = max(r, _rel(sn12, c.sinh2ky * math.sin((t1 - t2) / 2.0)
-                        / math.sinh((g1 + g2) / 2.0)))
-        r = max(r, _rel(1.0 - kk * jacobi_sn_cn_dn(u1, mod)[0].real**2
-                        * jacobi_sn_cn_dn(u2, mod)[0].real**2,
-                        math.sinh(gamma_pi) * math.sinh((g1 + g2) / 2.0)
-                        / (math.sinh((gamma_pi + g1) / 2.0)
-                           * math.sinh((gamma_pi + g2) / 2.0))))
-    out["sn_of_difference"] = r
+    half = n_points // 2
+    t1, g1, u1, sn1 = thetas[:half], gam[:half], uu[:half], sn[:half]
+    t2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, half)
+    g2, u2 = gamma_of_theta(t2, c), u_of_theta(t2, c)
+    apart = np.abs(u1 - u2) >= 1e-8
+    t1, g1, u1, sn1, t2, g2, u2 = (x[apart] for x in (t1, g1, u1, sn1, t2, g2, u2))
+    sn2 = jacobi_sn_cn_dn(u2, mod)[0].real
+    out["sn_of_difference"] = _worst(
+        _rel(jacobi_sn_cn_dn(u1 - u2, mod)[0].real,
+             c.sinh2ky * np.sin((t1 - t2) / 2.0) / np.sinh((g1 + g2) / 2.0)),
+        _rel(1.0 - kk * sn1**2 * sn2**2,
+             math.sinh(gamma_pi) * np.sinh((g1 + g2) / 2.0)
+             / (np.sinh((gamma_pi + g1) / 2.0) * np.sinh((gamma_pi + g2) / 2.0))))
 
-    r = 0.0
-    for t, u in zip(thetas, uu):
-        r = max(r, _rel(b_elliptic(u, c) ** 2, b_of_theta(t, c)))
-    out["sqrt_b_elliptic"] = r
+    out["sqrt_b_elliptic"] = _rel(b_elliptic(uu, c) ** 2, b_of_theta(thetas, c))
 
-    rd = rc = rv = 0.0
-    for _ in range(n_points):
-        t1, t2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, 2)
-        if min(abs(t1 - t2), abs(t1 + t2 - 2.0 * math.pi)) < 1e-3:
-            continue
-        g1, g2 = float(gamma_of_theta(t1, c)), float(gamma_of_theta(t2, c))
-        u1, u2 = u_of_theta(t1, c), u_of_theta(t2, c)
-        b1 = complex(np.sqrt(b_of_theta(t1, c)))
-        b2 = complex(np.sqrt(b_of_theta(t2, c)))
-        sn, cn, dn = jacobi_sn_cn_dn(u1 - u2, mod)
-        lhs = (b1 / b2 + b2 / b1) / (2.0 * math.sin((t1 - t2) / 2.0))
-        rhs = c.sinh2ky / math.sqrt(math.sinh(g1) * math.sinh(g2)) * dn.real / sn.real
-        rd = max(rd, _rel(lhs, rhs))
-        lhs = (b1 * b2 - 1.0 / (b1 * b2)) / (2.0 * math.sin((t1 + t2) / 2.0))
-        rhs = -1j * c.sinh2kx_star / math.sqrt(math.sinh(g1) * math.sinh(g2)) * cn.real
-        rc = max(rc, _rel(lhs, rhs))
-        direct = sqk * sn.real
-        for sgn in (1.0, -1.0):
-            shifted = sqk * jacobi_sn_cn_dn(u1 - u2 + sgn * 1j * bigkp, mod)[0]
-            rv = max(rv, _rel(shifted, 1.0 / direct))
-        rho = math.sqrt(c.sinh2ky / c.sinh2kx)
-        rv = max(rv, _rel(direct, rho * math.sin((t1 - t2) / 2.0)
-                          / math.sinh((g1 + g2) / 2.0)))
-    out["dn_sn_kernel"] = rd
-    out["cn_kernel"] = rc
-    out["sn_shift_iKprime"] = rv
+    t1, t2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, (n_points, 2)).T
+    apart = np.minimum(np.abs(t1 - t2), np.abs(t1 + t2 - 2.0 * math.pi)) >= 1e-3
+    t1, t2 = t1[apart], t2[apart]
+    g1, g2 = gamma_of_theta(t1, c), gamma_of_theta(t2, c)
+    u1, u2 = u_of_theta(t1, c), u_of_theta(t2, c)
+    b1, b2 = np.sqrt(b_of_theta(t1, c)), np.sqrt(b_of_theta(t2, c))
+    sn, cn, dn = real_sn_cn_dn(u1 - u2)
+    root = np.sqrt(np.sinh(g1) * np.sinh(g2))
+    out["dn_sn_kernel"] = _rel((b1 / b2 + b2 / b1) / (2.0 * np.sin((t1 - t2) / 2.0)),
+                               c.sinh2ky / root * dn / sn)
+    out["cn_kernel"] = _rel((b1 * b2 - 1.0 / (b1 * b2)) / (2.0 * np.sin((t1 + t2) / 2.0)),
+                            -1j * c.sinh2kx_star / root * cn)
+    direct = sqk * sn
+    rho = math.sqrt(c.sinh2ky / c.sinh2kx)
+    out["sn_shift_iKprime"] = _worst(
+        *(_rel(sqk * jacobi_sn_cn_dn(u1 - u2 + sgn * 1j * bigkp, mod)[0], 1.0 / direct)
+          for sgn in (1.0, -1.0)),
+        _rel(direct, rho * np.sin((t1 - t2) / 2.0) / np.sinh((g1 + g2) / 2.0)))
     return out
 
 
@@ -233,12 +207,8 @@ def cauchy_suite(c: Couplings, n_configs: int = 50, seed: int = 2025,
         base = (np.linspace(-0.8, 0.8, size)
                 + rng.uniform(-0.03, 0.03, size) / size) * mod.bigK
         pts = base + 0.5j * mod.bigKprime * (np.arange(size) % 2)
-        sqk = math.sqrt(mod.k)
-        mat = np.zeros((size, size), dtype=complex)
-        for i in range(size):
-            for j in range(size):
-                if i != j:
-                    mat[i, j] = sqk * jacobi_sn_cn_dn(pts[i] - pts[j], mod)[0]
+        mat = math.sqrt(mod.k) * jacobi_sn_cn_dn(np.subtract.outer(pts, pts), mod)[0]
+        np.fill_diagonal(mat, 0.0)
         r = max(r, abs(cf.sn_pfaffian_product(pts, mod) / pfaffian(mat) - 1.0))
     out["sn_pfaffian_identity"] = r
 
@@ -267,12 +237,8 @@ def cauchy_suite(c: Couplings, n_configs: int = 50, seed: int = 2025,
 
     all_u = np.concatenate([c.u_p, c.u_a])
     all_nu = np.concatenate([c.nu_p, c.nu_a])
-    r = 0.0
-    for i in range(len(all_u)):
-        for j in range(len(all_u)):
-            r = max(r, _rel(cf.lambda_uv(all_u[i], all_u[j], c),
-                            math.exp((all_nu[j] - all_nu[i]) / 2.0)))
-    out["lambda_vs_nu"] = r
+    out["lambda_vs_nu"] = _rel(cf.lambda_uv(all_u[:, None], all_u[None, :], c),
+                               np.exp((all_nu[None, :] - all_nu[:, None]) / 2.0))
 
     r = 0.0
     for t in rng.uniform(0.1, 2.0 * math.pi - 0.1, 20):
@@ -318,12 +284,12 @@ def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
 
 
 def _specs_up_to(c: Couplings, site: int, max_mn: int):
-    for m in range(0, min(c.n, max_mn) + 1):
-        for n in range(0, min(c.n, max_mn) + 1):
-            if (m + n) % 2 or m + n > max_mn:
-                continue
-            for bra in itertools.combinations(range(c.n), m):
-                for ket in itertools.combinations(range(c.n), n):
+    """Every (bra, ket) spec with m + n even and at most ``max_mn``."""
+    for parity in (0, 1):
+        kets = fock_basis(c, "p", parity, max_mn).states
+        for bra in fock_basis(c, "a", parity, max_mn).states:
+            for ket in kets:
+                if len(bra) + len(ket) <= max_mn:
                     yield FormFactorSpec(site, FockState("a", bra),
                                          FockState("p", ket))
 

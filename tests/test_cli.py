@@ -128,3 +128,33 @@ def test_tolerance_env_var(capsys, monkeypatch):
     code, _ = run(capsys, "verify", "elliptic", "--kx", "0.3", "--ky", "0.9",
                   "--n", "4")
     assert code == 5
+
+
+def _strict_json(out: str) -> dict:
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(out, parse_constant=reject)
+
+
+def test_verify_cauchy_at_n32_is_finite(capsys):
+    code, out = run(capsys, "verify", "cauchy", "--kx", "0.3", "--ky", "0.9",
+                    "--n", "32")
+    assert code == 0
+    res = _strict_json(out)["results"]
+    assert res["passed"] and res["failed_checks"] == []
+    for name, value in res["residuals"].items():
+        assert isinstance(value, float) and value <= 1e-10, name
+
+
+def test_nan_residual_fails_verify(capsys, monkeypatch):
+    from isingff import verification
+    monkeypatch.setattr(verification, "cauchy_suite",
+                        lambda c, seed: {"fine": 1e-13, "broken": float("nan")})
+    code, out = run(capsys, "verify", "cauchy", "--kx", "0.3", "--ky", "0.9",
+                    "--n", "4")
+    assert code == 5
+    res = _strict_json(out)["results"]
+    assert res["passed"] is False
+    assert res["failed_checks"] == ["broken"]
+    assert res["residuals"] == {"fine": 1e-13, "broken": "nan"}
+    assert res["max_residual"] == "nan"

@@ -71,6 +71,19 @@ class TestTheta:
         rhs = 1j * cmath.exp(-1j * math.pi * tau / 4.0) * theta(4, 0.0, q)
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [0.01, 0.2, 0.6, 0.85])
+    def test_array_matches_elementwise(self, index, q):
+        rng = np.random.default_rng(11)
+        z = (rng.uniform(-4.0, 4.0, (3, 7)) + 1j * rng.uniform(-2.0, 2.0, (3, 7)))
+        z[0, 0] = 0.0
+        vals = theta(index, z, q)
+        assert vals.shape == z.shape
+        for zi, vi in zip(z.ravel(), vals.ravel()):
+            ref = theta(index, complex(zi), q)
+            assert isinstance(ref, complex)
+            assert abs(vi - ref) <= 1e-14 * max(abs(ref), 1e-300)
+
     def test_bad_index_and_nome(self):
         with pytest.raises(DomainError):
             theta(5, 0.1, 0.3)
@@ -144,6 +157,21 @@ class TestJacobiFunctions:
             rhs = 2.0 * snu * cnu * dnu / (1.0 - k2 * snu**4)
             assert abs(lhs - rhs) < 1e-11
 
+    def test_array_matches_elementwise(self):
+        rng = np.random.default_rng(12)
+        u = rng.uniform(-3.0, 3.0, (4, 5)) + 1j * rng.uniform(-0.8, 0.8, (4, 5))
+        arrays = jacobi_sn_cn_dn(u, self.mod)
+        for which, vals in enumerate(arrays):
+            assert vals.shape == u.shape
+            for ui, vi in zip(u.ravel(), vals.ravel()):
+                ref = jacobi_sn_cn_dn(complex(ui), self.mod)[which]
+                assert abs(vi - ref) <= 1e-14 * abs(ref)
+
+    def test_one_pole_in_an_array_is_reported(self):
+        u = np.array([0.1, 0.5 + 0.2j, 2 * self.mod.bigK + 1j * self.mod.bigKprime, -0.3])
+        with pytest.raises(DomainError):
+            jacobi_sn_cn_dn(u, self.mod)
+
     def test_pole_proximity_reported(self):
         with pytest.raises(DomainError):
             jacobi_sn_cn_dn(1j * self.mod.bigKprime, self.mod)
@@ -173,9 +201,17 @@ class TestInverseSn:
             assert abs(sn - s) < 1e-12
             assert cn.real >= -1e-15
 
+    def test_array_matches_elementwise(self):
+        s = np.linspace(-1.0, 1.0, 9).reshape(3, 3)
+        u = inverse_sn_real(s, self.mod)
+        assert u.shape == s.shape
+        assert [inverse_sn_real(float(x), self.mod) for x in s.ravel()] == list(u.ravel())
+
     def test_domain(self):
         with pytest.raises(DomainError):
             inverse_sn_real(1.5, self.mod)
+        with pytest.raises(DomainError):
+            inverse_sn_real(np.array([0.2, -1.5]), self.mod)
 
 
 class TestEllipticModulus:

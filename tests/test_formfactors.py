@@ -14,8 +14,8 @@ from isingff.formfactors import (FockState, FormFactorSpec, abs_ff2_table,
                                  vacuum_overlap, xi_t)
 from isingff.linalg import det_and_inverse, pfaffian
 from isingff.spectral import Couplings, gamma_of_theta
-from isingff.verification import (completeness_sum_rule, formfactor_suite,
-                                  rotation_suite)
+from isingff.verification import (_specs_up_to, completeness_sum_rule,
+                                  formfactor_suite, rotation_suite)
 
 C4 = Couplings.from_kx_ky(0.4, 0.7, 4)
 
@@ -210,6 +210,15 @@ class TestFockBasis:
                     e = 0.5 * gam.sum() - gam[list(s)].sum()
                     assert abs(basis.energies[row] - e) < 1e-13
                     assert abs(basis.momenta[row] - th[list(s)].sum()) < 1e-13
+
+    @pytest.mark.parametrize("n, max_mn", [(3, 4), (8, 2), (8, 4)])
+    def test_suite_specs_are_every_even_pair_once(self, n, max_mn):
+        c = Couplings.from_kx_ky(0.4, 0.7, n)
+        specs = [(s.bra.indices, s.ket.indices) for s in _specs_up_to(c, 1, max_mn)]
+        expected = sum(math.comb(n, m) * math.comb(n, k)
+                       for m in range(n + 1) for k in range(n + 1)
+                       if (m + k) % 2 == 0 and m + k <= max_mn)
+        assert len(specs) == len(set(specs)) == expected
 
     def test_blocks_cover_the_basis_in_order(self):
         basis = fock_basis(Couplings.from_kx_ky(0.4, 0.7, 12), "a", 0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
@@ -53,6 +54,20 @@ class TestCouplings:
         assert -C.modulus.bigKprime / 2.0 < C.eta < 0.0
         sn2ieta = jacobi_sn_cn_dn(2j * C.eta, C.modulus)[0]
         assert abs(math.sinh(2 * C.kx) - (1j * sn2ieta)) < 1e-11
+
+    @pytest.mark.parametrize("kx, ky", [(0.4, 0.7), (0.3, 0.9), (0.5, 0.5),
+                                        (0.05, 1.5), (0.7, 0.8), (1.2, 0.3)])
+    def test_eta_is_the_root_of_sc(self, kx, ky):
+        c = Couplings.from_kx_ky(kx, ky, 1)
+        comp = c.modulus.complementary()
+
+        def sc(v):
+            sn, cn, _ = jacobi_sn_cn_dn(v, comp)
+            return sn.real / cn.real - c.sinh2kx
+
+        root = brentq(sc, 1e-14 * comp.bigK, (1 - 1e-12) * comp.bigK,
+                      xtol=1e-15, rtol=8.9e-16)
+        assert abs(-0.5 * root - c.eta) <= 1e-13 * abs(c.eta)
 
     def test_eta_vanishes_with_weak_horizontal_coupling(self):
         eta = eta_of_couplings(0.05, 1.5)
@@ -131,6 +146,17 @@ class TestUOfTheta:
         rng = np.random.default_rng(5)
         for th in rng.uniform(1e-6, math.pi, 50):
             assert abs(u_of_theta(2 * math.pi - th, C) + u_of_theta(th, C)) < 1e-12
+
+    def test_array_matches_elementwise(self):
+        c = Couplings.from_kx_ky(0.3, 0.9, 8)
+        th = np.linspace(0.0, 2 * math.pi, 25).reshape(5, 5)
+        us = u_of_theta(th, c)
+        assert us.shape == th.shape
+        for t, u in zip(th.ravel(), us.ravel()):
+            ref = u_of_theta(float(t), c)
+            assert isinstance(ref, float)
+            assert abs(u - ref) <= 1e-14 * max(abs(ref), 1.0)
+        np.testing.assert_array_equal(c.u_a, u_of_theta(c.thetas_a, c))
 
     def test_defining_relation_and_branch(self):
         rng = np.random.default_rng(6)
