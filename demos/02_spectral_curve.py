@@ -26,7 +26,7 @@ print("periodic momenta / pi    :", quasimomenta("p", 8) / math.pi)
 
 # Per-momentum spectral table.
 print("\n theta/pi     gamma        u_theta      Re b        Im b")
-for th in c.thetas_a:
+for th in c.sector("a").thetas:
     g = float(gamma_of_theta(th, c))
     u = u_of_theta(th, c)
     b = complex(b_of_theta(th, c))

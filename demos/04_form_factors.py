@@ -50,7 +50,7 @@ spectrum = labeled_spectrum(ops, c)
 print("  dense-oracle modulus   :", oracle_ff_modulus(ops, spectrum, spec))
 
 # Translation covariance: the site enters only through a momentum phase.
-shift = -c.thetas_a[[0, 2, 3, 5]].sum()
+shift = -c.sector("a").thetas[[0, 2, 3, 5]].sum()
 spec0 = FormFactorSpec(0, spec.bra, spec.ket)
 pred = np.exp(1j * 1 * shift) * ff_closed(spec0, c)
 print("  translation-phase check:", abs(f_closed - pred))

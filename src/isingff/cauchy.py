@@ -164,7 +164,7 @@ def sn_pfaffian_product(us, mod: EllipticModulus) -> complex:
 def ising_xy(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     """Theta-argument points x_i (periodic) and y_i (antiperiodic), u scaled by pi/2K."""
     scale = math.pi / (2.0 * c.modulus.bigK)
-    return c.u_p * scale, c.u_a * scale
+    return c.sector("p").u * scale, c.sector("a").u * scale
 
 
 def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
@@ -188,15 +188,21 @@ def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
     return res
 
 
+def _sn_cn_dn_of_differences(c: Couplings, rows: str, cols: str):
+    """sn, cn and dn of u_i - u_j, i over sector ``rows`` and j over ``cols``."""
+    return jacobi_sn_cn_dn(np.subtract.outer(c.sector(rows).u, c.sector(cols).u),
+                           c.modulus)
+
+
 def phi_matrix(c: Couplings) -> np.ndarray:
     """Phi with rows on periodic momenta and columns on antiperiodic ones."""
-    sn, _, dn = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_a), c.modulus)
+    sn, _, dn = _sn_cn_dn_of_differences(c, "p", "a")
     return (dn / sn).real
 
 
 def psi_matrix(c: Couplings) -> np.ndarray:
     """Psi = cn of pairwise differences, same index layout as Phi."""
-    return jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_a), c.modulus)[1].real
+    return _sn_cn_dn_of_differences(c, "p", "a")[1].real
 
 
 def fg_factors(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
@@ -228,27 +234,27 @@ def phi_inverse_closed(c: Couplings) -> np.ndarray:
     """
     f, g = fg_factors(c)
     # sn(u_n - v_m), index [n, m]
-    sn = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_a), c.modulus)[0].real
+    sn = _sn_cn_dn_of_differences(c, "p", "a")[0].real
     return (f[None, :] * g[:, None]) / sn.T
 
 
 def phi_inverse_trig(c: Couplings) -> np.ndarray:
     """Phi^-1 from the fully reduced trigonometric formula (cross-check route)."""
     n = c.n
-    ga, gp = c.gamma_a, c.gamma_p
+    a, p = c.sector("a"), c.sector("p")
+    ga, gp = a.gamma, p.gamma
     half_sum = (ga[:, None] + gp[None, :]) / 2.0
-    sin_half = np.sin((c.thetas_a[:, None] - c.thetas_p[None, :]) / 2.0)
-    amp = np.exp((c.nu_a[:, None] - c.nu_p[None, :]) / 2.0)
+    sin_half = np.sin((a.thetas[:, None] - p.thetas[None, :]) / 2.0)
+    amp = np.exp((a.nu[:, None] - p.nu[None, :]) / 2.0)
     return (-c.sinh2ky * amp * np.sinh(half_sum)
             / (n**2 * np.sinh(ga)[:, None] * np.sinh(gp)[None, :] * sin_half))
 
 
 def chi_kappa(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     """Cross-sector sn-product ratios chi (periodic) and kappa (antiperiodic)."""
-    mod = c.modulus
-    sn_pa = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_a), mod)[0].real
-    sn_pp = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_p), mod)[0].real
-    sn_aa = jacobi_sn_cn_dn(np.subtract.outer(c.u_a, c.u_a), mod)[0].real
+    sn_pa = _sn_cn_dn_of_differences(c, "p", "a")[0].real
+    sn_pp = _sn_cn_dn_of_differences(c, "p", "p")[0].real
+    sn_aa = _sn_cn_dn_of_differences(c, "a", "a")[0].real
     chi = sn_pa.prod(axis=1) / _prod_off_diagonal(sn_pp)
     kappa = (-sn_pa).prod(axis=0) / _prod_off_diagonal(sn_aa)
     return chi, kappa
@@ -261,8 +267,9 @@ def chi_kappa_trig(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     chi = -exp(-nu) sinh(2*ky)/(N sinh gamma) on the periodic set and
     kappa = +exp(+nu) sinh(2*ky)/(N sinh gamma) on the antiperiodic one.
     """
-    chi = -np.exp(-c.nu_p) * c.sinh2ky / (c.n * np.sinh(c.gamma_p))
-    kappa = np.exp(c.nu_a) * c.sinh2ky / (c.n * np.sinh(c.gamma_a))
+    a, p = c.sector("a"), c.sector("p")
+    chi = -np.exp(-p.nu) * c.sinh2ky / (c.n * np.sinh(p.gamma))
+    kappa = np.exp(a.nu) * c.sinh2ky / (c.n * np.sinh(a.gamma))
     return chi, kappa
 
 
@@ -275,8 +282,8 @@ def lambda_uv(u, v, c: Couplings):
     """
     mod = c.modulus
     k = mod.k
-    sn_p = jacobi_sn_cn_dn(c.u_p, mod)[0].real
-    sn_a = jacobi_sn_cn_dn(c.u_a, mod)[0].real
+    sn_p = jacobi_sn_cn_dn(c.sector("p").u, mod)[0].real
+    sn_a = jacobi_sn_cn_dn(c.sector("a").u, mod)[0].real
 
     def w(sn):
         sn = np.asarray(sn)[..., None]
@@ -295,7 +302,7 @@ def psi_phi_inverse_closed(c: Couplings, theta_route: bool = False) -> np.ndarra
     ``theta_route=True`` the raw theta-product form through h(z) is used
     instead, for cross-checking only.  The diagonal is zero.
     """
-    sn_pp = jacobi_sn_cn_dn(np.subtract.outer(c.u_p, c.u_p), c.modulus)[0].real
+    sn_pp = _sn_cn_dn_of_differences(c, "p", "p")[0].real
     if theta_route:
         f, _ = fg_factors(c)
         xs, _ = ising_xy(c)
@@ -303,7 +310,8 @@ def psi_phi_inverse_closed(c: Couplings, theta_route: bool = False) -> np.ndarra
         out = f[None, :] * hvals[:, None] * sn_pp
     else:
         chi, _ = chi_kappa(c)
-        out = chi[None, :] * lambda_uv(c.u_p[:, None], c.u_p[None, :], c) * sn_pp
+        u = c.sector("p").u
+        out = chi[None, :] * lambda_uv(u[:, None], u[None, :], c) * sn_pp
     out = out.astype(complex)
     np.fill_diagonal(out, 0.0)
     return out
@@ -314,7 +322,7 @@ def phi_inverse_psi_closed(c: Couplings, theta_route: bool = False) -> np.ndarra
 
     The diagonal is zero.
     """
-    sn_aa = jacobi_sn_cn_dn(np.subtract.outer(c.u_a, c.u_a), c.modulus)[0].real
+    sn_aa = _sn_cn_dn_of_differences(c, "a", "a")[0].real
     if theta_route:
         _, g = fg_factors(c)
         _, ys = ising_xy(c)
@@ -322,7 +330,8 @@ def phi_inverse_psi_closed(c: Couplings, theta_route: bool = False) -> np.ndarra
         out = -g[:, None] / hvals[None, :] * sn_aa
     else:
         _, kappa = chi_kappa(c)
-        out = kappa[:, None] * lambda_uv(c.u_a[:, None], c.u_a[None, :], c) * sn_aa.T
+        u = c.sector("a").u
+        out = kappa[:, None] * lambda_uv(u[:, None], u[None, :], c) * sn_aa.T
     out = out.astype(complex)
     np.fill_diagonal(out, 0.0)
     return out
@@ -353,9 +362,10 @@ def det_phi_theta(c: Couplings) -> complex:
 def det_phi_squared_trig(c: Couplings) -> float:
     """(det Phi)^2 from the fully reduced trigonometric formula, in log space."""
     n = c.n
+    a, p = c.sector("a"), c.sector("p")
     log_val = (2.0 * n * math.log(n)
                + 0.5 * math.log1p(-c.modulus.k**2)
                - 2.0 * n * math.log(c.sinh2ky)
-               + 0.5 * (c.nu_p.sum() - c.nu_a.sum())
-               + log_sinh(c.gamma_p).sum() + log_sinh(c.gamma_a).sum())
+               + 0.5 * (p.nu.sum() - a.nu.sum())
+               + log_sinh(p.gamma).sum() + log_sinh(a.gamma).sum())
     return math.exp(log_val)

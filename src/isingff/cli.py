@@ -30,7 +30,7 @@ from .exceptions import (AmbiguousLabelError, ConvergenceError, DomainError,
                          ResourceError, SingularMatrixError, VerificationError)
 from .formfactors import (FockState, FormFactorSpec, ff_closed, ff_pfaffian,
                           two_point_correlation, vacuum_overlap, xi_t)
-from .oracle import (block_labels, build_operators, labeled_spectrum,
+from .oracle import (block_labels, build_operators, find_state, labeled_spectrum,
                      oracle_correlation, oracle_ff_modulus)
 from .spectral import Couplings
 
@@ -107,18 +107,13 @@ def _cmd_params(args) -> int:
 def _cmd_spectrum(args) -> int:
     c = _couplings(args)
     rows = []
-    for sector in ("a", "p"):
-        thetas = c.thetas(sector)
-        gammas = c.gammas(sector)
-        us = c.us(sector)
-        bs = c.b_a if sector == "a" else c.b_p
-        nus = c.nu_a if sector == "a" else c.nu_p
+    for t in (c.sector("a"), c.sector("p")):
         for i in range(c.n):
             rows.append({
-                "sector": sector, "index": i,
-                "theta": float(thetas[i]), "gamma": float(gammas[i]),
-                "b_re": float(bs[i].real), "b_im": float(bs[i].imag),
-                "u": float(us[i]), "nu": float(nus[i]),
+                "sector": t.sector, "index": i,
+                "theta": float(t.thetas[i]), "gamma": float(t.gamma[i]),
+                "b_re": float(t.b[i].real), "b_im": float(t.b[i].imag),
+                "u": float(t.u[i]), "nu": float(t.nu[i]),
             })
     payload = {"command": "spectrum",
                "inputs": {"kx": args.kx, "ky": args.ky, "n": args.n},
@@ -148,12 +143,8 @@ def _cmd_ff(args) -> int:
         ops = build_operators(c, eps_y=eps_y)
         spect = labeled_spectrum(ops, c)
         oracle_val = oracle_ff_modulus(ops, spect, spec)
-        bra_state = next(st for st in spect
-                         if st.sector == "a" and st.indices == spec.bra.indices)
-        ket_state = next(st for st in spect
-                         if st.sector == "p" and st.indices == spec.ket.indices)
-        bra_labels = block_labels(spect, bra_state.block)
-        ket_labels = block_labels(spect, ket_state.block)
+        bra_labels = block_labels(spect, find_state(spect, "a", spec.bra.indices).block)
+        ket_labels = block_labels(spect, find_state(spect, "p", spec.ket.indices).block)
         blockwise = len(bra_labels) > 1 or len(ket_labels) > 1
         closed_block = math.sqrt(sum(
             abs(ff_closed(FormFactorSpec(args.site, FockState("a", bi),

@@ -20,14 +20,14 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .elliptic import jacobi_sn_cn_dn
 from .exceptions import DomainError, VerificationError
 from .linalg import pfaffian
-from .spectral import Couplings, gamma_of_theta, nu_of_gamma, theta_of_index
+from .spectral import (SECTORS, Couplings, SectorTable, coupling_tables,
+                       gamma_of_theta, nu_of_gamma, quasimomenta)
 
 _FULL_ENUMERATION_MAX_N = 12
 _DEFAULT_PARTICLE_CUTOFF = 4
@@ -46,7 +46,7 @@ class FockState:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if self.sector not in ("a", "p"):
+        if self.sector not in SECTORS:
             raise DomainError(f"sector must be 'a' or 'p', got {self.sector!r}")
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         if any(j <= i for i, j in zip(self.indices, self.indices[1:])):
@@ -61,7 +61,7 @@ class FockState:
 
     def momenta(self, n: int) -> np.ndarray:
         self.validate(n)
-        return np.array([theta_of_index(self.sector, i, n) for i in self.indices])
+        return quasimomenta(self.sector, n)[np.array(self.indices, dtype=int)]
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -133,46 +133,17 @@ def induced_rotation(c: Couplings, site: int) -> InducedRotation:
     if not 0 <= site < c.n:
         raise DomainError(f"site {site} outside [0, {c.n})")
     n = c.n
-    tp = c.thetas_p[:, None]
-    ta = c.thetas_a[None, :]
-    rb = c.sqrt_b_a[None, :] / c.sqrt_b_p[:, None]
-    pb = c.sqrt_b_a[None, :] * c.sqrt_b_p[:, None]
+    a, p = c.sector("a"), c.sector("p")
+    tp = p.thetas[:, None]
+    ta = a.thetas[None, :]
+    rb = a.sqrt_b[None, :] / p.sqrt_b[:, None]
+    pb = a.sqrt_b[None, :] * p.sqrt_b[:, None]
     ell = site - 0.5
     d = (np.exp(-1j * ell * (tp - ta)) / (2j * n * np.sin((ta - tp) / 2.0))
          * (rb + 1.0 / rb))
     cc = (np.exp(-1j * ell * (tp + ta)) / (2j * n * np.sin((tp + ta) / 2.0))
           * (pb - 1.0 / pb))
     return InducedRotation(a=d.conj(), b=cc.conj(), c=cc, d=d, site=site)
-
-
-@lru_cache(maxsize=64)
-def _site_independent_tables(c: Couplings) -> dict:
-    """Pair ratios entering all closed-form matrices, independent of the site.
-
-    The ``log_*`` entries are contributions to log|F|^2: ``log_vac2`` =
-    log(xi * xi_T) and ``log_amp2_*`` = 2 log amp.  The pair ratios enter
-    log|F|^2 through :func:`_log_ratio2` at the point of use: caching their
-    N x N logs as well cost each N=256 ``isingff ff`` call about 2,000 more
-    minor page faults (8 MiB of fresh pages), a quarter of its time.
-    """
-    ga, gp = c.gamma_a, c.gamma_p
-    rho2 = c.sinh2ky / c.sinh2kx
-    tab = {}
-    tab["ap_ratio"] = (np.sinh((ga[:, None] + gp[None, :]) / 2.0)
-                       / np.sin((c.thetas_a[:, None] - c.thetas_p[None, :]) / 2.0))
-    for sec, th, g in (("a", c.thetas_a, ga), ("p", c.thetas_p, gp)):
-        ratio = np.sin((th[:, None] - th[None, :]) / 2.0) \
-            / np.sinh((g[:, None] + g[None, :]) / 2.0)
-        np.fill_diagonal(ratio, 0.0)
-        tab[f"{sec}{sec}_ratio"] = ratio
-    tab["amp_a"] = np.exp(c.nu_a / 2.0) / np.sqrt(c.n * np.sinh(ga))
-    tab["amp_p"] = np.exp(-c.nu_p / 2.0) / np.sqrt(c.n * np.sinh(gp))
-    tab["log_amp2_a"] = c.nu_a - np.log(c.n * np.sinh(ga))
-    tab["log_amp2_p"] = -c.nu_p - np.log(c.n * np.sinh(gp))
-    tab["rho2"] = rho2
-    tab["log_rho2"] = math.log(rho2)
-    tab["log_vac2"] = math.log(c.xi) + (c.nu_p.sum() - c.nu_a.sum()) / 4.0
-    return tab
 
 
 def _log_ratio2(ratio: np.ndarray) -> np.ndarray:
@@ -192,23 +163,22 @@ def two_particle_matrices(c: Couplings, site: int) -> tuple[np.ndarray, np.ndarr
     """
     if not 0 <= site < c.n:
         raise DomainError(f"site {site} outside [0, {c.n})")
-    n = c.n
-    tab = _site_independent_tables(c)
+    tab = coupling_tables(c)
+    a, p = tab.a, tab.p
     ell = site - 0.5
-    ta, tp = c.thetas_a, c.thetas_p
-    amp_a, amp_p = tab["amp_a"], tab["amp_p"]
-    dinv = (1j * np.exp(-1j * ell * (ta[:, None] - tp[None, :]))
-            * amp_a[:, None] * amp_p[None, :] * tab["ap_ratio"])
-    bdinv = (-1j * np.exp(1j * ell * (tp[:, None] + tp[None, :]))
-             * tab["rho2"] * amp_p[:, None] * amp_p[None, :] * tab["pp_ratio"])
-    dinvc = (-1j * np.exp(-1j * ell * (ta[:, None] + ta[None, :]))
-             * tab["rho2"] * amp_a[:, None] * amp_a[None, :] * tab["aa_ratio"])
+    dinv = (1j * np.exp(-1j * ell * (a.thetas[:, None] - p.thetas[None, :]))
+            * a.amp[:, None] * p.amp[None, :] * tab.ap_ratio)
+    bdinv = (-1j * np.exp(1j * ell * (p.thetas[:, None] + p.thetas[None, :]))
+             * tab.rho2 * p.amp[:, None] * p.amp[None, :] * p.pair_ratio)
+    dinvc = (-1j * np.exp(-1j * ell * (a.thetas[:, None] + a.thetas[None, :]))
+             * tab.rho2 * a.amp[:, None] * a.amp[None, :] * a.pair_ratio)
     return dinv, bdinv, dinvc
 
 
 def xi_t(c: Couplings) -> float:
     """Finite-size correction factor multiplying the infinite-lattice amplitude."""
-    return math.exp((c.nu_p.sum() - c.nu_a.sum()) / 4.0)
+    tab = coupling_tables(c)
+    return math.exp((tab.p.nu.sum() - tab.a.nu.sum()) / 4.0)
 
 
 def vacuum_overlap(c: Couplings) -> float:
@@ -217,7 +187,8 @@ def vacuum_overlap(c: Couplings) -> float:
     Equals [(1 - k^2) * prod_p e^{nu} * prod_a e^{-nu}]^{1/8}; converges to
     the spontaneous magnetization (1 - s^{-2})^{1/8} as N grows.
     """
-    log_val = (math.log1p(-c.modulus.k**2) + c.nu_p.sum() - c.nu_a.sum()) / 8.0
+    tab = coupling_tables(c)
+    log_val = (math.log1p(-c.modulus.k**2) + tab.p.nu.sum() - tab.a.nu.sum()) / 8.0
     return math.exp(log_val)
 
 
@@ -261,15 +232,17 @@ def assemble_r_elliptic(spec: FormFactorSpec, c: Couplings) -> np.ndarray:
     ip = np.array(spec.ket.indices, dtype=int)
     rho = math.sqrt(c.sinh2ky / c.sinh2kx)
     ell = spec.site - 0.5
+    tab = coupling_tables(c)
+    a, p = tab.a, tab.p
     omega = np.concatenate([
-        -np.exp(-1j * ell * c.thetas_a[ia] + c.nu_a[ia] / 2.0)
-        / np.sqrt(c.n * np.sinh(c.gamma_a[ia])),
-        np.exp(1j * ell * c.thetas_p[ip] - c.nu_p[ip] / 2.0)
-        / np.sqrt(c.n * np.sinh(c.gamma_p[ip])),
+        -np.exp(-1j * ell * a.thetas[ia] + a.nu[ia] / 2.0)
+        / np.sqrt(c.n * np.sinh(a.gamma[ia])),
+        np.exp(1j * ell * p.thetas[ip] - p.nu[ip] / 2.0)
+        / np.sqrt(c.n * np.sinh(p.gamma[ip])),
     ])
     u_tilde = np.concatenate([
-        c.u_a[ia] + 1j * c.modulus.bigKprime,
-        c.u_p[ip].astype(complex),
+        a.u[ia] + 1j * c.modulus.bigKprime,
+        p.u[ip].astype(complex),
     ])
     i, j = np.triu_indices(m + n, 1)
     rt = np.zeros((m + n, m + n), dtype=complex)
@@ -303,13 +276,13 @@ def ff_closed(spec: FormFactorSpec, c: Couplings) -> complex:
     m, n = len(bra), len(ket)
     ia = np.array(bra, dtype=int)
     ip = np.array(ket, dtype=int)
-    tab = _site_independent_tables(c)
+    tab = coupling_tables(c)
 
-    log_f2 = (tab["log_vac2"] + 0.5 * (m - n) ** 2 * tab["log_rho2"]
-              + tab["log_amp2_a"][ia].sum() + tab["log_amp2_p"][ip].sum()
-              + 0.5 * _log_ratio2(tab["aa_ratio"][ia][:, ia]).sum()
-              + 0.5 * _log_ratio2(tab["pp_ratio"][ip][:, ip]).sum()
-              + _log_ratio2(tab["ap_ratio"][ia][:, ip]).sum())
+    log_f2 = (tab.log_vac2 + 0.5 * (m - n) ** 2 * tab.log_rho2
+              + tab.a.log_amp2[ia].sum() + tab.p.log_amp2[ip].sum()
+              + 0.5 * _log_ratio2(tab.a.pair_ratio[ia][:, ia]).sum()
+              + 0.5 * _log_ratio2(tab.p.pair_ratio[ip][:, ip]).sum()
+              + _log_ratio2(tab.ap_ratio[ia][:, ip]).sum())
     negative = (m * (m - 1) + n * (n - 1)) // 2 \
         + int(np.count_nonzero(ia[:, None] < ip[None, :]))
     # N/pi * (sum theta_p - sum theta_a) is the integer 2*sum(ket) - 2*sum(bra) - m
@@ -361,33 +334,32 @@ class FockBasis:
 def fock_basis(c: Couplings, sector: str, parity: int,
                cutoff: int | None = None) -> FockBasis:
     """All states of ``sector`` with particle number = parity (mod 2), up to ``cutoff``."""
-    if sector not in ("a", "p"):
-        raise DomainError(f"sector must be 'a' or 'p', got {sector!r}")
+    table = c.sector(sector)
     n = c.n
     cap = n if cutoff is None else min(n, cutoff)
     counts = range(parity % 2, cap + 1, 2)
     states = tuple(s for k in counts for s in itertools.combinations(range(n), k))
+    particles = np.fromiter(map(len, states), int, len(states))
     occupancy = np.zeros((len(states), n))
-    for row, s in enumerate(states):
-        occupancy[row, list(s)] = 1.0
-    gammas = c.gammas(sector)
+    occupancy[np.repeat(np.arange(len(states)), particles),
+              np.fromiter(itertools.chain.from_iterable(states), int)] = 1.0
     return FockBasis(
         sector=sector,
         parity=parity % 2,
         states=states,
         occupancy=occupancy,
-        particles=np.array([len(s) for s in states], dtype=int),
-        energies=0.5 * gammas.sum() - occupancy @ gammas,
-        momenta=occupancy @ c.thetas(sector),
+        particles=particles,
+        energies=0.5 * table.gamma.sum() - occupancy @ table.gamma,
+        momenta=occupancy @ table.thetas,
     )
 
 
-def _log_ff2_one_side(basis: FockBasis, amp2: np.ndarray, pair: np.ndarray,
+def _log_ff2_one_side(basis: FockBasis, table: SectorTable,
                       log_rho2: float) -> np.ndarray:
     """The part of log|F|^2 that depends on the bra (or the ket) alone."""
     occ = basis.occupancy
-    pairs = 0.5 * np.einsum("ij,ij->i", occ @ pair, occ)
-    return 0.5 * basis.particles ** 2 * log_rho2 + occ @ amp2 + pairs
+    pairs = 0.5 * np.einsum("ij,ij->i", occ @ _log_ratio2(table.pair_ratio), occ)
+    return 0.5 * basis.particles ** 2 * log_rho2 + occ @ table.log_amp2 + pairs
 
 
 def abs_ff2_table(c: Couplings, bras: FockBasis, kets: FockBasis) -> np.ndarray:
@@ -403,15 +375,12 @@ def abs_ff2_table(c: Couplings, bras: FockBasis, kets: FockBasis) -> np.ndarray:
         raise DomainError(
             "bra and ket parities differ; odd matrix elements vanish by charge selection"
         )
-    tab = _site_independent_tables(c)
-    lr = tab["log_rho2"]
-    log_f2 = bras.occupancy @ (_log_ratio2(tab["ap_ratio"]) @ kets.occupancy.T)
+    tab = coupling_tables(c)
+    lr = tab.log_rho2
+    log_f2 = bras.occupancy @ (_log_ratio2(tab.ap_ratio) @ kets.occupancy.T)
     log_f2 -= lr * np.outer(bras.particles, kets.particles)
-    log_f2 += _log_ff2_one_side(bras, tab["log_amp2_a"],
-                                _log_ratio2(tab["aa_ratio"]), lr)[:, None]
-    log_f2 += (tab["log_vac2"]
-               + _log_ff2_one_side(kets, tab["log_amp2_p"],
-                                   _log_ratio2(tab["pp_ratio"]), lr))[None, :]
+    log_f2 += _log_ff2_one_side(bras, tab.a, lr)[:, None]
+    log_f2 += (tab.log_vac2 + _log_ff2_one_side(kets, tab.p, lr))[None, :]
     return np.exp(log_f2, out=log_f2)
 
 
@@ -481,8 +450,8 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
         # reduced energy is at most e_om below; combined with
         # sum over a full sector of |F|^2 = 1 this gives a coarse tail bound
         k_min = cutoff + 1
-        e_om_a = 0.5 * c.gamma_a.sum() - np.sort(c.gamma_a)[:k_min].sum() - e_max
-        e_om_p = 0.5 * c.gamma_p.sum() - np.sort(c.gamma_p)[:k_min].sum() - e_max
+        e_om_a, e_om_p = (0.5 * g.sum() - np.sort(g)[:k_min].sum() - e_max
+                          for g in (c.sector("a").gamma, c.sector("p").gamma))
         e_om = max(e_om_a, e_om_p)
         tail = (np.sum(np.exp((m_height - dx) * e_a)) * math.exp(dx * e_om_p)
                 + np.sum(np.exp(dx * e_p)) * math.exp((m_height - dx) * e_om_a)

@@ -233,8 +233,9 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
     return states
 
 
-def _find_state(spectrum: list[LabeledEigenstate], sector: str,
-                indices: tuple[int, ...]) -> LabeledEigenstate:
+def find_state(spectrum: list[LabeledEigenstate], sector: str,
+               indices: tuple[int, ...]) -> LabeledEigenstate:
+    """The labeled state (``sector``, ``indices``), by a scan of the list."""
     for st in spectrum:
         if st.sector == sector and st.indices == tuple(indices):
             return st
@@ -253,8 +254,8 @@ def oracle_ff_modulus(ops: SpinOperatorSet, spectrum: list[LabeledEigenstate],
     sub-block between the two blocks; for singleton blocks this is the plain
     matrix-element modulus.
     """
-    bra = _find_state(spectrum, "a", spec.bra.indices)
-    ket = _find_state(spectrum, "p", spec.ket.indices)
+    bra = find_state(spectrum, "a", spec.bra.indices)
+    ket = find_state(spectrum, "p", spec.ket.indices)
     bra_vecs = [st.vector for st in spectrum if st.block == bra.block]
     ket_vecs = [st.vector for st in spectrum if st.block == ket.block]
     diag = ops.sl[spec.site]

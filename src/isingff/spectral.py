@@ -5,6 +5,9 @@ theta -> u_theta onto the real period interval [-K, K) of the uniformizing
 elliptic functions, together with the coupling container that holds every
 derived scalar (dual coupling, modulus, eta, ...).
 
+Each momentum sector has one read-only :class:`SectorTable`, reached by
+``c.sector(name)`` and built lazily, once per coupling value.
+
 Quasimomenta are handled as exact integer indices into a sector's ordered
 momentum set wherever states are matched across modules; floating theta values
 are produced only at evaluation sites.
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ellipkinc
@@ -43,17 +47,6 @@ def quasimomenta(sector: str, n: int) -> np.ndarray:
     raise DomainError(f"sector must be 'a' or 'p', got {sector!r}")
 
 
-def theta_of_index(sector: str, index: int, n: int) -> float:
-    """Momentum value for an integer index into the sector's ordered set."""
-    if not 0 <= index < n:
-        raise DomainError(f"momentum index {index} outside [0, {n})")
-    if sector == "a":
-        return (2 * index + 1) * math.pi / n
-    if sector == "p":
-        return 2 * index * math.pi / n
-    raise DomainError(f"sector must be 'a' or 'p', got {sector!r}")
-
-
 @dataclass(frozen=True)
 class Couplings:
     """Lattice width, couplings, and every derived scalar of the curve.
@@ -62,8 +55,9 @@ class Couplings:
     alpha < 1) and solves for the real parameter eta in (-K'/2, 0) satisfying
     sinh(2*kx) = i*sn(2i*eta).
 
-    Pure data plus caches of per-sector spectral tables; immutable and safe
-    to share across threads.
+    Pure data, immutable and safe to share across threads.  ``sector(name)``
+    returns the read-only :class:`SectorTable` of a sector, built on first
+    use and shared by every equal instance.
     """
 
     n: int
@@ -120,64 +114,96 @@ class Couplings:
         """|1 - s^{-2}|^{1/4}; the spontaneous magnetization is xi^{1/2}."""
         return abs(1.0 - self.s ** (-2)) ** 0.25
 
-    # ---- per-sector spectral tables -------------------------------------
+    def sector(self, name: str) -> "SectorTable":
+        """The spectral table of sector ``name`` ("a" or "p")."""
+        if name not in SECTORS:
+            raise DomainError(f"sector must be 'a' or 'p', got {name!r}")
+        return getattr(coupling_tables(self), name)
 
-    @cached_property
-    def thetas_a(self) -> np.ndarray:
-        return quasimomenta("a", self.n)
+    def __getattr__(self, name: str):
+        # ``<field>_<sector>`` reads ``sector(<sector>).<field>``, since
+        # ``perfbench/workloads.build_corr`` warms the tables by these names
+        field, _, sector = name.rpartition("_")
+        if sector not in SECTORS or field not in (
+                "thetas", "gamma", "u", "b", "sqrt_b", "nu"):
+            raise AttributeError(name)
+        return getattr(self.sector(sector), field)
 
-    @cached_property
-    def thetas_p(self) -> np.ndarray:
-        return quasimomenta("p", self.n)
 
-    @cached_property
-    def gamma_a(self) -> np.ndarray:
-        return gamma_of_theta(self.thetas_a, self)
+@dataclass(frozen=True)
+class SectorTable:
+    """Per-momentum data of one fermion sector, in quasimomentum order.
 
-    @cached_property
-    def gamma_p(self) -> np.ndarray:
-        return gamma_of_theta(self.thetas_p, self)
+    ``amp`` normalises a particle in the two-particle form factors, and
+    ``log_amp2`` = 2 log ``amp``; ``pair_ratio`` is sin((theta-theta')/2) /
+    sinh((gamma+gamma')/2) with a zero diagonal.  The arrays are read-only,
+    because every equal :class:`Couplings` shares the table.
+    """
 
-    @cached_property
-    def u_a(self) -> np.ndarray:
-        return u_of_theta(self.thetas_a, self)
+    sector: str
+    thetas: np.ndarray
+    gamma: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
+    sqrt_b: np.ndarray
+    nu: np.ndarray
+    amp: np.ndarray
+    log_amp2: np.ndarray
+    pair_ratio: np.ndarray
 
-    @cached_property
-    def u_p(self) -> np.ndarray:
-        return u_of_theta(self.thetas_p, self)
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
-    @cached_property
-    def b_a(self) -> np.ndarray:
-        return b_of_theta(self.thetas_a, self)
 
-    @cached_property
-    def b_p(self) -> np.ndarray:
-        return b_of_theta(self.thetas_p, self)
+class CouplingTables(NamedTuple):
+    """Both sector tables, the mixed a x p pair ratio and the scalars of log|F|^2.
 
-    @cached_property
-    def sqrt_b_a(self) -> np.ndarray:
-        return sqrt_b_of_theta(self.thetas_a, self)
+    ``ap_ratio`` is sinh((gamma_a+gamma_p)/2)/sin((theta_a-theta_p)/2),
+    ``rho2`` = sinh(2ky)/sinh(2kx), and ``log_vac2`` = log(xi * xi_T).
+    """
 
-    @cached_property
-    def sqrt_b_p(self) -> np.ndarray:
-        return sqrt_b_of_theta(self.thetas_p, self)
+    a: SectorTable
+    p: SectorTable
+    ap_ratio: np.ndarray
+    rho2: float
+    log_rho2: float
+    log_vac2: float
 
-    @cached_property
-    def nu_a(self) -> np.ndarray:
-        return nu_of_gamma(self.gamma_a, self)
 
-    @cached_property
-    def nu_p(self) -> np.ndarray:
-        return nu_of_gamma(self.gamma_p, self)
+@lru_cache(maxsize=64)
+def coupling_tables(c: Couplings) -> CouplingTables:
+    """The spectral tables of ``c``, built once per coupling value.
 
-    def thetas(self, sector: str) -> np.ndarray:
-        return self.thetas_a if sector == "a" else self.thetas_p
-
-    def gammas(self, sector: str) -> np.ndarray:
-        return self.gamma_a if sector == "a" else self.gamma_p
-
-    def us(self, sector: str) -> np.ndarray:
-        return self.u_a if sector == "a" else self.u_p
+    nu is taken from the two gamma arrays built here: :func:`nu_of_gamma`
+    reads these tables, so calling it would re-enter the cache.  The pair
+    ratios are kept, not their N x N logs: caching those as well cost each
+    N=256 ``isingff ff`` call about 2,000 more minor page faults.
+    """
+    thetas = {s: quasimomenta(s, c.n) for s in SECTORS}
+    gamma = {s: gamma_of_theta(thetas[s], c) for s in SECTORS}
+    tables = {}
+    # the antiperiodic amplitude carries e^{+nu/2}, the periodic one e^{-nu/2}
+    for sector, sign in zip(SECTORS, (1.0, -1.0)):
+        th, g = thetas[sector], gamma[sector]
+        nu = _nu(g, gamma["a"], gamma["p"])
+        ratio = np.sin((th[:, None] - th[None, :]) / 2.0) \
+            / np.sinh((g[:, None] + g[None, :]) / 2.0)
+        np.fill_diagonal(ratio, 0.0)
+        tables[sector] = SectorTable(
+            sector=sector, thetas=th, gamma=g, u=u_of_theta(th, c),
+            b=b_of_theta(th, c), sqrt_b=sqrt_b_of_theta(th, c), nu=nu,
+            amp=np.exp(sign * nu / 2.0) / np.sqrt(c.n * np.sinh(g)),
+            log_amp2=sign * nu - np.log(c.n * np.sinh(g)),
+            pair_ratio=ratio)
+    ap_ratio = (np.sinh((gamma["a"][:, None] + gamma["p"][None, :]) / 2.0)
+                / np.sin((thetas["a"][:, None] - thetas["p"][None, :]) / 2.0))
+    ap_ratio.flags.writeable = False
+    rho2 = c.sinh2ky / c.sinh2kx
+    return CouplingTables(
+        **tables, ap_ratio=ap_ratio, rho2=rho2, log_rho2=math.log(rho2),
+        log_vac2=math.log(c.xi) + (tables["p"].nu.sum() - tables["a"].nu.sum()) / 4.0)
 
 
 def _solve_eta(target_sinh2kx: float, modulus: EllipticModulus) -> float:
@@ -284,12 +310,14 @@ def nu_of_gamma(gamma, c: Couplings):
     minus the same sum over periodic momenta; evaluated in log space so
     large energies cannot overflow.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    g = gamma[..., None]
-    term_a = log_sinh((g + c.gamma_a) / 2.0).sum(axis=-1)
-    term_p = log_sinh((g + c.gamma_p) / 2.0).sum(axis=-1)
-    out = term_a - term_p
+    out = _nu(gamma, c.sector("a").gamma, c.sector("p").gamma)
     return out if out.ndim else float(out)
+
+
+def _nu(gamma, gamma_a: np.ndarray, gamma_p: np.ndarray) -> np.ndarray:
+    g = np.asarray(gamma, dtype=float)[..., None]
+    return (log_sinh((g + gamma_a) / 2.0).sum(axis=-1)
+            - log_sinh((g + gamma_p) / 2.0).sum(axis=-1))
 
 
 def b_elliptic(u, c: Couplings):

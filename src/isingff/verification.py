@@ -235,14 +235,14 @@ def cauchy_suite(c: Couplings, n_configs: int = 50, seed: int = 2025,
     out["chi_sn_vs_trig"] = float(np.max(np.abs(chi - chi_t)))
     out["kappa_sn_vs_trig"] = float(np.max(np.abs(kappa - kappa_t)))
 
-    all_u = np.concatenate([c.u_p, c.u_a])
-    all_nu = np.concatenate([c.nu_p, c.nu_a])
+    all_u = np.concatenate([c.sector("p").u, c.sector("a").u])
+    all_nu = np.concatenate([c.sector("p").nu, c.sector("a").nu])
     out["lambda_vs_nu"] = _rel(cf.lambda_uv(all_u[:, None], all_u[None, :], c),
                                np.exp((all_nu[None, :] - all_nu[:, None]) / 2.0))
 
     r = 0.0
     for t in rng.uniform(0.1, 2.0 * math.pi - 0.1, 20):
-        lhs = 2.0 ** (c.n - 1) * np.prod(np.sin((t - c.thetas_p) / 2.0))
+        lhs = 2.0 ** (c.n - 1) * np.prod(np.sin((t - c.sector("p").thetas) / 2.0))
         rhs = (-1.0) ** (c.n - 1) * math.sin(c.n * t / 2.0)
         r = max(r, _rel(lhs, rhs))
     out["sine_product_identity"] = r
@@ -261,8 +261,9 @@ def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
     out["dinvc_closed_vs_numeric"] = _mat_rel(dinvc, dinv_num @ rot.c)
 
     ell = site - 0.5
-    lam_a = np.exp(1j * ell * c.thetas_a) / np.sqrt(np.sinh(c.gamma_a))
-    lam_p = np.exp(1j * ell * c.thetas_p) / np.sqrt(np.sinh(c.gamma_p))
+    a, p = c.sector("a"), c.sector("p")
+    lam_a = np.exp(1j * ell * a.thetas) / np.sqrt(np.sinh(a.gamma))
+    lam_p = np.exp(1j * ell * p.thetas) / np.sqrt(np.sinh(p.gamma))
     phi_inv = cf.phi_inverse_closed(c)
     route1 = (-1j * c.n / c.sinh2ky) * phi_inv / lam_a[:, None] / lam_p.conj()[None, :]
     out["dinv_elliptic_route"] = _mat_rel(route1, dinv)
@@ -274,8 +275,8 @@ def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
 
     det_phi, _ = det_and_inverse(cf.phi_matrix(c))
     xxx4 = (c.sinh2ky ** c.n * abs(det_phi)
-            / (c.n ** c.n * math.sqrt(np.prod(np.sinh(c.gamma_p))
-                                      * np.prod(np.sinh(c.gamma_a)))))
+            / (c.n ** c.n * math.sqrt(np.prod(np.sinh(p.gamma))
+                                      * np.prod(np.sinh(a.gamma)))))
     out["abs_det_d_elliptic_route"] = _rel(xxx4, abs(det_d))
     out["vacuum_overlap_vs_det"] = _rel(vacuum_overlap(c), abs(det_d) ** 0.5)
     out["vacuum_overlap_vs_xi"] = _rel(vacuum_overlap(c),
@@ -330,8 +331,7 @@ def formfactor_suite(c: Couplings, site: int | None = None,
     r = 0.0
     for spec0 in _specs_up_to(c, 0, 2):
         f0 = ff_closed(spec0, c)
-        shift = (c.thetas_p[list(spec0.ket.indices)].sum()
-                 - c.thetas_a[list(spec0.bra.indices)].sum())
+        shift = (spec0.ket.momenta(c.n).sum() - spec0.bra.momenta(c.n).sum())
         for l in range(c.n):
             spec_l = FormFactorSpec(l, spec0.bra, spec0.ket)
             pred = np.exp(1j * l * shift) * f0

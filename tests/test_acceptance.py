@@ -241,7 +241,8 @@ def test_criterion_8_translation_invariance():
     for bra, ket in _specs(5, mn_values=(2,)):
         spec0 = FormFactorSpec(0, FockState("a", bra), FockState("p", ket))
         f0 = ff_closed(spec0, c)
-        shift = (c.thetas_p[list(ket)].sum() - c.thetas_a[list(bra)].sum())
+        shift = (c.sector("p").thetas[list(ket)].sum()
+                 - c.sector("a").thetas[list(bra)].sum())
         for site in range(5):
             spec_l = FormFactorSpec(site, spec0.bra, spec0.ket)
             pred = np.exp(1j * site * shift) * f0
@@ -275,8 +276,8 @@ def test_criterion_10_nu_lambda_reduction():
     worst = 0.0
     for n in (3, 4):
         c = Couplings.from_kx_ky(0.4, 0.7, n)
-        us = np.concatenate([c.u_p, c.u_a])
-        nus = np.concatenate([c.nu_p, c.nu_a])
+        us = np.concatenate([c.sector("p").u, c.sector("a").u])
+        nus = np.concatenate([c.sector("p").nu, c.sector("a").nu])
         for i in range(2 * n):
             for j in range(2 * n):
                 worst = max(worst, abs(lambda_uv(us[i], us[j], c)

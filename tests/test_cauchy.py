@@ -162,7 +162,8 @@ class TestIsingSpecialization:
         c = Couplings.from_kx_ky(0.4, 0.7, 5)
         rng = np.random.default_rng(4)
         for t in rng.uniform(0.1, 2 * math.pi - 0.1, 20):
-            lhs = 2.0 ** (c.n - 1) * np.prod(np.sin((t - c.thetas_p) / 2.0))
+            lhs = 2.0 ** (c.n - 1) * np.prod(
+                np.sin((t - c.sector("p").thetas) / 2.0))
             rhs = (-1.0) ** (c.n - 1) * math.sin(c.n * t / 2.0)
             assert abs(lhs - rhs) < 1e-12
 
@@ -176,8 +177,8 @@ class TestIsingSpecialization:
     @pytest.mark.parametrize("n", [3, 4])
     def test_lambda_is_nu_ratio(self, n):
         c = Couplings.from_kx_ky(0.4, 0.7, n)
-        us = np.concatenate([c.u_p, c.u_a])
-        nus = np.concatenate([c.nu_p, c.nu_a])
+        us = np.concatenate([c.sector("p").u, c.sector("a").u])
+        nus = np.concatenate([c.sector("p").nu, c.sector("a").nu])
         for i in range(2 * n):
             for j in range(2 * n):
                 assert abs(lambda_uv(us[i], us[j], c)

@@ -67,15 +67,15 @@ class TestNu:
         c = Couplings.from_kx_ky(0.4, 0.7, 1)
         th = 0.9
         g = float(gamma_of_theta(th, c))
-        expected = math.log(math.sinh((g + c.gamma_a[0]) / 2)
-                            / math.sinh((g + c.gamma_p[0]) / 2))
+        expected = math.log(math.sinh((g + c.sector("a").gamma[0]) / 2)
+                            / math.sinh((g + c.sector("p").gamma[0]) / 2))
         assert nu_of_theta(th, c) == pytest.approx(expected, rel=1e-13)
 
     def test_width_four_against_direct_product(self):
         th = 2.2
         g = float(gamma_of_theta(th, C4))
-        num = np.prod(np.sinh((g + C4.gamma_a) / 2))
-        den = np.prod(np.sinh((g + C4.gamma_p) / 2))
+        num = np.prod(np.sinh((g + C4.sector("a").gamma) / 2))
+        den = np.prod(np.sinh((g + C4.sector("p").gamma) / 2))
         assert nu_of_theta(th, C4) == pytest.approx(math.log(num / den), rel=1e-13)
 
 
@@ -158,7 +158,7 @@ class TestFormFactors:
         c = Couplings.from_kx_ky(0.4, 0.7, 5)
         spec0 = FormFactorSpec(0, FockState("a", (0, 3)), FockState("p", ()))
         f0 = ff_closed(spec0, c)
-        shift = -c.thetas_a[[0, 3]].sum()
+        shift = -c.sector("a").thetas[[0, 3]].sum()
         for l in range(5):
             fl = ff_closed(FormFactorSpec(l, spec0.bra, spec0.ket), c)
             assert abs(fl - np.exp(1j * l * shift) * f0) < 1e-12
@@ -198,7 +198,8 @@ class TestFockBasis:
     def test_order_energies_and_momenta(self):
         c = Couplings.from_kx_ky(0.3, 0.9, 6)
         for sector in ("a", "p"):
-            gam, th = c.gammas(sector), c.thetas(sector)
+            table = c.sector(sector)
+            gam, th = table.gamma, table.thetas
             for parity in (0, 1):
                 basis = fock_basis(c, sector, parity, cutoff=5)
                 ref = [s for k in range(parity, 6, 2)

@@ -76,7 +76,8 @@ class TestLabeledSpectrum:
             parity = 0 if eps_y == 1 else 1
             ref = []
             for sector, charge in (("a", 1), ("p", -1)):
-                gam, th = c.gammas(sector), c.thetas(sector)
+                table = c.sector(sector)
+                gam, th = table.gamma, table.thetas
                 for k in range(parity, c.n + 1, 2):
                     for s in itertools.combinations(range(c.n), k):
                         lam = pref * math.exp(0.5 * gam.sum() - gam[list(s)].sum())
@@ -91,7 +92,7 @@ class TestLabeledSpectrum:
 
     def test_translation_eigenvalues(self):
         for st in SPECT4:
-            thetas = C4.thetas(st.sector)[list(st.indices)]
+            thetas = C4.sector(st.sector).thetas[list(st.indices)]
             assert abs(st.t_eigenvalue - np.exp(-1j * thetas.sum())) < 1e-9
 
     def test_momentum_reversal_doublets_share_block(self):
@@ -108,7 +109,7 @@ class TestLabeledSpectrum:
         pred = np.sort([lab[2] for lab in predicted_fock_labels(C4, -1)])
         assert np.max(np.abs(w - pred) / pred) < 1e-9
         for st in spect:
-            thetas = C4.thetas(st.sector)[list(st.indices)]
+            thetas = C4.sector(st.sector).thetas[list(st.indices)]
             assert abs(st.t_eigenvalue - np.exp(-1j * thetas.sum())) < 1e-9
 
     def test_trace_power_spectral_vs_dense(self):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ from scipy.optimize import brentq
 
 from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
-from isingff.spectral import (Couplings, b_elliptic, b_of_theta, eta_of_couplings,
-                              gamma_of_theta, log_sinh, nu_of_gamma,
-                              quasimomenta, sqrt_b_of_theta, u_of_theta)
+from isingff.spectral import (SECTORS, Couplings, b_elliptic, b_of_theta,
+                              coupling_tables, eta_of_couplings, gamma_of_theta,
+                              log_sinh, nu_of_gamma, quasimomenta,
+                              sqrt_b_of_theta, u_of_theta)
 from isingff.verification import elliptic_suite
 
 C = Couplings.from_kx_ky(0.4, 0.7, 5)
@@ -86,6 +89,57 @@ class TestCouplings:
             assert abs(lhs - rhs) < 1e-12
 
 
+class TestSectorTable:
+    FORWARDED = ("thetas", "gamma", "u", "b", "sqrt_b", "nu")
+
+    @pytest.mark.parametrize("sector", SECTORS)
+    @pytest.mark.parametrize("field", FORWARDED)
+    def test_field_sector_names_forward_to_the_table(self, field, sector):
+        assert getattr(C, f"{field}_{sector}") is getattr(C.sector(sector), field)
+
+    def test_other_names_raise_attribute_error(self):
+        with pytest.raises(AttributeError):
+            C.not_a_table
+        assert not hasattr(C, "gamma_x")
+        assert copy.deepcopy(C) == C
+        assert pickle.loads(pickle.dumps(C)) == C
+
+    def test_one_table_per_coupling_value(self):
+        c1 = Couplings.from_kx_ky(0.4, 0.7, 16)
+        c2 = Couplings.from_kx_ky(0.4, 0.7, 16)
+        assert c1 is not c2
+        for sector in SECTORS:
+            assert c1.sector(sector) is c2.sector(sector)
+        assert coupling_tables(c1) is coupling_tables(c2)
+
+    def test_unknown_sector(self):
+        with pytest.raises(DomainError):
+            C.sector("x")
+
+    def test_arrays_are_read_only(self):
+        tables = coupling_tables(C)
+        arrays = [tables.ap_ratio] + [
+            value for t in (tables.a, tables.p) for value in vars(t).values()
+            if isinstance(value, np.ndarray)]
+        assert len(arrays) == 1 + 2 * 9
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("sector", SECTORS)
+    def test_table_matches_the_public_functions(self, sector):
+        t = C.sector(sector)
+        assert t.sector == sector
+        np.testing.assert_array_equal(t.thetas, quasimomenta(sector, C.n))
+        np.testing.assert_array_equal(t.gamma, gamma_of_theta(t.thetas, C))
+        np.testing.assert_array_equal(t.u, u_of_theta(t.thetas, C))
+        np.testing.assert_array_equal(t.b, b_of_theta(t.thetas, C))
+        np.testing.assert_array_equal(t.sqrt_b, sqrt_b_of_theta(t.thetas, C))
+        np.testing.assert_array_equal(t.nu, nu_of_gamma(t.gamma, C))
+        assert np.all(np.diag(t.pair_ratio) == 0.0)
+
+
 class TestGamma:
     def test_endpoints(self):
         assert gamma_of_theta(0.0, C) == pytest.approx(2 * (C.ky - C.kx_star),
@@ -156,7 +210,8 @@ class TestUOfTheta:
             ref = u_of_theta(float(t), c)
             assert isinstance(ref, float)
             assert abs(u - ref) <= 1e-14 * max(abs(ref), 1.0)
-        np.testing.assert_array_equal(c.u_a, u_of_theta(c.thetas_a, c))
+        a = c.sector("a")
+        np.testing.assert_array_equal(a.u, u_of_theta(a.thetas, c))
 
     def test_defining_relation_and_branch(self):
         rng = np.random.default_rng(6)
@@ -189,7 +244,8 @@ class TestNu:
         worst = []
         for n in (4, 8, 16, 32):
             c = Couplings.from_kx_ky(0.4, 0.7, n)
-            worst.append(max(np.max(np.abs(c.nu_a)), np.max(np.abs(c.nu_p))))
+            worst.append(max(np.max(np.abs(c.sector("a").nu)),
+                             np.max(np.abs(c.sector("p").nu))))
         assert worst[1] < worst[0] and worst[2] < worst[1] and worst[3] < worst[2]
         assert worst[-1] < 1e-4
 
