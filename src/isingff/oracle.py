@@ -1,12 +1,15 @@
 """Brute-force transfer-matrix oracle on the full 2^N spin space.
 
 Builds the symmetrized transfer matrix, the spin operators, the global flip,
-and the translation operator as dense matrices; diagonalizes them
-simultaneously; and labels every eigenstate with a Fock momentum set by
-matching its (energy, translation, charge) triple against the predicted
-spectrum.  Everything here is independent of the closed-form modules except
-for the shared dispersion gamma_theta, so it serves as ground truth for
-matrix elements and correlations at small N.
+and the translation operator as dense matrices, and labels every eigenstate
+of V with a Fock momentum set.  T and U generate an abelian group, so V is
+diagonalized in one small block per (momentum, charge) character, spanned by
+symmetrized orbit representatives; each block's eigenvalues are grouped by a
+tolerance relative to the eigenvalue and matched in energy order against the
+predicted labels with the same (momentum, charge) key.  Everything here is
+independent of the closed-form modules except for the shared dispersion
+gamma_theta, so it serves as ground truth for matrix elements and
+correlations at small N.
 
 Momentum-reversal doublets: states whose momentum sets S and -S share the
 same energy, translation eigenvalue, and charge (possible for N >= 4, at any
@@ -24,18 +27,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, schur
+from scipy.linalg import eigh
 
 from .exceptions import AmbiguousLabelError, DomainError, ResourceError
 from .formfactors import FormFactorSpec, fock_basis
 from .spectral import Couplings
 
 _MAX_DENSE_N = 12
-_GROUP_TOL = 1e-9         # eigenvalue grouping, relative to spectral radius
-_T_TOL = 1e-8             # translation eigenvalue clustering, absolute
-# label matching shares the grouping tolerance: a wider window could match
-# one label to two adjacent groups, a narrower one could miss its own group
-_MATCH_TOL = _GROUP_TOL
+# eigenvalue grouping and label matching, relative to the eigenvalue: the
+# spectrum spans about ten decades at N=10, (0.3, 0.9), so a tolerance
+# relative to the top merges distinct states at the bottom
+_GROUP_TOL = 1e-9
 
 
 @dataclass
@@ -48,6 +50,8 @@ class SpinOperatorSet:
     sl: list[np.ndarray]          # diagonal of each spin operator
     u: np.ndarray
     t: np.ndarray
+    shift: np.ndarray             # (T x)[i] = x[shift[i]]
+    flip: np.ndarray              # (U x)[i] = x[flip[i]]
 
     @property
     def dim(self) -> int:
@@ -114,17 +118,19 @@ def build_operators(c: Couplings, eps_y: int = 1) -> SpinOperatorSet:
 
     sl = [spins[:, j].copy() for j in range(n)]
 
+    flip = idx ^ (dim - 1)
     u = np.zeros((dim, dim))
-    u[idx, idx ^ (dim - 1)] = 1.0
+    u[idx, flip] = 1.0
 
-    t = np.zeros((dim, dim))
     msb = (idx >> (n - 1)) & 1
     if eps_y == -1:
         msb = msb ^ 1
-    shifted = ((idx << 1) & (dim - 1)) | msb
-    t[idx, shifted] = 1.0
+    shift = ((idx << 1) & (dim - 1)) | msb
+    t = np.zeros((dim, dim))
+    t[idx, shift] = 1.0
 
-    return SpinOperatorSet(couplings=c, eps_y=eps_y, v=v, sl=sl, u=u, t=t)
+    return SpinOperatorSet(couplings=c, eps_y=eps_y, v=v, sl=sl, u=u, t=t,
+                           shift=shift, flip=flip)
 
 
 def predicted_fock_labels(c: Couplings, eps_y: int):
@@ -147,76 +153,129 @@ def predicted_fock_labels(c: Couplings, eps_y: int):
     return labels
 
 
+def _group_action(ops: SpinOperatorSet) -> np.ndarray:
+    """act[j + N*s, x]: the basis index of T^j U^s |x>, for j < N and s in (0, 1).
+
+    T and U commute and generate an abelian group G of order 2N (T^N = 1 for
+    eps_y = +1, T^N = U for eps_y = -1), so the 2N rows are all of G.
+    """
+    n = ops.couplings.n
+    step = np.argsort(ops.shift)          # T|x> = |step[x]>
+    act = np.empty((2 * n, ops.dim), dtype=np.intp)
+    act[0] = np.arange(ops.dim)
+    for j in range(1, n):
+        act[j] = step[act[j - 1]]
+    act[n:] = act[:n, ops.flip]
+    return act
+
+
+def _characters(n: int, eps_y: int) -> list[tuple[int, int]]:
+    """Every character (m, u) of G: T -> exp(-i pi m / N), U -> u."""
+    if eps_y == 1:
+        return [(m, u) for m in range(0, 2 * n, 2) for u in (1, -1)]
+    return [(m, (-1) ** m) for m in range(2 * n)]
+
+
 def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigenstate]:
     """Simultaneous (V, T, U) eigenbasis with Fock labels attached.
 
-    Diagonalizes V first, then T inside each degenerate V block, then U
-    inside each (V, T) block, so the final basis is orthonormal.  Each
-    resulting (V, T, U) cell is matched against the predicted Fock labels;
-    the match must be exact in count, otherwise an AmbiguousLabelError is
-    raised.  Cells of dimension > 1 are momentum-reversal doublets: their
-    vectors share a block id and the label-to-vector assignment inside the
-    block is not physically meaningful.
+    V is diagonalized in one block per character chi = (T, U) of the symmetry
+    group G = {T^j U^s}.  Each block is spanned by the projections
+    |r_chi> = (|G| |Stab_r|)^{-1/2} sum_g chi(g)^* g|r> of the orbit
+    representatives r (smallest basis index) whose stabilizer chi is trivial
+    on, so H_chi[r, s] = sum_g chi(g)^* V[r, g s] / sqrt(|Stab_r| |Stab_s|)
+    is read off V at the representatives, and the eigenvectors are expanded
+    back to the full space, orthonormal.
+
+    The predicted labels are placed into blocks by their (momentum, charge)
+    key.  Inside a block the eigenvalues are grouped by the relative
+    tolerance ``_GROUP_TOL * |lambda|`` and both sides are walked in energy
+    order: each group must match exactly as many labels as it has states,
+    the next ones in energy order, otherwise an AmbiguousLabelError is
+    raised, as it is when a block and its labels differ in number, a label
+    is left over, or a label is used twice.  Groups of more than one state
+    are momentum-reversal doublets: their vectors share a block id and the
+    label-to-vector assignment inside the block is not physically
+    meaningful.
     """
-    w, q = eigh(ops.v)
-    scale = float(np.max(np.abs(w)))
+    n, dim = c.n, ops.dim
+    act = _group_action(ops)
+    rep_of = act.min(axis=0)
+    to_rep = act.argmin(axis=0)           # an element g with g|x> = |rep_of[x]>
+    reps, orbit = np.unique(rep_of, return_inverse=True)
+    stab = act[:, reps] == reps           # (|G|, R): g fixes representative r
+    stab_size = stab.sum(axis=0)
+    v_reps = ops.v[reps[None, :, None], act[:, reps][:, None, :]]   # V[r, g s]
+    norm = np.sqrt(np.outer(stab_size, stab_size))
+    amp_size = np.sqrt(stab_size[orbit] / len(act))
+    j = np.arange(n)
+
     labels = predicted_fock_labels(c, ops.eps_y)
+    by_key: dict[tuple[int, int], list[int]] = {}
+    for i, (sector, indices, _, _, charge) in enumerate(labels):
+        # the momentum is pi m / N modulo 2 pi
+        m = 2 * sum(indices) + (len(indices) if sector == "a" else 0)
+        by_key.setdefault((m % (2 * n), charge), []).append(i)
+
     states: list[LabeledEigenstate] = []
     block_id = 0
+    for m, charge in _characters(n, ops.eps_y):
+        phase = np.exp(-1j * math.pi * ((m * j) % (2 * n)) / n)
+        chi = np.concatenate([phase, charge * phase])
+        keep = np.abs(chi @ stab - stab_size) < 0.5      # chi trivial on Stab_r
+        size = int(np.count_nonzero(keep))
+        t_here = complex(np.exp(-1j * math.pi * m / n))
+        cell = sorted(by_key.pop((m, charge), []), key=lambda i: labels[i][2])
+        if len(cell) != size:
+            raise AmbiguousLabelError(
+                f"block T={t_here:.4f}, U={charge} has {size} states "
+                f"but {len(cell)} predicted labels"
+            )
+        if not size:
+            continue
+        h = np.einsum("g,grs->rs", chi.conj(), v_reps[:, keep][:, :, keep]) \
+            / norm[np.ix_(keep, keep)]
+        # QR iteration: the bottom of the spectrum keeps its relative accuracy
+        # (divide and conquer loses it, 6.7e-8 at N=12, (0.3, 0.9)) and the
+        # vectors are orthonormal to 1e-13 (MRRR's to 3e-13)
+        w, q = eigh(h, driver="ev")
+        # <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for the g with g|x> = |r>
+        inside = keep[orbit]
+        col = (np.cumsum(keep) - 1)[orbit[inside]]
+        vecs = np.zeros((size, dim), dtype=complex)
+        vecs[:, inside] = q[col].T * (chi[to_rep[inside]] * amp_size[inside])
 
-    # group V eigenvalues
-    splits = np.nonzero(np.diff(w) > _GROUP_TOL * scale)[0] + 1
-    for grp in np.split(np.arange(len(w)), splits):
-        qg = q[:, grp].astype(complex)
-        tb = qg.conj().T @ ops.t @ qg
-        tri, zs = schur(tb, output="complex")
-        qg = qg @ zs
-        tvals = np.diag(tri)
-        # cluster T eigenvalues inside the group; rotate before taking angles
-        # so that roots sitting exactly at angle +-pi are not split in two
-        ang = np.angle(tvals * np.exp(0.5j * math.pi / c.n))
-        order = np.argsort(ang)
-        pos = 0
-        used = order.tolist()
-        while pos < len(used):
-            cluster = [used[pos]]
-            while (pos + len(cluster) < len(used)
-                   and abs(tvals[used[pos + len(cluster)]] - tvals[cluster[0]]) < _T_TOL):
-                cluster.append(used[pos + len(cluster)])
-            qs = qg[:, cluster]
-            ub = qs.conj().T @ ops.u @ qs
-            uw, uv = eigh((ub + ub.conj().T) / 2.0)
-            qs = qs @ uv
-            for charge_val in (-1, 1):
-                sel = [i for i, val in enumerate(uw) if abs(val - charge_val) < 1e-6]
-                if not sel:
-                    continue
-                vecs = qs[:, sel]
-                lam_here = float(np.mean(w[grp]))
-                t_here = complex(tvals[cluster[0]])
-                matches = [
-                    lab for lab in labels
-                    if (abs(lab[2] - lam_here) <= _MATCH_TOL * scale
-                        and abs(lab[3] - t_here) <= _T_TOL
-                        and lab[4] == charge_val)
-                ]
-                if len(matches) != len(sel):
-                    raise AmbiguousLabelError(
-                        f"cell with V={lam_here:.6g}, T={t_here:.4f}, U={charge_val} "
-                        f"has {len(sel)} states but {len(matches)} matching labels"
-                    )
-                for pos_in_cell, lab in enumerate(matches):
-                    states.append(LabeledEigenstate(
-                        vector=vecs[:, pos_in_cell],
-                        sector=lab[0],
-                        indices=tuple(lab[1]),
-                        eigenvalue=lam_here,
-                        t_eigenvalue=t_here,
-                        charge=charge_val,
-                        block=block_id,
-                    ))
-                block_id += 1
-            pos += len(cluster)
+        lams = np.array([labels[i][2] for i in cell])
+        starts = np.r_[0, np.nonzero(np.diff(w) > _GROUP_TOL * np.abs(w[1:]))[0] + 1]
+        ends = np.r_[starts[1:], size]
+        lam_grp = np.add.reduceat(w, starts) / (ends - starts)
+        tol = _GROUP_TOL * np.abs(lam_grp)
+        lo = np.searchsorted(lams, lam_grp - tol, side="left")
+        hi = np.searchsorted(lams, lam_grp + tol, side="right")
+        bad = np.nonzero((lo != starts) | (hi != ends))[0]
+        if bad.size:
+            g = bad[0]
+            raise AmbiguousLabelError(
+                f"cell with V={lam_grp[g]:.6g}, T={t_here:.4f}, U={charge} "
+                f"has {ends[g] - starts[g]} states but {hi[g] - lo[g]} matching labels, "
+                f"the first at position {lo[g]} of {size} in energy order, not {starts[g]}"
+            )
+        # inside a group the labels keep their predicted order
+        grp_of = np.repeat(np.arange(len(starts)), ends - starts)
+        cell = np.asarray(cell)[np.lexsort((cell, grp_of))].tolist()
+        lam_of = lam_grp.tolist()
+        for k, (i, g) in enumerate(zip(cell, grp_of.tolist())):
+            lab = labels[i]
+            states.append(LabeledEigenstate(
+                vector=vecs[k],
+                sector=lab[0],
+                indices=tuple(lab[1]),
+                eigenvalue=lam_of[g],
+                t_eigenvalue=t_here,
+                charge=charge,
+                block=block_id + g,
+            ))
+        block_id += len(starts)
 
     # the label set must be exhausted exactly once
     if len(states) != len(labels):
@@ -273,7 +332,7 @@ def block_labels(spectrum: list[LabeledEigenstate], block: int) -> list[tuple[st
 
 def oracle_correlation(ops: SpinOperatorSet, m_height: int, dx: int, dy: int,
                        eps_x: int = 1) -> float:
-    """Exact trace-ratio two-point function via dense matrix powers.
+    """Exact trace-ratio two-point function via dense powers of V.
 
     Computes Tr[s_0 V^{dx} T^{dy} s_0 T^{-dy} V^{M-dx} U^chi] over
     Tr[V^M U^chi] with chi = (1 - eps_x)/2, after normalizing V by its
@@ -288,20 +347,22 @@ def oracle_correlation(ops: SpinOperatorSet, m_height: int, dx: int, dy: int,
         raise DomainError(f"need 0 <= dx <= M, got dx={dx}, M={m_height}")
     lam_max = float(eigh(ops.v, eigvals_only=True, subset_by_index=(ops.dim - 1, ops.dim - 1))[0])
     vn = ops.v / lam_max
-    s0 = np.diag(ops.sl[0])
-    # T^N is the spin flip rather than the identity for eps_y = -1, so the
-    # translation count is applied literally instead of reduced mod N
-    td = np.linalg.matrix_power(ops.t, dy)
-    mid = td @ s0 @ td.T
+    s0 = ops.sl[0]
+    # T^dy s_0 T^-dy is diagonal: s_0 read through the dy-fold translation
+    # map.  T^N is the spin flip rather than the identity for eps_y = -1 and
+    # the map carries it, so dy is applied literally instead of reduced mod N
+    step = ops.shift if dy >= 0 else np.argsort(ops.shift)
+    moved = np.arange(ops.dim)
+    for _ in range(abs(dy)):
+        moved = step[moved]
+    mid = s0[moved]
     left = np.linalg.matrix_power(vn, dx) if dx else np.eye(ops.dim)
     right = np.linalg.matrix_power(vn, m_height - dx)
-    core = s0 @ left @ mid @ right
-    den_mat = np.linalg.matrix_power(vn, m_height)
-    if eps_x == -1:
-        core = core @ ops.u
-        den_mat = den_mat @ ops.u
-    num = float(np.trace(core))
-    den = float(np.trace(den_mat))
+    # Tr[A B U^chi] = sum_ik A[i, k] B[k, cols[i]], so no product is formed
+    cols = ops.flip if eps_x == -1 else np.arange(ops.dim)
+    right_t = right[:, cols].T
+    num = float(np.sum(s0[:, None] * left * mid[None, :] * right_t))
+    den = float(np.sum(left * right_t))
     if abs(den) < 1e-300:
         raise DomainError("partition-sum trace vanishes for these boundary conditions")
     return num / den

@@ -66,6 +66,14 @@ class TestFF:
         assert res["routes_agree"] and res["oracle_agrees"]
         assert res["oracle_is_blockwise"] is False
 
+    def test_oracle_labels_bottom_of_strong_coupling_spectrum(self, capsys):
+        # the spectrum spans about ten decades here, so the bottom labels only
+        # when eigenvalues are grouped relative to themselves, not to the top
+        code, out = run(capsys, "ff", "--kx", "0.3", "--ky", "0.9", "--n", "10",
+                        "--site", "2", "--bra", "0,1", "--ket", "")
+        assert code == 0
+        assert json.loads(out)["results"]["oracle_agrees"] is True
+
     def test_invalid_momentum_list(self, capsys):
         code, _ = run(capsys, "ff", "--kx", "0.4", "--ky", "0.7", "--n", "4",
                       "--bra", "0,zebra", "--ket", "")

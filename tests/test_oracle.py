@@ -6,11 +6,12 @@ import pytest
 
 from isingff.exceptions import DomainError, ResourceError
 from isingff.formfactors import FockState, FormFactorSpec, two_point_correlation
-from isingff.oracle import (build_operators, labeled_spectrum,
+from isingff.oracle import (_GROUP_TOL, build_operators, labeled_spectrum,
                             oracle_correlation, oracle_ff_modulus,
                             predicted_fock_labels)
 from isingff.spectral import Couplings
 
+BENCH_COUPLINGS = ((0.4, 0.7), (0.5, 0.5), (0.3, 0.9))
 C4 = Couplings.from_kx_ky(0.4, 0.7, 4)
 OPS4 = build_operators(C4, eps_y=1)
 SPECT4 = labeled_spectrum(OPS4, C4)
@@ -111,6 +112,55 @@ class TestLabeledSpectrum:
         for st in spect:
             thetas = C4.sector(st.sector).thetas[list(st.indices)]
             assert abs(st.t_eigenvalue - np.exp(-1j * thetas.sum())) < 1e-9
+
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_labels_bottom_of_strong_coupling_spectrum(self, eps_y):
+        c = Couplings.from_kx_ky(0.3, 0.9, 10)
+        spect = labeled_spectrum(build_operators(c, eps_y=eps_y), c)
+        assert len(spect) == 1024
+        assert len({(st.sector, st.indices) for st in spect}) == 1024
+
+    @pytest.mark.parametrize("kxy", BENCH_COUPLINGS, ids=str)
+    @pytest.mark.parametrize("n", [5, 8, 10])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_eigen_properties_against_dense_operators(self, kxy, n, eps_y):
+        c = Couplings.from_kx_ky(*kxy, n)
+        ops = build_operators(c, eps_y=eps_y)
+        spect = labeled_spectrum(ops, c)
+        q = np.array([st.vector for st in spect])
+        lam = np.array([st.eigenvalue for st in spect])
+        t_val = np.array([st.t_eigenvalue for st in spect])
+        charge = np.array([st.charge for st in spect])
+        lam_max = np.max(lam)
+        assert np.max(np.linalg.norm(q @ ops.v.T - lam[:, None] * q, axis=1)) \
+            <= 1e-12 * lam_max
+        assert np.max(np.linalg.norm(q @ ops.t.T - t_val[:, None] * q, axis=1)) <= 1e-12
+        assert np.max(np.linalg.norm(q @ ops.u.T - charge[:, None] * q, axis=1)) <= 1e-12
+        assert np.max(np.abs(q.conj() @ q.T - np.eye(len(spect)))) <= 1e-12
+        predicted = {(lab[0], lab[1]): lab[2:] for lab in predicted_fock_labels(c, eps_y)}
+        for st in spect:
+            p_lam, p_t, p_charge = predicted[(st.sector, st.indices)]
+            assert abs(st.eigenvalue - p_lam) <= _GROUP_TOL * p_lam
+            assert abs(st.t_eigenvalue - p_t) <= _GROUP_TOL
+            assert st.charge == p_charge
+
+    @pytest.mark.parametrize("kxy, eps_y, blocks", [((0.4, 0.7), 1, 860),
+                                                    ((0.5, 0.5), -1, 868)])
+    def test_doublet_block_count_n10(self, kxy, eps_y, blocks):
+        c = Couplings.from_kx_ky(*kxy, 10)
+        spect = labeled_spectrum(build_operators(c, eps_y=eps_y), c)
+        assert len({st.block for st in spect}) == blocks
+
+    # at (0.3, 0.9) distinct eigenvalues at the bottom of a character block
+    # differ by less than 1e-9 of the block's top, so only a grouping relative
+    # to each eigenvalue labels them
+    @pytest.mark.parametrize("kxy", [(0.4, 0.7), (0.3, 0.9)], ids=str)
+    def test_labels_every_state_n12(self, kxy):
+        c = Couplings.from_kx_ky(*kxy, 12)
+        spect = labeled_spectrum(build_operators(c, eps_y=1), c)
+        labels = {(st.sector, st.indices) for st in spect}
+        assert len(spect) == len(labels) == 4096
+        assert labels == {lab[:2] for lab in predicted_fock_labels(c, 1)}
 
     def test_trace_power_spectral_vs_dense(self):
         m = 6
