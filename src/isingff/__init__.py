@@ -11,7 +11,7 @@ from .exceptions import (AmbiguousLabelError, ConvergenceError, DomainError,
                          IsingFFError, ResourceError, SingularMatrixError,
                          VerificationError)
 from .formfactors import (FockState, FormFactorSpec, InducedRotation,
-                          ff_closed, ff_pfaffian, induced_rotation,
+                          SpecStack, ff_closed, ff_pfaffian, induced_rotation,
                           nu_of_theta, two_particle_matrices,
                           two_point_correlation, vacuum_overlap, xi_t)
 from .linalg import det_and_inverse, pfaffian
@@ -22,7 +22,7 @@ from .spectral import (Couplings, b_elliptic, b_of_theta, eta_of_couplings,
 __all__ = [
     "AmbiguousLabelError", "ConvergenceError", "Couplings", "DomainError",
     "EllipticModulus", "FockState", "FormFactorSpec", "InducedRotation",
-    "IsingFFError", "ResourceError", "SingularMatrixError",
+    "IsingFFError", "ResourceError", "SingularMatrixError", "SpecStack",
     "VerificationError", "b_elliptic", "b_of_theta", "complete_elliptic_K",
     "det_and_inverse", "eta_of_couplings", "ff_closed", "ff_pfaffian",
     "gamma_of_theta", "induced_rotation", "inverse_sn_real",

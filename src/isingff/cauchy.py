@@ -23,6 +23,7 @@ logarithms, so its N^2 factors cannot overflow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ from .exceptions import DomainError, SingularMatrixError
 from .spectral import Couplings, log_sinh
 
 _LATTICE_TOL = 1e-11
+# natural logs of the largest and the smallest normal double
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
 
 
 def _theta1_zero_distance(z, q: float):
@@ -337,11 +341,19 @@ def phi_inverse_psi_closed(c: Couplings, theta_route: bool = False) -> np.ndarra
     return out
 
 
-def det_phi_theta(c: Couplings) -> complex:
-    """det(Phi) from the theta-function closed form.
+def _exp_representable(log_val: complex, what: str):
+    """exp(log_val), or DomainError where double precision cannot hold it."""
+    if not _LOG_MIN < log_val.real < _LOG_MAX:
+        raise DomainError(f"{what} = exp({log_val.real:.1f}) is outside the "
+                          f"range of double precision")
+    return np.exp(log_val)
 
-    The N^2 theta factors are multiplied as a sum of complex logarithms and
-    exponentiated once, so the product cannot overflow at large N.
+
+def log_det_phi_theta(c: Couplings) -> complex:
+    """log det(Phi) from the theta-function closed form, imaginary part modulo 2*pi.
+
+    The N^2 theta factors enter as a sum of complex logarithms, so nothing
+    overflows at large N.
     """
     xs, ys = ising_xy(c)
     q = c.modulus.q
@@ -350,22 +362,42 @@ def det_phi_theta(c: Couplings) -> complex:
     pitau = math.pi * c.modulus.tau
     bal = xs.sum() - ys.sum()
     i, j = np.triu_indices(n, 1)
-    log_total = (n * (np.log(t2) + np.log(t4)) - (n + 1) * np.log(t3)
-                 - 1j * (bal - pitau / 4.0)
-                 + np.log(theta(1, bal + math.pi / 2.0 - pitau / 2.0, q))
-                 + np.log(theta(1, xs[i] - xs[j], q)).sum()
-                 + np.log(theta(1, ys[j] - ys[i], q)).sum()
-                 - np.log(theta(1, np.subtract.outer(xs, ys), q)).sum())
-    return complex(np.exp(log_total))
+    return complex(n * (np.log(t2) + np.log(t4)) - (n + 1) * np.log(t3)
+                   - 1j * (bal - pitau / 4.0)
+                   + np.log(theta(1, bal + math.pi / 2.0 - pitau / 2.0, q))
+                   + np.log(theta(1, xs[i] - xs[j], q)).sum()
+                   + np.log(theta(1, ys[j] - ys[i], q)).sum()
+                   - np.log(theta(1, np.subtract.outer(xs, ys), q)).sum())
+
+
+def det_phi_theta(c: Couplings) -> complex:
+    """det(Phi) from the theta-function closed form.
+
+    Raises
+    ------
+    DomainError
+        If the determinant over- or underflows double precision.
+    """
+    return complex(_exp_representable(log_det_phi_theta(c), "det Phi"))
+
+
+def log_det_phi_squared_trig(c: Couplings) -> float:
+    """log (det Phi)^2 from the fully reduced trigonometric formula."""
+    n = c.n
+    a, p = c.sector("a"), c.sector("p")
+    return float(2.0 * n * math.log(n)
+                 + 0.5 * math.log1p(-c.modulus.k**2)
+                 - 2.0 * n * math.log(c.sinh2ky)
+                 + 0.5 * (p.nu.sum() - a.nu.sum())
+                 + log_sinh(p.gamma).sum() + log_sinh(a.gamma).sum())
 
 
 def det_phi_squared_trig(c: Couplings) -> float:
-    """(det Phi)^2 from the fully reduced trigonometric formula, in log space."""
-    n = c.n
-    a, p = c.sector("a"), c.sector("p")
-    log_val = (2.0 * n * math.log(n)
-               + 0.5 * math.log1p(-c.modulus.k**2)
-               - 2.0 * n * math.log(c.sinh2ky)
-               + 0.5 * (p.nu.sum() - a.nu.sum())
-               + log_sinh(p.gamma).sum() + log_sinh(a.gamma).sum())
-    return math.exp(log_val)
+    """(det Phi)^2 from the fully reduced trigonometric formula.
+
+    Raises
+    ------
+    DomainError
+        If the value over- or underflows double precision.
+    """
+    return float(_exp_representable(log_det_phi_squared_trig(c), "(det Phi)^2"))

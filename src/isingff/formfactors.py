@@ -8,6 +8,10 @@ D^-1, B*D^-1 and D^-1*C; any multiparticle form factor is the pfaffian of a
 matrix assembled from those, or equivalently the fully factorized closed
 product over the participating momenta.
 
+The routes take one :class:`FormFactorSpec` or a :class:`SpecStack` of
+many specs with the same site and particle numbers, and evaluate a stack as
+array algebra; a single spec is the stack of one.
+
 Phase convention: the vacuum-to-vacuum matrix element is declared real
 positive.  Bra momenta are supplied in ascending order, ket momenta likewise;
 swapping two momenta flips the sign of the form factor in both routes.
@@ -15,11 +19,12 @@ swapping two momenta flips the sign of the form factor in both routes.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +32,12 @@ from .elliptic import jacobi_sn_cn_dn
 from .exceptions import DomainError, VerificationError
 from .linalg import pfaffian
 from .spectral import (SECTORS, Couplings, SectorTable, coupling_tables,
-                       gamma_of_theta, nu_of_gamma, quasimomenta)
+                       gamma_of_theta, nu_of_gamma)
 
 _FULL_ENUMERATION_MAX_N = 12
 _DEFAULT_PARTICLE_CUTOFF = 4
 _BLOCK_ROWS = 256  # bra rows per block of a streamed |F|^2 table
+_I_POWERS = tuple(complex(1j) ** p for p in range(4))
 
 
 @dataclass(frozen=True)
@@ -54,14 +60,6 @@ class FockState:
                 f"momenta must be strictly increasing (fermionic exclusion), "
                 f"got {self.indices}"
             )
-
-    def validate(self, n: int) -> None:
-        if self.indices and not (0 <= self.indices[0] and self.indices[-1] < n):
-            raise DomainError(f"momentum indices {self.indices} outside [0, {n})")
-
-    def momenta(self, n: int) -> np.ndarray:
-        self.validate(n)
-        return quasimomenta(self.sector, n)[np.array(self.indices, dtype=int)]
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -88,6 +86,44 @@ class FormFactorSpec:
             raise DomainError(
                 "m + n must be even; odd matrix elements vanish by charge selection"
             )
+
+
+class SpecStack(NamedTuple):
+    """S specs of one site and one (m, n): ``bra`` (S, m) antiperiodic and
+    ``ket`` (S, n) periodic momentum indices, each row strictly increasing.
+
+    Every form-factor route takes a stack and gives one value (or matrix) per
+    row; a :class:`FormFactorSpec` is the stack of one.
+    """
+
+    site: int
+    bra: np.ndarray
+    ket: np.ndarray
+
+
+def _as_stack(spec: FormFactorSpec | SpecStack, c: Couplings) -> SpecStack:
+    """``spec`` as a checked stack; a :class:`FormFactorSpec` gives S = 1."""
+    if isinstance(spec, FormFactorSpec):
+        spec = SpecStack(spec.site, np.array([spec.bra.indices], dtype=int),
+                         np.array([spec.ket.indices], dtype=int))
+    bra, ket = np.asarray(spec.bra, dtype=int), np.asarray(spec.ket, dtype=int)
+    if not (bra.ndim == ket.ndim == 2 and len(bra) == len(ket)
+            and (bra.shape[1] + ket.shape[1]) % 2 == 0):
+        raise DomainError(f"a spec stack needs (S, m) bra and (S, n) ket indices, "
+                          f"m + n even, got shapes {bra.shape} and {ket.shape}")
+    if not all(np.all((x >= 0) & (x < c.n)) and np.all(np.diff(x, axis=1) > 0)
+               for x in (bra, ket)):
+        raise DomainError(f"momentum indices must increase strictly within [0, {c.n})")
+    if not 0 <= spec.site < c.n:
+        raise DomainError(f"site {spec.site} outside [0, {c.n})")
+    return SpecStack(spec.site, bra, ket)
+
+
+def _unstack(spec: FormFactorSpec | SpecStack, values: np.ndarray):
+    """The per-row ``values`` of a stack, or the one value of a single spec."""
+    if not isinstance(spec, FormFactorSpec):
+        return values
+    return values[0] if values.ndim > 1 else complex(values[0])
 
 
 @dataclass(frozen=True)
@@ -154,6 +190,22 @@ def _log_ratio2(ratio: np.ndarray) -> np.ndarray:
     return 2.0 * out
 
 
+def _two_particle_entries(c: Couplings, site: int, rows_a, cols_a, rows_p, cols_p):
+    """D^-1[rows_a, cols_p], (B*D^-1)[rows_p, cols_p] and (D^-1*C)[rows_a, cols_a]
+    from the closed forms, the index arrays broadcast; entry by entry, so a
+    gathered entry equals that of the full matrices bit for bit."""
+    tab = coupling_tables(c)
+    a, p = tab.a, tab.p
+    ell = site - 0.5
+    dinv = (1j * np.exp(-1j * ell * (a.thetas[rows_a] - p.thetas[cols_p]))
+            * a.amp[rows_a] * p.amp[cols_p] * tab.ap_ratio[rows_a, cols_p])
+    bdinv = (-1j * np.exp(1j * ell * (p.thetas[rows_p] + p.thetas[cols_p]))
+             * tab.rho2 * p.amp[rows_p] * p.amp[cols_p] * p.pair_ratio[rows_p, cols_p])
+    dinvc = (-1j * np.exp(-1j * ell * (a.thetas[rows_a] + a.thetas[cols_a]))
+             * tab.rho2 * a.amp[rows_a] * a.amp[cols_a] * a.pair_ratio[rows_a, cols_a])
+    return dinv, bdinv, dinvc
+
+
 def two_particle_matrices(c: Couplings, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed forms of (D^-1, B*D^-1, D^-1*C) for the rotation at ``site``.
 
@@ -163,16 +215,8 @@ def two_particle_matrices(c: Couplings, site: int) -> tuple[np.ndarray, np.ndarr
     """
     if not 0 <= site < c.n:
         raise DomainError(f"site {site} outside [0, {c.n})")
-    tab = coupling_tables(c)
-    a, p = tab.a, tab.p
-    ell = site - 0.5
-    dinv = (1j * np.exp(-1j * ell * (a.thetas[:, None] - p.thetas[None, :]))
-            * a.amp[:, None] * p.amp[None, :] * tab.ap_ratio)
-    bdinv = (-1j * np.exp(1j * ell * (p.thetas[:, None] + p.thetas[None, :]))
-             * tab.rho2 * p.amp[:, None] * p.amp[None, :] * p.pair_ratio)
-    dinvc = (-1j * np.exp(-1j * ell * (a.thetas[:, None] + a.thetas[None, :]))
-             * tab.rho2 * a.amp[:, None] * a.amp[None, :] * a.pair_ratio)
-    return dinv, bdinv, dinvc
+    rows, cols = np.arange(c.n)[:, None], np.arange(c.n)[None, :]
+    return _two_particle_entries(c, site, rows, cols, rows, cols)
 
 
 def xi_t(c: Couplings) -> float:
@@ -192,46 +236,33 @@ def vacuum_overlap(c: Couplings) -> float:
     return math.exp(log_val)
 
 
-def _check_spec(spec: FormFactorSpec, c: Couplings) -> None:
-    spec.bra.validate(c.n)
-    spec.ket.validate(c.n)
-    if not 0 <= spec.site < c.n:
-        raise DomainError(f"site {spec.site} outside [0, {c.n})")
-
-
-def assemble_r_matrix(spec: FormFactorSpec, c: Couplings) -> np.ndarray:
+def assemble_r_matrix(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.ndarray:
     """Antisymmetric pairing matrix R of the pfaffian representation.
 
-    Blocks: bra x bra from D^-1*C, bra x ket from D^-1, ket x ket from B*D^-1.
+    Blocks: bra x bra from D^-1*C, bra x ket from D^-1, ket x ket from B*D^-1,
+    gathered at the spec's momenta without building the N x N matrices.  A
+    stack gives an (S, m+n, m+n) array, a single spec one matrix.
     """
-    _check_spec(spec, c)
-    m, n = len(spec.bra), len(spec.ket)
-    dinv, bdinv, dinvc = two_particle_matrices(c, spec.site)
-    ia = np.array(spec.bra.indices, dtype=int)
-    ip = np.array(spec.ket.indices, dtype=int)
-    r = np.zeros((m + n, m + n), dtype=complex)
-    if m:
-        r[:m, :m] = dinvc[np.ix_(ia, ia)]
-    if m and n:
-        r[:m, m:] = dinv[np.ix_(ia, ip)]
-        r[m:, :m] = -r[:m, m:].T
-    if n:
-        r[m:, m:] = bdinv[np.ix_(ip, ip)]
-    return r
+    stack = _as_stack(spec, c)
+    ia, ip = stack.bra, stack.ket
+    dinv, bdinv, dinvc = _two_particle_entries(c, stack.site, ia[:, :, None],
+                                               ia[:, None, :], ip[:, :, None],
+                                               ip[:, None, :])
+    r = np.block([[dinvc, dinv], [-np.swapaxes(dinv, 1, 2), bdinv]])
+    return _unstack(spec, r)
 
 
-def assemble_r_elliptic(spec: FormFactorSpec, c: Couplings) -> np.ndarray:
+def assemble_r_elliptic(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.ndarray:
     """R rebuilt from the elliptic route: -i*rho * Omega * Rt * Omega.
 
     Rt has entries sqrt(k)*sn(u_i - u_j) where bra arguments carry an iK'
-    shift; used as a cross-check of :func:`assemble_r_matrix`.
+    shift; used as a cross-check of :func:`assemble_r_matrix`.  The pair
+    differences of a whole stack go through one sn evaluation.
     """
-    _check_spec(spec, c)
-    m, n = len(spec.bra), len(spec.ket)
-    ia = np.array(spec.bra.indices, dtype=int)
-    ip = np.array(spec.ket.indices, dtype=int)
+    stack = _as_stack(spec, c)
+    ia, ip = stack.bra, stack.ket
     rho = math.sqrt(c.sinh2ky / c.sinh2kx)
-    ell = spec.site - 0.5
+    ell = stack.site - 0.5
     tab = coupling_tables(c)
     a, p = tab.a, tab.p
     omega = np.concatenate([
@@ -239,26 +270,38 @@ def assemble_r_elliptic(spec: FormFactorSpec, c: Couplings) -> np.ndarray:
         / np.sqrt(c.n * np.sinh(a.gamma[ia])),
         np.exp(1j * ell * p.thetas[ip] - p.nu[ip] / 2.0)
         / np.sqrt(c.n * np.sinh(p.gamma[ip])),
-    ])
+    ], axis=1)
     u_tilde = np.concatenate([
         a.u[ia] + 1j * c.modulus.bigKprime,
         p.u[ip].astype(complex),
-    ])
-    i, j = np.triu_indices(m + n, 1)
-    rt = np.zeros((m + n, m + n), dtype=complex)
-    rt[i, j] = math.sqrt(c.modulus.k) * jacobi_sn_cn_dn(u_tilde[i] - u_tilde[j],
-                                                        c.modulus)[0]
-    rt -= rt.T
-    return -1j * rho * (omega[:, None] * rt * omega[None, :])
+    ], axis=1)
+    size, k = u_tilde.shape
+    i, j = np.triu_indices(k, 1)
+    # specs share most of their pairs, so sn runs once per distinct difference
+    diffs, where = np.unique((u_tilde[:, i] - u_tilde[:, j]).ravel(),
+                             return_inverse=True)
+    rt = np.zeros((size, k, k), dtype=complex)
+    rt[:, i, j] = (math.sqrt(c.modulus.k)
+                   * jacobi_sn_cn_dn(diffs, c.modulus)[0])[where].reshape(size, -1)
+    rt -= np.swapaxes(rt, 1, 2)
+    return _unstack(spec, -1j * rho * (omega[:, :, None] * rt * omega[:, None, :]))
 
 
-def ff_pfaffian(spec: FormFactorSpec, c: Couplings) -> complex:
-    """Form factor as |det D|^{1/2} times the pfaffian of the pairing matrix."""
-    r = assemble_r_matrix(spec, c)
-    return vacuum_overlap(c) * pfaffian(r)
+def ff_pfaffian(spec: FormFactorSpec | SpecStack, c: Couplings):
+    """Form factor as |det D|^{1/2} times the pfaffian of the pairing matrix.
+
+    A stack gives S values from one stacked pfaffian, a spec a complex.
+    """
+    return vacuum_overlap(c) * pfaffian(assemble_r_matrix(spec, c))
 
 
-def ff_closed(spec: FormFactorSpec, c: Couplings) -> complex:
+def _pair_log_sums(ratio: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per stack row, the sum of 2 log|ratio| over every (row, col) index pair."""
+    logs = _log_ratio2(ratio[rows[:, :, None], cols[:, None, :]])
+    return logs.reshape(len(rows), rows.shape[1] * cols.shape[1]).sum(axis=1)
+
+
+def ff_closed(spec: FormFactorSpec | SpecStack, c: Couplings):
     """Fully factorized closed form of the (m, n)-particle form factor.
 
     The modulus is accumulated in log space from the same factors that
@@ -269,29 +312,31 @@ def ff_closed(spec: FormFactorSpec, c: Couplings) -> complex:
     The phase exp(i*ell*(sum theta_p - sum theta_a)) is reduced modulo 2*pi
     in integers, and the leading power of i has an integer exponent for even
     m + n, so no branch choice enters; the result agrees with the pfaffian
-    route including its phase.
+    route including its phase.  A stack gives S values, a spec a complex.
     """
-    _check_spec(spec, c)
-    bra, ket = spec.bra.indices, spec.ket.indices
-    m, n = len(bra), len(ket)
-    ia = np.array(bra, dtype=int)
-    ip = np.array(ket, dtype=int)
+    stack = _as_stack(spec, c)
+    ia, ip = stack.bra, stack.ket
+    m, n = ia.shape[1], ip.shape[1]
     tab = coupling_tables(c)
 
     log_f2 = (tab.log_vac2 + 0.5 * (m - n) ** 2 * tab.log_rho2
-              + tab.a.log_amp2[ia].sum() + tab.p.log_amp2[ip].sum()
-              + 0.5 * _log_ratio2(tab.a.pair_ratio[ia][:, ia]).sum()
-              + 0.5 * _log_ratio2(tab.p.pair_ratio[ip][:, ip]).sum()
-              + _log_ratio2(tab.ap_ratio[ia][:, ip]).sum())
+              + tab.a.log_amp2[ia].sum(axis=1) + tab.p.log_amp2[ip].sum(axis=1)
+              + 0.5 * _pair_log_sums(tab.a.pair_ratio, ia, ia)
+              + 0.5 * _pair_log_sums(tab.p.pair_ratio, ip, ip)
+              + _pair_log_sums(tab.ap_ratio, ia, ip))
     negative = (m * (m - 1) + n * (n - 1)) // 2 \
-        + int(np.count_nonzero(ia[:, None] < ip[None, :]))
+        + np.count_nonzero(ia[:, :, None] < ip[:, None, :], axis=(1, 2))
     # N/pi * (sum theta_p - sum theta_a) is the integer 2*sum(ket) - 2*sum(bra) - m
     # and ell = (2*site - 1)/2, so the phase angle is pi*turns/(2N) modulo 2*pi
-    turns = (2 * spec.site - 1) * (2 * sum(ket) - 2 * sum(bra) - m) % (4 * c.n)
+    turns = ((2 * stack.site - 1) * (2 * ip.sum(axis=1) - 2 * ia.sum(axis=1) - m)
+             % (4 * c.n))
     ipower = (2 * m * n - (m + n) // 2) % 4
-    val = ((-1) ** negative * math.exp(0.5 * log_f2) * complex(1j) ** ipower
-           * cmath.exp(1j * math.pi * turns / (2 * c.n)))
-    return complex(val)
+    # math.exp per value: numpy's vector exp can round differently in the
+    # last bit, and a value must not depend on the stack it is computed in
+    modulus = np.fromiter(map(math.exp, 0.5 * log_f2), float, len(log_f2))
+    val = (np.where(negative % 2, -modulus, modulus) * _I_POWERS[ipower]
+           * np.exp(1j * math.pi * turns / (2 * c.n)))
+    return _unstack(spec, val)
 
 
 # ---- Fock basis and the batched |F|^2 kernel ---------------------------------
@@ -305,6 +350,8 @@ class FockBasis:
     order.  ``occupancy`` is the 0/1 matrix (states x momenta); the reduced
     energy (log of the transfer-matrix eigenvalue without its common
     prefactor) and the total momentum are its products with gamma and theta.
+    The arrays are read-only, because :func:`fock_basis` shares one basis
+    between its callers.
     """
 
     sector: str
@@ -315,8 +362,17 @@ class FockBasis:
     energies: np.ndarray
     momenta: np.ndarray
 
+    def __post_init__(self):
+        for value in (self.occupancy, self.particles, self.energies, self.momenta):
+            value.flags.writeable = False
+
     def __len__(self) -> int:
         return len(self.states)
+
+    def indices(self, k: int) -> np.ndarray:
+        """Momentum indices of the k-particle states, one row each, in order."""
+        rows = self.occupancy[self.particles == k]
+        return np.nonzero(rows)[1].reshape(len(rows), k)
 
     def blocks(self):
         """Consecutive (slice, basis) blocks of at most ``_BLOCK_ROWS`` states.
@@ -333,19 +389,28 @@ class FockBasis:
 
 def fock_basis(c: Couplings, sector: str, parity: int,
                cutoff: int | None = None) -> FockBasis:
-    """All states of ``sector`` with particle number = parity (mod 2), up to ``cutoff``."""
+    """All states of ``sector`` with particle number = parity (mod 2), up to ``cutoff``.
+
+    Built once per (coupling, sector, parity, cutoff) and shared afterwards.
+    """
+    return _fock_basis(c, sector, parity % 2, c.n if cutoff is None else min(c.n, cutoff))
+
+
+# a basis past N=12 can hold tens of MB, so the cache keeps few: enough for
+# both parities and sectors of three couplings
+@lru_cache(maxsize=16)
+def _fock_basis(c: Couplings, sector: str, parity: int, cap: int) -> FockBasis:
     table = c.sector(sector)
     n = c.n
-    cap = n if cutoff is None else min(n, cutoff)
-    counts = range(parity % 2, cap + 1, 2)
-    states = tuple(s for k in counts for s in itertools.combinations(range(n), k))
+    states = tuple(s for k in range(parity, cap + 1, 2)
+                   for s in itertools.combinations(range(n), k))
     particles = np.fromiter(map(len, states), int, len(states))
     occupancy = np.zeros((len(states), n))
     occupancy[np.repeat(np.arange(len(states)), particles),
               np.fromiter(itertools.chain.from_iterable(states), int)] = 1.0
     return FockBasis(
         sector=sector,
-        parity=parity % 2,
+        parity=parity,
         states=states,
         occupancy=occupancy,
         particles=particles,

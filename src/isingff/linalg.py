@@ -1,8 +1,9 @@
-"""Dense complex linear algebra: pfaffian, determinant, inverse.
+"""Dense complex linear algebra: pfaffian, determinant (or its log), inverse.
 
 The pfaffian is computed by skew-symmetric tridiagonalization (Parlett-Reid
-style Gauss transforms) with partial pivoting.  Row/column swaps are counted
-exactly because the sign of the pfaffian carries physics downstream.
+style Gauss transforms) with partial pivoting, on one matrix or on a stack
+of them at once.  Row/column swaps are counted exactly because the sign of
+the pfaffian carries physics downstream.
 """
 
 from __future__ import annotations
@@ -18,46 +19,102 @@ _SKEW_TOL = 1e-13
 _PIVOT_TOL = 1e-13
 
 
+def _largest_entries(m: np.ndarray) -> np.ndarray:
+    """max |m| over the last two axes, and 0 for empty matrices."""
+    return np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+
+
+def _textbook_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for complex arrays, with the real and imaginary parts rounded as
+    separate products and sums.
+
+    numpy's vector loop for long contiguous complex arrays uses fused
+    multiply-adds, so ``x * y`` would round differently in a stack of many
+    matrices than for one matrix.
+    """
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def _check_skew(m: np.ndarray) -> np.ndarray:
+    """``m`` as a complex (S, k, k) stack, each matrix checked antisymmetric."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"pfaffian needs a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    asym = float(np.max(np.abs(m + m.T))) if m.size else 0.0
-    if asym > _SKEW_TOL * scale:
-        raise DomainError(f"matrix not antisymmetric: max|M + M^T| = {asym:.3e}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"pfaffian needs a square matrix or a stack of them, "
+                          f"got shape {m.shape}")
+    if m.ndim == 2:
+        m = m[None]
+    asym = _largest_entries(m + np.swapaxes(m, 1, 2))
+    bad = asym > _SKEW_TOL * np.maximum(1.0, _largest_entries(m))
+    if np.any(bad):
+        raise DomainError(f"matrix not antisymmetric: max|M + M^T| = "
+                          f"{float(asym[bad][0]):.3e}")
     return m.astype(complex)
 
 
-def pfaffian(m: np.ndarray) -> complex:
+def pfaffian(m: np.ndarray):
     """Pfaffian of a complex antisymmetric matrix, Pf(m)^2 = det(m).
 
-    Odd dimension gives 0; the empty matrix gives 1.  Antisymmetry is checked
-    on entry (absolute tolerance 1e-13 relative to the largest entry).
+    ``m`` is one k x k matrix, giving a Python complex, or an (S, k, k)
+    stack, giving an array of S pfaffians; a single matrix is the stack of
+    one.  Every matrix of a stack runs through the same elimination steps at
+    once and keeps its own pivoting, sign and checks.  Odd k gives 0; k = 0
+    gives 1.  Antisymmetry is checked on entry, per matrix (absolute
+    tolerance 1e-13 relative to its largest entry).  A matrix whose pivot
+    falls below 1e-13 x max(1, largest remaining entry) gives exactly 0.
     """
     a = _check_skew(m).copy()
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n % 2 == 1:
-        return 0.0 + 0.0j
-    pf = 1.0 + 0.0j
-    for k in range(0, n - 1, 2):
+    stack, n = a.shape[:2]
+    pf = np.full(stack, 1.0 + 0.0j if n % 2 == 0 else 0.0j)
+    alive = np.ones(stack, dtype=bool)
+    s = np.arange(stack)
+    for k in range(0, n - 1, 2) if n % 2 == 0 else ():
         # pivot the largest remaining entry of column k into position (k+1, k)
-        kp = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if kp != k + 1:
-            a[[k + 1, kp], k:] = a[[kp, k + 1], k:]
-            a[k:, [k + 1, kp]] = a[k:, [kp, k + 1]]
-            pf = -pf
-        pivot = a[k + 1, k]
-        if abs(pivot) <= _PIVOT_TOL * max(1.0, float(np.max(np.abs(a[k:, k:])))):
-            return 0.0 + 0.0j
-        pf *= a[k, k + 1]
+        kp = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
+        swap = kp != k + 1
+        a[s, k + 1, k:], a[s, kp, k:] = a[s, kp, k:], a[s, k + 1, k:]
+        a[s, k:, k + 1], a[s, k:, kp] = a[s, k:, kp], a[s, k:, k + 1]
+        pf[swap] = -pf[swap]
+        floor = _PIVOT_TOL * np.maximum(1.0, _largest_entries(a[:, k:, k:]))
+        dead = np.abs(a[:, k + 1, k]) <= floor
+        if np.any(dead):
+            # a dropped matrix is zeroed, so its later steps divide by 1
+            alive &= ~dead
+            a[dead] = 0.0
+        pf = _textbook_product(pf, a[:, k, k + 1])
         if k + 2 < n:
-            tau = a[k, k + 2:] / a[k, k + 1]
-            a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1])
-            a[k + 2:, k + 2:] -= np.outer(a[k + 2:, k + 1], tau)
-    return complex(pf)
+            pivot = np.where(alive, a[:, k, k + 1], 1.0)
+            tau = a[:, k, k + 2:] / pivot[:, None]
+            col = a[:, k + 2:, k + 1]
+            a[:, k + 2:, k + 2:] += tau[:, :, None] * col[:, None, :]
+            a[:, k + 2:, k + 2:] -= col[:, :, None] * tau[:, None, :]
+    pf[~alive] = 0.0
+    return complex(pf[0]) if np.ndim(m) == 2 else pf
+
+
+def _lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pivoted LU factors of a square complex matrix and its number of row swaps.
+
+    Raises
+    ------
+    SingularMatrixError
+        If any pivot falls below 1e-13 times the largest row norm.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"need a square matrix, got shape {m.shape}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(m)
+    pivots = np.abs(np.diag(lu))
+    row_scale = float(np.max(np.sum(np.abs(m), axis=1), initial=0.0))
+    if np.min(pivots, initial=np.inf) <= _PIVOT_TOL * max(row_scale, 1e-300):
+        raise SingularMatrixError(
+            f"matrix singular to tolerance (min pivot {np.min(pivots):.3e})"
+        )
+    return lu, piv, int(np.sum(piv != np.arange(len(m))))
 
 
 def det_and_inverse(m: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -68,22 +125,18 @@ def det_and_inverse(m: np.ndarray) -> tuple[complex, np.ndarray]:
     SingularMatrixError
         If any pivot falls below 1e-13 times the largest row norm.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"need a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j, m.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m)
-    diag = np.diag(lu)
-    row_scale = float(np.max(np.sum(np.abs(m), axis=1)))
-    if np.min(np.abs(diag)) <= _PIVOT_TOL * max(row_scale, 1e-300):
-        raise SingularMatrixError(
-            f"matrix singular to tolerance (min pivot {np.min(np.abs(diag)):.3e})"
-        )
-    swaps = int(np.sum(piv != np.arange(n)))
-    det = complex((-1.0) ** swaps * np.prod(diag))
-    inv = lu_solve((lu, piv), np.eye(n, dtype=complex))
-    return det, inv
+    lu, piv, swaps = _lu(m)
+    det = complex((-1.0) ** swaps * np.prod(np.diag(lu)))
+    return det, lu_solve((lu, piv), np.eye(len(lu), dtype=complex))
+
+
+def log_det_and_inverse(m: np.ndarray) -> tuple[complex, np.ndarray]:
+    """log det and inverse of a square complex matrix via pivoted LU.
+
+    log|det| is the sum of the logs of the LU pivots, so it stays finite
+    where the determinant itself over- or underflows; the imaginary part
+    (the phase) is defined modulo 2*pi.  Raises like :func:`det_and_inverse`.
+    """
+    lu, piv, swaps = _lu(m)
+    log_det = complex(np.log(np.diag(lu)).sum() + 1j * np.pi * swaps)
+    return log_det, lu_solve((lu, piv), np.eye(len(lu), dtype=complex))

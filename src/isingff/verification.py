@@ -18,13 +18,15 @@ from . import cauchy as cf
 from .elliptic import jacobi_sn_cn_dn, theta
 from .exceptions import DomainError
 from .formfactors import (_FULL_ENUMERATION_MAX_N, FockState, FormFactorSpec,
-                          abs_ff2_table, assemble_r_elliptic, assemble_r_matrix,
-                          ff_closed, ff_pfaffian, fock_basis, induced_rotation,
-                          two_particle_matrices, vacuum_overlap, xi_t)
-from .linalg import det_and_inverse, pfaffian
+                          SpecStack, abs_ff2_table, assemble_r_elliptic,
+                          assemble_r_matrix, ff_closed, ff_pfaffian, fock_basis,
+                          induced_rotation, two_particle_matrices,
+                          vacuum_overlap, xi_t)
+from .linalg import det_and_inverse, log_det_and_inverse, pfaffian
 from .spectral import Couplings, b_elliptic, b_of_theta, gamma_of_theta, u_of_theta
 
 SUITES = ("elliptic", "cauchy", "rotation", "formfactor")
+_STACK_ROWS = 512  # specs per stack of the form-factor suite, which bounds its memory
 
 
 def _rel(a, b) -> float:
@@ -35,16 +37,26 @@ def _rel(a, b) -> float:
     return float(np.max(rel, initial=0.0))
 
 
+def _log_rel(log_a: complex, log_b: complex) -> float:
+    """|a / b - 1| from log a and log b, whose phases agree modulo 2*pi; the
+    values themselves may lie outside double precision."""
+    d = log_a - log_b
+    return float(abs(np.expm1(complex(d.real, math.remainder(d.imag, 2.0 * math.pi)))))
+
+
 def _worst(*values) -> float:
     """Largest entry over several arrays or numbers; a NaN is kept."""
     return float(np.max([np.max(v, initial=0.0) for v in values]))
 
 
 def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest max|a - b| / max(1, max|a|, max|b|) over the matrices of a
+    stack (or of one matrix); a NaN is kept."""
     if a.size == 0:
         return 0.0
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b))) / scale
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.maximum(np.abs(a).max(axis=axes), np.abs(b).max(axis=axes)))
+    return float(np.max(np.abs(a - b).max(axis=axes) / scale))
 
 
 def elliptic_suite(c: Couplings, n_points: int = 100, seed: int = 2024) -> dict[str, float]:
@@ -216,13 +228,14 @@ def cauchy_suite(c: Couplings, n_configs: int = 50, seed: int = 2025,
 
     phi = cf.phi_matrix(c)
     psi = cf.psi_matrix(c)
-    det_phi, inv_phi = det_and_inverse(phi)
+    log_det_phi, inv_phi = log_det_and_inverse(phi)
     out["phi_inverse_residual"] = _mat_rel(cf.phi_inverse_closed(c) @ phi,
                                            np.eye(c.n))
     out["phi_inverse_vs_dense"] = _mat_rel(cf.phi_inverse_closed(c), inv_phi)
     out["phi_inverse_trig_vs_dense"] = _mat_rel(cf.phi_inverse_trig(c), inv_phi)
-    out["det_phi_theta_vs_lu"] = abs(cf.det_phi_theta(c) / det_phi - 1.0)
-    out["det_phi_squared_trig_vs_lu"] = abs(cf.det_phi_squared_trig(c) / det_phi**2 - 1.0)
+    out["det_phi_theta_vs_lu"] = _log_rel(cf.log_det_phi_theta(c), log_det_phi)
+    out["det_phi_squared_trig_vs_lu"] = _log_rel(cf.log_det_phi_squared_trig(c),
+                                                 2.0 * log_det_phi)
     out["psi_phi_inverse_sn"] = _mat_rel(cf.psi_phi_inverse_closed(c), psi @ inv_phi)
     out["psi_phi_inverse_theta"] = _mat_rel(
         cf.psi_phi_inverse_closed(c, theta_route=True), psi @ inv_phi)
@@ -284,15 +297,21 @@ def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
     return out
 
 
-def _specs_up_to(c: Couplings, site: int, max_mn: int):
-    """Every (bra, ket) spec with m + n even and at most ``max_mn``."""
+def _spec_groups(c: Couplings, site: int, max_mn: int):
+    """Every (bra, ket) pair with m + n even and at most ``max_mn``, in
+    :class:`SpecStack` groups of one (m, n) each: bras in basis order, each
+    with every ket, cut into stacks of at most ``_STACK_ROWS`` specs."""
     for parity in (0, 1):
-        kets = fock_basis(c, "p", parity, max_mn).states
-        for bra in fock_basis(c, "a", parity, max_mn).states:
-            for ket in kets:
-                if len(bra) + len(ket) <= max_mn:
-                    yield FormFactorSpec(site, FockState("a", bra),
-                                         FockState("p", ket))
+        bras = fock_basis(c, "a", parity, max_mn)
+        kets = fock_basis(c, "p", parity, max_mn)
+        for m in range(parity, min(c.n, max_mn) + 1, 2):
+            for n in range(parity, min(c.n, max_mn - m) + 1, 2):
+                bra, ket = bras.indices(m), kets.indices(n)
+                total = len(bra) * len(ket)
+                for start in range(0, total, _STACK_ROWS):
+                    pairs = np.arange(start, min(start + _STACK_ROWS, total))
+                    rows, cols = np.divmod(pairs, len(ket))
+                    yield SpecStack(site, bra[rows], ket[cols])
 
 
 def completeness_sum_rule(c: Couplings) -> float:
@@ -314,43 +333,40 @@ def completeness_sum_rule(c: Couplings) -> float:
 def formfactor_suite(c: Couplings, site: int | None = None,
                      max_mn: int = 4) -> dict[str, float]:
     """Multiparticle closed form against the pfaffian route and its assembly,
-    and the completeness sum rule wherever the full Fock basis is enumerated."""
+    and the completeness sum rule wherever the full Fock basis is enumerated.
+
+    The specs run through the routes as stacks of one (m, n) group (and, for
+    the translation phases, of one site), a few array calls per stack.
+    """
     site = c.n // 2 if site is None else site
-    out: dict[str, float] = {}
-    r_route = r_asm = 0.0
-    for spec in _specs_up_to(c, site, max_mn):
-        f_closed = ff_closed(spec, c)
-        f_pf = ff_pfaffian(spec, c)
-        r_route = max(r_route, abs(f_closed - f_pf) / max(abs(f_closed), 1e-30))
-        if len(spec.bra) + len(spec.ket) > 0:
-            r_asm = max(r_asm, _mat_rel(assemble_r_matrix(spec, c),
-                                        assemble_r_elliptic(spec, c)))
-    out["closed_vs_pfaffian"] = r_route
-    out["pairing_matrix_assembly"] = r_asm
+    routes, assembly = [], []
+    for stack in _spec_groups(c, site, max_mn):
+        f_closed = ff_closed(stack, c)
+        routes.append(np.abs(f_closed - ff_pfaffian(stack, c))
+                      / np.maximum(np.abs(f_closed), 1e-30))
+        assembly.append(_mat_rel(assemble_r_matrix(stack, c),
+                                 assemble_r_elliptic(stack, c)))
+    out = {"closed_vs_pfaffian": _worst(*routes),
+           "pairing_matrix_assembly": _worst(*assembly)}
 
-    r = 0.0
-    for spec0 in _specs_up_to(c, 0, 2):
-        f0 = ff_closed(spec0, c)
-        shift = (spec0.ket.momenta(c.n).sum() - spec0.bra.momenta(c.n).sum())
+    phases = []
+    for stack0 in _spec_groups(c, 0, 2):
+        f0 = ff_closed(stack0, c)
+        shift = (c.sector("p").thetas[stack0.ket].sum(axis=1)
+                 - c.sector("a").thetas[stack0.bra].sum(axis=1))
         for l in range(c.n):
-            spec_l = FormFactorSpec(l, spec0.bra, spec0.ket)
             pred = np.exp(1j * l * shift) * f0
-            r = max(r, abs(ff_closed(spec_l, c) - pred),
-                    abs(ff_pfaffian(spec_l, c) - pred))
-    out["translation_phase"] = r
+            phases += [np.abs(route(stack0._replace(site=l), c) - pred)
+                       for route in (ff_closed, ff_pfaffian)]
+    out["translation_phase"] = _worst(*phases)
 
-    # reversing the bra momentum order must flip the sign by the permutation
-    # parity, in both routes
+    # reversing the order of the two bra momenta must flip the sign of the
+    # pfaffian
     r = 0.0
     if c.n >= 2:
-        bra = tuple(range(min(c.n, 3) // 2 * 2))
-        if len(bra) >= 2:
-            spec_f = FormFactorSpec(site, FockState("a", bra), FockState("p", ()))
-            m = len(bra)
-            sign = (-1.0) ** (m * (m - 1) // 2)
-            rmat = assemble_r_matrix(spec_f, c)
-            perm = np.eye(m)[::-1]
-            r = abs(pfaffian(perm @ rmat @ perm.T) - sign * pfaffian(rmat))
+        spec = FormFactorSpec(site, FockState("a", (0, 1)), FockState("p", ()))
+        rmat = assemble_r_matrix(spec, c)
+        r = abs(pfaffian(rmat[::-1, ::-1]) + pfaffian(rmat))
     out["bra_reversal_antisymmetry"] = r
     if c.n <= _FULL_ENUMERATION_MAX_N:
         out["completeness_sum_rule"] = completeness_sum_rule(c)

@@ -7,13 +7,15 @@ from isingff.cauchy import (EllipticPointConfig, chi_kappa, chi_kappa_trig,
                             det_phi_squared_trig, det_phi_theta,
                             elliptic_cauchy_matrix, frobenius_det,
                             frobenius_inverse, ising_constraint_residuals,
-                            lambda_uv, phi_inverse_closed, phi_inverse_psi_closed,
+                            lambda_uv, log_det_phi_squared_trig,
+                            log_det_phi_theta, phi_inverse_closed,
+                            phi_inverse_psi_closed,
                             phi_inverse_trig, phi_matrix, psi_matrix,
                             psi_phi_inverse_closed, sn_pfaffian_product,
                             theta_interpolation_sum)
 from isingff.elliptic import EllipticModulus, jacobi_sn_cn_dn, theta
 from isingff.exceptions import DomainError
-from isingff.linalg import det_and_inverse, pfaffian
+from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
 from isingff.spectral import Couplings
 from isingff.verification import cauchy_suite
 
@@ -173,6 +175,25 @@ class TestIsingSpecialization:
         det, _ = det_and_inverse(phi_matrix(c))
         assert abs(det_phi_theta(c) / det - 1.0) < 1e-10
         assert abs(det_phi_squared_trig(c) / det**2 - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n", [8, 80, 256])
+    def test_log_det_phi_routes(self, n):
+        c = Couplings.from_kx_ky(0.3, 0.9, n)
+        log_det, _ = log_det_and_inverse(phi_matrix(c))
+        theta_route = log_det_phi_theta(c) - log_det
+        assert abs(theta_route.real) < 1e-10
+        assert abs(math.remainder(theta_route.imag, 2 * math.pi)) < 1e-10
+        trig_route = log_det_phi_squared_trig(c) - 2.0 * log_det
+        assert abs(trig_route.real) < 1e-10
+        assert abs(math.remainder(trig_route.imag, 2 * math.pi)) < 1e-10
+
+    def test_unrepresentable_determinant_is_a_domain_error(self):
+        # log|det Phi| is about 1511 at N=256, past the largest double
+        c = Couplings.from_kx_ky(0.3, 0.9, 256)
+        with pytest.raises(DomainError):
+            det_phi_theta(c)
+        with pytest.raises(DomainError):
+            det_phi_squared_trig(c)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_lambda_is_nu_ratio(self, n):

@@ -166,3 +166,36 @@ def test_nan_residual_fails_verify(capsys, monkeypatch):
     assert res["failed_checks"] == ["broken"]
     assert res["residuals"] == {"fine": 1e-13, "broken": "nan"}
     assert res["max_residual"] == "nan"
+
+
+def test_verify_all_at_n12(capsys):
+    code, out = run(capsys, "verify", "all", "--kx", "0.4", "--ky", "0.7",
+                    "--n", "12", "--site", "3")
+    assert code == 0
+    residuals = _strict_json(out)["results"]["residuals"]
+    per_suite = {}
+    for name in residuals:
+        suite, check = name.split(".", 1)
+        per_suite.setdefault(suite, set()).add(check)
+    assert {k: len(v) for k, v in per_suite.items()} \
+        == {"elliptic": 23, "cauchy": 22, "rotation": 16, "formfactor": 5}
+    assert per_suite["formfactor"] == {
+        "bra_reversal_antisymmetry", "closed_vs_pfaffian", "completeness_sum_rule",
+        "pairing_matrix_assembly", "translation_phase"}
+    assert {"det_phi_theta_vs_lu", "det_phi_squared_trig_vs_lu"} <= per_suite["cauchy"]
+    for name, value in residuals.items():
+        assert isinstance(value, float) and value <= 1e-10, name
+
+
+@pytest.mark.parametrize("n", [80, 128])
+def test_verify_cauchy_at_large_n_exits_cleanly(capsys, n):
+    # log|det Phi| is far past the double range here; the determinant checks
+    # compare logarithms, and a value that cannot be represented is a domain
+    # error, never a traceback
+    code = main(["verify", "cauchy", "--kx", "0.3", "--ky", "0.9", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code in (0, 3)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        for name, value in _strict_json(captured.out)["results"]["residuals"].items():
+            assert isinstance(value, float) and value <= 1e-10, name

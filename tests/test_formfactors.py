@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from isingff.exceptions import DomainError
-from isingff.formfactors import (FockState, FormFactorSpec, abs_ff2_table,
-                                 assemble_r_elliptic, assemble_r_matrix,
-                                 ff_closed, ff_pfaffian, fock_basis,
-                                 induced_rotation, nu_of_theta,
+from isingff.formfactors import (FockState, FormFactorSpec, SpecStack,
+                                 abs_ff2_table, assemble_r_elliptic,
+                                 assemble_r_matrix, ff_closed, ff_pfaffian,
+                                 fock_basis, induced_rotation, nu_of_theta,
                                  two_particle_matrices, two_point_correlation,
                                  vacuum_overlap, xi_t)
 from isingff.linalg import det_and_inverse, pfaffian
 from isingff.spectral import Couplings, gamma_of_theta
-from isingff.verification import (_specs_up_to, completeness_sum_rule,
+from isingff.verification import (_spec_groups, completeness_sum_rule,
                                   formfactor_suite, rotation_suite)
 
 C4 = Couplings.from_kx_ky(0.4, 0.7, 4)
+BENCH_COUPLINGS = ((0.3, 0.9), (0.4, 0.7), (0.5, 0.5))
 
 
 class TestFockTypes:
@@ -215,16 +216,97 @@ class TestFockBasis:
     @pytest.mark.parametrize("n, max_mn", [(3, 4), (8, 2), (8, 4)])
     def test_suite_specs_are_every_even_pair_once(self, n, max_mn):
         c = Couplings.from_kx_ky(0.4, 0.7, n)
-        specs = [(s.bra.indices, s.ket.indices) for s in _specs_up_to(c, 1, max_mn)]
+        specs = [(tuple(bra), tuple(ket)) for group in _spec_groups(c, 1, max_mn)
+                 for bra, ket in zip(group.bra.tolist(), group.ket.tolist())]
         expected = sum(math.comb(n, m) * math.comb(n, k)
                        for m in range(n + 1) for k in range(n + 1)
                        if (m + k) % 2 == 0 and m + k <= max_mn)
         assert len(specs) == len(set(specs)) == expected
 
+    def test_shared_and_read_only(self):
+        c = Couplings.from_kx_ky(0.4, 0.7, 6)
+        basis = fock_basis(c, "p", 1, cutoff=3)
+        assert fock_basis(Couplings.from_kx_ky(0.4, 0.7, 6), "p", 3, 3) is basis
+        for array in (basis.occupancy, basis.particles, basis.energies, basis.momenta):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_indices_are_the_k_particle_states(self):
+        basis = fock_basis(Couplings.from_kx_ky(0.4, 0.7, 6), "a", 0, cutoff=4)
+        for k in (0, 2, 4):
+            assert [tuple(row) for row in basis.indices(k).tolist()] \
+                == list(itertools.combinations(range(6), k))
+
     def test_blocks_cover_the_basis_in_order(self):
         basis = fock_basis(Couplings.from_kx_ky(0.4, 0.7, 12), "a", 0)
         states = [s for _, block in basis.blocks() for s in block.states]
         assert states == list(basis.states)
+
+
+def _spec_of(stack, row):
+    return FormFactorSpec(stack.site, FockState("a", stack.bra[row]),
+                          FockState("p", stack.ket[row]))
+
+
+class TestSpecStacks:
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("kxy", BENCH_COUPLINGS)
+    def test_stacked_routes_equal_the_single_spec_calls(self, kxy, n):
+        c = Couplings.from_kx_ky(*kxy, n)
+        for site in range(n):
+            for stack in _spec_groups(c, site, 4):
+                routes = (ff_closed(stack, c), ff_pfaffian(stack, c),
+                          assemble_r_matrix(stack, c), assemble_r_elliptic(stack, c))
+                # every row at N=3, a spread of rows at N=6
+                for row in range(0, len(stack.bra), 1 if n == 3 else 7):
+                    spec = _spec_of(stack, row)
+                    assert ff_closed(spec, c) == routes[0][row]
+                    assert ff_pfaffian(spec, c) == routes[1][row]
+                    assert np.array_equal(assemble_r_matrix(spec, c), routes[2][row])
+                    # the elliptic route multiplies complex arrays, which
+                    # numpy's long vector loops round with fused
+                    # multiply-adds, so a stack agrees to rounding only
+                    np.testing.assert_allclose(assemble_r_elliptic(spec, c),
+                                               routes[3][row], rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("kxy", BENCH_COUPLINGS)
+    def test_gathered_entries_equal_the_full_matrices(self, kxy, n):
+        c = Couplings.from_kx_ky(*kxy, n)
+        for site in range(n):
+            dinv, bdinv, dinvc = two_particle_matrices(c, site)
+            for stack in _spec_groups(c, site, 4):
+                m = stack.bra.shape[1]
+                r = assemble_r_matrix(stack, c)
+                for row, (ia, ip) in enumerate(zip(stack.bra, stack.ket)):
+                    assert np.array_equal(r[row, :m, :m], dinvc[np.ix_(ia, ia)])
+                    assert np.array_equal(r[row, :m, m:], dinv[np.ix_(ia, ip)])
+                    assert np.array_equal(r[row, m:, :m], -dinv[np.ix_(ia, ip)].T)
+                    assert np.array_equal(r[row, m:, m:], bdinv[np.ix_(ip, ip)])
+
+    def test_single_spec_gives_scalars_and_matrices(self):
+        spec = FormFactorSpec(1, FockState("a", (0, 2)), FockState("p", (1, 3)))
+        assert type(ff_closed(spec, C4)) is complex
+        assert type(ff_pfaffian(spec, C4)) is complex
+        assert assemble_r_matrix(spec, C4).shape == (4, 4)
+        assert assemble_r_elliptic(spec, C4).shape == (4, 4)
+
+    @pytest.mark.parametrize("bra, ket", [
+        ([[0, 1]], [[0], [1]]),      # stack sizes differ
+        ([[0]], [[]]),               # m + n odd
+        ([[0, 4]], [[]]),            # index outside [0, N)
+        ([[1, 0]], [[]]),            # not increasing
+        ([0, 1], [[]]),              # not a stack
+    ])
+    def test_bad_stacks_rejected(self, bra, ket):
+        stack = SpecStack(0, np.array(bra, dtype=int), np.array(ket, dtype=int).reshape(len(ket), -1))
+        with pytest.raises(DomainError):
+            ff_closed(stack, C4)
+
+    def test_bad_site_rejected(self):
+        stack = SpecStack(4, np.zeros((1, 0), dtype=int), np.zeros((1, 0), dtype=int))
+        with pytest.raises(DomainError):
+            ff_pfaffian(stack, C4)
 
 
 class TestAbsFf2Table:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingff.exceptions import DomainError, SingularMatrixError
-from isingff.linalg import det_and_inverse, pfaffian
+from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
 
 
 def random_skew(n, rng, complex_entries=True):
@@ -60,6 +60,86 @@ class TestPfaffian:
         assert pfaffian(m) == 0.0
 
 
+def scalar_pfaffian(m):
+    """The one-matrix Parlett-Reid pfaffian that the stacked one replaced,
+    kept as the reference for bit-identical results."""
+    a = np.asarray(m).astype(complex)
+    n = a.shape[0]
+    if n == 0:
+        return 1.0 + 0.0j
+    if n % 2 == 1:
+        return 0.0 + 0.0j
+    pf = 1.0 + 0.0j
+    for k in range(0, n - 1, 2):
+        kp = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if kp != k + 1:
+            a[[k + 1, kp], k:] = a[[kp, k + 1], k:]
+            a[k:, [k + 1, kp]] = a[k:, [kp, k + 1]]
+            pf = -pf
+        pivot = a[k + 1, k]
+        if abs(pivot) <= 1e-13 * max(1.0, float(np.max(np.abs(a[k:, k:])))):
+            return 0.0 + 0.0j
+        pf *= a[k, k + 1]
+        if k + 2 < n:
+            tau = a[k, k + 2:] / a[k, k + 1]
+            a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1])
+            a[k + 2:, k + 2:] -= np.outer(a[k + 2:, k + 1], tau)
+    return complex(pf)
+
+
+def pivoting_skew_stack(size, n, rng):
+    """Random complex skew matrices whose first subdiagonal is small, so that
+    every elimination step swaps rows."""
+    a = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+    i = np.arange(n - 1)
+    a[:, i + 1, i] *= 1e-3
+    return a - np.swapaxes(a, 1, 2)
+
+
+class TestStackedPfaffian:
+    @pytest.mark.parametrize("n", range(13))
+    def test_stack_equals_each_matrix_and_the_scalar_algorithm(self, n):
+        rng = np.random.default_rng(100 + n)
+        stack = np.concatenate([pivoting_skew_stack(20, n, rng),
+                                random_skew(n, rng)[None]])
+        pfs = pfaffian(stack)
+        assert pfs.shape == (21,)
+        for m, pf in zip(stack, pfs):
+            one = pfaffian(m)
+            assert isinstance(one, complex)
+            assert one == pf == scalar_pfaffian(m)
+            assert pfaffian(m[None])[0] == one
+
+    @pytest.mark.parametrize("n", [2, 6, 12])
+    def test_square_is_determinant(self, n):
+        stack = pivoting_skew_stack(8, n, np.random.default_rng(n))
+        for m, pf in zip(stack, pfaffian(stack)):
+            det, _ = det_and_inverse(m)
+            assert abs(pf ** 2 / det - 1.0) < 1e-9
+
+    def test_pivot_floor_zeroes_only_its_matrix(self):
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        w = np.array([0.0, 1.0, -1.0, 2.0])
+        singular = np.outer(v, w) - np.outer(w, v)
+        rng = np.random.default_rng(7)
+        stack = np.stack([random_skew(4, rng), singular, random_skew(4, rng)])
+        pfs = pfaffian(stack)
+        assert pfs[1] == 0.0
+        assert pfs[0] == scalar_pfaffian(stack[0]) != 0.0
+        assert pfs[2] == scalar_pfaffian(stack[2]) != 0.0
+
+    def test_one_non_antisymmetric_matrix_rejects_the_stack(self):
+        stack = pivoting_skew_stack(5, 4, np.random.default_rng(3))
+        stack[3, 0, 1] += 1e-6
+        with pytest.raises(DomainError):
+            pfaffian(stack)
+        with pytest.raises(DomainError):
+            pfaffian(np.zeros((2, 3, 4)))
+
+    def test_empty_stack(self):
+        assert pfaffian(np.zeros((0, 4, 4))).shape == (0,)
+
+
 class TestDetAndInverse:
     def test_identity(self):
         det, inv = det_and_inverse(np.eye(3))
@@ -85,3 +165,20 @@ class TestDetAndInverse:
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
             det_and_inverse(np.ones((2, 3)))
+
+    def test_log_det_matches_det_where_both_exist(self):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        det, inv = det_and_inverse(m)
+        log_det, log_inv = log_det_and_inverse(m)
+        assert abs(np.exp(log_det) / det - 1.0) < 1e-12
+        np.testing.assert_array_equal(inv, log_inv)
+
+    def test_log_det_stays_finite_past_overflow(self):
+        m = np.diag(np.full(400, 1e3)) * np.exp(0.25j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det, _ = det_and_inverse(m)
+        log_det, _ = log_det_and_inverse(m)
+        assert not np.isfinite(det)
+        assert abs(log_det.real - 400 * np.log(1e3)) < 1e-9
+        assert abs(np.exp(1j * log_det.imag) - np.exp(100j)) < 1e-9
