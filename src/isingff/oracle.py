@@ -1,15 +1,15 @@
 """Brute-force transfer-matrix oracle on the full 2^N spin space.
 
-Builds the symmetrized transfer matrix, the spin operators, the global flip,
-and the translation operator as dense matrices, and labels every eigenstate
-of V with a Fock momentum set.  T and U generate an abelian group, so V is
-diagonalized in one small block per (momentum, charge) character, spanned by
-symmetrized orbit representatives; each block's eigenvalues are grouped by a
-tolerance relative to the eigenvalue and matched in energy order against the
-predicted labels with the same (momentum, charge) key.  Everything here is
-independent of the closed-form modules except for the shared dispersion
-gamma_theta, so it serves as ground truth for matrix elements and
-correlations at small N.
+Holds the spin operators and V_y^{1/2} as diagonals, the translation T and
+the global flip U as index maps, and V as one entry formula, and labels
+every eigenstate of V with a Fock momentum set.  T and U generate an abelian
+group, so V is diagonalized in one small block per (momentum, charge)
+character, read off V at the orbit representatives; each block's
+eigenvalues are grouped by a tolerance relative to the eigenvalue and
+matched in energy order against the predicted labels with the same
+(momentum, charge) key.  Everything here is independent of the closed-form
+modules except for the shared dispersion gamma_theta, so it serves as
+ground truth for matrix elements and correlations at small N.
 
 Momentum-reversal doublets: states whose momentum sets S and -S share the
 same energy, translation eigenvalue, and charge (possible for N >= 4, at any
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
@@ -42,28 +43,44 @@ _GROUP_TOL = 1e-9
 
 @dataclass
 class SpinOperatorSet:
-    """Dense operators of the finite chain for one choice of eps_y."""
+    """The chain for one eps_y: diagonals, index maps and V's entry formula;
+    the dense :attr:`v` is formed on first read."""
 
     couplings: Couplings
     eps_y: int
-    v: np.ndarray
+    vy_half: np.ndarray           # diagonal of V_y^{1/2}
     sl: list[np.ndarray]          # diagonal of each spin operator
-    u: np.ndarray
-    t: np.ndarray
     shift: np.ndarray             # (T x)[i] = x[shift[i]]
     flip: np.ndarray              # (U x)[i] = x[flip[i]]
 
     @property
     def dim(self) -> int:
-        return self.v.shape[0]
+        return len(self.flip)
+
+    def v_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """V[rows, cols] over broadcast basis-index arrays.  V_x is the product
+        over sites of ch + sh sigma^x_j (Kaufman 1949), so its entry between
+        basis states that differ on d spins is ch^(N-d) sh^d."""
+        c, d = self.couplings, np.arange(self.couplings.n + 1)
+        table = (2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0) \
+            * math.cosh(c.kx_star) ** (c.n - d) * math.sinh(c.kx_star) ** d
+        bits = np.count_nonzero(np.array(self.sl) < 0.0, axis=0)   # down spins
+        return self.vy_half[rows] * table[bits[rows ^ cols]] * self.vy_half[cols]
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        idx = np.arange(self.dim)
+        return self.v_entries(idx[:, None], idx[None, :])
 
     def commutator_residuals(self) -> dict[str, float]:
-        scale = float(np.max(np.abs(self.v)))
+        v = self.v
+        scale = float(np.max(np.abs(v)))
+        back = np.argsort(self.shift)       # V T = v[:, back], T V = v[shift, :]
         return {
-            "V_U": float(np.max(np.abs(self.v @ self.u - self.u @ self.v))) / scale,
-            "V_T": float(np.max(np.abs(self.v @ self.t - self.t @ self.v))) / scale,
-            "T_U": float(np.max(np.abs(self.t @ self.u - self.u @ self.t))),
-            "V_symmetry": float(np.max(np.abs(self.v - self.v.T))) / scale,
+            "V_U": float(np.max(np.abs(v[:, self.flip] - v[self.flip, :]))) / scale,
+            "V_T": float(np.max(np.abs(v[:, back] - v[self.shift, :]))) / scale,
+            "T_U": float(np.any(self.shift[self.flip] != self.flip[self.shift])),
+            "V_symmetry": float(np.max(np.abs(v - v.T))) / scale,
         }
 
 
@@ -88,7 +105,7 @@ def _spin_table(n: int) -> np.ndarray:
 
 
 def build_operators(c: Couplings, eps_y: int = 1) -> SpinOperatorSet:
-    """Dense V, spin, flip, and translation operators for width-N chains.
+    """V, spin, flip, and translation operators for width-N chains.
 
     V = (2 sinh 2kx)^{N/2} V_y^{1/2} V_x V_y^{1/2} with V_y diagonal in the
     spin basis (so its square root is an entrywise exponential of half the
@@ -107,30 +124,12 @@ def build_operators(c: Couplings, eps_y: int = 1) -> SpinOperatorSet:
                for j in range(n))
     vy_half = np.exp(0.5 * c.ky * bond)
 
-    ch, sh = math.cosh(c.kx_star), math.sinh(c.kx_star)
-    vx = np.eye(dim)
     idx = np.arange(dim)
-    for j in range(n):
-        flipped = idx ^ (1 << (n - 1 - j))
-        vx = ch * vx + sh * vx[flipped, :]
-    v = (2.0 * math.sinh(2.0 * c.kx)) ** (n / 2.0) \
-        * (vy_half[:, None] * vx * vy_half[None, :])
-
-    sl = [spins[:, j].copy() for j in range(n)]
-
     flip = idx ^ (dim - 1)
-    u = np.zeros((dim, dim))
-    u[idx, flip] = 1.0
-
-    msb = (idx >> (n - 1)) & 1
-    if eps_y == -1:
-        msb = msb ^ 1
+    msb = ((idx >> (n - 1)) & 1) ^ (eps_y == -1)
     shift = ((idx << 1) & (dim - 1)) | msb
-    t = np.zeros((dim, dim))
-    t[idx, shift] = 1.0
-
-    return SpinOperatorSet(couplings=c, eps_y=eps_y, v=v, sl=sl, u=u, t=t,
-                           shift=shift, flip=flip)
+    return SpinOperatorSet(couplings=c, eps_y=eps_y, vy_half=vy_half,
+                           sl=list(spins.T.copy()), shift=shift, flip=flip)
 
 
 def predicted_fock_labels(c: Couplings, eps_y: int):
@@ -205,7 +204,7 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
     reps, orbit = np.unique(rep_of, return_inverse=True)
     stab = act[:, reps] == reps           # (|G|, R): g fixes representative r
     stab_size = stab.sum(axis=0)
-    v_reps = ops.v[reps[None, :, None], act[:, reps][:, None, :]]   # V[r, g s]
+    v_reps = ops.v_entries(reps[None, :, None], act[:, reps][:, None, :])   # V[r, g s]
     norm = np.sqrt(np.outer(stab_size, stab_size))
     amp_size = np.sqrt(stab_size[orbit] / len(act))
     j = np.arange(n)

@@ -16,17 +16,23 @@ import numpy as np
 
 from . import cauchy as cf
 from .elliptic import jacobi_sn_cn_dn, theta
-from .exceptions import DomainError
+from .exceptions import DomainError, ResourceError
 from .formfactors import (_FULL_ENUMERATION_MAX_N, FockState, FormFactorSpec,
                           SpecStack, abs_ff2_table, assemble_r_elliptic,
                           assemble_r_matrix, ff_closed, ff_pfaffian, fock_basis,
                           induced_rotation, two_particle_matrices,
                           vacuum_overlap, xi_t)
 from .linalg import det_and_inverse, log_det_and_inverse, pfaffian
-from .spectral import Couplings, b_elliptic, b_of_theta, gamma_of_theta, u_of_theta
+from .spectral import (Couplings, b_elliptic, b_of_theta, gamma_of_theta, log_sinh,
+                       u_of_theta)
 
 SUITES = ("elliptic", "cauchy", "rotation", "formfactor")
 _STACK_ROWS = 512  # specs per stack of the form-factor suite, which bounds its memory
+# specs of the form-factor suite: each costs about 10 us through both routes
+# and the assembly check (N=32 has 637,393 and takes 6 s at (0.4, 0.7)), so
+# this is about 10 s; past it the cutoff-4 Fock bases also run to GBs (1.6
+# million states at N=80, where a run was killed by the memory limit)
+_MAX_SUITE_SPECS = 1_000_000
 
 
 def _rel(a, b) -> float:
@@ -286,11 +292,12 @@ def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
     route3 = fac * cf.phi_inverse_psi_closed(c) * lam_a.conj()[None, :] / lam_a[:, None]
     out["dinvc_elliptic_route"] = _mat_rel(route3, dinvc)
 
-    det_phi, _ = det_and_inverse(cf.phi_matrix(c))
-    xxx4 = (c.sinh2ky ** c.n * abs(det_phi)
-            / (c.n ** c.n * math.sqrt(np.prod(np.sinh(p.gamma))
-                                      * np.prod(np.sinh(a.gamma)))))
-    out["abs_det_d_elliptic_route"] = _rel(xxx4, abs(det_d))
+    # compared as logs: (sinh 2ky / N)^N |det Phi| leaves the double range
+    # at large N, while |det D| itself stays near the squared vacuum overlap
+    log_det_phi, _ = log_det_and_inverse(cf.phi_matrix(c))
+    log_abs_det_d = (c.n * math.log(c.sinh2ky / c.n) + log_det_phi.real
+                     - 0.5 * (log_sinh(p.gamma).sum() + log_sinh(a.gamma).sum()))
+    out["abs_det_d_elliptic_route"] = _log_rel(log_abs_det_d, math.log(abs(det_d)))
     out["vacuum_overlap_vs_det"] = _rel(vacuum_overlap(c), abs(det_d) ** 0.5)
     out["vacuum_overlap_vs_xi"] = _rel(vacuum_overlap(c),
                                        math.sqrt(c.xi * xi_t(c)))
@@ -312,6 +319,18 @@ def _spec_groups(c: Couplings, site: int, max_mn: int):
                     pairs = np.arange(start, min(start + _STACK_ROWS, total))
                     rows, cols = np.divmod(pairs, len(ket))
                     yield SpecStack(site, bra[rows], ket[cols])
+
+
+def _check_spec_count(c: Couplings, max_mn: int) -> None:
+    """Raise ResourceError if :func:`_spec_groups` would yield more than
+    ``_MAX_SUITE_SPECS`` specs, counted from binomials."""
+    count = sum(math.comb(c.n, m) * math.comb(c.n, k) for parity in (0, 1)
+                for m in range(parity, min(c.n, max_mn) + 1, 2)
+                for k in range(parity, min(c.n, max_mn - m) + 1, 2))
+    if count > _MAX_SUITE_SPECS:
+        raise ResourceError(
+            f"the form-factor suite would check {count:,} specs at N={c.n}, "
+            f"more than {_MAX_SUITE_SPECS:,}")
 
 
 def completeness_sum_rule(c: Couplings) -> float:
@@ -338,6 +357,7 @@ def formfactor_suite(c: Couplings, site: int | None = None,
     The specs run through the routes as stacks of one (m, n) group (and, for
     the translation phases, of one site), a few array calls per stack.
     """
+    _check_spec_count(c, max_mn)
     site = c.n // 2 if site is None else site
     routes, assembly = [], []
     for stack in _spec_groups(c, site, max_mn):
@@ -385,6 +405,7 @@ def run_suite(name: str, c: Couplings, site: int = 0,
     if name == "formfactor":
         return formfactor_suite(c, site=site if site else None)
     if name == "all":
+        _check_spec_count(c, 4)      # before the other suites run
         merged = {}
         for suite in SUITES:
             res = run_suite(suite, c, site=site, seed=seed)

@@ -199,3 +199,28 @@ def test_verify_cauchy_at_large_n_exits_cleanly(capsys, n):
     if code == 0:
         for name, value in _strict_json(captured.out)["results"]["residuals"].items():
             assert isinstance(value, float) and value <= 1e-10, name
+
+
+@pytest.mark.parametrize("n", [128, 144])
+def test_verify_rotation_at_large_n(capsys, n):
+    # (sinh 2ky / N)^N |det Phi| is out of the double range here; the
+    # determinant route is compared as a difference of logs
+    code, out = run(capsys, "verify", "rotation", "--kx", "0.3", "--ky", "0.9",
+                    "--n", str(n), "--site", "3")
+    assert code == 0
+    for name, value in _strict_json(out)["results"]["residuals"].items():
+        assert isinstance(value, float) and value <= 1e-10, name
+
+
+@pytest.mark.parametrize("suite", ["all", "formfactor"])
+def test_verify_refuses_oversized_formfactor_suite(capsys, monkeypatch, suite):
+    from isingff import verification
+
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran before the size check")
+    for other in ("elliptic_suite", "cauchy_suite", "rotation_suite"):
+        monkeypatch.setattr(verification, other, never)
+    code = main(["verify", suite, "--kx", "0.3", "--ky", "0.9", "--n", "80"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "specs" in captured.err

@@ -17,10 +17,40 @@ OPS4 = build_operators(C4, eps_y=1)
 SPECT4 = labeled_spectrum(OPS4, C4)
 
 
+def _kron_v(c: Couplings, eps_y: int) -> np.ndarray:
+    """V from N Kronecker factors of V_x and a V_y diagonal of Kronecker
+    sigma^z products, site 0 the leftmost factor."""
+    ch, sh = math.cosh(c.kx_star), math.sinh(c.kx_star)
+    vx = np.ones((1, 1))
+    sz = []
+    for j in range(c.n):
+        vx = np.kron(vx, np.array([[ch, sh], [sh, ch]]))
+        sz.append(np.kron(np.kron(np.ones(2 ** j), [1.0, -1.0]), np.ones(2 ** (c.n - 1 - j))))
+    bond = sum(sz[j] * sz[(j + 1) % c.n] for j in range(c.n - 1)) + eps_y * sz[-1] * sz[0]
+    vy_half = np.exp(0.5 * c.ky * bond)
+    return (2 * math.sinh(2 * c.kx)) ** (c.n / 2) * vy_half[:, None] * vx * vy_half[None, :]
+
+
 class TestOperators:
-    def test_commutators_and_symmetry(self):
-        res = OPS4.commutator_residuals()
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_commutators_and_symmetry(self, n, eps_y):
+        ops = build_operators(Couplings.from_kx_ky(0.4, 0.7, n), eps_y=eps_y)
+        res = ops.commutator_residuals()
         assert max(res.values()) < 1e-12, res
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_v_matches_kronecker_product(self, n, eps_y):
+        c = Couplings.from_kx_ky(0.4, 0.7, n)
+        np.testing.assert_allclose(build_operators(c, eps_y=eps_y).v, _kron_v(c, eps_y),
+                                   rtol=1e-14, atol=0)
+
+    def test_v_entries_match_dense_v(self):
+        ops = build_operators(Couplings.from_kx_ky(0.3, 0.9, 7), eps_y=-1)
+        rng = np.random.default_rng(7)
+        rows, cols = rng.integers(0, ops.dim, (2, 500))
+        assert np.array_equal(ops.v_entries(rows, cols), ops.v[rows, cols])
 
     def test_positive_spectrum(self):
         w = np.linalg.eigvalsh(OPS4.v)
@@ -41,8 +71,7 @@ class TestOperators:
             build_operators(Couplings.from_kx_ky(0.4, 0.7, 13))
 
     def test_spin_flip_anticommutes_with_spin(self):
-        s0 = np.diag(OPS4.sl[0])
-        assert np.max(np.abs(s0 @ OPS4.u + OPS4.u @ s0)) == 0.0
+        assert np.all(OPS4.sl[0][OPS4.flip] == -OPS4.sl[0])
 
 
 class TestLabeledSpectrum:
@@ -134,8 +163,8 @@ class TestLabeledSpectrum:
         lam_max = np.max(lam)
         assert np.max(np.linalg.norm(q @ ops.v.T - lam[:, None] * q, axis=1)) \
             <= 1e-12 * lam_max
-        assert np.max(np.linalg.norm(q @ ops.t.T - t_val[:, None] * q, axis=1)) <= 1e-12
-        assert np.max(np.linalg.norm(q @ ops.u.T - charge[:, None] * q, axis=1)) <= 1e-12
+        assert np.max(np.linalg.norm(q[:, ops.shift] - t_val[:, None] * q, axis=1)) <= 1e-12
+        assert np.max(np.linalg.norm(q[:, ops.flip] - charge[:, None] * q, axis=1)) <= 1e-12
         assert np.max(np.abs(q.conj() @ q.T - np.eye(len(spect)))) <= 1e-12
         predicted = {(lab[0], lab[1]): lab[2:] for lab in predicted_fock_labels(c, eps_y)}
         for st in spect:
