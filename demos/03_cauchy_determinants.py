@@ -1,7 +1,7 @@
 """Elliptic Cauchy matrices: closed determinants, inverses, and interpolation.
 
-The workhorse identities: the Frobenius determinant formula, its cofactor
-inverse, the balanced theta-interpolation sum, and the sn-product pfaffian.
+The workhorse identities: the Frobenius determinant formula (taken as a
+log, so it cannot overflow), its cofactor inverse, the balanced theta-interpolation sum, and the sn-product pfaffian.
 Each is compared against plain dense linear algebra.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from isingff import Couplings, det_and_inverse, pfaffian
 from isingff.cauchy import (EllipticPointConfig, elliptic_cauchy_matrix,
-                            frobenius_det, frobenius_inverse, phi_inverse_closed,
+                            frobenius_inverse, frobenius_log_det, phi_inverse_closed,
                             phi_matrix, psi_matrix, psi_phi_inverse_closed,
                             sn_pfaffian_product, theta_interpolation_sum)
 from isingff.elliptic import jacobi_sn_cn_dn
@@ -27,7 +27,7 @@ ys = tuple(rng.uniform(-1, 1, size) + 1j * rng.uniform(-0.1, 0.1, size))
 cfg = EllipticPointConfig(xs, ys, mod.q, 0.8 + 0.05j)
 mat = elliptic_cauchy_matrix(cfg)
 det, inv = det_and_inverse(mat)
-print("Frobenius determinant vs dense LU :", abs(frobenius_det(cfg) / det - 1))
+print("Frobenius determinant vs dense LU :", abs(np.exp(frobenius_log_det(cfg)) / det - 1))
 print("closed inverse residual           :",
       np.max(np.abs(frobenius_inverse(cfg) @ mat - np.eye(size))))
 
@@ -49,7 +49,8 @@ for i in range(6):
 print("sn pfaffian vs factorized product :",
       abs(pfaffian(sn_mat) / sn_pfaffian_product(pts, mod) - 1))
 
-# The sector-coupling matrix Phi is of this type: inverse in closed form.
+# The sector-coupling matrix Phi is of this type, up to diagonal phases and
+# the theta-constant ratio kappa: inverse in closed form.
 phi = phi_matrix(c)
 psi = psi_matrix(c)
 print("\nsector matrix Phi (periodic rows, antiperiodic columns):")

@@ -9,21 +9,25 @@ specialization to the two sector-coupling matrices
     Psi[theta, theta'] = cn(u_theta - u_theta'),
 
 with rows on the periodic momentum set and columns on the antiperiodic one.
-Their inverse and the products Psi*Phi^-1, Phi^-1*Psi are evaluated in closed
-form.  The default code paths use the reduced sn-forms; the raw theta-product
-forms are kept behind a ``theta_route`` flag purely for cross-checks.
+Phi is an elliptic Cauchy matrix: with x, y the points of :func:`ising_xy`,
+alpha = pi/2 - pi*tau/2 and kappa = theta_2(0) theta_4(0) / theta_3(0),
+Phi = kappa diag(e^{-ix}) C(x, y; alpha) diag(e^{iy}), because
+theta_3(z) = e^{-iz - pi|tau|/4} theta_1(z + alpha) and
+theta_1(alpha) = e^{pi|tau|/4} theta_3(0).  Its inverse and log det are the
+Frobenius formulas; Psi*Phi^-1 and Phi^-1*Psi are in closed form too.  The
+default code paths use the reduced sn-forms; the raw theta-product forms are
+kept behind a ``theta_route`` flag purely for cross-checks.
 
 Every closed form is array algebra over the point grid: theta_1 and sn/cn/dn
 are evaluated once on the whole array of pairwise differences, products over
 j != i leave the diagonal out with a mask, and products over i < j take the
-upper triangle.  The theta-product determinant of Phi is a sum of complex
-logarithms, so its N^2 factors cannot overflow.
+upper triangle.  The Frobenius determinant is a sum of complex logarithms,
+so its N^2 factors cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +37,6 @@ from .exceptions import DomainError, SingularMatrixError
 from .spectral import Couplings, log_sinh
 
 _LATTICE_TOL = 1e-11
-# natural logs of the largest and the smallest normal double
-_LOG_MAX = math.log(sys.float_info.max)
-_LOG_MIN = math.log(sys.float_info.min)
 
 
 def _theta1_zero_distance(z, q: float):
@@ -86,17 +87,21 @@ def elliptic_cauchy_matrix(cfg: EllipticPointConfig) -> np.ndarray:
     return theta(1, diff + cfg.alpha_shift, cfg.q) / (theta(1, diff, cfg.q) * ta)
 
 
-def frobenius_det(cfg: EllipticPointConfig) -> complex:
-    """Closed-form determinant of the elliptic Cauchy matrix."""
+def frobenius_log_det(cfg: EllipticPointConfig) -> complex:
+    """log det of the elliptic Cauchy matrix, one sum of complex logs of the
+    Frobenius theta factors with the imaginary part modulo 2*pi; coincident
+    points give a real part of -inf."""
     xs, ys, q = np.array(cfg.xs), np.array(cfg.ys), cfg.q
     ta = theta(1, cfg.alpha_shift, q)
     if abs(ta) < _LATTICE_TOL:
         raise DomainError("theta_1(alpha) vanishes; determinant undefined")
     i, j = np.triu_indices(cfg.size, 1)
-    total = theta(1, xs.sum() - ys.sum() + cfg.alpha_shift, q) / ta
-    total *= np.prod(theta(1, xs[i] - xs[j], q) * theta(1, ys[j] - ys[i], q))
-    total /= np.prod(theta(1, np.subtract.outer(xs, ys), q))
-    return complex(total)
+    with np.errstate(divide="ignore"):
+        log_det = (np.log(theta(1, xs.sum() - ys.sum() + cfg.alpha_shift, q) / ta)
+                   + np.log(theta(1, xs[i] - xs[j], q)).sum()
+                   + np.log(theta(1, ys[j] - ys[i], q)).sum()
+                   - np.log(theta(1, np.subtract.outer(xs, ys), q)).sum())
+    return complex(log_det.real, math.remainder(log_det.imag, 2.0 * math.pi))
 
 
 def frobenius_inverse(cfg: EllipticPointConfig) -> np.ndarray:
@@ -171,6 +176,15 @@ def ising_xy(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     return c.sector("p").u * scale, c.sector("a").u * scale
 
 
+def ising_cauchy_config(c: Couplings) -> tuple[EllipticPointConfig, complex]:
+    """Points x, y, alpha and the scalar kappa of Phi as an elliptic Cauchy
+    matrix (see the module docstring)."""
+    xs, ys = ising_xy(c)
+    t2, t3, t4 = c.modulus._theta_zeros
+    alpha = math.pi / 2.0 - math.pi * c.modulus.tau / 2.0
+    return EllipticPointConfig(tuple(xs), tuple(ys), c.modulus.q, alpha), t2 * t4 / t3
+
+
 def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
     """Residuals of the point-pairing constraints of the Ising configuration.
 
@@ -210,13 +224,11 @@ def psi_matrix(c: Couplings) -> np.ndarray:
 
 
 def fg_factors(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point theta-product factors entering the closed-form inverse of Phi."""
-    xs, ys = ising_xy(c)
-    q = c.modulus.q
-    t2, t3, t4 = c.modulus._theta_zeros
-    pref = 1j * t3 / (t2 * t4)
-    return (pref * _interpolation_terms(xs, ys, q),
-            pref * _interpolation_terms(ys, xs, q))
+    """Per-point theta-product factors of the theta-route closed forms."""
+    cfg, kappa = ising_cauchy_config(c)
+    pref = 1j / kappa
+    return (pref * _interpolation_terms(cfg.xs, cfg.ys, cfg.q),
+            pref * _interpolation_terms(cfg.ys, cfg.xs, cfg.q))
 
 
 def h_function(z, c: Couplings):
@@ -231,15 +243,11 @@ def h_function(z, c: Couplings):
 
 
 def phi_inverse_closed(c: Couplings) -> np.ndarray:
-    """Phi^-1 with rows on antiperiodic momenta and columns on periodic ones.
-
-    Entries f_n * g_m / sn(u_n - v_m) with the theta-product factors of
-    :func:`fg_factors`.
-    """
-    f, g = fg_factors(c)
-    # sn(u_n - v_m), index [n, m]
-    sn = _sn_cn_dn_of_differences(c, "p", "a")[0].real
-    return (f[None, :] * g[:, None]) / sn.T
+    """Phi^-1 with rows on antiperiodic momenta and columns on periodic ones:
+    diag(e^{-iy}) C^-1 diag(e^{ix}) / kappa, C^-1 the Frobenius inverse."""
+    cfg, kappa = ising_cauchy_config(c)
+    return (np.exp(-1j * np.array(cfg.ys))[:, None] * frobenius_inverse(cfg)
+            * np.exp(1j * np.array(cfg.xs))[None, :] / kappa)
 
 
 def phi_inverse_trig(c: Couplings) -> np.ndarray:
@@ -341,44 +349,12 @@ def phi_inverse_psi_closed(c: Couplings, theta_route: bool = False) -> np.ndarra
     return out
 
 
-def _exp_representable(log_val: complex, what: str):
-    """exp(log_val), or DomainError where double precision cannot hold it."""
-    if not _LOG_MIN < log_val.real < _LOG_MAX:
-        raise DomainError(f"{what} = exp({log_val.real:.1f}) is outside the "
-                          f"range of double precision")
-    return np.exp(log_val)
-
-
 def log_det_phi_theta(c: Couplings) -> complex:
-    """log det(Phi) from the theta-function closed form, imaginary part modulo 2*pi.
-
-    The N^2 theta factors enter as a sum of complex logarithms, so nothing
-    overflows at large N.
-    """
-    xs, ys = ising_xy(c)
-    q = c.modulus.q
-    n = c.n
-    t2, t3, t4 = c.modulus._theta_zeros
-    pitau = math.pi * c.modulus.tau
-    bal = xs.sum() - ys.sum()
-    i, j = np.triu_indices(n, 1)
-    return complex(n * (np.log(t2) + np.log(t4)) - (n + 1) * np.log(t3)
-                   - 1j * (bal - pitau / 4.0)
-                   + np.log(theta(1, bal + math.pi / 2.0 - pitau / 2.0, q))
-                   + np.log(theta(1, xs[i] - xs[j], q)).sum()
-                   + np.log(theta(1, ys[j] - ys[i], q)).sum()
-                   - np.log(theta(1, np.subtract.outer(xs, ys), q)).sum())
-
-
-def det_phi_theta(c: Couplings) -> complex:
-    """det(Phi) from the theta-function closed form.
-
-    Raises
-    ------
-    DomainError
-        If the determinant over- or underflows double precision.
-    """
-    return complex(_exp_representable(log_det_phi_theta(c), "det Phi"))
+    """log det(Phi) = N log kappa - i (sum(x) - sum(y)) + log det C(x, y; alpha),
+    the phase defined modulo 2*pi; nothing overflows at large N."""
+    cfg, kappa = ising_cauchy_config(c)
+    return complex(c.n * np.log(kappa) - 1j * (np.sum(cfg.xs) - np.sum(cfg.ys))
+                   + frobenius_log_det(cfg))
 
 
 def log_det_phi_squared_trig(c: Couplings) -> float:
@@ -390,14 +366,3 @@ def log_det_phi_squared_trig(c: Couplings) -> float:
                  - 2.0 * n * math.log(c.sinh2ky)
                  + 0.5 * (p.nu.sum() - a.nu.sum())
                  + log_sinh(p.gamma).sum() + log_sinh(a.gamma).sum())
-
-
-def det_phi_squared_trig(c: Couplings) -> float:
-    """(det Phi)^2 from the fully reduced trigonometric formula.
-
-    Raises
-    ------
-    DomainError
-        If the value over- or underflows double precision.
-    """
-    return float(_exp_representable(log_det_phi_squared_trig(c), "(det Phi)^2"))

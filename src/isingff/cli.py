@@ -30,8 +30,8 @@ from .exceptions import (AmbiguousLabelError, ConvergenceError, DomainError,
                          ResourceError, SingularMatrixError, VerificationError)
 from .formfactors import (FockState, FormFactorSpec, ff_closed, ff_pfaffian,
                           two_point_correlation, vacuum_overlap, xi_t)
-from .oracle import (block_labels, build_operators, find_state, labeled_spectrum,
-                     oracle_correlation, oracle_ff_modulus)
+from .oracle import (_TRACE_MAX_M, _TRACE_MAX_N, block_labels, build_operators, find_state,
+                     labeled_spectrum, oracle_correlation, oracle_ff_modulus)
 from .spectral import Couplings
 
 _ORACLE_MAX_N = 10
@@ -174,7 +174,7 @@ def _cmd_corr(args) -> int:
                                   eps_x=args.eps_x, eps_y=args.eps_y)
     results = {"correlation": value}
     ok = True
-    if c.n <= _ORACLE_MAX_N and args.m_height <= 64:
+    if c.n <= _TRACE_MAX_N and args.m_height <= _TRACE_MAX_M:
         ops = build_operators(c, eps_y=args.eps_y)
         oracle_val = oracle_correlation(ops, args.m_height, args.dx, args.dy,
                                         eps_x=args.eps_x)

@@ -35,6 +35,7 @@ from .formfactors import FormFactorSpec, fock_basis
 from .spectral import Couplings
 
 _MAX_DENSE_N = 12
+_TRACE_MAX_N, _TRACE_MAX_M = 10, 64  # widths and heights the dense trace ratio takes
 # eigenvalue grouping and label matching, relative to the eigenvalue: the
 # spectrum spans about ten decades at N=10, (0.3, 0.9), so a tolerance
 # relative to the top merges distinct states at the bottom
@@ -338,8 +339,9 @@ def oracle_correlation(ops: SpinOperatorSet, m_height: int, dx: int, dy: int,
     largest eigenvalue (the ratio is scale invariant).
     """
     c = ops.couplings
-    if c.n > 10 or m_height > 64:
-        raise ResourceError("dense trace ratio limited to N <= 10, M <= 64")
+    if c.n > _TRACE_MAX_N or m_height > _TRACE_MAX_M:
+        raise ResourceError(f"dense trace ratio limited to N <= {_TRACE_MAX_N}, "
+                            f"M <= {_TRACE_MAX_M}")
     if eps_x not in (1, -1):
         raise DomainError("eps_x must be +1 or -1")
     if not 0 <= dx <= m_height:

@@ -27,6 +27,10 @@ from .spectral import (Couplings, b_elliptic, b_of_theta, gamma_of_theta, log_si
                        u_of_theta)
 
 SUITES = ("elliptic", "cauchy", "rotation", "formfactor")
+_SEED = 2024            # pseudo-random points of the elliptic and Cauchy suites
+_ELLIPTIC_POINTS = 100  # random points per elliptic identity
+_CAUCHY_CONFIGS, _CAUCHY_MAX_SIZE = 50, 8  # random Cauchy matrices of 1 to 8 points
+_SUITE_MAX_MN = 4       # particles, bra plus ket, in the form-factor suite's specs
 _STACK_ROWS = 512  # specs per stack of the form-factor suite, which bounds its memory
 # specs of the form-factor suite: each costs about 10 us through both routes
 # and the assembly check (N=32 has 637,393 and takes 6 s at (0.4, 0.7)), so
@@ -65,12 +69,13 @@ def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b).max(axis=axes) / scale))
 
 
-def elliptic_suite(c: Couplings, n_points: int = 100, seed: int = 2024) -> dict[str, float]:
+def elliptic_suite(c: Couplings) -> dict[str, float]:
     """Elliptic-function and parametrization identities along the curve.
 
     Each identity is checked on an array of pseudo-random points at once.
     """
-    rng = np.random.default_rng(seed)
+    n_points = _ELLIPTIC_POINTS
+    rng = np.random.default_rng(_SEED)
     mod = c.modulus
     k, kk = mod.k, mod.k**2
     bigk, bigkp = mod.bigK, mod.bigKprime
@@ -176,17 +181,16 @@ def elliptic_suite(c: Couplings, n_points: int = 100, seed: int = 2024) -> dict[
     return out
 
 
-def cauchy_suite(c: Couplings, n_configs: int = 50, seed: int = 2025,
-                 max_size: int = 8) -> dict[str, float]:
+def cauchy_suite(c: Couplings) -> dict[str, float]:
     """Frobenius determinant machinery and the Ising closed forms."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     mod = c.modulus
     q = mod.q
     out: dict[str, float] = {}
 
     r_det = r_inv = 0.0
-    for _ in range(n_configs):
-        size = int(rng.integers(1, max_size + 1))
+    for _ in range(_CAUCHY_CONFIGS):
+        size = int(rng.integers(1, _CAUCHY_MAX_SIZE + 1))
         xs = rng.uniform(-1.2, 1.2, size) + 1j * rng.uniform(-0.2, 0.2, size)
         ys = rng.uniform(-1.2, 1.2, size) + 1j * rng.uniform(-0.2, 0.2, size)
         alpha = complex(rng.uniform(0.3, 1.2), rng.uniform(-0.2, 0.2))
@@ -196,11 +200,10 @@ def cauchy_suite(c: Couplings, n_configs: int = 50, seed: int = 2025,
             continue
         try:
             cfg = cf.EllipticPointConfig(tuple(xs), tuple(ys), q, alpha)
-            mat = cf.elliptic_cauchy_matrix(cfg)
-            det, inv = det_and_inverse(mat)
+            log_det, inv = log_det_and_inverse(cf.elliptic_cauchy_matrix(cfg))
         except DomainError:
             continue
-        r_det = max(r_det, abs(cf.frobenius_det(cfg) / det - 1.0))
+        r_det = max(r_det, _log_rel(cf.frobenius_log_det(cfg), log_det))
         r_inv = max(r_inv, _mat_rel(cf.frobenius_inverse(cfg), inv))
     out["frobenius_det_vs_lu"] = r_det
     out["frobenius_inverse_vs_dense"] = r_inv
@@ -294,8 +297,7 @@ def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
 
     # compared as logs: (sinh 2ky / N)^N |det Phi| leaves the double range
     # at large N, while |det D| itself stays near the squared vacuum overlap
-    log_det_phi, _ = log_det_and_inverse(cf.phi_matrix(c))
-    log_abs_det_d = (c.n * math.log(c.sinh2ky / c.n) + log_det_phi.real
+    log_abs_det_d = (c.n * math.log(c.sinh2ky / c.n) + cf.log_det_phi_theta(c).real
                      - 0.5 * (log_sinh(p.gamma).sum() + log_sinh(a.gamma).sum()))
     out["abs_det_d_elliptic_route"] = _log_rel(log_abs_det_d, math.log(abs(det_d)))
     out["vacuum_overlap_vs_det"] = _rel(vacuum_overlap(c), abs(det_d) ** 0.5)
@@ -304,29 +306,32 @@ def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
     return out
 
 
+def _group_shapes(n: int, max_mn: int):
+    """(parity, m, k) of each bra/ket particle-number pair, m + k even and <= max_mn."""
+    for parity in (0, 1):
+        for m in range(parity, min(n, max_mn) + 1, 2):
+            for k in range(parity, min(n, max_mn - m) + 1, 2):
+                yield parity, m, k
+
+
 def _spec_groups(c: Couplings, site: int, max_mn: int):
     """Every (bra, ket) pair with m + n even and at most ``max_mn``, in
     :class:`SpecStack` groups of one (m, n) each: bras in basis order, each
     with every ket, cut into stacks of at most ``_STACK_ROWS`` specs."""
-    for parity in (0, 1):
-        bras = fock_basis(c, "a", parity, max_mn)
-        kets = fock_basis(c, "p", parity, max_mn)
-        for m in range(parity, min(c.n, max_mn) + 1, 2):
-            for n in range(parity, min(c.n, max_mn - m) + 1, 2):
-                bra, ket = bras.indices(m), kets.indices(n)
-                total = len(bra) * len(ket)
-                for start in range(0, total, _STACK_ROWS):
-                    pairs = np.arange(start, min(start + _STACK_ROWS, total))
-                    rows, cols = np.divmod(pairs, len(ket))
-                    yield SpecStack(site, bra[rows], ket[cols])
+    for parity, m, n in _group_shapes(c.n, max_mn):
+        bra = fock_basis(c, "a", parity, max_mn).indices(m)
+        ket = fock_basis(c, "p", parity, max_mn).indices(n)
+        total = len(bra) * len(ket)
+        for start in range(0, total, _STACK_ROWS):
+            pairs = np.arange(start, min(start + _STACK_ROWS, total))
+            rows, cols = np.divmod(pairs, len(ket))
+            yield SpecStack(site, bra[rows], ket[cols])
 
 
-def _check_spec_count(c: Couplings, max_mn: int) -> None:
-    """Raise ResourceError if :func:`_spec_groups` would yield more than
-    ``_MAX_SUITE_SPECS`` specs, counted from binomials."""
-    count = sum(math.comb(c.n, m) * math.comb(c.n, k) for parity in (0, 1)
-                for m in range(parity, min(c.n, max_mn) + 1, 2)
-                for k in range(parity, min(c.n, max_mn - m) + 1, 2))
+def _check_spec_count(c: Couplings) -> None:
+    """ResourceError if the form-factor suite would check over _MAX_SUITE_SPECS specs."""
+    count = sum(math.comb(c.n, m) * math.comb(c.n, k)
+                for _, m, k in _group_shapes(c.n, _SUITE_MAX_MN))
     if count > _MAX_SUITE_SPECS:
         raise ResourceError(
             f"the form-factor suite would check {count:,} specs at N={c.n}, "
@@ -349,18 +354,17 @@ def completeness_sum_rule(c: Couplings) -> float:
     return float(worst)
 
 
-def formfactor_suite(c: Couplings, site: int | None = None,
-                     max_mn: int = 4) -> dict[str, float]:
+def formfactor_suite(c: Couplings, site: int | None = None) -> dict[str, float]:
     """Multiparticle closed form against the pfaffian route and its assembly,
     and the completeness sum rule wherever the full Fock basis is enumerated.
 
     The specs run through the routes as stacks of one (m, n) group (and, for
     the translation phases, of one site), a few array calls per stack.
     """
-    _check_spec_count(c, max_mn)
+    _check_spec_count(c)
     site = c.n // 2 if site is None else site
     routes, assembly = [], []
-    for stack in _spec_groups(c, site, max_mn):
+    for stack in _spec_groups(c, site, _SUITE_MAX_MN):
         f_closed = ff_closed(stack, c)
         routes.append(np.abs(f_closed - ff_pfaffian(stack, c))
                       / np.maximum(np.abs(f_closed), 1e-30))
@@ -393,22 +397,21 @@ def formfactor_suite(c: Couplings, site: int | None = None,
     return out
 
 
-def run_suite(name: str, c: Couplings, site: int = 0,
-              seed: int = 2024) -> dict[str, float]:
+def run_suite(name: str, c: Couplings, site: int = 0) -> dict[str, float]:
     """One named identity suite; ``all`` merges every suite."""
     if name == "elliptic":
-        return elliptic_suite(c, seed=seed)
+        return elliptic_suite(c)
     if name == "cauchy":
-        return cauchy_suite(c, seed=seed)
+        return cauchy_suite(c)
     if name == "rotation":
         return rotation_suite(c, site=site)
     if name == "formfactor":
         return formfactor_suite(c, site=site if site else None)
     if name == "all":
-        _check_spec_count(c, 4)      # before the other suites run
+        _check_spec_count(c)      # before the other suites run
         merged = {}
         for suite in SUITES:
-            res = run_suite(suite, c, site=site, seed=seed)
+            res = run_suite(suite, c, site=site)
             merged.update({f"{suite}.{k}": v for k, v in res.items()})
         return merged
     raise DomainError(f"unknown suite {name!r}; pick from {SUITES + ('all',)}")
