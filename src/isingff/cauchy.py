@@ -23,12 +23,21 @@ are evaluated once on the whole array of pairwise differences, products over
 j != i leave the diagonal out with a mask, and products over i < j take the
 upper triangle.  The Frobenius determinant is a sum of complex logarithms,
 so its N^2 factors cannot overflow.
+
+An :class:`EllipticPointConfig` holds one matrix, (n,) points and one shift,
+or a stack of S matrices of one size, (S, n) points and (S,) shifts.  The
+Frobenius functions evaluate a stack at once and give one result per row:
+(S, n, n) matrices, (S,) log determinants, (S, n) interpolation terms.  A
+single matrix is the stack of one and gives a matrix and a complex.  The
+sn/cn/dn grids of the Ising momenta are built once per (coupling, rows,
+cols) and shared, read-only, by every closed form of that coupling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,87 +57,143 @@ def _theta1_zero_distance(z, q: float):
 
 
 def _prod_off_diagonal(grid: np.ndarray) -> np.ndarray:
-    """Product along each row of a square grid, leaving out its diagonal entry."""
-    return np.prod(grid, axis=1, where=~np.eye(len(grid), dtype=bool))
+    """Product along the last axis of (a stack of) square grids, leaving out
+    the diagonal entry."""
+    return np.prod(grid, axis=-1, where=~np.eye(grid.shape[-1], dtype=bool))
 
 
-@dataclass(frozen=True)
+def _differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """x_i - y_j at [..., i, j] for points along the last axis."""
+    return xs[..., :, None] - ys[..., None, :]
+
+
+def _on_zero_lattice(xs, ys, q: float) -> np.ndarray:
+    """Per row of (S, n) points (or for one (n,) row), whether some x_i - y_j
+    lies on the zero lattice of theta_1, where Cauchy entries are undefined."""
+    diff = _differences(np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex))
+    return np.any(_theta1_zero_distance(diff, q) < _LATTICE_TOL, axis=(-2, -1))
+
+
+@dataclass(frozen=True, eq=False)
 class EllipticPointConfig:
-    """Point data (x_i, y_i, alpha) of an elliptic Cauchy matrix of nome q."""
+    """Point data (x_i, y_i, alpha) of elliptic Cauchy matrices of nome q.
 
-    xs: tuple
-    ys: tuple
+    One matrix has (n,) points ``xs`` and ``ys`` and one complex
+    ``alpha_shift``; a stack of S matrices of one size has (S, n) points and
+    (S,) shifts (a single shift is shared by every row).  The point arrays
+    are complex and read-only.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
     q: float
-    alpha_shift: complex
+    alpha_shift: complex | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(complex(x) for x in self.xs))
-        object.__setattr__(self, "ys", tuple(complex(y) for y in self.ys))
-        if len(self.xs) != len(self.ys):
-            raise DomainError("xs and ys must have the same length")
-        diff = np.subtract.outer(np.array(self.xs, dtype=complex),
-                            np.array(self.ys, dtype=complex))
-        on_lattice = _theta1_zero_distance(diff, self.q) < _LATTICE_TOL
-        if np.any(on_lattice):
-            raise DomainError(f"x - y = {complex(diff[on_lattice][0])} is on the "
-                              f"zero lattice of theta_1")
+        xs = np.array(self.xs, dtype=complex)
+        ys = np.array(self.ys, dtype=complex)
+        if xs.shape != ys.shape or xs.ndim not in (1, 2):
+            raise DomainError(f"xs and ys must be (n,) or (S, n) arrays of one "
+                              f"shape, got {xs.shape} and {ys.shape}")
+        if xs.ndim == 1:
+            alpha = complex(self.alpha_shift)
+        else:
+            alpha = np.array(np.broadcast_to(self.alpha_shift, xs.shape[:1]), dtype=complex)
+            alpha.flags.writeable = False
+        for value in (xs, ys):
+            value.flags.writeable = False
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "alpha_shift", alpha)
+        bad = _on_zero_lattice(xs, ys, self.q)
+        if np.any(bad):
+            raise DomainError(f"some x - y is on the zero lattice of theta_1 "
+                              f"(rows {np.flatnonzero(bad).tolist()})")
 
     @property
     def size(self) -> int:
-        return len(self.xs)
+        return self.xs.shape[-1]
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, n) points x and y and (S,) shifts; one matrix gives S = 1."""
+        return (np.atleast_2d(self.xs), np.atleast_2d(self.ys),
+                np.reshape(self.alpha_shift, -1))
+
+    def unstack(self, values: np.ndarray):
+        """The per-row ``values`` of a stack, or the one value of a matrix."""
+        if self.xs.ndim == 2:
+            return values
+        return values[0] if values.ndim > 1 else complex(values[0])
+
+
+def _theta1_of_alpha(alpha: np.ndarray, q: float) -> np.ndarray:
+    """theta_1 of the (S,) shifts; DomainError if one vanishes."""
+    ta = theta(1, alpha, q)
+    if np.any(np.abs(ta) < _LATTICE_TOL):
+        raise DomainError("theta_1(alpha) vanishes; Cauchy matrix undefined")
+    return ta
 
 
 def elliptic_cauchy_matrix(cfg: EllipticPointConfig) -> np.ndarray:
     """Dense entries theta_1(x_i - y_j + alpha)/(theta_1(x_i - y_j) theta_1(alpha))."""
-    ta = theta(1, cfg.alpha_shift, cfg.q)
-    if abs(ta) < _LATTICE_TOL:
-        raise DomainError("theta_1(alpha) vanishes; Cauchy entries undefined")
-    diff = np.subtract.outer(cfg.xs, cfg.ys)
-    return theta(1, diff + cfg.alpha_shift, cfg.q) / (theta(1, diff, cfg.q) * ta)
+    xs, ys, alpha = cfg.rows()
+    ta = _theta1_of_alpha(alpha, cfg.q)
+    diff = _differences(xs, ys)
+    return cfg.unstack(theta(1, diff + alpha[:, None, None], cfg.q)
+                       / (theta(1, diff, cfg.q) * ta[:, None, None]))
 
 
-def frobenius_log_det(cfg: EllipticPointConfig) -> complex:
+def frobenius_log_det(cfg: EllipticPointConfig) -> complex | np.ndarray:
     """log det of the elliptic Cauchy matrix, one sum of complex logs of the
     Frobenius theta factors with the imaginary part modulo 2*pi; coincident
-    points give a real part of -inf."""
-    xs, ys, q = np.array(cfg.xs), np.array(cfg.ys), cfg.q
-    ta = theta(1, cfg.alpha_shift, q)
-    if abs(ta) < _LATTICE_TOL:
-        raise DomainError("theta_1(alpha) vanishes; determinant undefined")
+    points give a real part of -inf.  A stack gives (S,) values."""
+    xs, ys, alpha = cfg.rows()
+    q = cfg.q
+    ta = _theta1_of_alpha(alpha, q)
     i, j = np.triu_indices(cfg.size, 1)
+    # Python's complex division per row: numpy's multiplies by a reciprocal,
+    # which can move the last bit of log det Phi and so of the CLI residuals
+    t_bal = theta(1, xs.sum(axis=1) - ys.sum(axis=1) + alpha, q)
+    ratio = np.array([complex(t) / complex(a) for t, a in zip(t_bal, ta)])
     with np.errstate(divide="ignore"):
-        log_det = (np.log(theta(1, xs.sum() - ys.sum() + cfg.alpha_shift, q) / ta)
-                   + np.log(theta(1, xs[i] - xs[j], q)).sum()
-                   + np.log(theta(1, ys[j] - ys[i], q)).sum()
-                   - np.log(theta(1, np.subtract.outer(xs, ys), q)).sum())
-    return complex(log_det.real, math.remainder(log_det.imag, 2.0 * math.pi))
+        log_det = (np.log(ratio)
+                   + np.log(theta(1, xs[:, i] - xs[:, j], q)).sum(axis=1)
+                   + np.log(theta(1, ys[:, j] - ys[:, i], q)).sum(axis=1)
+                   - np.log(theta(1, _differences(xs, ys), q)).reshape(len(xs), -1)
+                   .sum(axis=1))
+    return cfg.unstack(np.array([complex(v.real, math.remainder(v.imag, 2.0 * math.pi))
+                                 for v in log_det]))
 
 
 def frobenius_inverse(cfg: EllipticPointConfig) -> np.ndarray:
     """Closed-form inverse from the Frobenius determinant and its cofactors.
 
-    Entry (m, n) pairs the n-th x point with the m-th y point.
+    Entry (m, n) pairs the n-th x point with the m-th y point.  A stack
+    gives (S, n, n) inverses.
 
     Raises
     ------
     SingularMatrixError
-        If theta_1 vanishes at the balancing sum sum(x) - sum(y) + alpha.
+        If theta_1 vanishes at a balancing sum sum(x) - sum(y) + alpha.
     """
-    xs, ys, q = np.array(cfg.xs), np.array(cfg.ys), cfg.q
-    bal = xs.sum() - ys.sum() + cfg.alpha_shift
+    xs, ys, alpha = cfg.rows()
+    q = cfg.q
+    bal = (xs.sum(axis=1) - ys.sum(axis=1) + alpha)[:, None, None]
     t_bal = theta(1, bal, q)
-    if _theta1_zero_distance(bal, q) < _LATTICE_TOL:
+    if np.any(_theta1_zero_distance(bal, q) < _LATTICE_TOL):
         raise SingularMatrixError("balancing sum on the zero lattice; matrix singular")
-    diff = np.subtract.outer(xs, ys).T  # x_n - y_m at [m, n]
-    return (-theta(1, bal - diff, q) / (t_bal * theta(1, diff, q))
-            * _interpolation_terms(ys, xs, q)[:, None]
-            * _interpolation_terms(xs, ys, q)[None, :])
+    diff = np.swapaxes(_differences(xs, ys), 1, 2)  # x_n - y_m at [m, n]
+    return cfg.unstack(-theta(1, bal - diff, q) / (t_bal * theta(1, diff, q))
+                       * _interpolation_terms(ys, xs, q)[:, :, None]
+                       * _interpolation_terms(xs, ys, q)[:, None, :])
 
 
 def _interpolation_terms(zs, zs_prime, q: float) -> np.ndarray:
-    """prod_j theta_1(z_i - z'_j) / prod_{j != i} theta_1(z_i - z_j) for each i."""
-    return (np.prod(theta(1, np.subtract.outer(zs, zs_prime), q), axis=1)
-            / _prod_off_diagonal(theta(1, np.subtract.outer(zs, zs), q)))
+    """prod_j theta_1(z_i - z'_j) / prod_{j != i} theta_1(z_i - z_j) for each i,
+    along the last axis of (n,) or (S, n) points."""
+    zs = np.asarray(zs, dtype=complex)
+    return (np.prod(theta(1, _differences(zs, np.asarray(zs_prime)), q), axis=-1)
+            / _prod_off_diagonal(theta(1, _differences(zs, zs), q)))
 
 
 def theta_interpolation_sum(zs, zs_prime, q: float) -> complex:
@@ -182,7 +247,7 @@ def ising_cauchy_config(c: Couplings) -> tuple[EllipticPointConfig, complex]:
     xs, ys = ising_xy(c)
     t2, t3, t4 = c.modulus._theta_zeros
     alpha = math.pi / 2.0 - math.pi * c.modulus.tau / 2.0
-    return EllipticPointConfig(tuple(xs), tuple(ys), c.modulus.q, alpha), t2 * t4 / t3
+    return EllipticPointConfig(xs, ys, c.modulus.q, alpha), t2 * t4 / t3
 
 
 def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
@@ -206,10 +271,19 @@ def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
     return res
 
 
+# three grids per coupling, N x N complex each: a few couplings' worth
+@lru_cache(maxsize=12)
 def _sn_cn_dn_of_differences(c: Couplings, rows: str, cols: str):
-    """sn, cn and dn of u_i - u_j, i over sector ``rows`` and j over ``cols``."""
-    return jacobi_sn_cn_dn(np.subtract.outer(c.sector(rows).u, c.sector(cols).u),
-                           c.modulus)
+    """sn, cn and dn of u_i - u_j, i over sector ``rows`` and j over ``cols``.
+
+    Built once per (coupling, rows, cols) and shared, so the arrays are
+    read-only.
+    """
+    grids = jacobi_sn_cn_dn(np.subtract.outer(c.sector(rows).u, c.sector(cols).u),
+                            c.modulus)
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
 
 
 def phi_matrix(c: Couplings) -> np.ndarray:
@@ -220,7 +294,7 @@ def phi_matrix(c: Couplings) -> np.ndarray:
 
 def psi_matrix(c: Couplings) -> np.ndarray:
     """Psi = cn of pairwise differences, same index layout as Phi."""
-    return _sn_cn_dn_of_differences(c, "p", "a")[1].real
+    return _sn_cn_dn_of_differences(c, "p", "a")[1].real.copy()
 
 
 def fg_factors(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +320,8 @@ def phi_inverse_closed(c: Couplings) -> np.ndarray:
     """Phi^-1 with rows on antiperiodic momenta and columns on periodic ones:
     diag(e^{-iy}) C^-1 diag(e^{ix}) / kappa, C^-1 the Frobenius inverse."""
     cfg, kappa = ising_cauchy_config(c)
-    return (np.exp(-1j * np.array(cfg.ys))[:, None] * frobenius_inverse(cfg)
-            * np.exp(1j * np.array(cfg.xs))[None, :] / kappa)
+    return (np.exp(-1j * cfg.ys)[:, None] * frobenius_inverse(cfg)
+            * np.exp(1j * cfg.xs)[None, :] / kappa)
 
 
 def phi_inverse_trig(c: Couplings) -> np.ndarray:

@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("suite", choices=verification.SUITES + ("all",))
     common(p)
-    p.add_argument("--site", type=int, default=0)
+    p.add_argument("--site", type=int, default=None,
+                   help="spin site (default: 0 for rotation, N/2 for formfactor)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

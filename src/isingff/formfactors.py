@@ -9,8 +9,9 @@ matrix assembled from those, or equivalently the fully factorized closed
 product over the participating momenta.
 
 The routes take one :class:`FormFactorSpec` or a :class:`SpecStack` of
-many specs with the same site and particle numbers, and evaluate a stack as
-array algebra; a single spec is the stack of one.
+many specs with the same particle numbers, at one site or at one site per
+spec, and evaluate a stack as array algebra; a single spec is the stack of
+one.
 
 Phase convention: the vacuum-to-vacuum matrix element is declared real
 positive.  Bra momenta are supplied in ascending order, ket momenta likewise;
@@ -89,14 +90,17 @@ class FormFactorSpec:
 
 
 class SpecStack(NamedTuple):
-    """S specs of one site and one (m, n): ``bra`` (S, m) antiperiodic and
-    ``ket`` (S, n) periodic momentum indices, each row strictly increasing.
+    """S specs of one (m, n): ``bra`` (S, m) antiperiodic and ``ket`` (S, n)
+    periodic momentum indices, each row strictly increasing, and ``site``
+    one int shared by every row or an (S,) int array of one site per row.
 
     Every form-factor route takes a stack and gives one value (or matrix) per
-    row; a :class:`FormFactorSpec` is the stack of one.
+    row; a :class:`FormFactorSpec` is the stack of one.  A row's value does
+    not depend on whether its site is shared: bit for bit in
+    :func:`ff_closed`, to rounding in the routes that multiply complex arrays.
     """
 
-    site: int
+    site: int | np.ndarray
     bra: np.ndarray
     ket: np.ndarray
 
@@ -114,9 +118,15 @@ def _as_stack(spec: FormFactorSpec | SpecStack, c: Couplings) -> SpecStack:
     if not all(np.all((x >= 0) & (x < c.n)) and np.all(np.diff(x, axis=1) > 0)
                for x in (bra, ket)):
         raise DomainError(f"momentum indices must increase strictly within [0, {c.n})")
-    if not 0 <= spec.site < c.n:
+    site = spec.site
+    if np.ndim(site) != 0:
+        site = np.asarray(site, dtype=int)
+        if site.shape != (len(bra),):
+            raise DomainError(f"a stack needs one site or {len(bra)} sites, "
+                              f"got shape {site.shape}")
+    if not np.all((site >= 0) & (site < c.n)):
         raise DomainError(f"site {spec.site} outside [0, {c.n})")
-    return SpecStack(spec.site, bra, ket)
+    return SpecStack(site, bra, ket)
 
 
 def _unstack(spec: FormFactorSpec | SpecStack, values: np.ndarray):
@@ -190,13 +200,21 @@ def _log_ratio2(ratio: np.ndarray) -> np.ndarray:
     return 2.0 * out
 
 
-def _two_particle_entries(c: Couplings, site: int, rows_a, cols_a, rows_p, cols_p):
+def _ell(site, ndim: int):
+    """ell = site - 1/2; (S,) sites become (S, 1, ...) of ``ndim`` axes, to
+    broadcast along the first axis of per-row arrays."""
+    ell = site - 0.5
+    return ell if np.ndim(ell) == 0 else ell.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _two_particle_entries(c: Couplings, site, rows_a, cols_a, rows_p, cols_p):
     """D^-1[rows_a, cols_p], (B*D^-1)[rows_p, cols_p] and (D^-1*C)[rows_a, cols_a]
     from the closed forms, the index arrays broadcast; entry by entry, so a
-    gathered entry equals that of the full matrices bit for bit."""
+    gathered entry equals that of the full matrices bit for bit.  (S,) sites
+    broadcast along the first axis of the index arrays."""
     tab = coupling_tables(c)
     a, p = tab.a, tab.p
-    ell = site - 0.5
+    ell = _ell(site, np.ndim(rows_a))
     dinv = (1j * np.exp(-1j * ell * (a.thetas[rows_a] - p.thetas[cols_p]))
             * a.amp[rows_a] * p.amp[cols_p] * tab.ap_ratio[rows_a, cols_p])
     bdinv = (-1j * np.exp(1j * ell * (p.thetas[rows_p] + p.thetas[cols_p]))
@@ -262,7 +280,7 @@ def assemble_r_elliptic(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.nd
     stack = _as_stack(spec, c)
     ia, ip = stack.bra, stack.ket
     rho = math.sqrt(c.sinh2ky / c.sinh2kx)
-    ell = stack.site - 0.5
+    ell = _ell(stack.site, 2)
     tab = coupling_tables(c)
     a, p = tab.a, tab.p
     omega = np.concatenate([

@@ -188,23 +188,26 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
     q = mod.q
     out: dict[str, float] = {}
 
-    r_det = r_inv = 0.0
+    by_size: dict[int, list] = {}
     for _ in range(_CAUCHY_CONFIGS):
         size = int(rng.integers(1, _CAUCHY_MAX_SIZE + 1))
         xs = rng.uniform(-1.2, 1.2, size) + 1j * rng.uniform(-0.2, 0.2, size)
         ys = rng.uniform(-1.2, 1.2, size) + 1j * rng.uniform(-0.2, 0.2, size)
         alpha = complex(rng.uniform(0.3, 1.2), rng.uniform(-0.2, 0.2))
         pts = np.concatenate([xs, ys])
-        if np.min(np.abs(pts[:, None] - pts[None, :]) + np.eye(2 * size)) < 0.1:
-            # near-coincident points only degrade the dense LU reference
-            continue
-        try:
-            cfg = cf.EllipticPointConfig(tuple(xs), tuple(ys), q, alpha)
-            log_det, inv = log_det_and_inverse(cf.elliptic_cauchy_matrix(cfg))
-        except DomainError:
-            continue
-        r_det = max(r_det, _log_rel(cf.frobenius_log_det(cfg), log_det))
-        r_inv = max(r_inv, _mat_rel(cf.frobenius_inverse(cfg), inv))
+        # near-coincident points only degrade the dense LU reference
+        if (np.min(np.abs(pts[:, None] - pts[None, :]) + np.eye(2 * size)) >= 0.1
+                and not cf._on_zero_lattice(xs, ys, q)):
+            by_size.setdefault(size, []).append((xs, ys, alpha))
+    r_det = r_inv = 0.0
+    for rows in by_size.values():
+        xs, ys, alphas = (np.array(v) for v in zip(*rows))
+        cfg = cf.EllipticPointConfig(xs, ys, q, alphas)
+        log_det, inv = cf.frobenius_log_det(cfg), cf.frobenius_inverse(cfg)
+        for row, mat in enumerate(cf.elliptic_cauchy_matrix(cfg)):  # dense LU reference
+            lu_log_det, lu_inv = log_det_and_inverse(mat)
+            r_det = max(r_det, _log_rel(log_det[row], lu_log_det))
+            r_inv = max(r_inv, _mat_rel(inv[row], lu_inv))
     out["frobenius_det_vs_lu"] = r_det
     out["frobenius_inverse_vs_dense"] = r_inv
 
@@ -238,9 +241,9 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
     phi = cf.phi_matrix(c)
     psi = cf.psi_matrix(c)
     log_det_phi, inv_phi = log_det_and_inverse(phi)
-    out["phi_inverse_residual"] = _mat_rel(cf.phi_inverse_closed(c) @ phi,
-                                           np.eye(c.n))
-    out["phi_inverse_vs_dense"] = _mat_rel(cf.phi_inverse_closed(c), inv_phi)
+    inv_closed = cf.phi_inverse_closed(c)
+    out["phi_inverse_residual"] = _mat_rel(inv_closed @ phi, np.eye(c.n))
+    out["phi_inverse_vs_dense"] = _mat_rel(inv_closed, inv_phi)
     out["phi_inverse_trig_vs_dense"] = _mat_rel(cf.phi_inverse_trig(c), inv_phi)
     out["det_phi_theta_vs_lu"] = _log_rel(cf.log_det_phi_theta(c), log_det_phi)
     out["det_phi_squared_trig_vs_lu"] = _log_rel(cf.log_det_phi_squared_trig(c),
@@ -262,12 +265,10 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
     out["lambda_vs_nu"] = _rel(cf.lambda_uv(all_u[:, None], all_u[None, :], c),
                                np.exp((all_nu[None, :] - all_nu[:, None]) / 2.0))
 
-    r = 0.0
-    for t in rng.uniform(0.1, 2.0 * math.pi - 0.1, 20):
-        lhs = 2.0 ** (c.n - 1) * np.prod(np.sin((t - c.sector("p").thetas) / 2.0))
-        rhs = (-1.0) ** (c.n - 1) * math.sin(c.n * t / 2.0)
-        r = max(r, _rel(lhs, rhs))
-    out["sine_product_identity"] = r
+    t = rng.uniform(0.1, 2.0 * math.pi - 0.1, 20)
+    lhs = 2.0 ** (c.n - 1) * np.prod(
+        np.sin((t[:, None] - c.sector("p").thetas[None, :]) / 2.0), axis=1)
+    out["sine_product_identity"] = _rel(lhs, (-1.0) ** (c.n - 1) * np.sin(c.n * t / 2.0))
     return out
 
 
@@ -314,18 +315,25 @@ def _group_shapes(n: int, max_mn: int):
                 yield parity, m, k
 
 
-def _spec_groups(c: Couplings, site: int, max_mn: int):
+def _spec_groups(c: Couplings, site, max_mn: int):
     """Every (bra, ket) pair with m + n even and at most ``max_mn``, in
     :class:`SpecStack` groups of one (m, n) each: bras in basis order, each
-    with every ket, cut into stacks of at most ``_STACK_ROWS`` specs."""
+    with every ket, cut into stacks of at most ``_STACK_ROWS`` specs.
+
+    ``site`` is one site, or an array of sites at each of which every pair
+    is taken (the stacks then carry one site per row).
+    """
+    sites = np.atleast_1d(site)
     for parity, m, n in _group_shapes(c.n, max_mn):
         bra = fock_basis(c, "a", parity, max_mn).indices(m)
         ket = fock_basis(c, "p", parity, max_mn).indices(n)
-        total = len(bra) * len(ket)
+        total = len(bra) * len(ket) * len(sites)
         for start in range(0, total, _STACK_ROWS):
-            pairs = np.arange(start, min(start + _STACK_ROWS, total))
+            pairs, at = np.divmod(np.arange(start, min(start + _STACK_ROWS, total)),
+                                  len(sites))
             rows, cols = np.divmod(pairs, len(ket))
-            yield SpecStack(site, bra[rows], ket[cols])
+            yield SpecStack(site if np.ndim(site) == 0 else sites[at],
+                            bra[rows], ket[cols])
 
 
 def _check_spec_count(c: Couplings) -> None:
@@ -358,8 +366,8 @@ def formfactor_suite(c: Couplings, site: int | None = None) -> dict[str, float]:
     """Multiparticle closed form against the pfaffian route and its assembly,
     and the completeness sum rule wherever the full Fock basis is enumerated.
 
-    The specs run through the routes as stacks of one (m, n) group (and, for
-    the translation phases, of one site), a few array calls per stack.
+    The specs run through the routes as stacks of one (m, n) group (for the
+    translation phases, over every site at once), a few array calls per stack.
     """
     _check_spec_count(c)
     site = c.n // 2 if site is None else site
@@ -374,14 +382,11 @@ def formfactor_suite(c: Couplings, site: int | None = None) -> dict[str, float]:
            "pairing_matrix_assembly": _worst(*assembly)}
 
     phases = []
-    for stack0 in _spec_groups(c, 0, 2):
-        f0 = ff_closed(stack0, c)
-        shift = (c.sector("p").thetas[stack0.ket].sum(axis=1)
-                 - c.sector("a").thetas[stack0.bra].sum(axis=1))
-        for l in range(c.n):
-            pred = np.exp(1j * l * shift) * f0
-            phases += [np.abs(route(stack0._replace(site=l), c) - pred)
-                       for route in (ff_closed, ff_pfaffian)]
+    for stack in _spec_groups(c, np.arange(c.n), 2):
+        shift = (c.sector("p").thetas[stack.ket].sum(axis=1)
+                 - c.sector("a").thetas[stack.bra].sum(axis=1))
+        pred = np.exp(1j * stack.site * shift) * ff_closed(stack._replace(site=0), c)
+        phases += [np.abs(route(stack, c) - pred) for route in (ff_closed, ff_pfaffian)]
     out["translation_phase"] = _worst(*phases)
 
     # reversing the order of the two bra momenta must flip the sign of the
@@ -397,16 +402,18 @@ def formfactor_suite(c: Couplings, site: int | None = None) -> dict[str, float]:
     return out
 
 
-def run_suite(name: str, c: Couplings, site: int = 0) -> dict[str, float]:
-    """One named identity suite; ``all`` merges every suite."""
+def run_suite(name: str, c: Couplings, site: int | None = None) -> dict[str, float]:
+    """One named identity suite; ``all`` merges every suite.  Without a
+    ``site`` the rotation suite runs at site 0 and the form-factor suite at
+    N/2."""
     if name == "elliptic":
         return elliptic_suite(c)
     if name == "cauchy":
         return cauchy_suite(c)
     if name == "rotation":
-        return rotation_suite(c, site=site)
+        return rotation_suite(c, site=0 if site is None else site)
     if name == "formfactor":
-        return formfactor_suite(c, site=site if site else None)
+        return formfactor_suite(c, site=site)
     if name == "all":
         _check_spec_count(c)      # before the other suites run
         merged = {}

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from isingff.cauchy import (EllipticPointConfig, chi_kappa, chi_kappa_trig,
+from isingff.cauchy import (EllipticPointConfig, _interpolation_terms,
+                            _sn_cn_dn_of_differences, chi_kappa, chi_kappa_trig,
                             elliptic_cauchy_matrix, frobenius_inverse,
                             frobenius_log_det, ising_cauchy_config,
                             ising_constraint_residuals, lambda_uv,
@@ -66,6 +67,41 @@ class TestFrobenius:
         cfg = EllipticPointConfig((0.3,), (0.9,), Q, 0.0)
         with pytest.raises(DomainError):
             frobenius_log_det(cfg)
+
+
+class TestFrobeniusStacks:
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_rows_equal_the_single_configs(self, size):
+        rng = np.random.default_rng(100 + size)
+        shape = (6, size)
+        xs = rng.uniform(-1.1, 1.1, shape) + 1j * rng.uniform(-0.2, 0.2, shape)
+        ys = rng.uniform(-1.1, 1.1, shape) + 1j * rng.uniform(-0.2, 0.2, shape)
+        alphas = rng.uniform(0.3, 1.2, 6) + 1j * rng.uniform(-0.2, 0.2, 6)
+
+        def routes(cfg):
+            return (elliptic_cauchy_matrix(cfg), frobenius_log_det(cfg),
+                    frobenius_inverse(cfg), _interpolation_terms(cfg.xs, cfg.ys, Q))
+
+        stacked = routes(EllipticPointConfig(xs, ys, Q, alphas))
+        assert [np.shape(r) for r in stacked] == [(6, size, size), (6,),
+                                                  (6, size, size), (6, size)]
+        for row in range(6):
+            single = routes(EllipticPointConfig(xs[row], ys[row], Q, alphas[row]))
+            assert type(single[1]) is complex
+            for one, many in zip(single, stacked):
+                np.testing.assert_allclose(many[row], one, rtol=1e-15, atol=0.0)
+
+    def test_shared_shift_and_bad_rows(self):
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(-1.1, 1.1, (3, 4)) + 0.1j
+        ys = rng.uniform(-1.1, 1.1, (3, 4)) - 0.1j
+        shared = EllipticPointConfig(xs, ys, Q, 0.7)
+        each = EllipticPointConfig(xs, ys, Q, np.full(3, 0.7))
+        assert np.array_equal(frobenius_log_det(shared), frobenius_log_det(each))
+        assert not shared.xs.flags.writeable
+        ys[1, 2] = xs[1, 0] + math.pi      # one row on the zero lattice
+        with pytest.raises(DomainError):
+            EllipticPointConfig(xs, ys, Q, 0.7)
 
 
 class TestThetaInterpolation:
@@ -206,6 +242,20 @@ class TestIsingSpecialization:
             for j in range(2 * n):
                 assert abs(lambda_uv(us[i], us[j], c)
                            - math.exp((nus[j] - nus[i]) / 2.0)) < 1e-10
+
+    def test_sn_grids_are_shared_and_read_only(self):
+        c = Couplings.from_kx_ky(0.4, 0.7, 5)
+        grids = _sn_cn_dn_of_differences(c, "p", "a")
+        again = _sn_cn_dn_of_differences(c, "p", "a")
+        assert all(a is b for a, b in zip(grids, again))
+        for grid in grids:
+            assert not grid.flags.writeable
+            with pytest.raises(ValueError):
+                grid[0, 0] = 0.0
+        # the matrices built from a grid are the caller's own
+        psi = psi_matrix(c)
+        psi[0, 0] = 5.0
+        assert psi_matrix(c)[0, 0] != 5.0
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6])
     def test_point_constraints(self, n):

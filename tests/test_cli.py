@@ -3,6 +3,8 @@ import json
 import pytest
 
 from isingff.cli import main
+from isingff.spectral import Couplings
+from isingff.verification import formfactor_suite, rotation_suite
 
 
 def run(capsys, *argv):
@@ -123,6 +125,23 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[0] == "check,residual,passed"
         assert len(lines) > 5
+
+
+def test_verify_site_zero_is_honoured(capsys):
+    """An explicit --site 0 runs the form-factor suite at site 0; without
+    --site it runs at N/2, and the rotation suite at 0."""
+    c = Couplings.from_kx_ky(0.4, 0.7, 6)
+    argv = ("verify", "formfactor", "--kx", "0.4", "--ky", "0.7", "--n", "6")
+    at_zero, at_middle = formfactor_suite(c, 0), formfactor_suite(c, 3)
+    assert at_zero != at_middle
+    for extra, expected in [(("--site", "0"), at_zero), ((), at_middle)]:
+        code, out = run(capsys, *argv, *extra)
+        assert code == 0
+        assert json.loads(out)["results"]["residuals"] == expected
+    code, out = run(capsys, "verify", "all", *argv[2:])
+    residuals = json.loads(out)["results"]["residuals"]
+    for suite, expected in [("rotation", rotation_suite(c, 0)), ("formfactor", at_middle)]:
+        assert {k: residuals[f"{suite}.{k}"] for k in expected} == expected
 
 
 def test_unknown_command_is_parse_error():

@@ -284,6 +284,30 @@ class TestSpecStacks:
                     assert np.array_equal(r[row, m:, :m], -dinv[np.ix_(ia, ip)].T)
                     assert np.array_equal(r[row, m:, m:], bdinv[np.ix_(ip, ip)])
 
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("kxy", BENCH_COUPLINGS)
+    def test_site_arrays_equal_the_per_site_stacks(self, kxy, n):
+        c = Couplings.from_kx_ky(*kxy, n)
+        for stack in _spec_groups(c, np.arange(n), 4):
+            closed, pf = ff_closed(stack, c), ff_pfaffian(stack, c)
+            r_ell = assemble_r_elliptic(stack, c)
+            for site in range(n):
+                rows = stack.site == site
+                one = SpecStack(site, stack.bra[rows], stack.ket[rows])
+                assert np.array_equal(ff_closed(one, c), closed[rows])
+                np.testing.assert_allclose(pf[rows], ff_pfaffian(one, c),
+                                           rtol=1e-15, atol=0.0)
+                single = assemble_r_elliptic(one, c)
+                scale = np.abs(single).max(initial=0.0)
+                assert np.abs(r_ell[rows] - single).max(initial=0.0) <= 1e-15 * scale
+
+    def test_site_array_must_match_the_stack(self):
+        stack = SpecStack(np.array([0, 5]), np.array([[0], [1]]), np.array([[1], [2]]))
+        with pytest.raises(DomainError):
+            ff_closed(stack, C4)                       # site 5 outside [0, 4)
+        with pytest.raises(DomainError):
+            ff_closed(stack._replace(site=np.array([0, 1, 2])), C4)
+
     def test_single_spec_gives_scalars_and_matrices(self):
         spec = FormFactorSpec(1, FockState("a", (0, 2)), FockState("p", (1, 3)))
         assert type(ff_closed(spec, C4)) is complex
