@@ -10,23 +10,22 @@ from .elliptic import (EllipticModulus, complete_elliptic_K, inverse_sn_real,
 from .exceptions import (AmbiguousLabelError, ConvergenceError, DomainError,
                          IsingFFError, ResourceError, SingularMatrixError,
                          VerificationError)
-from .formfactors import (FockState, FormFactorSpec, InducedRotation,
-                          SpecStack, ff_closed, ff_pfaffian, induced_rotation,
-                          nu_of_theta, two_particle_matrices,
+from .cauchy import InducedRotation, induced_rotation
+from .formfactors import (FockState, FormFactorSpec, SpecStack, ff_closed,
+                          ff_pfaffian, two_particle_matrices,
                           two_point_correlation, vacuum_overlap, xi_t)
 from .linalg import det_and_inverse, pfaffian
-from .spectral import (Couplings, b_elliptic, b_of_theta, eta_of_couplings,
-                       gamma_of_theta, quasimomenta, sqrt_b_of_theta,
-                       u_of_theta)
+from .spectral import (Couplings, b_elliptic, b_of_theta, gamma_of_theta,
+                       quasimomenta, sqrt_b_of_theta, u_of_theta)
 
 __all__ = [
     "AmbiguousLabelError", "ConvergenceError", "Couplings", "DomainError",
     "EllipticModulus", "FockState", "FormFactorSpec", "InducedRotation",
     "IsingFFError", "ResourceError", "SingularMatrixError", "SpecStack",
     "VerificationError", "b_elliptic", "b_of_theta", "complete_elliptic_K",
-    "det_and_inverse", "eta_of_couplings", "ff_closed", "ff_pfaffian",
+    "det_and_inverse", "ff_closed", "ff_pfaffian",
     "gamma_of_theta", "induced_rotation", "inverse_sn_real",
-    "jacobi_sn_cn_dn", "nu_of_theta", "pfaffian", "quasimomenta",
+    "jacobi_sn_cn_dn", "pfaffian", "quasimomenta",
     "sqrt_b_of_theta", "theta", "two_particle_matrices",
     "two_point_correlation", "u_of_theta", "vacuum_overlap", "xi_t",
 ]

@@ -1,4 +1,5 @@
-"""Elliptic Cauchy matrices and the closed forms built from them.
+"""Elliptic Cauchy matrices, the closed forms built from them, and the
+elliptic routes that cross-check the form factors.
 
 Covers the Frobenius determinant and inverse of matrices with entries
 theta_1(x_i - y_j + alpha) / (theta_1(x_i - y_j) * theta_1(alpha)), the
@@ -14,9 +15,11 @@ alpha = pi/2 - pi*tau/2 and kappa = theta_2(0) theta_4(0) / theta_3(0),
 Phi = kappa diag(e^{-ix}) C(x, y; alpha) diag(e^{iy}), because
 theta_3(z) = e^{-iz - pi|tau|/4} theta_1(z + alpha) and
 theta_1(alpha) = e^{pi|tau|/4} theta_3(0).  Its inverse and log det are the
-Frobenius formulas; Psi*Phi^-1 and Phi^-1*Psi are in closed form too.  The
-default code paths use the reduced sn-forms; the raw theta-product forms are
-kept behind a ``theta_route`` flag purely for cross-checks.
+Frobenius formulas; Psi*Phi^-1 and Phi^-1*Psi are in closed form too, in
+reduced sn-form from the per-point factors chi, kappa and L, and in raw
+theta-product form as a cross-check.  The induced rotation and the elliptic
+assembly of the pairing matrix, which only the verification suites use,
+live here too, apart from the evaluation path in :mod:`isingff.formfactors`.
 
 Every closed form is array algebra over the point grid: theta_1 and sn/cn/dn
 are evaluated once on the whole array of pairwise differences, products over
@@ -29,8 +32,8 @@ or a stack of S matrices of one size, (S, n) points and (S,) shifts.  The
 Frobenius functions evaluate a stack at once and give one result per row:
 (S, n, n) matrices, (S,) log determinants, (S, n) interpolation terms.  A
 single matrix is the stack of one and gives a matrix and a complex.  The
-sn/cn/dn grids of the Ising momenta are built once per (coupling, rows,
-cols) and shared, read-only, by every closed form of that coupling.
+sn/cn/dn grids of the Ising momenta and the per-point factors are built once
+per coupling and shared, read-only, by every closed form of that coupling.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ import numpy as np
 
 from .elliptic import EllipticModulus, jacobi_sn_cn_dn, theta
 from .exceptions import DomainError, SingularMatrixError
-from .spectral import Couplings, log_sinh
+from .formfactors import FormFactorSpec, SpecStack, _as_stack, _ell, _unstack
+from .spectral import Couplings, coupling_tables, log_sinh
 
 _LATTICE_TOL = 1e-11
 
@@ -65,6 +69,13 @@ def _prod_off_diagonal(grid: np.ndarray) -> np.ndarray:
 def _differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """x_i - y_j at [..., i, j] for points along the last axis."""
     return xs[..., :, None] - ys[..., None, :]
+
+
+def _read_only(*arrays) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: they are cached and shared per coupling."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _on_zero_lattice(xs, ys, q: float) -> np.ndarray:
@@ -279,11 +290,8 @@ def _sn_cn_dn_of_differences(c: Couplings, rows: str, cols: str):
     Built once per (coupling, rows, cols) and shared, so the arrays are
     read-only.
     """
-    grids = jacobi_sn_cn_dn(np.subtract.outer(c.sector(rows).u, c.sector(cols).u),
-                            c.modulus)
-    for grid in grids:
-        grid.flags.writeable = False
-    return grids
+    return _read_only(*jacobi_sn_cn_dn(np.subtract.outer(c.sector(rows).u,
+                                                         c.sector(cols).u), c.modulus))
 
 
 def phi_matrix(c: Couplings) -> np.ndarray:
@@ -295,25 +303,6 @@ def phi_matrix(c: Couplings) -> np.ndarray:
 def psi_matrix(c: Couplings) -> np.ndarray:
     """Psi = cn of pairwise differences, same index layout as Phi."""
     return _sn_cn_dn_of_differences(c, "p", "a")[1].real.copy()
-
-
-def fg_factors(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point theta-product factors of the theta-route closed forms."""
-    cfg, kappa = ising_cauchy_config(c)
-    pref = 1j / kappa
-    return (pref * _interpolation_terms(cfg.xs, cfg.ys, cfg.q),
-            pref * _interpolation_terms(cfg.ys, cfg.xs, cfg.q))
-
-
-def h_function(z, c: Couplings):
-    """h(z) = prod_i theta_1(z - x_i)/theta_1(z - y_i) elementwise over z;
-    verification route only."""
-    xs, ys = ising_xy(c)
-    q = c.modulus.q
-    z = np.asarray(z, dtype=complex)
-    h = (np.prod(theta(1, np.subtract.outer(z, xs), q), axis=-1)
-         / np.prod(theta(1, np.subtract.outer(z, ys), q), axis=-1))
-    return complex(h) if z.ndim == 0 else h
 
 
 def phi_inverse_closed(c: Couplings) -> np.ndarray:
@@ -336,14 +325,17 @@ def phi_inverse_trig(c: Couplings) -> np.ndarray:
             / (n**2 * np.sinh(ga)[:, None] * np.sinh(gp)[None, :] * sin_half))
 
 
+@lru_cache(maxsize=4)
 def chi_kappa(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-sector sn-product ratios chi (periodic) and kappa (antiperiodic)."""
+    """Cross-sector sn-product ratios chi (periodic) and kappa (antiperiodic).
+
+    Built once per coupling and shared, so the arrays are read-only.
+    """
     sn_pa = _sn_cn_dn_of_differences(c, "p", "a")[0].real
     sn_pp = _sn_cn_dn_of_differences(c, "p", "p")[0].real
     sn_aa = _sn_cn_dn_of_differences(c, "a", "a")[0].real
-    chi = sn_pa.prod(axis=1) / _prod_off_diagonal(sn_pp)
-    kappa = (-sn_pa).prod(axis=0) / _prod_off_diagonal(sn_aa)
-    return chi, kappa
+    return _read_only(sn_pa.prod(axis=1) / _prod_off_diagonal(sn_pp),
+                      (-sn_pa).prod(axis=0) / _prod_off_diagonal(sn_aa))
 
 
 def chi_kappa_trig(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
@@ -359,68 +351,70 @@ def chi_kappa_trig(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     return chi, kappa
 
 
-def lambda_uv(u, v, c: Couplings):
-    """Ratio lambda(u, v) in its reduced sn-form, broadcast over u and v.
+@lru_cache(maxsize=4)
+def lambda_factors(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
+    """L(u) = w(u) dn u / (1 + k sn u) at the periodic and the antiperiodic
+    momenta, with w(u) = prod over momenta of (1 - k sn_p sn u)/(1 - k sn_a sn u).
 
-    lambda(u, v) = w(u)/w(v) * dn u (1 + k sn v) / (dn v (1 + k sn u)) with
-    w(u) = prod over momenta of (1 - k sn_p sn u)/(1 - k sn_a sn u).  Scalar
-    u and v give a float.
+    The ratio lambda(u, v) = L(u)/L(v) is exp((nu_v - nu_u)/2).  One sn
+    evaluation over the 2N momenta; built once per coupling and shared, so
+    the arrays are read-only.
     """
-    mod = c.modulus
-    k = mod.k
-    sn_p = jacobi_sn_cn_dn(c.sector("p").u, mod)[0].real
-    sn_a = jacobi_sn_cn_dn(c.sector("a").u, mod)[0].real
-
-    def w(sn):
-        sn = np.asarray(sn)[..., None]
-        return np.prod((1.0 - k * sn_p * sn) / (1.0 - k * sn_a * sn), axis=-1)
-
-    snu, _, dnu = (np.real(f) for f in jacobi_sn_cn_dn(u, mod))
-    snv, _, dnv = (np.real(f) for f in jacobi_sn_cn_dn(v, mod))
-    val = dnu * (1.0 + k * snv) / (dnv * (1.0 + k * snu)) * w(snu) / w(snv)
-    return float(val) if np.ndim(val) == 0 else val
+    n, k = c.n, c.modulus.k
+    u = np.concatenate([c.sector("p").u, c.sector("a").u])
+    sn, _, dn = (f.real for f in jacobi_sn_cn_dn(u, c.modulus))
+    w = np.prod((1.0 - k * sn[:n] * sn[:, None]) / (1.0 - k * sn[n:] * sn[:, None]),
+                axis=-1)
+    lam = w * dn / (1.0 + k * sn)
+    return _read_only(lam[:n], lam[n:])
 
 
-def psi_phi_inverse_closed(c: Couplings, theta_route: bool = False) -> np.ndarray:
-    """Closed form of Psi * Phi^-1, indexed by periodic momenta on both axes.
+def _zero_diagonal(out: np.ndarray) -> np.ndarray:
+    out = out.astype(complex)
+    np.fill_diagonal(out, 0.0)
+    return out
 
-    The default path uses the reduced sn-form (chi and lambda factors); with
-    ``theta_route=True`` the raw theta-product form through h(z) is used
-    instead, for cross-checking only.  The diagonal is zero.
+
+def psi_phi_inverse_closed(c: Couplings) -> np.ndarray:
+    """Psi * Phi^-1 on periodic momenta (both axes) in reduced sn-form:
+    chi_j lambda(u_i, u_j) sn(u_i - u_j), with a zero diagonal."""
+    lam = lambda_factors(c)[0]
+    return _zero_diagonal(chi_kappa(c)[0][None, :] * (lam[:, None] / lam[None, :])
+                          * _sn_cn_dn_of_differences(c, "p", "p")[0].real)
+
+
+def phi_inverse_psi_closed(c: Couplings) -> np.ndarray:
+    """Phi^-1 * Psi on antiperiodic momenta (both axes) in reduced sn-form:
+    kappa_i lambda(u_i, u_j) sn(u_j - u_i), with a zero diagonal."""
+    lam = lambda_factors(c)[1]
+    return _zero_diagonal(chi_kappa(c)[1][:, None] * (lam[:, None] / lam[None, :])
+                          * _sn_cn_dn_of_differences(c, "a", "a")[0].real.T)
+
+
+def closed_products_theta(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
+    """Psi * Phi^-1 and Phi^-1 * Psi in raw theta-product form, the
+    cross-check of :func:`psi_phi_inverse_closed` and
+    :func:`phi_inverse_psi_closed`:
+
+        (Psi Phi^-1)[i, j] = f_j h(x_i + pi*tau/2) sn(u_i - u_j),
+        (Phi^-1 Psi)[i, j] = -g_i sn(u_i - u_j) / h(y_j - pi*tau/2),
+
+    with f and g the interpolation terms of (x, y) and (y, x) times i/kappa,
+    and h(z) = prod_i theta_1(z - x_i) / theta_1(z - y_i), taken at both
+    point sets at once.  The diagonals are zero.
     """
+    cfg, kappa = ising_cauchy_config(c)
+    xs, ys, q = cfg.xs, cfg.ys, cfg.q
+    f = 1j / kappa * _interpolation_terms(xs, ys, q)
+    g = 1j / kappa * _interpolation_terms(ys, xs, q)
+    shift = math.pi * c.modulus.tau / 2.0
+    z = np.concatenate([xs + shift, ys - shift])
+    h = (np.prod(theta(1, _differences(z, xs), q), axis=-1)
+         / np.prod(theta(1, _differences(z, ys), q), axis=-1))
     sn_pp = _sn_cn_dn_of_differences(c, "p", "p")[0].real
-    if theta_route:
-        f, _ = fg_factors(c)
-        xs, _ = ising_xy(c)
-        hvals = h_function(xs + math.pi * c.modulus.tau / 2.0, c)
-        out = f[None, :] * hvals[:, None] * sn_pp
-    else:
-        chi, _ = chi_kappa(c)
-        u = c.sector("p").u
-        out = chi[None, :] * lambda_uv(u[:, None], u[None, :], c) * sn_pp
-    out = out.astype(complex)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def phi_inverse_psi_closed(c: Couplings, theta_route: bool = False) -> np.ndarray:
-    """Closed form of Phi^-1 * Psi, indexed by antiperiodic momenta on both axes.
-
-    The diagonal is zero.
-    """
     sn_aa = _sn_cn_dn_of_differences(c, "a", "a")[0].real
-    if theta_route:
-        _, g = fg_factors(c)
-        _, ys = ising_xy(c)
-        hvals = h_function(ys - math.pi * c.modulus.tau / 2.0, c)
-        out = -g[:, None] / hvals[None, :] * sn_aa
-    else:
-        _, kappa = chi_kappa(c)
-        u = c.sector("a").u
-        out = kappa[:, None] * lambda_uv(u[:, None], u[None, :], c) * sn_aa.T
-    out = out.astype(complex)
-    np.fill_diagonal(out, 0.0)
-    return out
+    return (_zero_diagonal(f[None, :] * h[:c.n, None] * sn_pp),
+            _zero_diagonal(-g[:, None] / h[None, c.n:] * sn_aa))
 
 
 def log_det_phi_theta(c: Couplings) -> complex:
@@ -440,3 +434,88 @@ def log_det_phi_squared_trig(c: Couplings) -> float:
                  - 2.0 * n * math.log(c.sinh2ky)
                  + 0.5 * (p.nu.sum() - a.nu.sum())
                  + log_sinh(p.gamma).sum() + log_sinh(a.gamma).sum())
+
+
+# ---- elliptic routes of the form-factor layer ---------------------------------
+
+
+@dataclass(frozen=True)
+class InducedRotation:
+    """The four blocks of the fermion rotation induced by the spin at one site.
+
+    Rows are indexed by periodic momenta, columns by antiperiodic ones.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    site: int
+
+    def relation_residuals(self) -> dict[str, float]:
+        """Max residuals of the canonical anticommutation and unitarity relations."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        eye = np.eye(a.shape[0])
+        return {
+            "ABt_plus_BAt": float(np.max(np.abs(a @ b.T + b @ a.T))),
+            "CDt_plus_DCt": float(np.max(np.abs(c @ d.T + d @ c.T))),
+            "ADt_plus_BCt": float(np.max(np.abs(a @ d.T + b @ c.T - eye))),
+            "conjA_minus_D": float(np.max(np.abs(a.conj() - d))),
+            "conjB_minus_C": float(np.max(np.abs(b.conj() - c))),
+            "CCdag_vs_1_minus_DDdag": float(
+                np.max(np.abs(c @ c.conj().T - (eye - d @ d.conj().T)))
+            ),
+        }
+
+
+def induced_rotation(c: Couplings, site: int) -> InducedRotation:
+    """The blocks (A, B, C, D) of the rotation induced by the spin at ``site``."""
+    if not 0 <= site < c.n:
+        raise DomainError(f"site {site} outside [0, {c.n})")
+    n = c.n
+    a, p = c.sector("a"), c.sector("p")
+    tp = p.thetas[:, None]
+    ta = a.thetas[None, :]
+    rb = a.sqrt_b[None, :] / p.sqrt_b[:, None]
+    pb = a.sqrt_b[None, :] * p.sqrt_b[:, None]
+    ell = site - 0.5
+    d = (np.exp(-1j * ell * (tp - ta)) / (2j * n * np.sin((ta - tp) / 2.0))
+         * (rb + 1.0 / rb))
+    cc = (np.exp(-1j * ell * (tp + ta)) / (2j * n * np.sin((tp + ta) / 2.0))
+          * (pb - 1.0 / pb))
+    return InducedRotation(a=d.conj(), b=cc.conj(), c=cc, d=d, site=site)
+
+
+def assemble_r_elliptic(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.ndarray:
+    """R rebuilt from the elliptic route: -i*rho * Omega * Rt * Omega.
+
+    Rt has entries sqrt(k)*sn(u_i - u_j) where bra arguments carry an iK'
+    shift; used as a cross-check of :func:`isingff.formfactors.assemble_r_matrix`.
+    The pair differences of a whole stack go through one sn evaluation.
+    """
+    stack = _as_stack(spec, c)
+    ia, ip = stack.bra, stack.ket
+    rho = math.sqrt(c.sinh2ky / c.sinh2kx)
+    ell = _ell(stack.site, 2)
+    tab = coupling_tables(c)
+    a, p = tab.a, tab.p
+    omega = np.concatenate([
+        -np.exp(-1j * ell * a.thetas[ia] + a.nu[ia] / 2.0)
+        / np.sqrt(c.n * np.sinh(a.gamma[ia])),
+        np.exp(1j * ell * p.thetas[ip] - p.nu[ip] / 2.0)
+        / np.sqrt(c.n * np.sinh(p.gamma[ip])),
+    ], axis=1)
+    u_tilde = np.concatenate([
+        a.u[ia] + 1j * c.modulus.bigKprime,
+        p.u[ip].astype(complex),
+    ], axis=1)
+    size, k = u_tilde.shape
+    i, j = np.triu_indices(k, 1)
+    # specs share most of their pairs, so sn runs once per distinct difference
+    diffs, where = np.unique((u_tilde[:, i] - u_tilde[:, j]).ravel(),
+                             return_inverse=True)
+    rt = np.zeros((size, k, k), dtype=complex)
+    rt[:, i, j] = (math.sqrt(c.modulus.k)
+                   * jacobi_sn_cn_dn(diffs, c.modulus)[0])[where].reshape(size, -1)
+    rt -= np.swapaxes(rt, 1, 2)
+    return _unstack(spec, -1j * rho * (omega[:, :, None] * rt * omega[:, None, :]))

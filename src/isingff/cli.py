@@ -82,7 +82,7 @@ def _emit(payload: dict, rows: list[dict], output: str) -> None:
 
 
 def _couplings(args) -> Couplings:
-    return Couplings.from_kx_ky(args.kx, args.ky, getattr(args, "n", 1) or 1)
+    return Couplings.from_kx_ky(args.kx, args.ky, args.n)
 
 
 def _cmd_params(args) -> int:

@@ -1,12 +1,14 @@
-"""Induced rotations, two-particle matrices, and multiparticle spin form factors.
+"""Multiparticle spin form factors and the spectral sum: the evaluation path.
 
 The spin operator at site l conjugates periodic-sector fermions into linear
 combinations of antiperiodic ones; the four N x N blocks (A, B, C, D) of that
 induced rotation determine every matrix element of the spin between the two
 fermionic Fock towers.  Normalized two-particle form factors are entries of
-D^-1, B*D^-1 and D^-1*C; any multiparticle form factor is the pfaffian of a
-matrix assembled from those, or equivalently the fully factorized closed
-product over the participating momenta.
+D^-1, B*D^-1 and D^-1*C, read here from their closed forms; any
+multiparticle form factor is the pfaffian of a matrix assembled from those,
+or equivalently the fully factorized closed product over the participating
+momenta.  The rotation itself and the elliptic assembly of the pairing
+matrix are cross-checks, kept in :mod:`isingff.cauchy`.
 
 The routes take one :class:`FormFactorSpec` or a :class:`SpecStack` of
 many specs with the same particle numbers, at one site or at one site per
@@ -29,11 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import jacobi_sn_cn_dn
 from .exceptions import DomainError, VerificationError
 from .linalg import pfaffian
-from .spectral import (SECTORS, Couplings, SectorTable, coupling_tables,
-                       gamma_of_theta, nu_of_gamma)
+from .spectral import SECTORS, Couplings, SectorTable, coupling_tables
 
 _FULL_ENUMERATION_MAX_N = 12
 _DEFAULT_PARTICLE_CUTOFF = 4
@@ -136,62 +136,6 @@ def _unstack(spec: FormFactorSpec | SpecStack, values: np.ndarray):
     return values[0] if values.ndim > 1 else complex(values[0])
 
 
-@dataclass(frozen=True)
-class InducedRotation:
-    """The four blocks of the fermion rotation induced by the spin at one site.
-
-    Rows are indexed by periodic momenta, columns by antiperiodic ones.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    site: int
-
-    def relation_residuals(self) -> dict[str, float]:
-        """Max residuals of the canonical anticommutation and unitarity relations."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        eye = np.eye(a.shape[0])
-        return {
-            "ABt_plus_BAt": float(np.max(np.abs(a @ b.T + b @ a.T))),
-            "CDt_plus_DCt": float(np.max(np.abs(c @ d.T + d @ c.T))),
-            "ADt_plus_BCt": float(np.max(np.abs(a @ d.T + b @ c.T - eye))),
-            "conjA_minus_D": float(np.max(np.abs(a.conj() - d))),
-            "conjB_minus_C": float(np.max(np.abs(b.conj() - c))),
-            "CCdag_vs_1_minus_DDdag": float(
-                np.max(np.abs(c @ c.conj().T - (eye - d @ d.conj().T)))
-            ),
-        }
-
-
-def nu_of_theta(theta: float, c: Couplings):
-    """Sector-asymmetry exponent nu at momentum theta.
-
-    Defined as the log-ratio of the products of sinh((gamma_theta+gamma')/2)
-    over the antiperiodic and the periodic momentum sets.
-    """
-    return nu_of_gamma(gamma_of_theta(theta, c), c)
-
-
-def induced_rotation(c: Couplings, site: int) -> InducedRotation:
-    """The blocks (A, B, C, D) of the rotation induced by the spin at ``site``."""
-    if not 0 <= site < c.n:
-        raise DomainError(f"site {site} outside [0, {c.n})")
-    n = c.n
-    a, p = c.sector("a"), c.sector("p")
-    tp = p.thetas[:, None]
-    ta = a.thetas[None, :]
-    rb = a.sqrt_b[None, :] / p.sqrt_b[:, None]
-    pb = a.sqrt_b[None, :] * p.sqrt_b[:, None]
-    ell = site - 0.5
-    d = (np.exp(-1j * ell * (tp - ta)) / (2j * n * np.sin((ta - tp) / 2.0))
-         * (rb + 1.0 / rb))
-    cc = (np.exp(-1j * ell * (tp + ta)) / (2j * n * np.sin((tp + ta) / 2.0))
-          * (pb - 1.0 / pb))
-    return InducedRotation(a=d.conj(), b=cc.conj(), c=cc, d=d, site=site)
-
-
 def _log_ratio2(ratio: np.ndarray) -> np.ndarray:
     """2 log|ratio| entrywise, and 0 where the ratio vanishes (the diagonal of
     a same-sector table, which is no factor of any form factor)."""
@@ -268,41 +212,6 @@ def assemble_r_matrix(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.ndar
                                                ip[:, None, :])
     r = np.block([[dinvc, dinv], [-np.swapaxes(dinv, 1, 2), bdinv]])
     return _unstack(spec, r)
-
-
-def assemble_r_elliptic(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.ndarray:
-    """R rebuilt from the elliptic route: -i*rho * Omega * Rt * Omega.
-
-    Rt has entries sqrt(k)*sn(u_i - u_j) where bra arguments carry an iK'
-    shift; used as a cross-check of :func:`assemble_r_matrix`.  The pair
-    differences of a whole stack go through one sn evaluation.
-    """
-    stack = _as_stack(spec, c)
-    ia, ip = stack.bra, stack.ket
-    rho = math.sqrt(c.sinh2ky / c.sinh2kx)
-    ell = _ell(stack.site, 2)
-    tab = coupling_tables(c)
-    a, p = tab.a, tab.p
-    omega = np.concatenate([
-        -np.exp(-1j * ell * a.thetas[ia] + a.nu[ia] / 2.0)
-        / np.sqrt(c.n * np.sinh(a.gamma[ia])),
-        np.exp(1j * ell * p.thetas[ip] - p.nu[ip] / 2.0)
-        / np.sqrt(c.n * np.sinh(p.gamma[ip])),
-    ], axis=1)
-    u_tilde = np.concatenate([
-        a.u[ia] + 1j * c.modulus.bigKprime,
-        p.u[ip].astype(complex),
-    ], axis=1)
-    size, k = u_tilde.shape
-    i, j = np.triu_indices(k, 1)
-    # specs share most of their pairs, so sn runs once per distinct difference
-    diffs, where = np.unique((u_tilde[:, i] - u_tilde[:, j]).ravel(),
-                             return_inverse=True)
-    rt = np.zeros((size, k, k), dtype=complex)
-    rt[:, i, j] = (math.sqrt(c.modulus.k)
-                   * jacobi_sn_cn_dn(diffs, c.modulus)[0])[where].reshape(size, -1)
-    rt -= np.swapaxes(rt, 1, 2)
-    return _unstack(spec, -1j * rho * (omega[:, :, None] * rt * omega[:, None, :]))
 
 
 def ff_pfaffian(spec: FormFactorSpec | SpecStack, c: Couplings):

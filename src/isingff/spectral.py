@@ -222,11 +222,6 @@ def _solve_eta(target_sinh2kx: float, modulus: EllipticModulus) -> float:
     return eta
 
 
-def eta_of_couplings(kx: float, ky: float) -> float:
-    """The uniformization parameter eta in (-K'/2, 0) for given couplings."""
-    return Couplings.from_kx_ky(kx, ky, 1).eta
-
-
 def gamma_of_theta(theta, c: Couplings):
     """Single-particle energy gamma_theta >= 0 of the lattice dispersion."""
     ch = (math.cosh(2 * c.kx_star) * math.cosh(2 * c.ky)

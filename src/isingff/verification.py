@@ -18,9 +18,8 @@ from . import cauchy as cf
 from .elliptic import jacobi_sn_cn_dn, theta
 from .exceptions import DomainError, ResourceError
 from .formfactors import (_FULL_ENUMERATION_MAX_N, FockState, FormFactorSpec,
-                          SpecStack, abs_ff2_table, assemble_r_elliptic,
-                          assemble_r_matrix, ff_closed, ff_pfaffian, fock_basis,
-                          induced_rotation, two_particle_matrices,
+                          SpecStack, abs_ff2_table, assemble_r_matrix, ff_closed,
+                          ff_pfaffian, fock_basis, two_particle_matrices,
                           vacuum_overlap, xi_t)
 from .linalg import det_and_inverse, log_det_and_inverse, pfaffian
 from .spectral import (Couplings, b_elliptic, b_of_theta, gamma_of_theta, log_sinh,
@@ -216,9 +215,9 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
         zs = rng.uniform(-1, 1, m) + 1j * rng.uniform(-0.3, 0.3, m)
         zp = rng.uniform(-1, 1, m) + 1j * rng.uniform(-0.3, 0.3, m)
         zp[-1] += zs.sum() - zp.sum()
-        s = cf.theta_interpolation_sum(zs, zp, q)
-        scale = float(np.max(np.abs(cf._interpolation_terms(zs, zp, q))))
-        r = max(r, abs(s) / max(scale, 1e-300))
+        terms = cf._interpolation_terms(zs, zp, q)  # balanced by construction
+        scale = float(np.max(np.abs(terms)))
+        r = max(r, abs(complex(terms.sum())) / max(scale, 1e-300))
     out["theta_interpolation"] = r
 
     r = 0.0
@@ -248,21 +247,21 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
     out["det_phi_theta_vs_lu"] = _log_rel(cf.log_det_phi_theta(c), log_det_phi)
     out["det_phi_squared_trig_vs_lu"] = _log_rel(cf.log_det_phi_squared_trig(c),
                                                  2.0 * log_det_phi)
-    out["psi_phi_inverse_sn"] = _mat_rel(cf.psi_phi_inverse_closed(c), psi @ inv_phi)
-    out["psi_phi_inverse_theta"] = _mat_rel(
-        cf.psi_phi_inverse_closed(c, theta_route=True), psi @ inv_phi)
-    out["phi_inverse_psi_sn"] = _mat_rel(cf.phi_inverse_psi_closed(c), inv_phi @ psi)
-    out["phi_inverse_psi_theta"] = _mat_rel(
-        cf.phi_inverse_psi_closed(c, theta_route=True), inv_phi @ psi)
+    psi_phi_inv, phi_inv_psi = psi @ inv_phi, inv_phi @ psi
+    psi_phi_theta, phi_psi_theta = cf.closed_products_theta(c)
+    out["psi_phi_inverse_sn"] = _mat_rel(cf.psi_phi_inverse_closed(c), psi_phi_inv)
+    out["psi_phi_inverse_theta"] = _mat_rel(psi_phi_theta, psi_phi_inv)
+    out["phi_inverse_psi_sn"] = _mat_rel(cf.phi_inverse_psi_closed(c), phi_inv_psi)
+    out["phi_inverse_psi_theta"] = _mat_rel(phi_psi_theta, phi_inv_psi)
 
     chi, kappa = cf.chi_kappa(c)
     chi_t, kappa_t = cf.chi_kappa_trig(c)
     out["chi_sn_vs_trig"] = float(np.max(np.abs(chi - chi_t)))
     out["kappa_sn_vs_trig"] = float(np.max(np.abs(kappa - kappa_t)))
 
-    all_u = np.concatenate([c.sector("p").u, c.sector("a").u])
+    lam = np.concatenate(cf.lambda_factors(c))
     all_nu = np.concatenate([c.sector("p").nu, c.sector("a").nu])
-    out["lambda_vs_nu"] = _rel(cf.lambda_uv(all_u[:, None], all_u[None, :], c),
+    out["lambda_vs_nu"] = _rel(lam[:, None] / lam[None, :],
                                np.exp((all_nu[None, :] - all_nu[:, None]) / 2.0))
 
     t = rng.uniform(0.1, 2.0 * math.pi - 0.1, 20)
@@ -274,7 +273,7 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
 
 def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
     """Induced-rotation relations and the two-particle closed forms."""
-    rot = induced_rotation(c, site)
+    rot = cf.induced_rotation(c, site)
     out = dict(rot.relation_residuals())
     det_d, dinv_num = det_and_inverse(rot.d)
     dinv, bdinv, dinvc = two_particle_matrices(c, site)
@@ -377,7 +376,7 @@ def formfactor_suite(c: Couplings, site: int | None = None) -> dict[str, float]:
         routes.append(np.abs(f_closed - ff_pfaffian(stack, c))
                       / np.maximum(np.abs(f_closed), 1e-30))
         assembly.append(_mat_rel(assemble_r_matrix(stack, c),
-                                 assemble_r_elliptic(stack, c)))
+                                 cf.assemble_r_elliptic(stack, c)))
     out = {"closed_vs_pfaffian": _worst(*routes),
            "pairing_matrix_assembly": _worst(*assembly)}
 

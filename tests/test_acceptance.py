@@ -10,13 +10,13 @@ import math
 import numpy as np
 
 from isingff.cauchy import (EllipticPointConfig, elliptic_cauchy_matrix,
-                            frobenius_inverse, frobenius_log_det, lambda_uv,
+                            frobenius_inverse, frobenius_log_det, lambda_factors,
                             sn_pfaffian_product, theta_interpolation_sum,
                             _interpolation_terms)
 from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
-from isingff.formfactors import (FockState, FormFactorSpec, ff_closed,
-                                 ff_pfaffian, two_point_correlation,
+from isingff.formfactors import (FockState, FormFactorSpec, SpecStack,
+                                 ff_closed, ff_pfaffian, two_point_correlation,
                                  vacuum_overlap)
 from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
 from isingff.oracle import (block_labels, build_operators, labeled_spectrum,
@@ -92,6 +92,18 @@ def test_criterion_1_oracle_agreement():
     assert passed
 
 
+def _spec_stacks(n: int, site: int, mn_values=(0, 2, 4)):
+    """The specs of :func:`_specs` as one :class:`SpecStack` per (m, n) group."""
+    top = min(n, max(mn_values))
+    for m, nn in itertools.product(range(top + 1), repeat=2):
+        if m + nn in mn_values:
+            bra = np.array(list(itertools.combinations(range(n), m)), int)
+            ket = np.array(list(itertools.combinations(range(n), nn)), int)
+            bra, ket = bra.reshape(math.comb(n, m), m), ket.reshape(math.comb(n, nn), nn)
+            yield SpecStack(site, np.repeat(bra, len(ket), axis=0),
+                            np.tile(ket, (len(bra), 1)))
+
+
 def test_criterion_2_route_equivalence():
     """ff_closed equals ff_pfaffian including phase to 1e-10 relative, N <= 8."""
     worst = 0.0
@@ -100,13 +112,12 @@ def test_criterion_2_route_equivalence():
         for n in range(1, 9):
             c = Couplings.from_kx_ky(kx, ky, n)
             for site in range(n):
-                for bra, ket in _specs(n):
-                    spec = FormFactorSpec(site, FockState("a", bra),
-                                          FockState("p", ket))
-                    f1 = ff_closed(spec, c)
-                    f2 = ff_pfaffian(spec, c)
-                    worst = max(worst, abs(f1 - f2) / max(abs(f1), 1e-300))
-                    count += 1
+                for stack in _spec_stacks(n, site):
+                    f1 = ff_closed(stack, c)
+                    f2 = ff_pfaffian(stack, c)
+                    worst = max(worst, float(np.max(np.abs(f1 - f2)
+                                                    / np.maximum(np.abs(f1), 1e-300))))
+                    count += len(f1)
     passed = worst < 1e-10
     _report(2, "closed form vs pfaffian route with phase, N<=8", passed,
             f"{count} specs, worst rel {worst:.2e}")
@@ -275,11 +286,11 @@ def test_criterion_10_nu_lambda_reduction():
     worst = 0.0
     for n in (3, 4):
         c = Couplings.from_kx_ky(0.4, 0.7, n)
-        us = np.concatenate([c.sector("p").u, c.sector("a").u])
+        lam = np.concatenate(lambda_factors(c))
         nus = np.concatenate([c.sector("p").nu, c.sector("a").nu])
         for i in range(2 * n):
             for j in range(2 * n):
-                worst = max(worst, abs(lambda_uv(us[i], us[j], c)
+                worst = max(worst, abs(lam[i] / lam[j]
                                        - math.exp((nus[j] - nus[i]) / 2.0)))
     passed = worst < 1e-10
     _report(10, "sn-product vs sinh-product reduction, N=3 and N=4", passed,

@@ -6,8 +6,9 @@ size, one sn/cn/dn grid per (coupling, rows, cols), one form-factor stack per
 the theta_1 evaluations and the route calls pins that down, so a return to
 per-config or per-site loops fails here.  The bounds are the counts at N=8,
 (0.4, 0.7).  Evaluated one config at a time, the Cauchy suite makes 403
-theta_1 evaluations there; with one stack per site, the form-factor suite
-makes 46 ff_closed and 42 ff_pfaffian calls.
+theta_1 evaluations there, and 159 with its per-point factors (lambda, f,
+g) rebuilt by each closed form; with one stack per site, the form-factor
+suite makes 46 ff_closed and 42 ff_pfaffian calls.
 """
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from isingff import cauchy, elliptic, verification
 from isingff.spectral import Couplings
 
-THETA1_BUDGET = {"cauchy": 159, "formfactor": 10}
+THETA1_BUDGET = {"cauchy": 132, "formfactor": 10}
 ROUTE_BUDGET = {"ff_closed": 18, "ff_pfaffian": 14}
 
 
@@ -34,8 +35,9 @@ def counted(monkeypatch):
     monkeypatch.setattr(elliptic, "_theta1", counting("theta1", elliptic._theta1))
     for name in ROUTE_BUDGET:
         monkeypatch.setattr(verification, name, counting(name, getattr(verification, name)))
-    # a cold grid cache, so the count does not depend on earlier tests
-    cauchy._sn_cn_dn_of_differences.cache_clear()
+    # cold grid and factor caches, so the count does not depend on earlier tests
+    for cached in (cauchy._sn_cn_dn_of_differences, cauchy.chi_kappa, cauchy.lambda_factors):
+        cached.cache_clear()
     return c, counted
 
 

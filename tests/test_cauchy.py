@@ -5,9 +5,10 @@ import pytest
 
 from isingff.cauchy import (EllipticPointConfig, _interpolation_terms,
                             _sn_cn_dn_of_differences, chi_kappa, chi_kappa_trig,
-                            elliptic_cauchy_matrix, frobenius_inverse,
-                            frobenius_log_det, ising_cauchy_config,
-                            ising_constraint_residuals, lambda_uv,
+                            closed_products_theta, elliptic_cauchy_matrix,
+                            frobenius_inverse, frobenius_log_det,
+                            ising_cauchy_config, ising_constraint_residuals,
+                            lambda_factors,
                             log_det_phi_squared_trig, log_det_phi_theta,
                             phi_inverse_closed, phi_inverse_psi_closed,
                             phi_inverse_trig, phi_matrix, psi_matrix,
@@ -199,11 +200,10 @@ class TestIsingSpecialization:
         assert np.max(np.abs(right - inv @ psi)) < 1e-10
         assert np.max(np.abs(np.diag(left))) == 0.0
         assert np.max(np.abs(np.diag(right))) == 0.0
-        # raw theta-product route, kept behind the verification flag
-        assert np.max(np.abs(psi_phi_inverse_closed(c, theta_route=True)
-                             - psi @ inv)) < 1e-10
-        assert np.max(np.abs(phi_inverse_psi_closed(c, theta_route=True)
-                             - inv @ psi)) < 1e-10
+        # raw theta-product route, the cross-check of both products
+        left_theta, right_theta = closed_products_theta(c)
+        assert np.max(np.abs(left_theta - psi @ inv)) < 1e-10
+        assert np.max(np.abs(right_theta - inv @ psi)) < 1e-10
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_chi_kappa_routes(self, n):
@@ -236,11 +236,11 @@ class TestIsingSpecialization:
     @pytest.mark.parametrize("n", [3, 4])
     def test_lambda_is_nu_ratio(self, n):
         c = Couplings.from_kx_ky(0.4, 0.7, n)
-        us = np.concatenate([c.sector("p").u, c.sector("a").u])
+        lam = np.concatenate(lambda_factors(c))
         nus = np.concatenate([c.sector("p").nu, c.sector("a").nu])
         for i in range(2 * n):
             for j in range(2 * n):
-                assert abs(lambda_uv(us[i], us[j], c)
+                assert abs(lam[i] / lam[j]
                            - math.exp((nus[j] - nus[i]) / 2.0)) < 1e-10
 
     def test_sn_grids_are_shared_and_read_only(self):

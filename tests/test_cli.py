@@ -241,3 +241,19 @@ def test_verify_refuses_oversized_formfactor_suite(capsys, monkeypatch, suite):
     captured = capsys.readouterr()
     assert code == 4
     assert "specs" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["params"],
+    ["spectrum"],
+    ["ff"],
+    ["corr", "--m-height", "4", "--dx", "1", "--dy", "0"],
+    ["verify", "elliptic"],
+], ids=lambda argv: argv[0])
+def test_zero_width_is_a_domain_error(capsys, argv):
+    """--n 0 is refused (exit 3), not silently run at N=1."""
+    code = main(argv + ["--kx", "0.4", "--ky", "0.7", "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "lattice width" in captured.err

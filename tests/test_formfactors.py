@@ -1,19 +1,20 @@
+import ast
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from isingff.cauchy import assemble_r_elliptic, induced_rotation
 from isingff.exceptions import DomainError
 from isingff.formfactors import (FockState, FormFactorSpec, SpecStack,
-                                 abs_ff2_table, assemble_r_elliptic,
-                                 assemble_r_matrix, ff_closed, ff_pfaffian,
-                                 fock_basis, induced_rotation, nu_of_theta,
-                                 two_particle_matrices, two_point_correlation,
-                                 vacuum_overlap, xi_t)
+                                 abs_ff2_table, assemble_r_matrix, ff_closed,
+                                 ff_pfaffian, fock_basis, two_particle_matrices,
+                                 two_point_correlation, vacuum_overlap, xi_t)
 from isingff.linalg import det_and_inverse, pfaffian
-from isingff.spectral import Couplings, gamma_of_theta
+from isingff.spectral import Couplings, gamma_of_theta, nu_of_gamma
 from isingff.verification import (_spec_groups, completeness_sum_rule,
                                   formfactor_suite, rotation_suite)
 
@@ -70,14 +71,15 @@ class TestNu:
         g = float(gamma_of_theta(th, c))
         expected = math.log(math.sinh((g + c.sector("a").gamma[0]) / 2)
                             / math.sinh((g + c.sector("p").gamma[0]) / 2))
-        assert nu_of_theta(th, c) == pytest.approx(expected, rel=1e-13)
+        assert nu_of_gamma(gamma_of_theta(th, c), c) == pytest.approx(expected, rel=1e-13)
 
     def test_width_four_against_direct_product(self):
         th = 2.2
         g = float(gamma_of_theta(th, C4))
         num = np.prod(np.sinh((g + C4.sector("a").gamma) / 2))
         den = np.prod(np.sinh((g + C4.sector("p").gamma) / 2))
-        assert nu_of_theta(th, C4) == pytest.approx(math.log(num / den), rel=1e-13)
+        assert (nu_of_gamma(gamma_of_theta(th, C4), C4)
+                == pytest.approx(math.log(num / den), rel=1e-13))
 
 
 class TestTwoParticleMatrices:
@@ -408,3 +410,19 @@ class TestTwoPointCorrelation:
         full = two_point_correlation(c, 6, 2, 1)
         trunc = two_point_correlation(c, 6, 2, 1, max_particles=4)
         assert abs(full - trunc) < 1e-6
+
+
+def test_evaluation_path_imports_no_verification_route():
+    """formfactors, which ff and corr run, imports nothing from the elliptic,
+    Cauchy or verification layers."""
+    source = Path(__file__).resolve().parents[1] / "src" / "isingff" / "formfactors.py"
+    banned = {"elliptic", "cauchy", "verification"}
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert not banned & set(name.split(".")), f"line {node.lineno}: {name}"

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
 from isingff.spectral import (SECTORS, Couplings, b_elliptic, b_of_theta,
-                              coupling_tables, eta_of_couplings, gamma_of_theta,
+                              coupling_tables, gamma_of_theta,
                               log_sinh, nu_of_gamma, quasimomenta,
                               sqrt_b_of_theta, u_of_theta)
 from isingff.verification import elliptic_suite
@@ -73,7 +73,7 @@ class TestCouplings:
         assert abs(-0.5 * root - c.eta) <= 1e-13 * abs(c.eta)
 
     def test_eta_vanishes_with_weak_horizontal_coupling(self):
-        eta = eta_of_couplings(0.05, 1.5)
+        eta = Couplings.from_kx_ky(0.05, 1.5, 1).eta
         assert -0.06 < eta < 0.0
 
     def test_uniformization_satisfies_curve(self):
