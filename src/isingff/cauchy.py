@@ -10,7 +10,7 @@ specialization to the two sector-coupling matrices
     Psi[theta, theta'] = cn(u_theta - u_theta'),
 
 with rows on the periodic momentum set and columns on the antiperiodic one.
-Phi is an elliptic Cauchy matrix: with x, y the points of :func:`ising_xy`,
+Phi is an elliptic Cauchy matrix: with x, y the points of :func:`ising_cauchy_config`,
 alpha = pi/2 - pi*tau/2 and kappa = theta_2(0) theta_4(0) / theta_3(0),
 Phi = kappa diag(e^{-ix}) C(x, y; alpha) diag(e^{iy}), because
 theta_3(z) = e^{-iz - pi|tau|/4} theta_1(z + alpha) and
@@ -31,23 +31,23 @@ An :class:`EllipticPointConfig` holds one matrix, (n,) points and one shift,
 or a stack of S matrices of one size, (S, n) points and (S,) shifts.  The
 Frobenius functions evaluate a stack at once and give one result per row:
 (S, n, n) matrices, (S,) log determinants, (S, n) interpolation terms.  A
-single matrix is the stack of one and gives a matrix and a complex.  The
-sn/cn/dn grids of the Ising momenta and the per-point factors are built once
-per coupling and shared, read-only, by every closed form of that coupling.
+single matrix is the stack of one and gives a matrix and a complex.  What the
+Ising closed forms build is built once per coupling, in :func:`ising_record`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from .elliptic import EllipticModulus, jacobi_sn_cn_dn, theta
 from .exceptions import DomainError, SingularMatrixError
 from .formfactors import FormFactorSpec, SpecStack, _as_stack, _ell, _unstack
-from .spectral import Couplings, coupling_tables, log_sinh
+from .spectral import (SECTORS, Couplings, _read_only, coupling_tables, log_sinh,
+                       sqrt_b_of_theta, u_of_theta)
 
 _LATTICE_TOL = 1e-11
 
@@ -69,13 +69,6 @@ def _prod_off_diagonal(grid: np.ndarray) -> np.ndarray:
 def _differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """x_i - y_j at [..., i, j] for points along the last axis."""
     return xs[..., :, None] - ys[..., None, :]
-
-
-def _read_only(*arrays) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: they are cached and shared per coupling."""
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
 
 
 def _on_zero_lattice(xs, ys, q: float) -> np.ndarray:
@@ -109,10 +102,9 @@ class EllipticPointConfig:
         if xs.ndim == 1:
             alpha = complex(self.alpha_shift)
         else:
-            alpha = np.array(np.broadcast_to(self.alpha_shift, xs.shape[:1]), dtype=complex)
-            alpha.flags.writeable = False
-        for value in (xs, ys):
-            value.flags.writeable = False
+            alpha = _read_only(np.array(np.broadcast_to(self.alpha_shift, xs.shape[:1]),
+                                        dtype=complex))[0]
+        _read_only(xs, ys)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "alpha_shift", alpha)
@@ -246,16 +238,34 @@ def sn_pfaffian_product(us, mod: EllipticModulus) -> complex:
 # ---- Ising specialization ------------------------------------------------
 
 
-def ising_xy(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
-    """Theta-argument points x_i (periodic) and y_i (antiperiodic), u scaled by pi/2K."""
-    scale = math.pi / (2.0 * c.modulus.bigK)
-    return c.sector("p").u * scale, c.sector("a").u * scale
+@lru_cache(maxsize=4)
+def ising_record(c: Couplings) -> dict:
+    """The read-only record shared by every Ising closed form and elliptic route
+    of ``c``: "u" and "sqrt_b", u_theta and sqrt(b_theta) per sector (no theta_1),
+    and what the :func:`_per_coupling` functions build on first read.  It holds
+    a few N x N grids, so the records of only a few couplings are kept."""
+    return {name: {s: _read_only(f(c.sector(s).thetas, c))[0] for s in SECTORS}
+            for name, f in (("u", u_of_theta), ("sqrt_b", sqrt_b_of_theta))}
 
 
+def _per_coupling(build):
+    """``build(c, *args)``, built once per coupling value and arguments and
+    kept in the coupling's record."""
+    @wraps(build)
+    def read(c: Couplings, *args):
+        record, key = ising_record(c), (build, *args)
+        if key not in record:
+            record[key] = build(c, *args)
+        return record[key]
+    return read
+
+
+@_per_coupling
 def ising_cauchy_config(c: Couplings) -> tuple[EllipticPointConfig, complex]:
-    """Points x, y, alpha and the scalar kappa of Phi as an elliptic Cauchy
-    matrix (see the module docstring)."""
-    xs, ys = ising_xy(c)
+    """Points x (periodic) and y (antiperiodic), u scaled by pi/2K, alpha and
+    the scalar kappa of Phi as an elliptic Cauchy matrix (see above)."""
+    u, scale = ising_record(c)["u"], math.pi / (2.0 * c.modulus.bigK)
+    xs, ys = u["p"] * scale, u["a"] * scale
     t2, t3, t4 = c.modulus._theta_zeros
     alpha = math.pi / 2.0 - math.pi * c.modulus.tau / 2.0
     return EllipticPointConfig(xs, ys, c.modulus.q, alpha), t2 * t4 / t3
@@ -269,29 +279,20 @@ def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
     sum(x) - sum(y) = -pi/2.  Odd N additionally has y_{(N+1)/2} = 0, even N
     has x_{N/2+1} = 0.
     """
-    xs, ys = ising_xy(c)
-    n = c.n
-    res = {"x1_plus_half_pi": abs(xs[0] + math.pi / 2.0)}
-    res["x_pairing"] = float(np.max(np.abs(xs[1:] + xs[:0:-1]), initial=0.0))
-    res["y_pairing"] = float(np.max(np.abs(ys + ys[::-1])))
-    if n % 2 == 0:
-        res["middle_point"] = abs(xs[n // 2])
-    else:
-        res["middle_point"] = abs(ys[(n - 1) // 2])
-    res["balancing_sum"] = abs(xs.sum() - ys.sum() + math.pi / 2.0)
-    return res
+    cfg = ising_cauchy_config(c)[0]
+    xs, ys, n = cfg.xs.real, cfg.ys.real, c.n
+    return {"x1_plus_half_pi": abs(xs[0] + math.pi / 2.0),
+            "x_pairing": float(np.max(np.abs(xs[1:] + xs[:0:-1]), initial=0.0)),
+            "y_pairing": float(np.max(np.abs(ys + ys[::-1]))),
+            "middle_point": abs(xs[n // 2] if n % 2 == 0 else ys[(n - 1) // 2]),
+            "balancing_sum": abs(xs.sum() - ys.sum() + math.pi / 2.0)}
 
 
-# three grids per coupling, N x N complex each: a few couplings' worth
-@lru_cache(maxsize=12)
+@_per_coupling
 def _sn_cn_dn_of_differences(c: Couplings, rows: str, cols: str):
-    """sn, cn and dn of u_i - u_j, i over sector ``rows`` and j over ``cols``.
-
-    Built once per (coupling, rows, cols) and shared, so the arrays are
-    read-only.
-    """
-    return _read_only(*jacobi_sn_cn_dn(np.subtract.outer(c.sector(rows).u,
-                                                         c.sector(cols).u), c.modulus))
+    """sn, cn and dn of u_i - u_j, i over sector ``rows`` and j over ``cols``."""
+    u = ising_record(c)["u"]
+    return _read_only(*jacobi_sn_cn_dn(np.subtract.outer(u[rows], u[cols]), c.modulus))
 
 
 def phi_matrix(c: Couplings) -> np.ndarray:
@@ -305,12 +306,13 @@ def psi_matrix(c: Couplings) -> np.ndarray:
     return _sn_cn_dn_of_differences(c, "p", "a")[1].real.copy()
 
 
+@_per_coupling
 def phi_inverse_closed(c: Couplings) -> np.ndarray:
-    """Phi^-1 with rows on antiperiodic momenta and columns on periodic ones:
+    """Phi^-1 (rows antiperiodic, columns periodic), read-only and shared:
     diag(e^{-iy}) C^-1 diag(e^{ix}) / kappa, C^-1 the Frobenius inverse."""
     cfg, kappa = ising_cauchy_config(c)
-    return (np.exp(-1j * cfg.ys)[:, None] * frobenius_inverse(cfg)
-            * np.exp(1j * cfg.xs)[None, :] / kappa)
+    return _read_only(np.exp(-1j * cfg.ys)[:, None] * frobenius_inverse(cfg)
+                      * np.exp(1j * cfg.xs)[None, :] / kappa)[0]
 
 
 def phi_inverse_trig(c: Couplings) -> np.ndarray:
@@ -325,12 +327,9 @@ def phi_inverse_trig(c: Couplings) -> np.ndarray:
             / (n**2 * np.sinh(ga)[:, None] * np.sinh(gp)[None, :] * sin_half))
 
 
-@lru_cache(maxsize=4)
+@_per_coupling
 def chi_kappa(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-sector sn-product ratios chi (periodic) and kappa (antiperiodic).
-
-    Built once per coupling and shared, so the arrays are read-only.
-    """
+    """Read-only sn-product ratios chi (periodic) and kappa (antiperiodic)."""
     sn_pa = _sn_cn_dn_of_differences(c, "p", "a")[0].real
     sn_pp = _sn_cn_dn_of_differences(c, "p", "p")[0].real
     sn_aa = _sn_cn_dn_of_differences(c, "a", "a")[0].real
@@ -351,17 +350,16 @@ def chi_kappa_trig(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     return chi, kappa
 
 
-@lru_cache(maxsize=4)
+@_per_coupling
 def lambda_factors(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     """L(u) = w(u) dn u / (1 + k sn u) at the periodic and the antiperiodic
     momenta, with w(u) = prod over momenta of (1 - k sn_p sn u)/(1 - k sn_a sn u).
 
     The ratio lambda(u, v) = L(u)/L(v) is exp((nu_v - nu_u)/2).  One sn
-    evaluation over the 2N momenta; built once per coupling and shared, so
-    the arrays are read-only.
+    evaluation over the 2N momenta; the arrays are read-only.
     """
     n, k = c.n, c.modulus.k
-    u = np.concatenate([c.sector("p").u, c.sector("a").u])
+    u = np.concatenate([ising_record(c)["u"]["p"], ising_record(c)["u"]["a"]])
     sn, _, dn = (f.real for f in jacobi_sn_cn_dn(u, c.modulus))
     w = np.prod((1.0 - k * sn[:n] * sn[:, None]) / (1.0 - k * sn[n:] * sn[:, None]),
                 axis=-1)
@@ -417,6 +415,7 @@ def closed_products_theta(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
             _zero_diagonal(-g[:, None] / h[None, c.n:] * sn_aa))
 
 
+@_per_coupling
 def log_det_phi_theta(c: Couplings) -> complex:
     """log det(Phi) = N log kappa - i (sum(x) - sum(y)) + log det C(x, y; alpha),
     the phase defined modulo 2*pi; nothing overflows at large N."""
@@ -473,11 +472,11 @@ def induced_rotation(c: Couplings, site: int) -> InducedRotation:
     if not 0 <= site < c.n:
         raise DomainError(f"site {site} outside [0, {c.n})")
     n = c.n
-    a, p = c.sector("a"), c.sector("p")
-    tp = p.thetas[:, None]
-    ta = a.thetas[None, :]
-    rb = a.sqrt_b[None, :] / p.sqrt_b[:, None]
-    pb = a.sqrt_b[None, :] * p.sqrt_b[:, None]
+    sqrt_b = ising_record(c)["sqrt_b"]
+    tp = c.sector("p").thetas[:, None]
+    ta = c.sector("a").thetas[None, :]
+    rb = sqrt_b["a"][None, :] / sqrt_b["p"][:, None]
+    pb = sqrt_b["a"][None, :] * sqrt_b["p"][:, None]
     ell = site - 0.5
     d = (np.exp(-1j * ell * (tp - ta)) / (2j * n * np.sin((ta - tp) / 2.0))
          * (rb + 1.0 / rb))
@@ -505,9 +504,10 @@ def assemble_r_elliptic(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.nd
         np.exp(1j * ell * p.thetas[ip] - p.nu[ip] / 2.0)
         / np.sqrt(c.n * np.sinh(p.gamma[ip])),
     ], axis=1)
+    u = ising_record(c)["u"]
     u_tilde = np.concatenate([
-        a.u[ia] + 1j * c.modulus.bigKprime,
-        p.u[ip].astype(complex),
+        u["a"][ia] + 1j * c.modulus.bigKprime,
+        u["p"][ip].astype(complex),
     ], axis=1)
     size, k = u_tilde.shape
     i, j = np.triu_indices(k, 1)

@@ -28,11 +28,11 @@ import numpy as np
 from . import verification
 from .exceptions import (AmbiguousLabelError, ConvergenceError, DomainError,
                          ResourceError, SingularMatrixError, VerificationError)
-from .formfactors import (FockState, FormFactorSpec, ff_closed, ff_pfaffian,
+from .formfactors import (FockState, FormFactorSpec, SpecStack, ff_closed, ff_pfaffian,
                           two_point_correlation, vacuum_overlap, xi_t)
 from .oracle import (_TRACE_MAX_M, _TRACE_MAX_N, block_labels, build_operators, find_state,
                      labeled_spectrum, oracle_correlation, oracle_ff_modulus)
-from .spectral import Couplings
+from .spectral import Couplings, b_of_theta, u_of_theta
 
 _ORACLE_MAX_N = 10
 EXIT_OK = 0
@@ -108,18 +108,29 @@ def _cmd_spectrum(args) -> int:
     c = _couplings(args)
     rows = []
     for t in (c.sector("a"), c.sector("p")):
-        for i in range(c.n):
-            rows.append({
-                "sector": t.sector, "index": i,
-                "theta": float(t.thetas[i]), "gamma": float(t.gamma[i]),
-                "b_re": float(t.b[i].real), "b_im": float(t.b[i].imag),
-                "u": float(t.u[i]), "nu": float(t.nu[i]),
-            })
+        b, u = b_of_theta(t.thetas, c), u_of_theta(t.thetas, c)
+        rows += [{"sector": t.sector, "index": i,
+                  "theta": float(t.thetas[i]), "gamma": float(t.gamma[i]),
+                  "b_re": float(b[i].real), "b_im": float(b[i].imag),
+                  "u": float(u[i]), "nu": float(t.nu[i])} for i in range(c.n)]
     payload = {"command": "spectrum",
                "inputs": {"kx": args.kx, "ky": args.ky, "n": args.n},
                "results": {"points": rows}}
     _emit(payload, rows, args.output)
     return EXIT_OK
+
+
+def _closed_block_norm(c: Couplings, site: int, bra_labels: list, ket_labels: list) -> float:
+    """sqrt of the sum of |F|^2 over the (bra, ket) label pairs of two oracle
+    blocks: one ``ff_closed`` stack per (m, n), the squares summed in label
+    order with Python's ``abs`` (``np.abs`` can differ in the last bit)."""
+    pairs = [(b, k) for _, b in bra_labels for _, k in ket_labels]
+    values = {}
+    for shape in {(len(b), len(k)) for b, k in pairs}:
+        group = [(b, k) for b, k in pairs if (len(b), len(k)) == shape]
+        bra, ket = (np.array(side, dtype=int) for side in zip(*group))
+        values.update(zip(group, ff_closed(SpecStack(site, bra, ket), c)))
+    return math.sqrt(sum(abs(complex(values[p])) ** 2 for p in pairs))
 
 
 def _cmd_ff(args) -> int:
@@ -146,10 +157,7 @@ def _cmd_ff(args) -> int:
         bra_labels = block_labels(spect, find_state(spect, "a", spec.bra.indices).block)
         ket_labels = block_labels(spect, find_state(spect, "p", spec.ket.indices).block)
         blockwise = len(bra_labels) > 1 or len(ket_labels) > 1
-        closed_block = math.sqrt(sum(
-            abs(ff_closed(FormFactorSpec(args.site, FockState("a", bi),
-                                         FockState("p", ki)), c)) ** 2
-            for _, bi in bra_labels for _, ki in ket_labels))
+        closed_block = _closed_block_norm(c, args.site, bra_labels, ket_labels)
         oracle_residual = abs(closed_block - oracle_val) / max(closed_block, 1e-30)
         results.update({
             "oracle_abs": oracle_val,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .exceptions import DomainError, VerificationError
 from .linalg import pfaffian
-from .spectral import SECTORS, Couplings, SectorTable, coupling_tables
+from .spectral import SECTORS, Couplings, SectorTable, _read_only, coupling_tables
 
 _FULL_ENUMERATION_MAX_N = 12
 _DEFAULT_PARTICLE_CUTOFF = 4
@@ -290,8 +290,7 @@ class FockBasis:
     momenta: np.ndarray
 
     def __post_init__(self):
-        for value in (self.occupancy, self.particles, self.energies, self.momenta):
-            value.flags.writeable = False
+        _read_only(self.occupancy, self.particles, self.energies, self.momenta)
 
     def __len__(self) -> int:
         return len(self.states)

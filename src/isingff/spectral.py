@@ -6,7 +6,8 @@ elliptic functions, together with the coupling container that holds every
 derived scalar (dual coupling, modulus, eta, ...).
 
 Each momentum sector has one read-only :class:`SectorTable`, reached by
-``c.sector(name)`` and built lazily, once per coupling value.
+``c.sector(name)`` and built lazily, once per coupling value; it holds only
+elementary functions of theta, so building it evaluates no elliptic function.
 
 Quasimomenta are handled as exact integer indices into a sector's ordered
 momentum set wherever states are matched across modules; floating theta values
@@ -29,6 +30,13 @@ from .exceptions import ConvergenceError, DomainError
 _MIN_PERIOD_RATIO = 1e-3  # reject K'/K below this; theta-series precision collapses
 
 SECTORS = ("a", "p")
+
+
+def _read_only(*arrays) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: they are cached and shared per coupling."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def quasimomenta(sector: str, n: int) -> np.ndarray:
@@ -121,13 +129,14 @@ class Couplings:
         return getattr(coupling_tables(self), name)
 
     def __getattr__(self, name: str):
-        # ``<field>_<sector>`` reads ``sector(<sector>).<field>``, since
-        # ``perfbench/workloads.build_corr`` warms the tables by these names
+        # ``<field>_<sector>``: a field of the sector's table, or ``<field>_of_theta``
+        # at its momenta for u, b and sqrt_b (``perfbench/workloads.build_corr``)
         field, _, sector = name.rpartition("_")
-        if sector not in SECTORS or field not in (
-                "thetas", "gamma", "u", "b", "sqrt_b", "nu"):
+        curve = {"u": u_of_theta, "b": b_of_theta, "sqrt_b": sqrt_b_of_theta}
+        if sector not in SECTORS or field not in ("thetas", "gamma", "nu", *curve):
             raise AttributeError(name)
-        return getattr(self.sector(sector), field)
+        table = self.sector(sector)
+        return curve[field](table.thetas, self) if field in curve else getattr(table, field)
 
 
 @dataclass(frozen=True)
@@ -143,18 +152,13 @@ class SectorTable:
     sector: str
     thetas: np.ndarray
     gamma: np.ndarray
-    u: np.ndarray
-    b: np.ndarray
-    sqrt_b: np.ndarray
     nu: np.ndarray
     amp: np.ndarray
     log_amp2: np.ndarray
     pair_ratio: np.ndarray
 
     def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        _read_only(*(v for v in vars(self).values() if isinstance(v, np.ndarray)))
 
 
 class CouplingTables(NamedTuple):
@@ -192,14 +196,12 @@ def coupling_tables(c: Couplings) -> CouplingTables:
             / np.sinh((g[:, None] + g[None, :]) / 2.0)
         np.fill_diagonal(ratio, 0.0)
         tables[sector] = SectorTable(
-            sector=sector, thetas=th, gamma=g, u=u_of_theta(th, c),
-            b=b_of_theta(th, c), sqrt_b=sqrt_b_of_theta(th, c), nu=nu,
+            sector=sector, thetas=th, gamma=g, nu=nu,
             amp=np.exp(sign * nu / 2.0) / np.sqrt(c.n * np.sinh(g)),
             log_amp2=sign * nu - np.log(c.n * np.sinh(g)),
             pair_ratio=ratio)
-    ap_ratio = (np.sinh((gamma["a"][:, None] + gamma["p"][None, :]) / 2.0)
-                / np.sin((thetas["a"][:, None] - thetas["p"][None, :]) / 2.0))
-    ap_ratio.flags.writeable = False
+    ap_ratio = _read_only(np.sinh((gamma["a"][:, None] + gamma["p"][None, :]) / 2.0)
+                          / np.sin((thetas["a"][:, None] - thetas["p"][None, :]) / 2.0))[0]
     rho2 = c.sinh2ky / c.sinh2kx
     return CouplingTables(
         **tables, ap_ratio=ap_ratio, rho2=rho2, log_rho2=math.log(rho2),
@@ -249,15 +251,12 @@ def b_of_theta(theta, c: Couplings):
 
 
 def sqrt_b_of_theta(theta, c: Couplings):
-    """Principal square root of b_theta; positive real part asserted.
+    """Principal square root of b_theta; its real part is positive, as b_theta's is.
 
     The convention sqrt(b_pi) = 1 fixes the branch used throughout the
     induced-rotation matrices.
     """
-    root = np.sqrt(b_of_theta(theta, c))
-    if np.any(np.asarray(root).real <= 0.0):
-        raise DomainError("sqrt(b_theta) on the branch cut; cannot fix the sign")
-    return root
+    return np.sqrt(b_of_theta(theta, c))
 
 
 def u_of_theta(theta, c: Couplings):

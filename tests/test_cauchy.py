@@ -8,17 +8,18 @@ from isingff.cauchy import (EllipticPointConfig, _interpolation_terms,
                             closed_products_theta, elliptic_cauchy_matrix,
                             frobenius_inverse, frobenius_log_det,
                             ising_cauchy_config, ising_constraint_residuals,
-                            lambda_factors,
+                            ising_record, lambda_factors,
                             log_det_phi_squared_trig, log_det_phi_theta,
                             phi_inverse_closed, phi_inverse_psi_closed,
                             phi_inverse_trig, phi_matrix, psi_matrix,
                             psi_phi_inverse_closed, sn_pfaffian_product,
                             theta_interpolation_sum)
+from isingff import elliptic
 from isingff.elliptic import EllipticModulus, jacobi_sn_cn_dn, theta
 from isingff.exceptions import DomainError
 from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
-from isingff.spectral import Couplings
-from isingff.verification import _log_rel, cauchy_suite
+from isingff.spectral import SECTORS, Couplings, sqrt_b_of_theta, u_of_theta
+from isingff.verification import _log_rel, cauchy_suite, rotation_suite
 
 BENCH_COUPLINGS = [(0.3, 0.9), (0.4, 0.7), (0.5, 0.5)]
 MOD = EllipticModulus.from_k(0.55)
@@ -256,6 +257,62 @@ class TestIsingSpecialization:
         psi = psi_matrix(c)
         psi[0, 0] = 5.0
         assert psi_matrix(c)[0, 0] != 5.0
+
+    @pytest.mark.parametrize("kx, ky", BENCH_COUPLINGS)
+    def test_record_points_match_the_public_functions(self, kx, ky):
+        c = Couplings.from_kx_ky(kx, ky, 7)
+        record = ising_record(c)
+        assert ising_record(Couplings.from_kx_ky(kx, ky, 7)) is record
+        for sector in SECTORS:
+            thetas = c.sector(sector).thetas
+            np.testing.assert_array_equal(record["u"][sector], u_of_theta(thetas, c))
+            np.testing.assert_array_equal(record["sqrt_b"][sector],
+                                          sqrt_b_of_theta(thetas, c))
+        cfg, _ = ising_cauchy_config(c)
+        scale = math.pi / (2.0 * c.modulus.bigK)
+        np.testing.assert_array_equal(cfg.xs, record["u"]["p"] * scale)
+        np.testing.assert_array_equal(cfg.ys, record["u"]["a"] * scale)
+        assert ising_cauchy_config(c)[0] is cfg
+
+    def test_record_arrays_are_read_only(self):
+        c = Couplings.from_kx_ky(0.5, 0.5, 4)
+        ising_record.cache_clear()
+        rotation_suite(c)  # reads Phi^-1, log det Phi and, through them, the rest
+        cauchy_suite(c)
+
+        def arrays(value):
+            """Every array held in a record entry."""
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, EllipticPointConfig):
+                return [value.xs, value.ys]
+            if isinstance(value, dict):
+                value = tuple(value.values())
+            return [a for v in value for a in arrays(v)] if isinstance(value, tuple) else []
+
+        found = arrays(ising_record(c))
+        # u, sqrt(b), x and y, three sn/cn/dn grids, chi and kappa, L, Phi^-1
+        assert len(found) == 4 + 2 + 9 + 2 + 2 + 1
+        for arr in found:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_record_is_built_without_theta1(self, monkeypatch):
+        # the curve points and the Cauchy configuration evaluate no theta_1;
+        # the grids and closed forms, built on first read, do
+        c = Couplings.from_kx_ky(0.4, 0.7, 6)
+        ising_record.cache_clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("theta_1 evaluated")
+
+        monkeypatch.setattr(elliptic, "_theta1", refuse)
+        ising_cauchy_config(c)
+        ising_constraint_residuals(c)
+        assert set(ising_record(c)["u"]) == set(SECTORS)
+        with pytest.raises(AssertionError, match="theta_1 evaluated"):
+            _sn_cn_dn_of_differences(c, "p", "p")
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6])
     def test_point_constraints(self, n):

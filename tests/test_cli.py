@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
 
-from isingff.cli import main
-from isingff.spectral import Couplings
+from isingff.cli import _closed_block_norm, main
+from isingff.formfactors import FockState, FormFactorSpec, ff_closed
+from isingff.oracle import block_labels, build_operators, find_state, labeled_spectrum
+from isingff.spectral import SECTORS, Couplings, b_of_theta, u_of_theta
 from isingff.verification import formfactor_suite, rotation_suite
 
 
@@ -38,6 +41,20 @@ class TestSpectrum:
         assert len(points) == 6
         assert {p["sector"] for p in points} == {"a", "p"}
 
+    def test_curve_points_are_the_public_functions(self, capsys):
+        code, out = run(capsys, "spectrum", "--kx", "0.3", "--ky", "0.9",
+                        "--n", "5")
+        assert code == 0
+        points = json.loads(out)["results"]["points"]
+        c = Couplings.from_kx_ky(0.3, 0.9, 5)
+        for sector in SECTORS:
+            rows = [p for p in points if p["sector"] == sector]
+            thetas = c.sector(sector).thetas
+            b, u = b_of_theta(thetas, c), u_of_theta(thetas, c)
+            assert [p["b_re"] for p in rows] == b.real.tolist()
+            assert [p["b_im"] for p in rows] == b.imag.tolist()
+            assert [p["u"] for p in rows] == u.tolist()
+
     def test_csv_rows(self, capsys):
         code, out = run(capsys, "spectrum", "--kx", "0.4", "--ky", "0.7",
                         "--n", "2", "--output", "csv")
@@ -48,6 +65,33 @@ class TestSpectrum:
 
 
 class TestFF:
+    @pytest.mark.parametrize("bras, kets", [
+        ([(0, 1), (2, 3), (1, 6)], [(), (4, 5)]),
+        ([(0, 1), (2, 3, 4, 5)], [(), (1, 2)]),  # labels of several lengths
+    ])
+    def test_block_norm_is_the_per_spec_sum(self, bras, kets):
+        c = Couplings.from_kx_ky(0.4, 0.7, 8)
+        per_spec = math.sqrt(sum(
+            abs(ff_closed(FormFactorSpec(3, FockState("a", b), FockState("p", k)), c)) ** 2
+            for b in bras for k in kets))
+        labels = ([("a", b) for b in bras], [("p", k) for k in kets])
+        assert _closed_block_norm(c, 3, *labels) == per_spec
+
+    def test_block_with_labels_of_two_particle_numbers(self, capsys):
+        # at this ky the antiperiodic states (3, 4) and (0, 1, 6, 7) have the
+        # same energy and momentum, so one oracle block carries both labels
+        ky = 0.7674697492343668
+        c = Couplings.from_kx_ky(0.4, ky, 8)
+        spect = labeled_spectrum(build_operators(c), c)
+        labels = block_labels(spect, find_state(spect, "a", (3, 4)).block)
+        assert sorted(len(indices) for _, indices in labels) == [2, 4]
+        code, out = run(capsys, "ff", "--kx", "0.4", "--ky", str(ky), "--n", "8",
+                        "--site", "2", "--bra", "3,4", "--ket", "")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["oracle_is_blockwise"] is True
+        assert res["oracle_agrees"] is True
+
     def test_routes_and_oracle_agree(self, capsys):
         code, out = run(capsys, "ff", "--kx", "0.4", "--ky", "0.7", "--n", "4",
                         "--site", "0", "--bra", "0,1", "--ket", "")

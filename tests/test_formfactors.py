@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isingff import elliptic, spectral
 from isingff.cauchy import assemble_r_elliptic, induced_rotation
 from isingff.exceptions import DomainError
-from isingff.formfactors import (FockState, FormFactorSpec, SpecStack,
+from isingff.formfactors import (FockState, FormFactorSpec, SpecStack, _fock_basis,
                                  abs_ff2_table, assemble_r_matrix, ff_closed,
                                  ff_pfaffian, fock_basis, two_particle_matrices,
                                  two_point_correlation, vacuum_overlap, xi_t)
@@ -426,3 +427,70 @@ def test_evaluation_path_imports_no_verification_route():
             continue
         for name in names:
             assert not banned & set(name.split(".")), f"line {node.lineno}: {name}"
+
+
+def test_evaluation_path_evaluates_no_elliptic_function(monkeypatch):
+    """The form factors, the vacuum overlap, xi_T and the spectral sum read
+    only elementary functions of theta: with theta_1 and the inverse of sn
+    refused, each runs from cold tables."""
+    c = Couplings.from_kx_ky(0.4, 0.7, 8)  # solving for eta evaluates sn
+    spectral.coupling_tables.cache_clear()
+    _fock_basis.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an elliptic function was evaluated")
+
+    monkeypatch.setattr(elliptic, "_theta1", refuse)
+    monkeypatch.setattr(spectral, "inverse_sn_real", refuse)
+    spec = FormFactorSpec(3, FockState("a", (1, 4)), FockState("p", (0, 6)))
+    values = (ff_closed(spec, c), ff_pfaffian(spec, c), vacuum_overlap(c), xi_t(c),
+              two_point_correlation(c, 8, 2, 3))
+    assert all(math.isfinite(abs(v)) for v in values)
+
+
+def test_ff_closed_against_a_50_digit_reference():
+    """ff_closed where the pfaffian route loses digits (N=16, (0.3, 0.9),
+    site 8, bra momenta 6..9 and an empty ket, |F| about 1e-11) against the
+    vacuum overlap times the pfaffian of the four D^-1*C entries, each
+    written out from elementary functions at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n, site, bra = 16, 8, (6, 7, 8, 9)
+    with mpmath.workdps(50):
+        kx, ky = mpmath.mpf(0.3), mpmath.mpf(0.9)
+        kx_star = mpmath.atanh(mpmath.exp(-2 * kx))
+        ch, sh = mpmath.cosh(2 * kx_star), mpmath.sinh(2 * kx_star)
+
+        def gamma(t):
+            return mpmath.acosh(ch * mpmath.cosh(2 * ky)
+                                - sh * mpmath.sinh(2 * ky) * mpmath.cos(t))
+
+        theta_a = [(2 * j + 1) * mpmath.pi / n for j in range(n)]
+        gamma_a = [gamma(t) for t in theta_a]
+        gamma_p = [gamma(2 * j * mpmath.pi / n) for j in range(n)]
+
+        def nu(g):
+            return (sum(mpmath.log(mpmath.sinh((g + h) / 2)) for h in gamma_a)
+                    - sum(mpmath.log(mpmath.sinh((g + h) / 2)) for h in gamma_p))
+
+        nu_a = [nu(g) for g in gamma_a]
+        k = sh / mpmath.sinh(2 * ky)
+        vacuum = ((1 - k**2) * mpmath.exp(sum(nu(g) for g in gamma_p) - sum(nu_a))) ** (
+            mpmath.mpf(1) / 8)
+        rho2 = mpmath.sinh(2 * ky) / mpmath.sinh(2 * kx)
+        ell = site - mpmath.mpf(1) / 2
+
+        def amp(i):
+            return mpmath.exp(nu_a[i] / 2) / mpmath.sqrt(n * mpmath.sinh(gamma_a[i]))
+
+        def dinvc(i, j):
+            ti, tj = theta_a[i], theta_a[j]
+            return (-1j * mpmath.exp(-1j * ell * (ti + tj)) * rho2 * amp(i) * amp(j)
+                    * mpmath.sin((ti - tj) / 2) / mpmath.sinh((gamma_a[i] + gamma_a[j]) / 2))
+
+        b0, b1, b2, b3 = bra
+        pf = (dinvc(b0, b1) * dinvc(b2, b3) - dinvc(b0, b2) * dinvc(b1, b3)
+              + dinvc(b0, b3) * dinvc(b1, b2))
+        ref = complex(vacuum * pf)
+    c = Couplings.from_kx_ky(0.3, 0.9, n)
+    spec = FormFactorSpec(site, FockState("a", bra), FockState("p", ()))
+    assert abs(ff_closed(spec, c) - ref) <= 1e-13 * abs(ref)
