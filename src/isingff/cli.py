@@ -18,6 +18,7 @@ the JSON output stays valid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -236,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_n:
             p.add_argument("--n", type=int, required=True, help="lattice width N")
         p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=_default_tolerance(),
-                       help="agreement tolerance (env ISINGFF_TOL)")
+        p.add_argument("--tol", type=float, default=None,
+                       help="agreement tolerance (default: env ISINGFF_TOL, else 1e-10)")
 
     p = sub.add_parser("params", help="derived coupling scalars")
     common(p, with_n=False)
@@ -277,9 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.tol is None:
+        # read on each call, so a later change to the variable applies
+        args.tol = _default_tolerance()
     try:
         return args.func(args)
     except (DomainError, ConvergenceError, SingularMatrixError,

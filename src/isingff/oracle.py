@@ -24,7 +24,7 @@ returns.  Singleton blocks reduce to plain matrix elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -85,17 +85,46 @@ class SpinOperatorSet:
         }
 
 
+@dataclass(eq=False)
+class _CharacterBlock:
+    """One character block of V: its matrix H_chi and what expands H_chi's
+    eigenvectors to the full space.  The vectors are formed on first read."""
+
+    h: np.ndarray
+    inside: np.ndarray        # mask of the basis states in the block's orbits
+    col: np.ndarray           # each one's column of H_chi
+    amp: np.ndarray           # each one's amplitude <x|r_chi>
+
+    @cached_property
+    def vectors(self) -> list[np.ndarray]:
+        """Row k: the full-space eigenvector of H_chi's k-th eigenvalue."""
+        # QR iteration: the bottom of the spectrum keeps its relative accuracy
+        # (divide and conquer loses it, 6.7e-8 at N=12, (0.3, 0.9)) and the
+        # vectors are orthonormal to 1e-13 (MRRR's to 3e-13)
+        q = eigh(self.h, driver="ev")[1]
+        vecs = np.zeros((len(q), len(self.inside)), dtype=complex)
+        vecs[:, self.inside] = q[self.col].T * self.amp
+        vecs.flags.writeable = False
+        return list(vecs)
+
+
 @dataclass
 class LabeledEigenstate:
-    """Eigenvector with its quantum numbers and matched Fock label."""
+    """Eigenstate with its quantum numbers and matched Fock label; the
+    eigenvector is formed, with its whole character block, on first read."""
 
-    vector: np.ndarray
     sector: str
     indices: tuple[int, ...]
     eigenvalue: float
     t_eigenvalue: complex
     charge: int
     block: int
+    _source: _CharacterBlock = field(repr=False, compare=False)
+    _row: int = field(repr=False, compare=False)
+
+    @property
+    def vector(self) -> np.ndarray:
+        return self._source.vectors[self._row]
 
 
 def _spin_table(n: int) -> np.ndarray:
@@ -184,8 +213,10 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
     |r_chi> = (|G| |Stab_r|)^{-1/2} sum_g chi(g)^* g|r> of the orbit
     representatives r (smallest basis index) whose stabilizer chi is trivial
     on, so H_chi[r, s] = sum_g chi(g)^* V[r, g s] / sqrt(|Stab_r| |Stab_s|)
-    is read off V at the representatives, and the eigenvectors are expanded
-    back to the full space, orthonormal.
+    is read off V at the representatives.  Labelling reads only the
+    eigenvalues of H_chi; a block's eigenvectors are computed and expanded
+    back to the full space, orthonormal, on the first read of one of its
+    states' :attr:`LabeledEigenstate.vector`.
 
     The predicted labels are placed into blocks by their (momentum, charge)
     key.  Inside a block the eigenvalues are grouped by the relative
@@ -198,7 +229,7 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
     label-to-vector assignment inside the block is not physically
     meaningful.
     """
-    n, dim = c.n, ops.dim
+    n = c.n
     act = _group_action(ops)
     rep_of = act.min(axis=0)
     to_rep = act.argmin(axis=0)           # an element g with g|x> = |rep_of[x]>
@@ -235,15 +266,11 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
             continue
         h = np.einsum("g,grs->rs", chi.conj(), v_reps[:, keep][:, :, keep]) \
             / norm[np.ix_(keep, keep)]
-        # QR iteration: the bottom of the spectrum keeps its relative accuracy
-        # (divide and conquer loses it, 6.7e-8 at N=12, (0.3, 0.9)) and the
-        # vectors are orthonormal to 1e-13 (MRRR's to 3e-13)
-        w, q = eigh(h, driver="ev")
+        w = eigh(h, eigvals_only=True, driver="ev")
         # <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for the g with g|x> = |r>
         inside = keep[orbit]
-        col = (np.cumsum(keep) - 1)[orbit[inside]]
-        vecs = np.zeros((size, dim), dtype=complex)
-        vecs[:, inside] = q[col].T * (chi[to_rep[inside]] * amp_size[inside])
+        source = _CharacterBlock(h, inside, (np.cumsum(keep) - 1)[orbit[inside]],
+                                 chi[to_rep[inside]] * amp_size[inside])
 
         lams = np.array([labels[i][2] for i in cell])
         starts = np.r_[0, np.nonzero(np.diff(w) > _GROUP_TOL * np.abs(w[1:]))[0] + 1]
@@ -267,13 +294,14 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
         for k, (i, g) in enumerate(zip(cell, grp_of.tolist())):
             lab = labels[i]
             states.append(LabeledEigenstate(
-                vector=vecs[k],
                 sector=lab[0],
                 indices=tuple(lab[1]),
                 eigenvalue=lam_of[g],
                 t_eigenvalue=t_here,
                 charge=charge,
                 block=block_id + g,
+                _source=source,
+                _row=k,
             ))
         block_id += len(starts)
 

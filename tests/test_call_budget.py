@@ -11,11 +11,16 @@ theta_1 evaluations there, and 159 with its per-point factors (lambda, f,
 g) rebuilt by each closed form; ``verify all`` made 179 while the rotation
 suite built Phi^-1 and log det Phi again; with one stack per site, the
 form-factor suite makes 46 ff_closed and 42 ff_pfaffian calls.
+
+The oracle labels its states from eigenvalues alone and forms a character
+block's eigenvectors only when one of them is read, so ``isingff ff`` expands
+two blocks, the bra's and the ket's, out of about twenty at N=10.
 """
 
 import pytest
 
-from isingff import cauchy, elliptic, verification
+from isingff import cauchy, cli, elliptic, oracle, verification
+from isingff.formfactors import FockState, FormFactorSpec
 from isingff.spectral import Couplings
 
 THETA1_BUDGET = {"cauchy": 132, "formfactor": 10, "all": 167}
@@ -61,3 +66,47 @@ def test_all_suites_budget(counted):
     c, counts = counted
     verification.run_suite("all", c)
     assert counts["theta1"] <= THETA1_BUDGET["all"]
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The oracle's eigh calls from then on, split by whether they return vectors."""
+    calls = {"values": 0, "vectors": 0}
+
+    def counting(*args, **kwargs):
+        calls["values" if kwargs.get("eigvals_only") else "vectors"] += 1
+        return eigh(*args, **kwargs)
+
+    eigh = oracle.eigh
+    monkeypatch.setattr(oracle, "eigh", counting)
+    return calls
+
+
+def test_oracle_labels_without_eigenvectors(eigh_calls):
+    c = Couplings.from_kx_ky(0.4, 0.7, 8)
+    spect = oracle.labeled_spectrum(oracle.build_operators(c), c)
+    blocks = {(st.t_eigenvalue, st.charge) for st in spect}
+    assert eigh_calls == {"values": len(blocks), "vectors": 0}
+    for st in spect:
+        assert st.vector is st.vector
+    assert eigh_calls == {"values": len(blocks), "vectors": len(blocks)}
+
+
+def test_oracle_ff_expands_two_blocks(capsys, eigh_calls):
+    code = cli.main(["ff", "--kx", "0.4", "--ky", "0.7", "--n", "8", "--site", "3",
+                     "--bra", "1,2", "--ket", "0,5"])
+    capsys.readouterr()
+    assert code == 0
+    assert eigh_calls["vectors"] == 2
+
+
+# a bra in a momentum-reversal doublet, and a singleton pair
+@pytest.mark.parametrize("bra, ket", [((0, 3), (1, 4)), ((0, 7), ())])
+def test_oracle_ff_modulus_same_before_and_after_expansion(bra, ket):
+    c = Couplings.from_kx_ky(0.4, 0.7, 8)
+    ops = oracle.build_operators(c)
+    spect = oracle.labeled_spectrum(ops, c)
+    spec = FormFactorSpec(3, FockState("a", bra), FockState("p", ket))
+    first = oracle.oracle_ff_modulus(ops, spect, spec)
+    assert all(st.vector.shape == (ops.dim,) for st in spect)   # expands every block
+    assert oracle.oracle_ff_modulus(ops, spect, spec) == first

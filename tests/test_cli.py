@@ -201,6 +201,19 @@ def test_tolerance_env_var(capsys, monkeypatch):
     assert code == 5
 
 
+def test_tolerance_env_var_set_after_first_call(capsys, monkeypatch):
+    # the parser is built once per process; the variable is read on each call
+    argv = ("verify", "elliptic", "--kx", "0.3", "--ky", "0.9", "--n", "4")
+    monkeypatch.delenv("ISINGFF_TOL", raising=False)
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["inputs"]["tolerance"] == 1e-10
+    monkeypatch.setenv("ISINGFF_TOL", "1e-18")
+    code, out = run(capsys, *argv)
+    assert code == 5 and json.loads(out)["inputs"]["tolerance"] == 1e-18
+    code, out = run(capsys, *argv, "--tol", "1e-6")
+    assert code == 0 and json.loads(out)["inputs"]["tolerance"] == 1e-6
+
+
 def _strict_json(out: str) -> dict:
     def reject(name):
         raise ValueError(f"non-JSON constant {name}")

@@ -183,13 +183,16 @@ class TestLabeledSpectrum:
     # at (0.3, 0.9) distinct eigenvalues at the bottom of a character block
     # differ by less than 1e-9 of the block's top, so only a grouping relative
     # to each eigenvalue labels them
-    @pytest.mark.parametrize("kxy", [(0.4, 0.7), (0.3, 0.9)], ids=str)
-    def test_labels_every_state_n12(self, kxy):
+    # ids: the coupling for eps_y = +1, with a "-odd" suffix for eps_y = -1
+    @pytest.mark.parametrize("kxy, eps_y", [
+        pytest.param(kxy, eps_y, id=str(kxy) + ("" if eps_y == 1 else "-odd"))
+        for eps_y in (1, -1) for kxy in BENCH_COUPLINGS])
+    def test_labels_every_state_n12(self, kxy, eps_y):
         c = Couplings.from_kx_ky(*kxy, 12)
-        spect = labeled_spectrum(build_operators(c, eps_y=1), c)
+        spect = labeled_spectrum(build_operators(c, eps_y=eps_y), c)
         labels = {(st.sector, st.indices) for st in spect}
         assert len(spect) == len(labels) == 4096
-        assert labels == {lab[:2] for lab in predicted_fock_labels(c, 1)}
+        assert labels == {lab[:2] for lab in predicted_fock_labels(c, eps_y)}
 
     def test_trace_power_spectral_vs_dense(self):
         m = 6
