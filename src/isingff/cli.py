@@ -154,9 +154,11 @@ def _cmd_ff(args) -> int:
         eps_y = 1 if len(spec.bra) % 2 == 0 else -1
         ops = build_operators(c, eps_y=eps_y)
         spect = labeled_spectrum(ops, c)
-        oracle_val = oracle_ff_modulus(ops, spect, spec)
-        bra_labels = block_labels(spect, find_state(spect, "a", spec.bra.indices).block)
-        ket_labels = block_labels(spect, find_state(spect, "p", spec.ket.indices).block)
+        bra = find_state(spect, "a", spec.bra.indices)
+        ket = find_state(spect, "p", spec.ket.indices)
+        pair = [st for st in spect if st.block in (bra.block, ket.block)]
+        oracle_val = oracle_ff_modulus(ops, pair, spec)
+        bra_labels, ket_labels = block_labels(pair, bra.block), block_labels(pair, ket.block)
         blockwise = len(bra_labels) > 1 or len(ket_labels) > 1
         closed_block = _closed_block_norm(c, args.site, bra_labels, ket_labels)
         oracle_residual = abs(closed_block - oracle_val) / max(closed_block, 1e-30)

@@ -397,6 +397,8 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
         raise DomainError("eps_x and eps_y must be +1 or -1")
     if not 0 <= dx <= m_height:
         raise DomainError(f"need 0 <= dx <= M, got dx={dx}, M={m_height}")
+    # T^2N = 1: |dy| counts mod 2N, and |dy| < 2N is kept as given
+    dy = (abs(dy) % (2 * c.n)) * (1 if dy >= 0 else -1)
     if dx == 0 and dy % c.n == 0:
         return 1.0
     parity = 0 if eps_y == 1 else 1

@@ -3,13 +3,13 @@
 Holds the spin operators and V_y^{1/2} as diagonals, the translation T and
 the global flip U as index maps, and V as one entry formula, and labels
 every eigenstate of V with a Fock momentum set.  T and U generate an abelian
-group, so V is diagonalized in one small block per (momentum, charge)
-character, read off V at the orbit representatives; each block's
-eigenvalues are grouped by a tolerance relative to the eigenvalue and
-matched in energy order against the predicted labels with the same
-(momentum, charge) key.  Everything here is independent of the closed-form
-modules except for the shared dispersion gamma_theta, so it serves as
-ground truth for matrix elements and correlations at small N.
+group; its character table gives every (momentum, charge) block of V at
+once, read off V at the orbit representatives.  V is diagonalized block by
+block, and all eigenvalues together are grouped by a tolerance relative to
+the eigenvalue and matched in energy order against the predicted labels,
+sorted once by (character, V).  Everything here is independent of the
+closed-form modules except for the shared dispersion gamma_theta, so it
+serves as ground truth for matrix elements and correlations at small N.
 
 Momentum-reversal doublets: states whose momentum sets S and -S share the
 same energy, translation eigenvalue, and charge (possible for N >= 4, at any
@@ -87,13 +87,13 @@ class SpinOperatorSet:
 
 @dataclass(eq=False)
 class _CharacterBlock:
-    """One character block of V: its matrix H_chi and what expands H_chi's
-    eigenvectors to the full space.  The vectors are formed on first read."""
+    """One character block of V: the lower triangle of its matrix H_chi (all
+    eigh reads) and what expands H_chi's eigenvectors to the full space.  The
+    vectors are formed on first read."""
 
     h: np.ndarray
-    inside: np.ndarray        # mask of the basis states in the block's orbits
-    col: np.ndarray           # each one's column of H_chi
-    amp: np.ndarray           # each one's amplitude <x|r_chi>
+    col: np.ndarray           # each basis state's column of H_chi
+    amp: np.ndarray           # its amplitude <x|r_chi>, 0 outside the block
 
     @cached_property
     def vectors(self) -> list[np.ndarray]:
@@ -102,8 +102,7 @@ class _CharacterBlock:
         # (divide and conquer loses it, 6.7e-8 at N=12, (0.3, 0.9)) and the
         # vectors are orthonormal to 1e-13 (MRRR's to 3e-13)
         q = eigh(self.h, driver="ev")[1]
-        vecs = np.zeros((len(q), len(self.inside)), dtype=complex)
-        vecs[:, self.inside] = q[self.col].T * self.amp
+        vecs = q[self.col].T * self.amp
         vecs.flags.writeable = False
         return list(vecs)
 
@@ -198,11 +197,14 @@ def _group_action(ops: SpinOperatorSet) -> np.ndarray:
     return act
 
 
-def _characters(n: int, eps_y: int) -> list[tuple[int, int]]:
-    """Every character (m, u) of G: T -> exp(-i pi m / N), U -> u."""
-    if eps_y == 1:
-        return [(m, u) for m in range(0, 2 * n, 2) for u in (1, -1)]
-    return [(m, (-1) ** m) for m in range(2 * n)]
+def _characters(n: int, eps_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The character table of G: every character's key (m, u), for
+    T -> exp(-i pi m / N) and U -> u, and chi[k, g] on the rows g of
+    :func:`_group_action`."""
+    k = np.arange(2 * n)
+    m, u = (k - k % 2 if eps_y == 1 else k), 1 - 2 * (k % 2)
+    phase = np.exp(-1j * math.pi * ((m[:, None] * np.arange(n)) % (2 * n)) / n)
+    return m, u, np.hstack([phase, u[:, None] * phase])
 
 
 def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigenstate]:
@@ -213,104 +215,101 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
     |r_chi> = (|G| |Stab_r|)^{-1/2} sum_g chi(g)^* g|r> of the orbit
     representatives r (smallest basis index) whose stabilizer chi is trivial
     on, so H_chi[r, s] = sum_g chi(g)^* V[r, g s] / sqrt(|Stab_r| |Stab_s|)
-    is read off V at the representatives.  Labelling reads only the
-    eigenvalues of H_chi; a block's eigenvectors are computed and expanded
-    back to the full space, orthonormal, on the first read of one of its
-    states' :attr:`LabeledEigenstate.vector`.
+    is read off V at the representatives, for every character at once from
+    the character table.  Labelling reads only the eigenvalues of H_chi,
+    one eigenvalues-only call per nonempty block; a block's eigenvectors
+    are computed and expanded back to the full space, orthonormal, on the
+    first read of one of its states' :attr:`LabeledEigenstate.vector`.
 
-    The predicted labels are placed into blocks by their (momentum, charge)
-    key.  Inside a block the eigenvalues are grouped by the relative
-    tolerance ``_GROUP_TOL * |lambda|`` and both sides are walked in energy
-    order: each group must match exactly as many labels as it has states,
-    the next ones in energy order, otherwise an AmbiguousLabelError is
-    raised, as it is when a block and its labels differ in number, a label
-    is left over, or a label is used twice.  Groups of more than one state
-    are momentum-reversal doublets: their vectors share a block id and the
-    label-to-vector assignment inside the block is not physically
-    meaningful.
+    Each predicted label belongs to the character of its predicted (T, U)
+    values, and one sort orders the labels by (character, V), next to the
+    blocks' eigenvalues in energy order.  The eigenvalues are grouped by the
+    relative tolerance ``_GROUP_TOL * |lambda|``; every block must hold as
+    many labels as states, and every group exactly the labels of its block
+    within tolerance of its mean, otherwise an AmbiguousLabelError is raised.
+    Groups of more than one state are momentum-reversal doublets: their
+    vectors share a block id and the label-to-vector assignment inside the
+    block is not physically meaningful.
     """
     n = c.n
     act = _group_action(ops)
-    rep_of = act.min(axis=0)
-    to_rep = act.argmin(axis=0)           # an element g with g|x> = |rep_of[x]>
-    reps, orbit = np.unique(rep_of, return_inverse=True)
+    to_rep = act.argmin(axis=0)           # an element g taking x to its orbit's smallest index
+    reps, orbit = np.unique(act.min(axis=0), return_inverse=True)
     stab = act[:, reps] == reps           # (|G|, R): g fixes representative r
     stab_size = stab.sum(axis=0)
-    v_reps = ops.v_entries(reps[None, :, None], act[:, reps][:, None, :])   # V[r, g s]
-    norm = np.sqrt(np.outer(stab_size, stab_size))
-    amp_size = np.sqrt(stab_size[orbit] / len(act))
-    j = np.arange(n)
+    m, u, chi = _characters(n, ops.eps_y)
+    keep = np.abs(chi @ stab - stab_size) < 0.5         # chi trivial on Stab_r
+    size = keep.sum(axis=1)
+    t_of = np.exp(-1j * (math.pi * m / n)).tolist()
 
     labels = predicted_fock_labels(c, ops.eps_y)
-    by_key: dict[tuple[int, int], list[int]] = {}
-    for i, (sector, indices, _, _, charge) in enumerate(labels):
-        # the momentum is pi m / N modulo 2 pi
-        m = 2 * sum(indices) + (len(indices) if sector == "a" else 0)
-        by_key.setdefault((m % (2 * n), charge), []).append(i)
-
-    states: list[LabeledEigenstate] = []
-    block_id = 0
-    for m, charge in _characters(n, ops.eps_y):
-        phase = np.exp(-1j * math.pi * ((m * j) % (2 * n)) / n)
-        chi = np.concatenate([phase, charge * phase])
-        keep = np.abs(chi @ stab - stab_size) < 0.5      # chi trivial on Stab_r
-        size = int(np.count_nonzero(keep))
-        t_here = complex(np.exp(-1j * math.pi * m / n))
-        cell = sorted(by_key.pop((m, charge), []), key=lambda i: labels[i][2])
-        if len(cell) != size:
-            raise AmbiguousLabelError(
-                f"block T={t_here:.4f}, U={charge} has {size} states "
-                f"but {len(cell)} predicted labels"
-            )
-        if not size:
-            continue
-        h = np.einsum("g,grs->rs", chi.conj(), v_reps[:, keep][:, :, keep]) \
-            / norm[np.ix_(keep, keep)]
-        w = eigh(h, eigvals_only=True, driver="ev")
-        # <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for the g with g|x> = |r>
-        inside = keep[orbit]
-        source = _CharacterBlock(h, inside, (np.cumsum(keep) - 1)[orbit[inside]],
-                                 chi[to_rep[inside]] * amp_size[inside])
-
-        lams = np.array([labels[i][2] for i in cell])
-        starts = np.r_[0, np.nonzero(np.diff(w) > _GROUP_TOL * np.abs(w[1:]))[0] + 1]
-        ends = np.r_[starts[1:], size]
-        lam_grp = np.add.reduceat(w, starts) / (ends - starts)
-        tol = _GROUP_TOL * np.abs(lam_grp)
-        lo = np.searchsorted(lams, lam_grp - tol, side="left")
-        hi = np.searchsorted(lams, lam_grp + tol, side="right")
-        bad = np.nonzero((lo != starts) | (hi != ends))[0]
-        if bad.size:
-            g = bad[0]
-            raise AmbiguousLabelError(
-                f"cell with V={lam_grp[g]:.6g}, T={t_here:.4f}, U={charge} "
-                f"has {ends[g] - starts[g]} states but {hi[g] - lo[g]} matching labels, "
-                f"the first at position {lo[g]} of {size} in energy order, not {starts[g]}"
-            )
-        # inside a group the labels keep their predicted order
-        grp_of = np.repeat(np.arange(len(starts)), ends - starts)
-        cell = np.asarray(cell)[np.lexsort((cell, grp_of))].tolist()
-        lam_of = lam_grp.tolist()
-        for k, (i, g) in enumerate(zip(cell, grp_of.tolist())):
-            lab = labels[i]
-            states.append(LabeledEigenstate(
-                sector=lab[0],
-                indices=tuple(lab[1]),
-                eigenvalue=lam_of[g],
-                t_eigenvalue=t_here,
-                charge=charge,
-                block=block_id + g,
-                _source=source,
-                _row=k,
-            ))
-        block_id += len(starts)
-
-    # each label lies in one cell, matched once; the set must be exhausted
-    if len(states) != len(labels):
+    lam, t_lab, charge = (np.array(col) for col in list(zip(*labels))[2:])
+    # the T eigenvalue exp(-i pi m / N) a label predicts gives its m, with a
+    # margin of pi / 2N for rounding
+    m_lab = np.rint(np.angle(t_lab) * (-n / math.pi)).astype(int) % (2 * n)
+    char_of = np.full((2 * n, 2), len(m))   # no character: a slot after the last
+    char_of[m, (1 - u) // 2] = np.arange(len(m))
+    char_of = char_of[m_lab, (1 - charge) // 2]
+    count = np.bincount(char_of, minlength=len(m) + 1)
+    bad = np.flatnonzero(count != np.r_[size, 0])
+    if bad.size:
+        k = bad[0]
         raise AmbiguousLabelError(
-            f"matched {len(states)} states to {len(labels)} predicted labels"
+            f"{count[k]} predicted labels fit no block" if k == len(m) else
+            f"block T={t_of[k]:.4f}, U={u[k]} has {size[k]} states "
+            f"but {count[k]} predicted labels"
         )
-    return states
+    order = np.lexsort((lam, char_of))
+    lam = lam[order]
+
+    # H_chi's lower triangle (all eigh reads), summed in g order and not by a
+    # BLAS product: last-bit changes of H_chi move the bottom of a wide
+    # spectrum by more than _GROUP_TOL (at (0.2, 1.2), N=8, eps_y=-1)
+    r, s = np.tril_indices(len(reps))
+    v_low = ops.v_entries(reps[r], act[:, reps[s]])      # V[r, g s]
+    acc = np.zeros((len(r), len(m)), dtype=complex)
+    for v_g, phase in zip(v_low, chi.conj().T):
+        acc += v_g[:, None] * phase
+    h = np.zeros((len(m), len(reps), len(reps)), dtype=complex)
+    h[:, r, s] = acc.T / np.sqrt(stab_size[r] * stab_size[s])
+    # <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for the g with g|x> = |r>
+    col = np.cumsum(keep, axis=1)[:, orbit] - 1
+    amp = np.where(keep[:, orbit], chi[:, to_rep] * np.sqrt(stab_size[orbit] / len(act)), 0)
+    blocks = {k: _CharacterBlock(h[k][np.ix_(keep[k], keep[k])], col[k], amp[k])
+              for k in np.flatnonzero(size)}
+    w = np.concatenate([eigh(b.h, eigvals_only=True, driver="ev") for b in blocks.values()])
+
+    chars = char_of[order]                        # the character of each position
+    first = np.cumsum(size) - size                # each character's first position
+    new = np.r_[True, (np.diff(w) > _GROUP_TOL * np.abs(w[1:])) | (np.diff(chars) != 0)]
+    starts = np.flatnonzero(new)
+    ends = np.r_[starts[1:], len(w)]
+    grp = np.cumsum(new) - 1
+    lam_grp = np.add.reduceat(w, starts) / (ends - starts)
+    tol = _GROUP_TOL * np.abs(lam_grp)
+    # complex numbers sort by real part, then imaginary part: with the
+    # character as the real part, each search stays inside the group's block
+    key, k = chars + 1j * lam, chars[starts]
+    lo = np.searchsorted(key, k + 1j * (lam_grp - tol), side="left")
+    hi = np.searchsorted(key, k + 1j * (lam_grp + tol), side="right")
+    bad = np.flatnonzero((lo != starts) | (hi != ends))
+    if bad.size:
+        g = bad[0]
+        raise AmbiguousLabelError(
+            f"cell with V={lam_grp[g]:.6g}, T={t_of[k[g]]:.4f}, U={u[k[g]]} "
+            f"has {ends[g] - starts[g]} states but {hi[g] - lo[g]} matching labels, "
+            f"the first at position {lo[g] - first[k[g]]} of {size[k[g]]} in energy "
+            f"order, not {starts[g] - first[k[g]]}"
+        )
+
+    # inside a group the labels keep their predicted order
+    order = order[np.lexsort((order, grp))]
+    row = np.arange(len(w)) - first[chars]
+    lam_of, u_of = lam_grp.tolist(), u.tolist()
+    return [LabeledEigenstate(sector=labels[i][0], indices=tuple(labels[i][1]),
+                              eigenvalue=lam_of[g], t_eigenvalue=t_of[k], charge=u_of[k],
+                              block=g, _source=blocks[k], _row=j)
+            for i, g, k, j in zip(order.tolist(), grp.tolist(), chars.tolist(), row.tolist())]
 
 
 def find_state(spectrum: list[LabeledEigenstate], sector: str,
@@ -332,18 +331,14 @@ def oracle_ff_modulus(ops: SpinOperatorSet, spectrum: list[LabeledEigenstate],
     If either state sits in a degenerate momentum-reversal block, the
     returned value is the basis-invariant Frobenius norm of the spin-operator
     sub-block between the two blocks; for singleton blocks this is the plain
-    matrix-element modulus.
+    matrix-element modulus.  ``spectrum`` may be any part of the labeled
+    states that holds both blocks whole.
     """
     bra = find_state(spectrum, "a", spec.bra.indices)
     ket = find_state(spectrum, "p", spec.ket.indices)
-    bra_vecs = [st.vector for st in spectrum if st.block == bra.block]
-    ket_vecs = [st.vector for st in spectrum if st.block == ket.block]
-    diag = ops.sl[spec.site]
-    total = 0.0
-    for vb in bra_vecs:
-        for vk in ket_vecs:
-            total += abs(np.vdot(vb, diag * vk)) ** 2
-    return math.sqrt(total)
+    bra_vecs = np.array([st.vector for st in spectrum if st.block == bra.block])
+    ket_vecs = np.array([st.vector for st in spectrum if st.block == ket.block])
+    return float(np.linalg.norm(bra_vecs.conj() @ (ops.sl[spec.site] * ket_vecs).T))
 
 
 def block_labels(spectrum: list[LabeledEigenstate], block: int) -> list[tuple[str, tuple]]:
@@ -371,12 +366,11 @@ def oracle_correlation(ops: SpinOperatorSet, m_height: int, dx: int, dy: int,
     vn = ops.v / lam_max
     s0 = ops.sl[0]
     # T^dy s_0 T^-dy is diagonal: s_0 read through the dy-fold translation
-    # map.  T^N is the spin flip rather than the identity for eps_y = -1 and
-    # the map carries it, so dy is applied literally instead of reduced mod N
-    step = ops.shift if dy >= 0 else np.argsort(ops.shift)
+    # map.  T^N is the spin flip rather than the identity for eps_y = -1, and
+    # T^2N the identity for both, so dy is reduced mod 2N, not mod N
     moved = np.arange(ops.dim)
-    for _ in range(abs(dy)):
-        moved = step[moved]
+    for _ in range(dy % (2 * c.n)):
+        moved = ops.shift[moved]
     mid = s0[moved]
     left = np.linalg.matrix_power(vn, dx) if dx else np.eye(ops.dim)
     right = np.linalg.matrix_power(vn, m_height - dx)

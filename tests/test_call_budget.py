@@ -82,9 +82,12 @@ def eigh_calls(monkeypatch):
     return calls
 
 
-def test_oracle_labels_without_eigenvectors(eigh_calls):
-    c = Couplings.from_kx_ky(0.4, 0.7, 8)
-    spect = oracle.labeled_spectrum(oracle.build_operators(c), c)
+# the odd tower's group is cyclic of order 2N, so its character table differs
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("eps_y", [1, -1])
+def test_oracle_labels_without_eigenvectors(eigh_calls, eps_y, n):
+    c = Couplings.from_kx_ky(0.4, 0.7, n)
+    spect = oracle.labeled_spectrum(oracle.build_operators(c, eps_y), c)
     blocks = {(st.t_eigenvalue, st.charge) for st in spect}
     assert eigh_calls == {"values": len(blocks), "vectors": 0}
     for st in spect:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from isingff.exceptions import DomainError, ResourceError
+from isingff import cli, oracle
+from isingff.exceptions import AmbiguousLabelError, DomainError, ResourceError
 from isingff.formfactors import FockState, FormFactorSpec, two_point_correlation
 from isingff.oracle import (_GROUP_TOL, build_operators, labeled_spectrum,
                             oracle_correlation, oracle_ff_modulus,
@@ -194,12 +195,58 @@ class TestLabeledSpectrum:
         assert len(spect) == len(labels) == 4096
         assert labels == {lab[:2] for lab in predicted_fock_labels(c, eps_y)}
 
+    # the spectrum of V spans 2.3e12 and its bottom eigenvalues miss their
+    # predictions by up to 2e-9 relative, above _GROUP_TOL: a known fault of
+    # the precision envelope, which passes loudly once mended
+    @pytest.mark.xfail(raises=AmbiguousLabelError, strict=True,
+                       reason="bottom eigenvalues off by 2e-9 relative at (0.2, 1.2)")
+    def test_labels_wide_spectrum_odd_tower(self):
+        c = Couplings.from_kx_ky(0.2, 1.2, 10)
+        spect = labeled_spectrum(build_operators(c, eps_y=-1), c)
+        assert len(spect) == 1024
+
     def test_trace_power_spectral_vs_dense(self):
         m = 6
         w = np.linalg.eigvalsh(OPS4.v / np.linalg.eigvalsh(OPS4.v)[-1])
         dense = np.trace(np.linalg.matrix_power(
             OPS4.v / np.linalg.eigvalsh(OPS4.v)[-1], m))
         assert abs(np.sum(w ** m) / dense - 1.0) < 1e-10
+
+
+def _drop_label(labels):
+    del labels[5]
+
+
+def _shift_label(labels):
+    sector, indices, lam, t_val, charge = labels[5]
+    labels[5] = (sector, indices, lam * (1 + 1e-6), t_val, charge)
+
+
+class TestLabelFailures:
+    """Predicted labels that do not fit the spectrum raise AmbiguousLabelError,
+    and the CLI exits 3 on it."""
+
+    @pytest.mark.parametrize("edit, kind", [(_drop_label, "predicted"),
+                                            (_shift_label, "matching")],
+                             ids=["count", "energy"])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_tampered_labels(self, monkeypatch, capsys, edit, kind, eps_y):
+        predicted = oracle.predicted_fock_labels
+
+        def tampered(c, eps_y):
+            labels = predicted(c, eps_y)
+            edit(labels)
+            return labels
+
+        monkeypatch.setattr(oracle, "predicted_fock_labels", tampered)
+        c = Couplings.from_kx_ky(0.4, 0.7, 6)
+        with pytest.raises(AmbiguousLabelError, match=rf"has \d+ states but \d+ {kind} labels"):
+            labeled_spectrum(build_operators(c, eps_y=eps_y), c)
+        bra, ket = ("0,1", "") if eps_y == 1 else ("2", "1")
+        code = cli.main(["ff", "--kx", "0.4", "--ky", "0.7", "--n", "6", "--bra", bra,
+                         "--ket", ket])
+        assert code == cli.EXIT_DOMAIN
+        assert f"{kind} labels" in capsys.readouterr().err
 
 
 class TestOracleMatrixElements:
@@ -260,6 +307,25 @@ class TestOracleCorrelation:
             v1 = two_point_correlation(c, 6, 2, 3, eps_x=eps_x, eps_y=1)
             v2 = oracle_correlation(ops, 6, 2, 3, eps_x=eps_x)
             assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1), abs(v2))
+
+    # every T eigenvalue is a 2N-th root of unity (T^N = U for eps_y = -1):
+    # the spectral sum reduces |dy| mod 2N and keeps its sign, so a shift by
+    # a multiple of 2N that keeps the sign repeats it bit for bit, and one
+    # that flips the sign to rounding; the dense route reduces dy mod 2N
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_dy_counts_modulo_2n(self, eps_y):
+        c = Couplings.from_kx_ky(0.4, 0.7, 8)
+        ops = build_operators(c, eps_y=eps_y)
+        period = 2 * c.n
+        for dy in (3, -5):
+            sign = 1 if dy > 0 else -1
+            same_sign = [dy, dy + sign * period * 10 ** 6, dy + sign * period * 10 ** 12]
+            flipped = [dy - sign * period * 10 ** 6]
+            spectral = {two_point_correlation(c, 8, 2, d, eps_y=eps_y) for d in same_sign}
+            dense = {oracle_correlation(ops, 8, 2, d) for d in same_sign + flipped}
+            assert len(spectral) == len(dense) == 1, (spectral, dense)
+            assert two_point_correlation(c, 8, 2, flipped[0], eps_y=eps_y) \
+                == pytest.approx(spectral.pop(), rel=1e-13, abs=1e-15)
 
     def test_limits(self):
         with pytest.raises(ResourceError):
