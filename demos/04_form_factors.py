@@ -46,7 +46,7 @@ print("  relative difference    :", abs(f_closed - f_pf) / abs(f_closed))
 
 # Independent ground truth from dense diagonalization (even sectors).
 ops = build_operators(c, eps_y=1)
-spectrum = labeled_spectrum(ops, c)
+spectrum = labeled_spectrum(ops)
 print("  dense-oracle modulus   :", oracle_ff_modulus(ops, spectrum, spec))
 
 # Translation covariance: the site enters only through a momentum phase.

@@ -19,7 +19,7 @@ theta_1 series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -150,39 +150,43 @@ def theta(index: int, z, q: float):
 
 @dataclass(frozen=True)
 class EllipticModulus:
-    """Elliptic modulus with its quarter periods, period ratio, and nome.
+    """Elliptic modulus k, with its quarter periods, period ratio and nome derived.
 
     Invariants (see :meth:`self_check`): k^2 + k'^2 = 1, q = exp(-pi*K'/K)
     in (0, 1), and the theta-constant routes k = theta_2(0)^2/theta_3(0)^2,
-    2K = pi*theta_3(0)^2 reproduce k and K.
+    2K = pi*theta_3(0)^2 reproduce k and K.  Equality and hashing read k only.
     """
 
     k: float
-    kprime: float
-    bigK: float
-    bigKprime: float
-    tau: complex
-    q: float
+    kprime: float = field(init=False, repr=False, compare=False)
+    bigK: float = field(init=False, repr=False, compare=False)
+    bigKprime: float = field(init=False, repr=False, compare=False)
+    tau: complex = field(init=False, repr=False, compare=False)
+    q: float = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_k(cls, k: float) -> "EllipticModulus":
-        if not 0.0 < k < 1.0:
-            raise DomainError(f"modulus k={k} outside (0, 1)")
-        kprime = math.sqrt((1.0 - k) * (1.0 + k))
-        bigK = complete_elliptic_K(k)
+    def __post_init__(self):
+        if not 0.0 < self.k < 1.0:
+            raise DomainError(f"modulus k={self.k} outside (0, 1)")
+        kprime = math.sqrt((1.0 - self.k) * (1.0 + self.k))
+        bigK = complete_elliptic_K(self.k)
         bigKprime = complete_elliptic_K(kprime)
         ratio = bigKprime / bigK
         q = math.exp(-math.pi * ratio)
         if q >= _Q_MAX:
             raise DomainError(
-                f"nome q={q:.6f} too close to 1 for double precision (k={k})"
+                f"nome q={q:.6f} too close to 1 for double precision (k={self.k})"
             )
-        return cls(k=k, kprime=kprime, bigK=bigK, bigKprime=bigKprime,
-                   tau=1j * ratio, q=q)
+        for name, value in (("kprime", kprime), ("bigK", bigK), ("bigKprime", bigKprime),
+                            ("tau", 1j * ratio), ("q", q)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_k(cls, k: float) -> "EllipticModulus":
+        return cls(k)
 
     def complementary(self) -> "EllipticModulus":
         """Modulus object for k', with K and K' exchanged."""
-        return EllipticModulus.from_k(self.kprime)
+        return EllipticModulus(self.kprime)
 
     @cached_property
     def _theta_zeros(self) -> tuple[complex, complex, complex]:

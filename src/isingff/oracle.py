@@ -207,8 +207,8 @@ def _characters(n: int, eps_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return m, u, np.hstack([phase, u[:, None] * phase])
 
 
-def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigenstate]:
-    """Simultaneous (V, T, U) eigenbasis with Fock labels attached.
+def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
+    """Simultaneous (V, T, U) eigenbasis of ``ops``, with Fock labels attached.
 
     V is diagonalized in one block per character chi = (T, U) of the symmetry
     group G = {T^j U^s}.  Each block is spanned by the projections
@@ -231,7 +231,7 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
     vectors share a block id and the label-to-vector assignment inside the
     block is not physically meaningful.
     """
-    n = c.n
+    n = ops.couplings.n
     act = _group_action(ops)
     to_rep = act.argmin(axis=0)           # an element g taking x to its orbit's smallest index
     reps, orbit = np.unique(act.min(axis=0), return_inverse=True)
@@ -242,7 +242,7 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
     size = keep.sum(axis=1)
     t_of = np.exp(-1j * (math.pi * m / n)).tolist()
 
-    labels = predicted_fock_labels(c, ops.eps_y)
+    labels = predicted_fock_labels(ops.couplings, ops.eps_y)
     lam, t_lab, charge = (np.array(col) for col in list(zip(*labels))[2:])
     # the T eigenvalue exp(-i pi m / N) a label predicts gives its m, with a
     # margin of pi / 2N for rounding
@@ -270,13 +270,16 @@ def labeled_spectrum(ops: SpinOperatorSet, c: Couplings) -> list[LabeledEigensta
     acc = np.zeros((len(r), len(m)), dtype=complex)
     for v_g, phase in zip(v_low, chi.conj().T):
         acc += v_g[:, None] * phase
-    h = np.zeros((len(m), len(reps), len(reps)), dtype=complex)
-    h[:, r, s] = acc.T / np.sqrt(stab_size[r] * stab_size[s])
+    acc /= np.sqrt(stab_size[r] * stab_size[s])[:, None]
     # <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for the g with g|x> = |r>
     col = np.cumsum(keep, axis=1)[:, orbit] - 1
     amp = np.where(keep[:, orbit], chi[:, to_rep] * np.sqrt(stab_size[orbit] / len(act)), 0)
-    blocks = {k: _CharacterBlock(h[k][np.ix_(keep[k], keep[k])], col[k], amp[k])
-              for k in np.flatnonzero(size)}
+    blocks = {}
+    for k in np.flatnonzero(size):    # each block's lower triangle, read off acc
+        inside = keep[k, r] & keep[k, s]
+        h = np.zeros((size[k], size[k]), dtype=complex)
+        h[col[k, reps[r[inside]]], col[k, reps[s[inside]]]] = acc[inside, k]
+        blocks[k] = _CharacterBlock(h, col[k], amp[k])
     w = np.concatenate([eigh(b.h, eigvals_only=True, driver="ev") for b in blocks.values()])
 
     chars = char_of[order]                        # the character of each position

@@ -2,8 +2,8 @@
 
 The dispersion gamma_theta, the unimodular coefficients b_theta, and the map
 theta -> u_theta onto the real period interval [-K, K) of the uniformizing
-elliptic functions, together with the coupling container that holds every
-derived scalar (dual coupling, modulus, eta, ...).
+elliptic functions, together with the coupling container of n, kx and ky,
+whose construction derives every scalar but eta and evaluates no elliptic function.
 
 Each momentum sector has one read-only :class:`SectorTable`, reached by
 ``c.sector(name)`` and built lazily, once per coupling value; it holds only
@@ -17,8 +17,8 @@ are produced only at evaluation sites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,11 +57,12 @@ def quasimomenta(sector: str, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Couplings:
-    """Lattice width, couplings, and every derived scalar of the curve.
+    """Lattice width and couplings, with every derived scalar of the curve.
 
-    Construction enforces the ferromagnetic region kx_star < ky (equivalently
-    alpha < 1) and solves for the real parameter eta in (-K'/2, 0) satisfying
-    sinh(2*kx) = i*sn(2i*eta).
+    Construction enforces an integral n >= 1 and the ferromagnetic region
+    kx_star < ky (alpha < 1); the inputs alone decide equality and hashing.
+    The real eta in (-K'/2, 0) satisfying sinh(2*kx) = i*sn(2i*eta) is solved
+    on first read: only the elliptic verification routes need it.
 
     Pure data, immutable and safe to share across threads.  ``sector(name)``
     returns the read-only :class:`SectorTable` of a sector, built on first
@@ -71,17 +72,18 @@ class Couplings:
     n: int
     kx: float
     ky: float
-    kx_star: float
-    alpha: float
-    beta: float
-    s: float
-    modulus: EllipticModulus
-    eta: float
+    kx_star: float = field(init=False, repr=False, compare=False)
+    alpha: float = field(init=False, repr=False, compare=False)
+    beta: float = field(init=False, repr=False, compare=False)
+    s: float = field(init=False, repr=False, compare=False)
+    modulus: EllipticModulus = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_kx_ky(cls, kx: float, ky: float, n: int) -> "Couplings":
+    def __post_init__(self):
+        n, kx, ky = self.n, self.kx, self.ky
         if kx <= 0.0 or ky <= 0.0:
             raise DomainError(f"couplings must be positive, got kx={kx}, ky={ky}")
+        if not isinstance(n, (int, np.integer)):
+            raise DomainError(f"lattice width must be an integer, got {n!r}")
         if n < 1:
             raise DomainError(f"lattice width must be positive, got {n}")
         kx_star = math.atanh(math.exp(-2.0 * kx))
@@ -94,16 +96,23 @@ class Couplings:
         if not 0.0 < beta < alpha < 1.0:
             raise DomainError(f"expected 0 < beta < alpha < 1, got {beta}, {alpha}")
         s = math.sinh(2.0 * kx) * math.sinh(2.0 * ky)
-        k = math.sinh(2.0 * kx_star) / math.sinh(2.0 * ky)
-        modulus = EllipticModulus.from_k(k)
+        modulus = EllipticModulus(math.sinh(2.0 * kx_star) / math.sinh(2.0 * ky))
         if modulus.bigKprime / modulus.bigK < _MIN_PERIOD_RATIO:
             raise DomainError(
                 f"couplings too close to criticality: K'/K = "
                 f"{modulus.bigKprime / modulus.bigK:.2e} < {_MIN_PERIOD_RATIO}"
             )
-        eta = _solve_eta(math.sinh(2.0 * kx), modulus)
-        return cls(n=n, kx=kx, ky=ky, kx_star=kx_star, alpha=alpha, beta=beta,
-                   s=s, modulus=modulus, eta=eta)
+        for name, value in (("kx_star", kx_star), ("alpha", alpha), ("beta", beta),
+                            ("s", s), ("modulus", modulus)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_kx_ky(cls, kx: float, ky: float, n: int) -> "Couplings":
+        return cls(n, kx, ky)
+
+    @cached_property
+    def eta(self) -> float:
+        return _solve_eta(self.sinh2kx, self.modulus)
 
     @property
     def sinh2kx(self) -> float:

@@ -54,7 +54,7 @@ def test_criterion_1_oracle_agreement():
             c = Couplings.from_kx_ky(kx, ky, n)
             for eps_y, parity in ((1, 0), (-1, 1)):
                 ops = build_operators(c, eps_y=eps_y)
-                spectrum = labeled_spectrum(ops, c)
+                spectrum = labeled_spectrum(ops)
                 state_of = {(st.sector, st.indices): st for st in spectrum}
                 labels_of_block = {st.block: block_labels(spectrum, st.block)
                                    for st in spectrum}

@@ -29,8 +29,9 @@ ROUTE_BUDGET = {"ff_closed": 18, "ff_pfaffian": 14}
 
 @pytest.fixture
 def counted(monkeypatch):
-    """A fresh N=8 coupling and the calls counted from then on."""
+    """A fresh N=8 coupling, with eta solved, and the calls counted from then on."""
     c = Couplings.from_kx_ky(0.4, 0.7, 8)
+    c.eta   # solving eta is construction work, not the suites'
     counted = dict.fromkeys(("theta1", *ROUTE_BUDGET), 0)
 
     def counting(name, fn):
@@ -87,7 +88,7 @@ def eigh_calls(monkeypatch):
 @pytest.mark.parametrize("eps_y", [1, -1])
 def test_oracle_labels_without_eigenvectors(eigh_calls, eps_y, n):
     c = Couplings.from_kx_ky(0.4, 0.7, n)
-    spect = oracle.labeled_spectrum(oracle.build_operators(c, eps_y), c)
+    spect = oracle.labeled_spectrum(oracle.build_operators(c, eps_y))
     blocks = {(st.t_eigenvalue, st.charge) for st in spect}
     assert eigh_calls == {"values": len(blocks), "vectors": 0}
     for st in spect:
@@ -108,7 +109,7 @@ def test_oracle_ff_expands_two_blocks(capsys, eigh_calls):
 def test_oracle_ff_modulus_same_before_and_after_expansion(bra, ket):
     c = Couplings.from_kx_ky(0.4, 0.7, 8)
     ops = oracle.build_operators(c)
-    spect = oracle.labeled_spectrum(ops, c)
+    spect = oracle.labeled_spectrum(ops)
     spec = FormFactorSpec(3, FockState("a", bra), FockState("p", ket))
     first = oracle.oracle_ff_modulus(ops, spect, spec)
     assert all(st.vector.shape == (ops.dim,) for st in spect)   # expands every block

@@ -302,6 +302,7 @@ class TestIsingSpecialization:
         # the curve points and the Cauchy configuration evaluate no theta_1;
         # the grids and closed forms, built on first read, do
         c = Couplings.from_kx_ky(0.4, 0.7, 6)
+        c.eta   # solved on first read, with theta_1
         ising_record.cache_clear()
 
         def refuse(*args, **kwargs):

@@ -82,7 +82,7 @@ class TestFF:
         # same energy and momentum, so one oracle block carries both labels
         ky = 0.7674697492343668
         c = Couplings.from_kx_ky(0.4, ky, 8)
-        spect = labeled_spectrum(build_operators(c), c)
+        spect = labeled_spectrum(build_operators(c))
         labels = block_labels(spect, find_state(spect, "a", (3, 4)).block)
         assert sorted(len(indices) for _, indices in labels) == [2, 4]
         code, out = run(capsys, "ff", "--kx", "0.4", "--ky", str(ky), "--n", "8",

@@ -235,3 +235,15 @@ class TestEllipticModulus:
         for k in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(DomainError):
                 EllipticModulus.from_k(k)
+        with pytest.raises(DomainError):
+            EllipticModulus(1.5)
+
+    def test_k_is_the_only_input(self):
+        mod = EllipticModulus(0.8)
+        assert mod == EllipticModulus.from_k(0.8)
+        assert hash(mod) == hash(EllipticModulus.from_k(0.8))
+        assert repr(mod) == "EllipticModulus(k=0.8)"
+        assert mod.tau == 1j * mod.bigKprime / mod.bigK
+        for derived in ("kprime", "bigK", "bigKprime", "tau", "q"):
+            with pytest.raises(TypeError):
+                EllipticModulus(k=0.8, **{derived: getattr(mod, derived)})

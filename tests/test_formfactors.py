@@ -430,10 +430,10 @@ def test_evaluation_path_imports_no_verification_route():
 
 
 def test_evaluation_path_evaluates_no_elliptic_function(monkeypatch):
-    """The form factors, the vacuum overlap, xi_T and the spectral sum read
-    only elementary functions of theta: with theta_1 and the inverse of sn
-    refused, each runs from cold tables."""
-    c = Couplings.from_kx_ky(0.4, 0.7, 8)  # solving for eta evaluates sn
+    """Constructing the couplings, the form factors, the vacuum overlap, xi_T
+    and the spectral sum read only elementary functions of theta: with
+    theta_1, the inverse of sn and the incomplete elliptic integral refused,
+    each runs from cold tables."""
     spectral.coupling_tables.cache_clear()
     _fock_basis.cache_clear()
 
@@ -442,6 +442,8 @@ def test_evaluation_path_evaluates_no_elliptic_function(monkeypatch):
 
     monkeypatch.setattr(elliptic, "_theta1", refuse)
     monkeypatch.setattr(spectral, "inverse_sn_real", refuse)
+    monkeypatch.setattr(spectral, "ellipkinc", refuse)
+    c = Couplings.from_kx_ky(0.4, 0.7, 8)
     spec = FormFactorSpec(3, FockState("a", (1, 4)), FockState("p", (0, 6)))
     values = (ff_closed(spec, c), ff_pfaffian(spec, c), vacuum_overlap(c), xi_t(c),
               two_point_correlation(c, 8, 2, 3))
@@ -493,4 +495,77 @@ def test_ff_closed_against_a_50_digit_reference():
         ref = complex(vacuum * pf)
     c = Couplings.from_kx_ky(0.3, 0.9, n)
     spec = FormFactorSpec(site, FockState("a", bra), FockState("p", ()))
+    assert abs(ff_closed(spec, c) - ref) <= 1e-13 * abs(ref)
+
+
+def _mp_pfaffian(a: list) -> complex:
+    """Pfaffian of an antisymmetric matrix of mpmath numbers, as nested lists:
+    Pf(A) = A[0][1] Pf(S) with the Schur complement
+    S[i][k] = A[i][k] + (A[i][1] A[k][0] - A[i][0] A[k][1]) / A[0][1] over
+    i, k >= 2, after the largest entry of the first column is pivoted into
+    row 1.  S is antisymmetric, so only its lower triangle is computed."""
+    pf = 1
+    while a:
+        j = max(range(1, len(a)), key=lambda i: abs(a[i][0]))
+        if j != 1:
+            order = list(range(len(a)))
+            order[1], order[j] = j, 1
+            a = [[a[i][k] for k in order] for i in order]
+            pf = -pf
+        pf *= a[0][1]
+        x, y = ([row[col] / a[0][1] for row in a] for col in (1, 0))
+        low = [[a[i][k] + x[i] * a[k][0] - y[i] * a[k][1] for k in range(2, i)]
+               for i in range(2, len(a))]
+        a = [row + [0] + [-low[k][i] for k in range(i + 1, len(low))]
+             for i, row in enumerate(low)]
+    return pf
+
+
+# the PFAFFIAN_ZERO spec of the ff-large benchmark, where the pfaffian route
+# returns exactly 0, and the old overflow spec bra = ket = 0..23
+@pytest.mark.parametrize("site, bra, ket", [
+    (184, (13, 56, 72, 75, 143, 153, 168, 193, 208, 221, 222, 233), ()),
+    (0, tuple(range(24)), tuple(range(24)))], ids=["pfaffian-zero", "24-24"])
+def test_ff_closed_against_a_60_digit_reference_at_n256(site, bra, ket):
+    """ff_closed at N=256, (0.4, 0.7) against the vacuum overlap times the
+    pfaffian of R, whose entries are written out from elementary functions
+    at 60 digits; nu is evaluated only at the spec's momenta."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 256
+    c = Couplings.from_kx_ky(0.4, 0.7, n)
+    with mpmath.workdps(60):
+        kx, ky = mpmath.mpf(0.4), mpmath.mpf(0.7)
+        kx_star = mpmath.atanh(mpmath.exp(-2 * kx))
+        ch, sh = mpmath.cosh(2 * kx_star), mpmath.sinh(2 * kx_star)
+        theta = {"a": [(2 * j + 1) * mpmath.pi / n for j in range(n)],
+                 "p": [2 * j * mpmath.pi / n for j in range(n)]}
+        gamma = {s: [mpmath.acosh(ch * mpmath.cosh(2 * ky)
+                                  - sh * mpmath.sinh(2 * ky) * mpmath.cos(t)) for t in ts]
+                 for s, ts in theta.items()}
+        rho2 = mpmath.sinh(2 * ky) / mpmath.sinh(2 * kx)
+        ell = site - mpmath.mpf(1) / 2
+
+        def amp(s, i):
+            g = gamma[s][i]
+            nu = mpmath.log(mpmath.fprod(mpmath.sinh((g + h) / 2) for h in gamma["a"])
+                            / mpmath.fprod(mpmath.sinh((g + h) / 2) for h in gamma["p"]))
+            return mpmath.exp((nu if s == "a" else -nu) / 2) / mpmath.sqrt(n * mpmath.sinh(g))
+
+        points = [("a", i, amp("a", i)) for i in bra] + [("p", j, amp("p", j)) for j in ket]
+
+        def entry(x, y):
+            (s, i, ai), (t, j, aj) = x, y
+            ti, tj, gi, gj = theta[s][i], theta[t][j], gamma[s][i], gamma[t][j]
+            if s != t:      # D^-1, and -D^-1 transposed below the diagonal
+                sign = 1 if s == "a" else -1
+                ti, tj, gi, gj = (ti, tj, gi, gj) if s == "a" else (tj, ti, gj, gi)
+                return (sign * 1j * mpmath.exp(-1j * ell * (ti - tj)) * ai * aj
+                        * mpmath.sinh((gi + gj) / 2) / mpmath.sin((ti - tj) / 2))
+            phase = -1 if s == "a" else 1   # D^-1*C, and B*D^-1
+            return (-1j * mpmath.exp(phase * 1j * ell * (ti + tj)) * rho2 * ai * aj
+                    * mpmath.sin((ti - tj) / 2) / mpmath.sinh((gi + gj) / 2))
+
+        r = [[entry(x, y) if x is not y else 0 for y in points] for x in points]
+        ref = complex(vacuum_overlap(c) * _mp_pfaffian(r))
+    spec = FormFactorSpec(site, FockState("a", bra), FockState("p", ket))
     assert abs(ff_closed(spec, c) - ref) <= 1e-13 * abs(ref)

@@ -15,7 +15,7 @@ from isingff.spectral import Couplings
 BENCH_COUPLINGS = ((0.4, 0.7), (0.5, 0.5), (0.3, 0.9))
 C4 = Couplings.from_kx_ky(0.4, 0.7, 4)
 OPS4 = build_operators(C4, eps_y=1)
-SPECT4 = labeled_spectrum(OPS4, C4)
+SPECT4 = labeled_spectrum(OPS4)
 
 
 def _kron_v(c: Couplings, eps_y: int) -> np.ndarray:
@@ -79,7 +79,7 @@ class TestLabeledSpectrum:
     def test_state_count_per_sector(self):
         for eps_y in (1, -1):
             ops = build_operators(C4, eps_y=eps_y)
-            spect = labeled_spectrum(ops, C4)
+            spect = labeled_spectrum(ops)
             a_states = [st for st in spect if st.sector == "a"]
             p_states = [st for st in spect if st.sector == "p"]
             assert len(a_states) == len(p_states) == 2 ** (C4.n - 1)
@@ -135,7 +135,7 @@ class TestLabeledSpectrum:
 
     def test_eps_minus_one_spectrum(self):
         ops = build_operators(C4, eps_y=-1)
-        spect = labeled_spectrum(ops, C4)
+        spect = labeled_spectrum(ops)
         w = np.sort(np.linalg.eigvalsh(ops.v))
         pred = np.sort([lab[2] for lab in predicted_fock_labels(C4, -1)])
         assert np.max(np.abs(w - pred) / pred) < 1e-9
@@ -146,7 +146,7 @@ class TestLabeledSpectrum:
     @pytest.mark.parametrize("eps_y", [1, -1])
     def test_labels_bottom_of_strong_coupling_spectrum(self, eps_y):
         c = Couplings.from_kx_ky(0.3, 0.9, 10)
-        spect = labeled_spectrum(build_operators(c, eps_y=eps_y), c)
+        spect = labeled_spectrum(build_operators(c, eps_y=eps_y))
         assert len(spect) == 1024
         assert len({(st.sector, st.indices) for st in spect}) == 1024
 
@@ -156,7 +156,7 @@ class TestLabeledSpectrum:
     def test_eigen_properties_against_dense_operators(self, kxy, n, eps_y):
         c = Couplings.from_kx_ky(*kxy, n)
         ops = build_operators(c, eps_y=eps_y)
-        spect = labeled_spectrum(ops, c)
+        spect = labeled_spectrum(ops)
         q = np.array([st.vector for st in spect])
         lam = np.array([st.eigenvalue for st in spect])
         t_val = np.array([st.t_eigenvalue for st in spect])
@@ -178,7 +178,7 @@ class TestLabeledSpectrum:
                                                     ((0.5, 0.5), -1, 868)])
     def test_doublet_block_count_n10(self, kxy, eps_y, blocks):
         c = Couplings.from_kx_ky(*kxy, 10)
-        spect = labeled_spectrum(build_operators(c, eps_y=eps_y), c)
+        spect = labeled_spectrum(build_operators(c, eps_y=eps_y))
         assert len({st.block for st in spect}) == blocks
 
     # at (0.3, 0.9) distinct eigenvalues at the bottom of a character block
@@ -190,7 +190,7 @@ class TestLabeledSpectrum:
         for eps_y in (1, -1) for kxy in BENCH_COUPLINGS])
     def test_labels_every_state_n12(self, kxy, eps_y):
         c = Couplings.from_kx_ky(*kxy, 12)
-        spect = labeled_spectrum(build_operators(c, eps_y=eps_y), c)
+        spect = labeled_spectrum(build_operators(c, eps_y=eps_y))
         labels = {(st.sector, st.indices) for st in spect}
         assert len(spect) == len(labels) == 4096
         assert labels == {lab[:2] for lab in predicted_fock_labels(c, eps_y)}
@@ -202,7 +202,7 @@ class TestLabeledSpectrum:
                        reason="bottom eigenvalues off by 2e-9 relative at (0.2, 1.2)")
     def test_labels_wide_spectrum_odd_tower(self):
         c = Couplings.from_kx_ky(0.2, 1.2, 10)
-        spect = labeled_spectrum(build_operators(c, eps_y=-1), c)
+        spect = labeled_spectrum(build_operators(c, eps_y=-1))
         assert len(spect) == 1024
 
     def test_trace_power_spectral_vs_dense(self):
@@ -241,7 +241,7 @@ class TestLabelFailures:
         monkeypatch.setattr(oracle, "predicted_fock_labels", tampered)
         c = Couplings.from_kx_ky(0.4, 0.7, 6)
         with pytest.raises(AmbiguousLabelError, match=rf"has \d+ states but \d+ {kind} labels"):
-            labeled_spectrum(build_operators(c, eps_y=eps_y), c)
+            labeled_spectrum(build_operators(c, eps_y=eps_y))
         bra, ket = ("0,1", "") if eps_y == 1 else ("2", "1")
         code = cli.main(["ff", "--kx", "0.4", "--ky", "0.7", "--n", "6", "--bra", bra,
                          "--ket", ket])
@@ -253,7 +253,7 @@ class TestOracleMatrixElements:
     def test_width_one_vacuum_element(self):
         c = Couplings.from_kx_ky(0.4, 0.7, 1)
         ops = build_operators(c, eps_y=1)
-        spect = labeled_spectrum(ops, c)
+        spect = labeled_spectrum(ops)
         spec = FormFactorSpec(0, FockState("a", ()), FockState("p", ()))
         assert oracle_ff_modulus(ops, spect, spec) == pytest.approx(1.0)
 
@@ -268,7 +268,7 @@ class TestOracleMatrixElements:
         # the eps_y = -1 tower) carries the same flip charge, so the spin
         # matrix element between them is zero
         ops_m = build_operators(C4, eps_y=-1)
-        spect_m = labeled_spectrum(ops_m, C4)
+        spect_m = labeled_spectrum(ops_m)
         even_a = next(st for st in SPECT4 if st.sector == "a" and st.indices == ())
         odd_p = next(st for st in spect_m if st.sector == "p" and len(st.indices) == 1)
         s0 = np.diag(OPS4.sl[0])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -52,6 +53,46 @@ class TestCouplings:
         # sinh(2 kx*) sinh(2 kx) = 1, hence k = 1/s
         assert C.sinh2kx_star * C.sinh2kx == pytest.approx(1.0, rel=1e-14)
         assert C.modulus.k == pytest.approx(1.0 / C.s, rel=1e-14)
+
+    def test_direct_construction_is_the_classmethod(self):
+        c = Couplings(n=5, kx=0.4, ky=0.7)
+        assert c == C and hash(c) == hash(C)
+        assert repr(c) == "Couplings(n=5, kx=0.4, ky=0.7)"
+        for name in ("kx_star", "alpha", "beta", "s", "modulus"):
+            assert getattr(c, name) == getattr(C, name)
+        with pytest.raises(DomainError, match="ferromagnetic"):
+            Couplings(n=8, kx=0.1, ky=0.2)
+
+    @pytest.mark.parametrize("derived", [{"eta": 0.0}, {"kx_star": 1.0}])
+    def test_derived_values_are_not_inputs(self, derived):
+        with pytest.raises(TypeError):
+            Couplings(n=8, kx=0.4, ky=0.7, **derived)
+
+    @pytest.mark.parametrize("n", [8.5, 8.0, "8"])
+    def test_non_integral_width_rejected(self, n):
+        with pytest.raises(DomainError, match="integer"):
+            Couplings.from_kx_ky(0.4, 0.7, n)
+
+    def test_numpy_integer_width_accepted(self):
+        c = Couplings.from_kx_ky(0.4, 0.7, np.int64(8))
+        assert c == Couplings.from_kx_ky(0.4, 0.7, 8)
+        assert len(c.sector("a").thetas) == 8
+
+    def test_replace_gives_a_consistent_instance(self):
+        c = dataclasses.replace(C, n=16)
+        fresh = Couplings.from_kx_ky(0.4, 0.7, 16)
+        assert c == fresh and c.modulus == C.modulus
+        assert len(c.sector("p").gamma) == 16
+        with pytest.raises(DomainError):
+            dataclasses.replace(C, ky=0.05)
+
+    def test_eta_is_solved_on_first_read(self):
+        c = Couplings.from_kx_ky(0.4, 0.7, 6)
+        assert "eta" not in vars(c)
+        eta = c.eta
+        assert vars(c)["eta"] == eta and c.eta is eta
+        assert pickle.loads(pickle.dumps(c)).eta == eta
+        assert copy.deepcopy(c) == c
 
     def test_eta_position_and_residual(self):
         assert -C.modulus.bigKprime / 2.0 < C.eta < 0.0
