@@ -5,9 +5,10 @@ the global flip U as index maps, and V as one entry formula, and labels
 every eigenstate of V with a Fock momentum set.  T and U generate an abelian
 group; its character table gives every (momentum, charge) block of V at
 once, read off V at the orbit representatives.  V is diagonalized block by
-block, and all eigenvalues together are grouped by a tolerance relative to
-the eigenvalue and matched in energy order against the predicted labels,
-sorted once by (character, V).  Everything here is independent of the
+block, once per pair of conjugate characters, whose blocks are complex
+conjugates of each other, and all eigenvalues together are grouped by a
+tolerance relative to the eigenvalue and matched in energy order against
+the predicted labels, sorted once by (character, V).  Everything here is independent of the
 closed-form modules except for the shared dispersion gamma_theta, so it
 serves as ground truth for matrix elements and correlations at small N.
 
@@ -207,6 +208,25 @@ def _characters(n: int, eps_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return m, u, np.hstack([phase, u[:, None] * phase])
 
 
+def _lower_triangles(v_low: np.ndarray, chi: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Row j: sum_g chi_j(g)^* v_low[g] / norm, for each row chi_j of ``chi``.
+
+    Summed in g order and not by a BLAS product: last-bit changes of H_chi
+    move the bottom of a wide spectrum by more than _GROUP_TOL (at (0.2, 1.2),
+    N=8, eps_y=-1).  ``v_low`` is real, so the real and imaginary parts are
+    summed apart, and they and the scaling by the reciprocal norm round as
+    numpy's complex product and complex-by-real division do.
+    """
+    phase = chi.conj().T
+    acc, term = np.zeros((2, len(chi), len(norm))), np.empty((2, len(chi), len(norm)))
+    for v_g, p in zip(v_low, np.stack([phase.real, phase.imag], axis=1)):
+        acc += np.multiply(p[:, :, None], v_g, out=term)
+    acc *= 1.0 / norm
+    out = np.empty((len(chi), len(norm)), dtype=complex)
+    out.real, out.imag = acc
+    return out
+
+
 def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
     """Simultaneous (V, T, U) eigenbasis of ``ops``, with Fock labels attached.
 
@@ -216,10 +236,13 @@ def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
     representatives r (smallest basis index) whose stabilizer chi is trivial
     on, so H_chi[r, s] = sum_g chi(g)^* V[r, g s] / sqrt(|Stab_r| |Stab_s|)
     is read off V at the representatives, for every character at once from
-    the character table.  Labelling reads only the eigenvalues of H_chi,
-    one eigenvalues-only call per nonempty block; a block's eigenvectors
-    are computed and expanded back to the full space, orthonormal, on the
-    first read of one of its states' :attr:`LabeledEigenstate.vector`.
+    the character table.  V and the group action are real, so the block of
+    the conjugate character (momentum -m, same charge) is conj(H_chi), with
+    the same eigenvalues: only the lead (smaller index) of each conjugate
+    pair is summed, in real arithmetic, and labelling makes one
+    eigenvalues-only call per nonempty pair.  A block's eigenvectors are
+    computed and expanded back to the full space, orthonormal, on the first
+    read of one of its states' :attr:`LabeledEigenstate.vector`.
 
     Each predicted label belongs to the character of its predicted (T, U)
     values, and one sort orders the labels by (character, V), next to the
@@ -247,9 +270,10 @@ def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
     # the T eigenvalue exp(-i pi m / N) a label predicts gives its m, with a
     # margin of pi / 2N for rounding
     m_lab = np.rint(np.angle(t_lab) * (-n / math.pi)).astype(int) % (2 * n)
-    char_of = np.full((2 * n, 2), len(m))   # no character: a slot after the last
-    char_of[m, (1 - u) // 2] = np.arange(len(m))
-    char_of = char_of[m_lab, (1 - charge) // 2]
+    char_at = np.full((2 * n, 2), len(m))   # no character: a slot after the last
+    char_at[m, (1 - u) // 2] = np.arange(len(m))
+    char_of = char_at[m_lab, (1 - charge) // 2]
+    conj = char_at[-m % (2 * n), (1 - u) // 2]        # the character chi-bar of chi
     count = np.bincount(char_of, minlength=len(m) + 1)
     bad = np.flatnonzero(count != np.r_[size, 0])
     if bad.size:
@@ -262,25 +286,27 @@ def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
     order = np.lexsort((lam, char_of))
     lam = lam[order]
 
-    # H_chi's lower triangle (all eigh reads), summed in g order and not by a
-    # BLAS product: last-bit changes of H_chi move the bottom of a wide
-    # spectrum by more than _GROUP_TOL (at (0.2, 1.2), N=8, eps_y=-1)
+    # H_chi is summed only for the lead, the smaller index, of each conjugate pair
+    lead = np.flatnonzero((conj >= np.arange(len(m))) & (size > 0))
     r, s = np.tril_indices(len(reps))
-    v_low = ops.v_entries(reps[r], act[:, reps[s]])      # V[r, g s]
-    acc = np.zeros((len(r), len(m)), dtype=complex)
-    for v_g, phase in zip(v_low, chi.conj().T):
-        acc += v_g[:, None] * phase
-    acc /= np.sqrt(stab_size[r] * stab_size[s])[:, None]
+    h_low = dict(zip(lead.tolist(), _lower_triangles(
+        ops.v_entries(reps[r], act[:, reps[s]]),                         # V[r, g s]
+        chi[lead], np.sqrt(stab_size[r] * stab_size[s]))))
     # <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for the g with g|x> = |r>
     col = np.cumsum(keep, axis=1)[:, orbit] - 1
     amp = np.where(keep[:, orbit], chi[:, to_rep] * np.sqrt(stab_size[orbit] / len(act)), 0)
-    blocks = {}
-    for k in np.flatnonzero(size):    # each block's lower triangle, read off acc
-        inside = keep[k, r] & keep[k, s]
+    blocks, vals = {}, {}
+    for k in np.flatnonzero(size).tolist():
+        if conj[k] < k:               # a partner: its lead came first
+            blocks[k] = _CharacterBlock(blocks[conj[k]].h.conj(), col[k], amp[k])
+            vals[k] = vals[conj[k]]
+            continue
+        inside = keep[k, r] & keep[k, s]     # each lead's block, read off h_low
         h = np.zeros((size[k], size[k]), dtype=complex)
-        h[col[k, reps[r[inside]]], col[k, reps[s[inside]]]] = acc[inside, k]
+        h[col[k, reps[r[inside]]], col[k, reps[s[inside]]]] = h_low[k][inside]
         blocks[k] = _CharacterBlock(h, col[k], amp[k])
-    w = np.concatenate([eigh(b.h, eigvals_only=True, driver="ev") for b in blocks.values()])
+        vals[k] = eigh(h, eigvals_only=True, driver="ev")
+    w = np.concatenate(list(vals.values()))
 
     chars = char_of[order]                        # the character of each position
     first = np.cumsum(size) - size                # each character's first position
@@ -309,9 +335,9 @@ def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
     order = order[np.lexsort((order, grp))]
     row = np.arange(len(w)) - first[chars]
     lam_of, u_of = lam_grp.tolist(), u.tolist()
-    return [LabeledEigenstate(sector=labels[i][0], indices=tuple(labels[i][1]),
-                              eigenvalue=lam_of[g], t_eigenvalue=t_of[k], charge=u_of[k],
-                              block=g, _source=blocks[k], _row=j)
+    # positional arguments: keywords take about three times as long
+    return [LabeledEigenstate(labels[i][0], labels[i][1], lam_of[g], t_of[k], u_of[k],
+                              g, blocks[k], j)
             for i, g, k, j in zip(order.tolist(), grp.tolist(), chars.tolist(), row.tolist())]
 
 

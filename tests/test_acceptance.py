@@ -8,6 +8,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from isingff.cauchy import (EllipticPointConfig, elliptic_cauchy_matrix,
                             frobenius_inverse, frobenius_log_det, lambda_factors,
@@ -17,7 +18,7 @@ from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
 from isingff.formfactors import (FockState, FormFactorSpec, SpecStack,
                                  ff_closed, ff_pfaffian, two_point_correlation,
-                                 vacuum_overlap)
+                                 vacuum_overlap, xi_t)
 from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
 from isingff.oracle import (block_labels, build_operators, labeled_spectrum,
                             oracle_correlation)
@@ -295,4 +296,46 @@ def test_criterion_10_nu_lambda_reduction():
     passed = worst < 1e-10
     _report(10, "sn-product vs sinh-product reduction, N=3 and N=4", passed,
             f"worst {worst:.2e}")
+    assert passed
+
+
+def test_criterion_11_infinite_lattice_row_correlation():
+    """Row correlation at N=16 equals the infinite-lattice Toeplitz determinant."""
+    # Montroll, Potts and Ward (J. Math. Phys. 4, 308, 1963): <s_00 s_0R> is
+    # det[c_{i-j}], R x R, with c_k the Fourier coefficients of
+    # sqrt((1 - alpha z)(1 - beta/z) / ((1 - beta z)(1 - alpha/z))), z = e^{i theta};
+    # at (0.6, 0.9) the correlation length is short enough for N=16, M=24
+    c = Couplings.from_kx_ky(0.6, 0.9, 16)
+    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    symbol = np.sqrt((1.0 - c.alpha * z) * (1.0 - c.beta / z)
+                     / ((1.0 - c.beta * z) * (1.0 - c.alpha / z)))
+    coef = np.fft.fft(symbol) / len(z)        # c_k at k mod 4096
+    errs = []
+    for r in (1, 2, 3):
+        i = np.arange(r)
+        toeplitz = np.linalg.det(coef[i[:, None] - i[None, :]]).real
+        with pytest.warns(UserWarning, match="particle-number cutoff"):
+            errs.append(abs(two_point_correlation(c, 24, 0, r) - toeplitz))
+    passed = max(errs) < 1e-12
+    _report(11, "row correlation vs Toeplitz determinant, (0.6, 0.9), N=16, R=1..3",
+            passed, "errors " + ", ".join(f"{e:.2e}" for e in errs))
+    assert passed
+
+
+def test_criterion_12_thermodynamic_limits():
+    """vacuum_overlap tends to the spontaneous magnetization and xi_t to 1."""
+    # Yang (Phys. Rev. 85, 808, 1952): M = (1 - s^-2)^(1/8); both gaps close
+    # exponentially in N
+    worst, shrinking = 0.0, True
+    for kxy in ((0.4, 0.7), (0.6, 0.9)):
+        gaps = []
+        for n in (16, 32, 64):
+            c = Couplings.from_kx_ky(*kxy, n)
+            gaps.append(np.array([abs(vacuum_overlap(c) - (1.0 - c.s ** (-2)) ** 0.125),
+                                  abs(xi_t(c) - 1.0)]))
+        shrinking &= bool(np.all(gaps[1] < gaps[0]))
+        worst = max(worst, float(gaps[2].max()))
+    passed = worst < 1e-13 and shrinking
+    _report(12, "Yang magnetization and xi_t = 1 at N=64, (0.4, 0.7) and (0.6, 0.9)",
+            passed, f"worst {worst:.2e}")
     assert passed

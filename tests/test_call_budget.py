@@ -12,10 +12,14 @@ g) rebuilt by each closed form; ``verify all`` made 179 while the rotation
 suite built Phi^-1 and log det Phi again; with one stack per site, the
 form-factor suite makes 46 ff_closed and 42 ff_pfaffian calls.
 
-The oracle labels its states from eigenvalues alone and forms a character
-block's eigenvectors only when one of them is read, so ``isingff ff`` expands
-two blocks, the bra's and the ket's, out of about twenty at N=10.
+The oracle labels its states from eigenvalues alone, with one eigenvalue call
+per pair of conjugate character blocks, and forms a character block's
+eigenvectors only when one of them is read, so ``isingff ff`` expands two
+blocks, the bra's and the ket's, out of about twenty at N=10.
 """
+
+import cmath
+import math
 
 import pytest
 
@@ -90,10 +94,14 @@ def test_oracle_labels_without_eigenvectors(eigh_calls, eps_y, n):
     c = Couplings.from_kx_ky(0.4, 0.7, n)
     spect = oracle.labeled_spectrum(oracle.build_operators(c, eps_y))
     blocks = {(st.t_eigenvalue, st.charge) for st in spect}
-    assert eigh_calls == {"values": len(blocks), "vectors": 0}
+    # chi = (m, u) and its conjugate (-m, u) share one eigenvalue call
+    moms = {t: round(-cmath.phase(t) * n / math.pi) % (2 * n) for t, _ in blocks}
+    pairs = {(min(moms[t], -moms[t] % (2 * n)), u) for t, u in blocks}
+    assert len(pairs) == {(8, 1): 10, (8, -1): 9, (10, 1): 12, (10, -1): 11}[n, eps_y]
+    assert eigh_calls == {"values": len(pairs), "vectors": 0}
     for st in spect:
         assert st.vector is st.vector
-    assert eigh_calls == {"values": len(blocks), "vectors": len(blocks)}
+    assert eigh_calls == {"values": len(pairs), "vectors": len(blocks)}
 
 
 def test_oracle_ff_expands_two_blocks(capsys, eigh_calls):

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -205,12 +206,59 @@ class TestLabeledSpectrum:
         spect = labeled_spectrum(build_operators(c, eps_y=-1))
         assert len(spect) == 1024
 
+    @pytest.mark.parametrize("kxy", [(0.4, 0.7), (0.3, 0.9)], ids=str)
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_block_matrices_one_sum_per_conjugate_pair(self, kxy, n, eps_y):
+        # a last-bit change of H_chi moves labels at the bottom of wide
+        # spectra, so every summed block keeps the complex sum's bits
+        ops = build_operators(Couplings.from_kx_ky(*kxy, n), eps_y=eps_y)
+        ref = _complex_sum_blocks(ops)
+        blocks = {(_momentum(st.t_eigenvalue, n), st.charge): st._source.h
+                  for st in labeled_spectrum(ops)}
+        assert blocks.keys() == ref.keys()
+        for (m, u), h in blocks.items():
+            if m <= n:         # a lead: the smaller index of its conjugate pair
+                assert h.tobytes() == ref[(m, u)].tobytes()
+            else:
+                assert h.tobytes() == blocks[(2 * n - m, u)].conj().tobytes()
+
     def test_trace_power_spectral_vs_dense(self):
         m = 6
         w = np.linalg.eigvalsh(OPS4.v / np.linalg.eigvalsh(OPS4.v)[-1])
         dense = np.trace(np.linalg.matrix_power(
             OPS4.v / np.linalg.eigvalsh(OPS4.v)[-1], m))
         assert abs(np.sum(w ** m) / dense - 1.0) < 1e-10
+
+
+def _momentum(t_eigenvalue: complex, n: int) -> int:
+    """The m of a translation eigenvalue exp(-i pi m / N), in [0, 2N)."""
+    return round(-cmath.phase(t_eigenvalue) * n / math.pi) % (2 * n)
+
+
+def _complex_sum_blocks(ops) -> dict[tuple[int, int], np.ndarray]:
+    """The lower triangle of every nonempty block H_chi, keyed by chi's (m, u):
+    sum_g chi(g)^* V[r, g s] in g order as complex numbers, divided by
+    sqrt(|Stab_r| |Stab_s|)."""
+    act = oracle._group_action(ops)
+    reps = np.unique(act.min(axis=0))
+    stab = act[:, reps] == reps
+    stab_size = stab.sum(axis=0)
+    m, u, chi = oracle._characters(ops.couplings.n, ops.eps_y)
+    keep = np.abs(chi @ stab - stab_size) < 0.5
+    r, s = np.tril_indices(len(reps))
+    acc = np.zeros((len(r), len(m)), dtype=complex)
+    for v_g, phase in zip(ops.v_entries(reps[r], act[:, reps[s]]), chi.conj().T):
+        acc += v_g[:, None] * phase
+    acc /= np.sqrt(stab_size[r] * stab_size[s])[:, None]
+    blocks = {}
+    for k in np.flatnonzero(keep.any(axis=1)):
+        col = np.cumsum(keep[k]) - 1
+        inside = keep[k, r] & keep[k, s]
+        h = np.zeros((col[-1] + 1,) * 2, dtype=complex)
+        h[col[r[inside]], col[s[inside]]] = acc[inside, k]
+        blocks[(int(m[k]), int(u[k]))] = h
+    return blocks
 
 
 def _drop_label(labels):
