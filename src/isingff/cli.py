@@ -43,10 +43,6 @@ EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
 
-def _default_tolerance() -> float:
-    return float(os.environ.get("ISINGFF_TOL", "1e-10"))
-
-
 def _parse_indices(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -290,7 +286,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.tol is None:
         # read on each call, so a later change to the variable applies
-        args.tol = _default_tolerance()
+        text = os.environ.get("ISINGFF_TOL", "1e-10")
+        try:
+            args.tol = float(text)
+        except ValueError:
+            print(f"isingff: error: ISINGFF_TOL is not a number: {text!r}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         return args.func(args)
     except (DomainError, ConvergenceError, SingularMatrixError,

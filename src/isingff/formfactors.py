@@ -395,6 +395,8 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
     """
     if eps_x not in (1, -1) or eps_y not in (1, -1):
         raise DomainError("eps_x and eps_y must be +1 or -1")
+    if m_height < 1:
+        raise DomainError(f"torus height M must be at least 1, got {m_height}")
     if not 0 <= dx <= m_height:
         raise DomainError(f"need 0 <= dx <= M, got dx={dx}, M={m_height}")
     # T^2N = 1: |dy| counts mod 2N, and |dy| < 2N is kept as given

@@ -1,17 +1,15 @@
 """Dense complex linear algebra: pfaffian, determinant (or its log), inverse.
 
 The pfaffian is computed by skew-symmetric tridiagonalization (Parlett-Reid
-style Gauss transforms) with partial pivoting, on one matrix or on a stack
-of them at once.  Row/column swaps are counted exactly because the sign of
-the pfaffian carries physics downstream.
+style Gauss transforms) with partial pivoting, the determinant by Gaussian
+elimination with partial pivoting, each on one matrix or on a stack of them
+at once.  Row/column swaps are counted exactly because the sign of the
+pfaffian carries physics downstream.  Inverses are numpy's LAPACK solve.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .exceptions import DomainError, SingularMatrixError
 
@@ -94,49 +92,58 @@ def pfaffian(m: np.ndarray):
     return complex(pf[0]) if np.ndim(m) == 2 else pf
 
 
-def _lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pivoted LU factors of a square complex matrix and its number of row swaps.
+def _eliminate(m: np.ndarray, log: bool):
+    """(log) det and inverse of one matrix, or of each matrix of a stack.
 
-    Raises
-    ------
-    SingularMatrixError
-        If any pivot falls below 1e-13 times the largest row norm.
+    The pivots of Gaussian elimination with partial pivoting run through
+    every matrix of a stack at once, each keeping its own pivoting and swap
+    count; the inverses are numpy's LAPACK solve of the same stack.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"need a square matrix, got shape {m.shape}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m)
-    pivots = np.abs(np.diag(lu))
-    row_scale = float(np.max(np.sum(np.abs(m), axis=1), initial=0.0))
-    if np.min(pivots, initial=np.inf) <= _PIVOT_TOL * max(row_scale, 1e-300):
-        raise SingularMatrixError(
-            f"matrix singular to tolerance (min pivot {np.min(pivots):.3e})"
-        )
-    return lu, piv, int(np.sum(piv != np.arange(len(m))))
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"need a square matrix or a stack of them, got shape {m.shape}")
+    stack = m if m.ndim == 3 else m[None]
+    a, (size, n) = stack.copy(), stack.shape[:2]
+    row_sums = np.sum(np.abs(a), axis=2)
+    floor = _PIVOT_TOL * np.maximum(np.max(row_sums, axis=1, initial=0.0), 1e-300)
+    pivots, swaps, s = np.empty((size, n), dtype=complex), np.zeros(size), np.arange(size)
+    for k in range(n):
+        kp = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        a[s, k, k:], a[s, kp, k:] = a[s, kp, k:], a[s, k, k:]
+        swaps += kp != k
+        pivots[:, k] = a[:, k, k]
+        if np.any(np.abs(pivots[:, k]) <= floor):
+            raise SingularMatrixError(f"matrix singular to tolerance (min pivot "
+                                      f"{np.min(np.abs(pivots[:, k])):.3e})")
+        factor = a[:, k + 1:, k] / pivots[:, k, None]
+        a[:, k + 1:, k + 1:] -= factor[:, :, None] * a[:, None, k, k + 1:]
+    det = (np.log(pivots).sum(axis=1) + 1j * np.pi * swaps if log
+           else (-1.0) ** swaps * np.prod(pivots, axis=1))
+    inv = np.linalg.inv(stack)
+    return (complex(det[0]), inv[0]) if m.ndim == 2 else (det, inv)
 
 
-def det_and_inverse(m: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Determinant and inverse of a square complex matrix via pivoted LU.
+def det_and_inverse(m: np.ndarray):
+    """Determinant and inverse of a square complex matrix, or of each matrix
+    of an (S, k, k) stack, via Gaussian elimination with partial pivoting.
+
+    A single matrix gives a Python complex and its inverse, a stack an array
+    of S determinants and the stack of inverses.
 
     Raises
     ------
     SingularMatrixError
-        If any pivot falls below 1e-13 times the largest row norm.
+        If any pivot falls below 1e-13 times its matrix's largest row sum.
     """
-    lu, piv, swaps = _lu(m)
-    det = complex((-1.0) ** swaps * np.prod(np.diag(lu)))
-    return det, lu_solve((lu, piv), np.eye(len(lu), dtype=complex))
+    return _eliminate(m, log=False)
 
 
-def log_det_and_inverse(m: np.ndarray) -> tuple[complex, np.ndarray]:
-    """log det and inverse of a square complex matrix via pivoted LU.
+def log_det_and_inverse(m: np.ndarray):
+    """log det and inverse, returned like :func:`det_and_inverse`.
 
-    log|det| is the sum of the logs of the LU pivots, so it stays finite
-    where the determinant itself over- or underflows; the imaginary part
-    (the phase) is defined modulo 2*pi.  Raises like :func:`det_and_inverse`.
+    log|det| is the sum of the logs of the elimination pivots, so it stays
+    finite where the determinant itself over- or underflows; the imaginary
+    part (the phase) is defined modulo 2*pi.  Raises like
+    :func:`det_and_inverse`.
     """
-    lu, piv, swaps = _lu(m)
-    log_det = complex(np.log(np.diag(lu)).sum() + 1j * np.pi * swaps)
-    return log_det, lu_solve((lu, piv), np.eye(len(lu), dtype=complex))
+    return _eliminate(m, log=True)

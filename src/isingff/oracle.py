@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh, eigvalsh
 
 from .exceptions import AmbiguousLabelError, DomainError, ResourceError
 from .formfactors import FormFactorSpec, fock_basis
@@ -88,21 +88,24 @@ class SpinOperatorSet:
 
 @dataclass(eq=False)
 class _CharacterBlock:
-    """One character block of V: the lower triangle of its matrix H_chi (all
-    eigh reads) and what expands H_chi's eigenvectors to the full space.  The
-    vectors are formed on first read."""
+    """One character block of V and what expands H_chi's eigenvectors to the
+    full space.  A lead holds the lower triangle of H_chi (all eigh reads);
+    its conjugate partner holds the lead instead, since H_chi-bar = conj(H_chi)
+    has the conjugate eigenvectors.  The vectors are formed on first read."""
 
-    h: np.ndarray
+    h: np.ndarray | None      # a lead's H_chi; None for a partner
     col: np.ndarray           # each basis state's column of H_chi
     amp: np.ndarray           # its amplitude <x|r_chi>, 0 outside the block
+    lead: _CharacterBlock | None = None   # a partner's lead
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:     # a lead's, as columns in eigenvalue order
+        return eigh(self.h)[1]
 
     @cached_property
     def vectors(self) -> list[np.ndarray]:
         """Row k: the full-space eigenvector of H_chi's k-th eigenvalue."""
-        # QR iteration: the bottom of the spectrum keeps its relative accuracy
-        # (divide and conquer loses it, 6.7e-8 at N=12, (0.3, 0.9)) and the
-        # vectors are orthonormal to 1e-13 (MRRR's to 3e-13)
-        q = eigh(self.h, driver="ev")[1]
+        q = self.eigenvectors if self.lead is None else self.lead.eigenvectors.conj()
         vecs = q[self.col].T * self.amp
         vecs.flags.writeable = False
         return list(vecs)
@@ -238,11 +241,12 @@ def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
     is read off V at the representatives, for every character at once from
     the character table.  V and the group action are real, so the block of
     the conjugate character (momentum -m, same charge) is conj(H_chi), with
-    the same eigenvalues: only the lead (smaller index) of each conjugate
-    pair is summed, in real arithmetic, and labelling makes one
-    eigenvalues-only call per nonempty pair.  A block's eigenvectors are
-    computed and expanded back to the full space, orthonormal, on the first
-    read of one of its states' :attr:`LabeledEigenstate.vector`.
+    the same eigenvalues and the conjugate eigenvectors: only the lead
+    (smaller index) of each conjugate pair is summed, in real arithmetic, and
+    labelling makes one eigenvalues-only call per nonempty pair.  A block's
+    eigenvectors are computed, once per pair, and expanded back to the full
+    space, orthonormal, on the first read of one of its states'
+    :attr:`LabeledEigenstate.vector`.
 
     Each predicted label belongs to the character of its predicted (T, U)
     values, and one sort orders the labels by (character, V), next to the
@@ -298,14 +302,14 @@ def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
     blocks, vals = {}, {}
     for k in np.flatnonzero(size).tolist():
         if conj[k] < k:               # a partner: its lead came first
-            blocks[k] = _CharacterBlock(blocks[conj[k]].h.conj(), col[k], amp[k])
+            blocks[k] = _CharacterBlock(None, col[k], amp[k], blocks[conj[k]])
             vals[k] = vals[conj[k]]
             continue
         inside = keep[k, r] & keep[k, s]     # each lead's block, read off h_low
         h = np.zeros((size[k], size[k]), dtype=complex)
         h[col[k, reps[r[inside]]], col[k, reps[s[inside]]]] = h_low[k][inside]
         blocks[k] = _CharacterBlock(h, col[k], amp[k])
-        vals[k] = eigh(h, eigvals_only=True, driver="ev")
+        vals[k] = eigvalsh(h)
     w = np.concatenate(list(vals.values()))
 
     chars = char_of[order]                        # the character of each position
@@ -389,9 +393,11 @@ def oracle_correlation(ops: SpinOperatorSet, m_height: int, dx: int, dy: int,
                             f"M <= {_TRACE_MAX_M}")
     if eps_x not in (1, -1):
         raise DomainError("eps_x must be +1 or -1")
+    if m_height < 1:
+        raise DomainError(f"torus height M must be at least 1, got {m_height}")
     if not 0 <= dx <= m_height:
         raise DomainError(f"need 0 <= dx <= M, got dx={dx}, M={m_height}")
-    lam_max = float(eigh(ops.v, eigvals_only=True, subset_by_index=(ops.dim - 1, ops.dim - 1))[0])
+    lam_max = float(eigvalsh(ops.v)[-1])
     vn = ops.v / lam_max
     s0 = ops.sl[0]
     # T^dy s_0 T^-dy is diagonal: s_0 read through the dy-fold translation

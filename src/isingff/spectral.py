@@ -22,9 +22,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ellipkinc
 
-from .elliptic import EllipticModulus, inverse_sn_real, jacobi_sn_cn_dn
+from .elliptic import EllipticModulus, incomplete_elliptic_F, inverse_sn_real, jacobi_sn_cn_dn
 from .exceptions import ConvergenceError, DomainError
 
 _MIN_PERIOD_RATIO = 1e-3  # reject K'/K below this; theta-series precision collapses
@@ -222,9 +221,9 @@ def _solve_eta(target_sinh2kx: float, modulus: EllipticModulus) -> float:
 
     For pure-imaginary argument, i*sn(2i*eta) = sc(2|eta|, k'), which is
     tan am(2|eta|, k'); so v = 2|eta| is the incomplete elliptic integral
-    F(atan(sinh 2kx), k'^2).
+    F(atan(sinh 2kx) | k') of the complementary modulus, whose complement is k.
     """
-    v = float(ellipkinc(math.atan(target_sinh2kx), modulus.kprime**2))
+    v = float(incomplete_elliptic_F(math.atan(target_sinh2kx), modulus.k))
     eta = -0.5 * v
     sn2ieta, _, _ = jacobi_sn_cn_dn(2j * eta, modulus)
     residual = abs(target_sinh2kx - (1j * sn2ieta))

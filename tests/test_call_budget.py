@@ -14,8 +14,9 @@ form-factor suite makes 46 ff_closed and 42 ff_pfaffian calls.
 
 The oracle labels its states from eigenvalues alone, with one eigenvalue call
 per pair of conjugate character blocks, and forms a character block's
-eigenvectors only when one of them is read, so ``isingff ff`` expands two
-blocks, the bra's and the ket's, out of about twenty at N=10.
+eigenvectors only when one of them is read, once per conjugate pair, so
+``isingff ff`` expands two blocks, the bra's and the ket's, out of about
+twenty at N=10.
 """
 
 import cmath
@@ -75,15 +76,18 @@ def test_all_suites_budget(counted):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The oracle's eigh calls from then on, split by whether they return vectors."""
+    """The oracle's eigensolver calls from then on: eigvalsh for values, eigh
+    for vectors."""
     calls = {"values": 0, "vectors": 0}
 
-    def counting(*args, **kwargs):
-        calls["values" if kwargs.get("eigvals_only") else "vectors"] += 1
-        return eigh(*args, **kwargs)
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    eigh = oracle.eigh
-    monkeypatch.setattr(oracle, "eigh", counting)
+    monkeypatch.setattr(oracle, "eigvalsh", counting("values", oracle.eigvalsh))
+    monkeypatch.setattr(oracle, "eigh", counting("vectors", oracle.eigh))
     return calls
 
 
@@ -101,7 +105,8 @@ def test_oracle_labels_without_eigenvectors(eigh_calls, eps_y, n):
     assert eigh_calls == {"values": len(pairs), "vectors": 0}
     for st in spect:
         assert st.vector is st.vector
-    assert eigh_calls == {"values": len(pairs), "vectors": len(blocks)}
+    # a partner block's eigenvectors are its lead's, conjugated
+    assert eigh_calls == {"values": len(pairs), "vectors": len(pairs)}
 
 
 def test_oracle_ff_expands_two_blocks(capsys, eigh_calls):

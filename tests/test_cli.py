@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -149,6 +152,13 @@ class TestCorr:
         assert json.loads(out)["results"]["oracle_agrees"]
 
 
+    @pytest.mark.parametrize("dy", ["0", "1"])
+    def test_torus_of_no_height_exits_domain(self, capsys, dy):
+        code, out = run(capsys, "corr", "--kx", "0.4", "--ky", "0.7", "--n", "8",
+                        "--m-height", "0", "--dx", "0", "--dy", dy)
+        assert code == 3 and out == ""
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         code, out = run(capsys, "verify", "all", "--kx", "0.3", "--ky", "0.9",
@@ -212,6 +222,33 @@ def test_tolerance_env_var_set_after_first_call(capsys, monkeypatch):
     assert code == 5 and json.loads(out)["inputs"]["tolerance"] == 1e-18
     code, out = run(capsys, *argv, "--tol", "1e-6")
     assert code == 0 and json.loads(out)["inputs"]["tolerance"] == 1e-6
+
+
+def test_unparseable_tolerance_env_var_is_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("ISINGFF_TOL", "abc")
+    assert main(["params", "--kx", "0.4", "--ky", "0.7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "ISINGFF_TOL" in err
+
+
+def test_commands_import_no_scipy():
+    # a fresh process: other tests load scipy into this one
+    script = """
+import sys
+from isingff import cli
+for argv in (["params", "--kx", "0.4", "--ky", "0.7"],
+             ["spectrum", "--kx", "0.4", "--ky", "0.7", "--n", "8"],
+             ["ff", "--kx", "0.4", "--ky", "0.7", "--n", "8", "--bra", "1,2", "--ket", "0,5"],
+             ["corr", "--kx", "0.4", "--ky", "0.7", "--n", "8", "--m-height", "4",
+              "--dx", "1", "--dy", "2"],
+             ["verify", "all", "--kx", "0.4", "--ky", "0.7", "--n", "4"]):
+    assert cli.main(argv) == 0, argv
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy was imported"
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _strict_json(out: str) -> dict:

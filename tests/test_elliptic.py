@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj
 
-from isingff.elliptic import (EllipticModulus, complete_elliptic_K,
+from isingff.elliptic import (EllipticModulus, complete_elliptic_K, incomplete_elliptic_F,
                               inverse_sn_real, jacobi_sn_cn_dn, theta)
 from isingff.exceptions import DomainError
 
@@ -180,8 +180,34 @@ class TestJacobiFunctions:
                             self.mod)
 
 
+MODULI_TO_ONE = [0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999]
+
+
+class TestIncompleteF:
+    @pytest.mark.parametrize("k", MODULI_TO_ONE)
+    def test_against_a_40_digit_reference(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        kprime = math.sqrt((1.0 - k) * (1.0 + k))
+        phi = np.linspace(-math.pi / 2.0, math.pi / 2.0, 61)
+        f = incomplete_elliptic_F(phi, kprime)
+        with mpmath.workdps(40):
+            m = 1 - mpmath.mpf(kprime) ** 2     # the modulus whose complement is kprime
+            ref = np.array([float(mpmath.ellipf(mpmath.mpf(p), m)) for p in phi])
+        assert f[[0, -1]].tolist() == [-f[-1], f[-1]]    # the endpoints, odd in phi
+        assert np.all(np.abs(f - ref) <= 1e-15 * np.abs(ref))
+
+
 class TestInverseSn:
     mod = EllipticModulus.from_k(0.6)
+
+    @pytest.mark.parametrize("k", MODULI_TO_ONE)
+    def test_roundtrip_near_k_one(self, k):
+        mod = EllipticModulus.from_k(k)
+        s = np.linspace(-1.0, 1.0, 41)
+        u = inverse_sn_real(s, mod)
+        sn, cn, _ = jacobi_sn_cn_dn(u, mod)
+        assert np.max(np.abs(sn - s)) < 1e-12
+        assert np.all(cn.real >= -1e-15)
 
     def test_endpoints(self):
         assert inverse_sn_real(0.0, self.mod) == 0.0

@@ -442,7 +442,7 @@ def test_evaluation_path_evaluates_no_elliptic_function(monkeypatch):
 
     monkeypatch.setattr(elliptic, "_theta1", refuse)
     monkeypatch.setattr(spectral, "inverse_sn_real", refuse)
-    monkeypatch.setattr(spectral, "ellipkinc", refuse)
+    monkeypatch.setattr(spectral, "incomplete_elliptic_F", refuse)
     c = Couplings.from_kx_ky(0.4, 0.7, 8)
     spec = FormFactorSpec(3, FockState("a", (1, 4)), FockState("p", (0, 6)))
     values = (ff_closed(spec, c), ff_pfaffian(spec, c), vacuum_overlap(c), xi_t(c),

@@ -182,3 +182,37 @@ class TestDetAndInverse:
         assert not np.isfinite(det)
         assert abs(log_det.real - 400 * np.log(1e3)) < 1e-9
         assert abs(np.exp(1j * log_det.imag) - np.exp(100j)) < 1e-9
+
+
+def pivoting_stack(size, n, rng):
+    """Random complex matrices with a small diagonal, so that elimination swaps rows."""
+    a = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+    a[:, np.arange(n), np.arange(n)] *= 1e-3
+    return a
+
+
+class TestStackedElimination:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_stack_equals_each_matrix(self, n):
+        stack = pivoting_stack(12, n, np.random.default_rng(200 + n))
+        dets, invs = det_and_inverse(stack)
+        log_dets, log_invs = log_det_and_inverse(stack)
+        assert dets.shape == log_dets.shape == (12,) and invs.shape == stack.shape
+        for m, det, inv, log_det, log_inv in zip(stack, dets, invs, log_dets, log_invs):
+            one, one_inv = det_and_inverse(m)
+            one_log, one_log_inv = log_det_and_inverse(m)
+            assert isinstance(one, complex) and isinstance(one_log, complex)
+            assert one == det and one_log == log_det
+            assert one_inv.tobytes() == inv.tobytes() == one_log_inv.tobytes() \
+                == log_inv.tobytes()
+            assert abs(det / np.linalg.det(m) - 1.0) < 1e-12
+
+    def test_singular_rejected(self):
+        m = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(SingularMatrixError):
+            log_det_and_inverse(m)
+        stack = np.concatenate([pivoting_stack(2, 2, np.random.default_rng(9)), m[None]])
+        for fn in (det_and_inverse, log_det_and_inverse):
+            with pytest.raises(SingularMatrixError):
+                fn(stack)
+            fn(stack[:2])

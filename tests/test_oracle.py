@@ -214,14 +214,18 @@ class TestLabeledSpectrum:
         # spectra, so every summed block keeps the complex sum's bits
         ops = build_operators(Couplings.from_kx_ky(*kxy, n), eps_y=eps_y)
         ref = _complex_sum_blocks(ops)
-        blocks = {(_momentum(st.t_eigenvalue, n), st.charge): st._source.h
+        blocks = {(_momentum(st.t_eigenvalue, n), st.charge): st._source
                   for st in labeled_spectrum(ops)}
         assert blocks.keys() == ref.keys()
-        for (m, u), h in blocks.items():
+        for (m, u), block in blocks.items():
             if m <= n:         # a lead: the smaller index of its conjugate pair
-                assert h.tobytes() == ref[(m, u)].tobytes()
-            else:
-                assert h.tobytes() == blocks[(2 * n - m, u)].conj().tobytes()
+                assert block.lead is None
+                assert block.h.tobytes() == ref[(m, u)].tobytes()
+            else:              # a partner: its lead's eigenvectors, conjugated
+                assert block.h is None and block.lead is blocks[(2 * n - m, u)]
+                q = np.linalg.eigh(ref[(2 * n - m, u)])[1].conj()
+                expanded = q[block.col].T * block.amp
+                assert np.array(block.vectors).tobytes() == expanded.tobytes()
 
     def test_trace_power_spectral_vs_dense(self):
         m = 6
@@ -380,3 +384,12 @@ class TestOracleCorrelation:
             oracle_correlation(OPS4, 65, 1, 0)
         with pytest.raises(DomainError):
             oracle_correlation(OPS4, 4, 5, 0)
+
+    @pytest.mark.parametrize("m_height", [0, -1])
+    def test_torus_of_no_height_rejected(self, m_height):
+        # a height-0 trace ratio is Tr[s_0 s_0] / Tr[1], not a correlation
+        for dy in (0, 1):
+            with pytest.raises(DomainError, match="height"):
+                oracle_correlation(OPS4, m_height, 0, dy)
+            with pytest.raises(DomainError, match="height"):
+                two_point_correlation(C4, m_height, 0, dy)
