@@ -21,11 +21,13 @@ theta-product form as a cross-check.  The induced rotation and the elliptic
 assembly of the pairing matrix, which only the verification suites use,
 live here too, apart from the evaluation path in :mod:`isingff.formfactors`.
 
-Every closed form is array algebra over the point grid: theta_1 and sn/cn/dn
-are evaluated once on the whole array of pairwise differences, products over
-j != i leave the diagonal out with a mask, and products over i < j take the
-upper triangle.  The Frobenius determinant is a sum of complex logarithms,
-so its N^2 factors cannot overflow.
+Every closed form is array algebra over the point grid.  A config evaluates
+theta_1 once, on first read, over every argument its Frobenius formulas and
+interpolation terms read (:attr:`EllipticPointConfig.theta1_grid`); since
+theta_1 is odd, the differences x_i - x_j and y_i - y_j are taken for i < j
+only, and theta_1(y_i - x_j) is -theta_1(x_j - y_i).  sn/cn/dn are evaluated
+once on the whole array of pairwise differences.  The Frobenius determinant
+is a sum of complex logarithms, so its N^2 factors cannot overflow.
 
 An :class:`EllipticPointConfig` holds one matrix, (n,) points and one shift,
 or a stack of S matrices of one size, (S, n) points and (S,) shifts.  The
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -76,6 +78,32 @@ def _on_zero_lattice(xs, ys, q: float) -> np.ndarray:
     lies on the zero lattice of theta_1, where Cauchy entries are undefined."""
     diff = _differences(np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex))
     return np.any(_theta1_zero_distance(diff, q) < _LATTICE_TOL, axis=(-2, -1))
+
+
+def _theta1_of(q: float, *args: np.ndarray) -> list[np.ndarray]:
+    """theta_1 of each argument array, from one evaluation over all of them;
+    each value is a C-contiguous array of its argument's shape."""
+    flat = theta(1, np.concatenate([np.ravel(a) for a in args]), q)
+    ends = np.cumsum([np.size(a) for a in args])[:-1]
+    return [v.reshape(np.shape(a)) for a, v in zip(args, np.split(flat, ends))]
+
+
+def _upper_pairs(zs: np.ndarray) -> np.ndarray:
+    """z_i - z_j for i < j along the last axis, in :func:`numpy.triu_indices` order."""
+    i, j = np.triu_indices(zs.shape[-1], 1)
+    return zs[..., i] - zs[..., j]
+
+
+def _interpolation_from(cross: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """prod_j cross[..., i, j] / prod_{j != i} theta_1(z_i - z_j) for each i, the
+    denominator from its values ``upper`` at i < j (see :func:`_upper_pairs`)
+    by theta_1(z_j - z_i) = -theta_1(z_i - z_j)."""
+    n = cross.shape[-2]
+    i, j = np.triu_indices(n, 1)
+    within = np.ones(upper.shape[:-1] + (n, n), dtype=complex)
+    within[..., i, j] = upper
+    within[..., j, i] = -upper
+    return np.prod(cross, axis=-1) / np.prod(within, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +156,35 @@ class EllipticPointConfig:
             return values
         return values[0] if values.ndim > 1 else complex(values[0])
 
+    @cached_property
+    def theta1_grid(self) -> dict[str, np.ndarray]:
+        """theta_1 at every argument the Frobenius formulas read, per row, from
+        one evaluation: "alpha" and "bal" (S,), at the shift and at the
+        balancing sum bal = sum(x) - sum(y) + alpha; "xy", "xy_alpha" and
+        "bal_xy" (S, n, n), at x_i - y_j, x_i - y_j + alpha and
+        bal - (x_i - y_j); "xx" and "yy" (S, n(n-1)/2), at x_i - x_j and
+        y_i - y_j for i < j."""
+        xs, ys, alpha = self.rows()
+        bal = xs.sum(axis=1) - ys.sum(axis=1) + alpha
+        diff = _differences(xs, ys)
+        names = ("alpha", "bal", "xy", "xy_alpha", "bal_xy", "xx", "yy")
+        values = _theta1_of(self.q, alpha, bal, diff, diff + alpha[:, None, None],
+                            bal[:, None, None] - diff, _upper_pairs(xs), _upper_pairs(ys))
+        return dict(zip(names, _read_only(*values)))
 
-def _theta1_of_alpha(alpha: np.ndarray, q: float) -> np.ndarray:
+    @cached_property
+    def interpolation_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, n) interpolation terms of (x, y) and of (y, x), see
+        :func:`_interpolation_terms`; theta_1(y_i - x_j) = -theta_1(x_j - y_i)."""
+        grid = self.theta1_grid
+        xy = grid["xy"]
+        return _read_only(_interpolation_from(xy, grid["xx"]),
+                          _interpolation_from(-np.swapaxes(xy, 1, 2), grid["yy"]))
+
+
+def _theta1_of_alpha(cfg: EllipticPointConfig) -> np.ndarray:
     """theta_1 of the (S,) shifts; DomainError if one vanishes."""
-    ta = theta(1, alpha, q)
+    ta = cfg.theta1_grid["alpha"]
     if np.any(np.abs(ta) < _LATTICE_TOL):
         raise DomainError("theta_1(alpha) vanishes; Cauchy matrix undefined")
     return ta
@@ -139,31 +192,26 @@ def _theta1_of_alpha(alpha: np.ndarray, q: float) -> np.ndarray:
 
 def elliptic_cauchy_matrix(cfg: EllipticPointConfig) -> np.ndarray:
     """Dense entries theta_1(x_i - y_j + alpha)/(theta_1(x_i - y_j) theta_1(alpha))."""
-    xs, ys, alpha = cfg.rows()
-    ta = _theta1_of_alpha(alpha, cfg.q)
-    diff = _differences(xs, ys)
-    return cfg.unstack(theta(1, diff + alpha[:, None, None], cfg.q)
-                       / (theta(1, diff, cfg.q) * ta[:, None, None]))
+    ta = _theta1_of_alpha(cfg)
+    grid = cfg.theta1_grid
+    return cfg.unstack(grid["xy_alpha"] / (grid["xy"] * ta[:, None, None]))
 
 
 def frobenius_log_det(cfg: EllipticPointConfig) -> complex | np.ndarray:
     """log det of the elliptic Cauchy matrix, one sum of complex logs of the
     Frobenius theta factors with the imaginary part modulo 2*pi; coincident
     points give a real part of -inf.  A stack gives (S,) values."""
-    xs, ys, alpha = cfg.rows()
-    q = cfg.q
-    ta = _theta1_of_alpha(alpha, q)
-    i, j = np.triu_indices(cfg.size, 1)
+    ta = _theta1_of_alpha(cfg)
+    grid = cfg.theta1_grid
     # Python's complex division per row: numpy's multiplies by a reciprocal,
     # which can move the last bit of log det Phi and so of the CLI residuals
-    t_bal = theta(1, xs.sum(axis=1) - ys.sum(axis=1) + alpha, q)
-    ratio = np.array([complex(t) / complex(a) for t, a in zip(t_bal, ta)])
+    ratio = np.array([complex(t) / complex(a) for t, a in zip(grid["bal"], ta)])
     with np.errstate(divide="ignore"):
+        # the product over i < j of theta_1(y_j - y_i) is that of -theta_1(y_i - y_j)
         log_det = (np.log(ratio)
-                   + np.log(theta(1, xs[:, i] - xs[:, j], q)).sum(axis=1)
-                   + np.log(theta(1, ys[:, j] - ys[:, i], q)).sum(axis=1)
-                   - np.log(theta(1, _differences(xs, ys), q)).reshape(len(xs), -1)
-                   .sum(axis=1))
+                   + np.log(grid["xx"]).sum(axis=1)
+                   + np.log(-grid["yy"]).sum(axis=1)
+                   - np.log(grid["xy"]).reshape(len(ta), -1).sum(axis=1))
     return cfg.unstack(np.array([complex(v.real, math.remainder(v.imag, 2.0 * math.pi))
                                  for v in log_det]))
 
@@ -180,23 +228,22 @@ def frobenius_inverse(cfg: EllipticPointConfig) -> np.ndarray:
         If theta_1 vanishes at a balancing sum sum(x) - sum(y) + alpha.
     """
     xs, ys, alpha = cfg.rows()
-    q = cfg.q
-    bal = (xs.sum(axis=1) - ys.sum(axis=1) + alpha)[:, None, None]
-    t_bal = theta(1, bal, q)
-    if np.any(_theta1_zero_distance(bal, q) < _LATTICE_TOL):
+    bal = xs.sum(axis=1) - ys.sum(axis=1) + alpha
+    if np.any(_theta1_zero_distance(bal, cfg.q) < _LATTICE_TOL):
         raise SingularMatrixError("balancing sum on the zero lattice; matrix singular")
-    diff = np.swapaxes(_differences(xs, ys), 1, 2)  # x_n - y_m at [m, n]
-    return cfg.unstack(-theta(1, bal - diff, q) / (t_bal * theta(1, diff, q))
-                       * _interpolation_terms(ys, xs, q)[:, :, None]
-                       * _interpolation_terms(xs, ys, q)[:, None, :])
+    grid = cfg.theta1_grid
+    t_xy, t_yx = cfg.interpolation_terms
+    cofactor = -grid["bal_xy"] / (grid["bal"][:, None, None] * grid["xy"])
+    return cfg.unstack(np.swapaxes(cofactor, 1, 2)  # x_n - y_m at [m, n]
+                       * t_yx[:, :, None] * t_xy[:, None, :])
 
 
 def _interpolation_terms(zs, zs_prime, q: float) -> np.ndarray:
     """prod_j theta_1(z_i - z'_j) / prod_{j != i} theta_1(z_i - z_j) for each i,
-    along the last axis of (n,) or (S, n) points."""
+    along the last axis of (n,) or (S, n) points, from one theta_1 evaluation."""
     zs = np.asarray(zs, dtype=complex)
-    return (np.prod(theta(1, _differences(zs, np.asarray(zs_prime)), q), axis=-1)
-            / _prod_off_diagonal(theta(1, _differences(zs, zs), q)))
+    cross, upper = _theta1_of(q, _differences(zs, np.asarray(zs_prime)), _upper_pairs(zs))
+    return _interpolation_from(cross, upper)
 
 
 def theta_interpolation_sum(zs, zs_prime, q: float) -> complex:
@@ -402,13 +449,12 @@ def closed_products_theta(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     point sets at once.  The diagonals are zero.
     """
     cfg, kappa = ising_cauchy_config(c)
-    xs, ys, q = cfg.xs, cfg.ys, cfg.q
-    f = 1j / kappa * _interpolation_terms(xs, ys, q)
-    g = 1j / kappa * _interpolation_terms(ys, xs, q)
+    xs, ys = cfg.xs, cfg.ys
+    f, g = (1j / kappa * cfg.unstack(t) for t in cfg.interpolation_terms)
     shift = math.pi * c.modulus.tau / 2.0
     z = np.concatenate([xs + shift, ys - shift])
-    h = (np.prod(theta(1, _differences(z, xs), q), axis=-1)
-         / np.prod(theta(1, _differences(z, ys), q), axis=-1))
+    num, den = _theta1_of(cfg.q, _differences(z, xs), _differences(z, ys))
+    h = np.prod(num, axis=-1) / np.prod(den, axis=-1)
     sn_pp = _sn_cn_dn_of_differences(c, "p", "p")[0].real
     sn_aa = _sn_cn_dn_of_differences(c, "a", "a")[0].real
     return (_zero_diagonal(f[None, :] * h[:c.n, None] * sn_pp),

@@ -13,8 +13,10 @@ bookkeeping of the accumulated phase factor.
 arrays: arrays are evaluated elementwise in one pass of array arithmetic and
 keep their shape, while a scalar argument gives a Python scalar.  The four
 theta functions behind one sn/cn/dn evaluation are summed as one stacked
-theta_1 series.  The incomplete integral F is Carlson's R_F, reduced by a
-fixed number of duplication steps.
+theta_1 series.  theta_1 is sin z times a series in cos 2z, summed by
+Clenshaw's recurrence: one complex sine per element, not one per term.  The
+incomplete integral F is Carlson's R_F, reduced by a fixed number of
+duplication steps.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ from .exceptions import ConvergenceError, DomainError
 
 _SERIES_CUTOFF = 1e-17
 _MAX_TERMS = 512
-_Q_MAX = 0.999
+# theta's error against a 50-digit reference stays below 1e-10 for every
+# q < 0.86 (it is 1.1e-10 at 0.863 and 1.5e3 at 0.95): the alternating series
+# cancels to a value about exp(-pi^2 / (4 log(1/q))) times its first term
+_Q_MAX = 0.86
 _POLE_TOL = 1e-11
 _DUPLICATIONS = 10
 
@@ -88,12 +93,20 @@ def _theta1_strip(z: np.ndarray, q: float) -> np.ndarray:
     The bound q^((n+3/2)^2) exp((2n+3)|Im z|) on the first omitted term falls
     with n in the half-strip.  Each element sums its own terms until that
     bound is below _SERIES_CUTOFF times its first term, plus one term of
-    margin, in order of n; so an element's value does not depend on the
-    other elements of the array.
+    margin; the coefficients past an element's count are zero, so its value
+    does not depend on the other elements of the array.
+
+    With P_n = sin((2n+1)z) / sin z, which obeys P_0 = 1, P_1 = 2t + 1 and
+    P_(n+1) = 2t P_n - P_(n-1) for t = cos 2z = 1 - 2 sin^2 z, the series is
+    2 sin z sum_n (-1)^n q^((n+1/2)^2) P_n(t), summed by Clenshaw's backward
+    recurrence b_n = c_n + 2t b_(n+1) - b_(n+2), whose sum is b_0 + b_1: one
+    complex sine per element, and a few multiply-adds per term.  sin z is
+    factored out, so the value keeps its relative accuracy at the zero z = 0.
     """
     pit = -math.log(q)
     y = np.abs(z.imag)
-    first = q ** 0.25 * np.abs(np.sin(z))
+    sin = np.sin(z)
+    first = q ** 0.25 * np.abs(sin)
     log_ratio = np.maximum(-np.log(_SERIES_CUTOFF * np.maximum(first, 1e-300)), 0.0)
     # n + 3/2 > t solves pit*(n+3/2)^2 - 2*y*(n+3/2) > log_ratio
     count = np.floor((y + np.sqrt(y * y + pit * log_ratio)) / pit + 1.5)
@@ -105,9 +118,12 @@ def _theta1_strip(z: np.ndarray, q: float) -> np.ndarray:
             f"max |Im z|={float(np.max(y))})"
         )
     n = np.arange(top)[:, None]
-    terms = np.where(n < count,
-                     (-1.0) ** n * q ** ((n + 0.5) ** 2) * np.sin((2 * n + 1) * z), 0.0)
-    return 2.0 * np.cumsum(terms, axis=0)[-1]
+    coef = np.where(n < count, (-1.0) ** n * q ** ((n + 0.5) ** 2), 0.0)
+    two_t = 2.0 - 4.0 * sin * sin
+    b1, b2 = coef[-1].astype(complex), np.zeros_like(z)
+    for c_n in coef[-2::-1]:
+        b1, b2 = c_n + two_t * b1 - b2, b1
+    return 2.0 * sin * (b1 + b2)
 
 
 def _theta1(z: np.ndarray, q: float) -> np.ndarray:
@@ -162,7 +178,7 @@ def theta(index: int, z, q: float):
         Argument (real period pi); arrays are evaluated elementwise and keep
         their shape, a scalar gives a Python complex.
     q : float
-        Nome, 0 < q < 1.
+        Nome, 0 < q < 0.86; above that the series cancels too far for 1e-10.
     """
     if not 0.0 < q < _Q_MAX:
         raise DomainError(f"nome q={q} outside (0, {_Q_MAX})")

@@ -4,13 +4,18 @@ The suites evaluate their checks as stacks: one Frobenius stack per matrix
 size, one form-factor stack per (m, n) group, over every site at once for the
 translation phases, and the Ising closed forms of a coupling share one
 record, in which each sn/cn/dn grid, Phi^-1 and log det Phi is built once.
+An elliptic Cauchy config evaluates theta_1 once, over every argument its
+Frobenius formulas and interpolation terms read, so the closed products read
+the interpolation terms of the Ising config that Phi^-1 built.
 Counting the theta_1 evaluations and the route calls pins that down, so a
 return to per-config or per-site loops fails here.  The bounds are the counts at N=8,
 (0.4, 0.7).  Evaluated one config at a time, the Cauchy suite makes 403
 theta_1 evaluations there, and 159 with its per-point factors (lambda, f,
 g) rebuilt by each closed form; ``verify all`` made 179 while the rotation
-suite built Phi^-1 and log det Phi again; with one stack per site, the
-form-factor suite makes 46 ff_closed and 42 ff_pfaffian calls.
+suite built Phi^-1 and log det Phi again.  With theta_1 evaluated once per
+Frobenius formula rather than once per config, the Cauchy suite made 132
+and ``verify all`` 167.  With one stack per site, the form-factor suite
+makes 46 ff_closed and 42 ff_pfaffian calls.
 
 The oracle labels its states from eigenvalues alone, with one eigenvalue call
 per pair of conjugate character blocks, and forms a character block's
@@ -22,13 +27,14 @@ twenty at N=10.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from isingff import cauchy, cli, elliptic, oracle, verification
 from isingff.formfactors import FockState, FormFactorSpec
 from isingff.spectral import Couplings
 
-THETA1_BUDGET = {"cauchy": 132, "formfactor": 10, "all": 167}
+THETA1_BUDGET = {"cauchy": 27, "formfactor": 10, "all": 62}
 ROUTE_BUDGET = {"ff_closed": 18, "ff_pfaffian": 14}
 
 
@@ -72,6 +78,18 @@ def test_all_suites_budget(counted):
     c, counts = counted
     verification.run_suite("all", c)
     assert counts["theta1"] <= THETA1_BUDGET["all"]
+
+
+def test_one_theta1_evaluation_per_cauchy_config(counted):
+    _, counts = counted
+    rng = np.random.default_rng(1)
+    xs, ys = (rng.uniform(-1.1, 1.1, (3, 4)) + 1j * rng.uniform(-0.2, 0.2, (3, 4))
+              for _ in range(2))
+    cfg = cauchy.EllipticPointConfig(xs, ys, 0.05, [0.7, 0.8 + 0.1j, 0.9])
+    cauchy.elliptic_cauchy_matrix(cfg)
+    cauchy.frobenius_log_det(cfg)
+    cauchy.frobenius_inverse(cfg)
+    assert counts["theta1"] == 1
 
 
 @pytest.fixture

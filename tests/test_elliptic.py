@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj
 
+from isingff import elliptic
 from isingff.elliptic import (EllipticModulus, complete_elliptic_K, incomplete_elliptic_F,
                               inverse_sn_real, jacobi_sn_cn_dn, theta)
 from isingff.exceptions import DomainError
@@ -90,7 +91,48 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(1, 0.1, 0.9999)
         with pytest.raises(DomainError):
+            theta(1, 0.1, 0.95)     # the series has no correct digit left there
+        with pytest.raises(DomainError):
             theta(1, 0.1, -0.2)
+
+
+# Largest relative error against mpmath.jtheta allowed at each nome: the
+# errors measured before the Clenshaw sum of theta_1 (at most 6.7e-15 for
+# q <= 0.6, 3.5e-13 at 0.78, 4.9e-11 at 0.85), rounded up.  0.859 sits just
+# below elliptic._Q_MAX, which is set where the error reaches 1e-10.
+THETA_BOUNDS = {0.003: 1e-14, 0.05: 1e-14, 0.3: 1e-14, 0.6: 1e-14, 0.78: 5e-13,
+                0.85: 5e-11, 0.859: 1e-10}
+# pi/2 is not a double, so theta_2(z) = theta_1(z + pi/2) is evaluated ~1e-16
+# off in its argument: 6e-12 relative at 1e-5 from the zero of theta_2
+THETA2_NEAR_ZERO_BOUND = 1e-11
+
+
+def theta_test_points(q: float) -> dict[str, np.ndarray]:
+    """Arguments across and beyond the strip |Im z| <= pi|tau|/2, within 1e-3
+    of the zero of theta_1, and within 1e-3 of pi/2 (the zero of theta_2)."""
+    pit = -math.log(q)
+    rng = np.random.default_rng(7)
+    radii = [r * np.exp(1j * a) for r in (1e-3, 1e-7, 1e-12) for a in (0.0, 0.9, math.pi / 2)]
+    near = [r * np.exp(1j * a) for r in (1e-3, 1e-4, 1e-5) for a in (0.0, 2.0, -math.pi / 2)]
+    return {"strip": rng.uniform(-4.0, 4.0, 24) + 1j * pit * rng.uniform(-2.2, 2.2, 24),
+            "small": np.array(radii), "half_pi": math.pi / 2 + np.array(near)}
+
+
+class TestThetaAgainstMpmath:
+    @pytest.mark.parametrize("q", sorted(THETA_BOUNDS))
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_relative_error(self, index, q):
+        mpmath = pytest.importorskip("mpmath")
+        assert q < elliptic._Q_MAX
+        for name, z in theta_test_points(q).items():
+            with mpmath.workdps(50):
+                ref = np.array([complex(mpmath.jtheta(index, mpmath.mpc(v.real, v.imag),
+                                                      mpmath.mpf(q))) for v in z])
+            err = np.max(np.abs(theta(index, z, q) - ref) / np.abs(ref))
+            bound = THETA_BOUNDS[q]
+            if index == 2 and name == "half_pi":
+                bound = max(bound, THETA2_NEAR_ZERO_BOUND)
+            assert err <= bound, (name, err)
 
 
 class TestJacobiFunctions:
