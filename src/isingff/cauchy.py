@@ -290,7 +290,8 @@ def ising_record(c: Couplings) -> dict:
     """The read-only record shared by every Ising closed form and elliptic route
     of ``c``: "u" and "sqrt_b", u_theta and sqrt(b_theta) per sector (no theta_1),
     and what the :func:`_per_coupling` functions build on first read.  It holds
-    a few N x N grids, so the records of only a few couplings are kept."""
+    a few N x N grids and a 2N x 2N sn table, so the records of only a few
+    couplings are kept."""
     return {name: {s: _read_only(f(c.sector(s).thetas, c))[0] for s in SECTORS}
             for name, f in (("u", u_of_theta), ("sqrt_b", sqrt_b_of_theta))}
 
@@ -531,12 +532,37 @@ def induced_rotation(c: Couplings, site: int) -> InducedRotation:
     return InducedRotation(a=d.conj(), b=cc.conj(), c=cc, d=d, site=site)
 
 
+@_per_coupling
+def _sn_pairing_table(c: Couplings) -> np.ndarray:
+    """sqrt(k)*sn(ut_i - ut_j) over the 2N curve points ut: u_a + iK' at the
+    antiperiodic momenta, then u_p at the periodic ones.  Read-only and
+    antisymmetric: the upper triangle comes from the aa and pp grids and one
+    bra x ket grid, the lower triangle is its negative transpose."""
+    u, mod = ising_record(c)["u"], c.modulus
+    sn_ap = jacobi_sn_cn_dn(np.subtract.outer(u["a"] + 1j * mod.bigKprime, u["p"]), mod)[0]
+    sn = np.block([[_sn_cn_dn_of_differences(c, "a", "a")[0], sn_ap],
+                   [np.zeros_like(sn_ap), _sn_cn_dn_of_differences(c, "p", "p")[0]]])
+    upper = np.triu(math.sqrt(mod.k) * sn, 1)
+    return _read_only(upper - upper.T)[0]
+
+
+def _sn_pairing_entries(stack: SpecStack, c: Couplings) -> np.ndarray:
+    """(S, m+n, m+n) Rt of a checked stack, gathered from the coupling's
+    :func:`_sn_pairing_table`: bra momenta first, then ket momenta, each in
+    increasing order, so every entry above the diagonal reads the table's
+    upper triangle."""
+    at = np.concatenate([stack.bra, c.n + stack.ket], axis=1)
+    return _sn_pairing_table(c)[at[:, :, None], at[:, None, :]]
+
+
 def assemble_r_elliptic(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.ndarray:
     """R rebuilt from the elliptic route: -i*rho * Omega * Rt * Omega.
 
     Rt has entries sqrt(k)*sn(u_i - u_j) where bra arguments carry an iK'
     shift; used as a cross-check of :func:`isingff.formfactors.assemble_r_matrix`.
-    The pair differences of a whole stack go through one sn evaluation.
+    Every entry of Rt depends on one pair of the coupling's 2N curve points,
+    so a stack gathers them from sn grids built once per coupling and makes
+    no sn evaluation of its own.
     """
     stack = _as_stack(spec, c)
     ia, ip = stack.bra, stack.ket
@@ -550,18 +576,5 @@ def assemble_r_elliptic(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.nd
         np.exp(1j * ell * p.thetas[ip] - p.nu[ip] / 2.0)
         / np.sqrt(c.n * np.sinh(p.gamma[ip])),
     ], axis=1)
-    u = ising_record(c)["u"]
-    u_tilde = np.concatenate([
-        u["a"][ia] + 1j * c.modulus.bigKprime,
-        u["p"][ip].astype(complex),
-    ], axis=1)
-    size, k = u_tilde.shape
-    i, j = np.triu_indices(k, 1)
-    # specs share most of their pairs, so sn runs once per distinct difference
-    diffs, where = np.unique((u_tilde[:, i] - u_tilde[:, j]).ravel(),
-                             return_inverse=True)
-    rt = np.zeros((size, k, k), dtype=complex)
-    rt[:, i, j] = (math.sqrt(c.modulus.k)
-                   * jacobi_sn_cn_dn(diffs, c.modulus)[0])[where].reshape(size, -1)
-    rt -= np.swapaxes(rt, 1, 2)
+    rt = _sn_pairing_entries(stack, c)
     return _unstack(spec, -1j * rho * (omega[:, :, None] * rt * omega[:, None, :]))

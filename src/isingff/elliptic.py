@@ -117,12 +117,14 @@ def _theta1_strip(z: np.ndarray, q: float) -> np.ndarray:
             f"theta_1 series needs {top} > {_MAX_TERMS} terms (q={q}, "
             f"max |Im z|={float(np.max(y))})"
         )
-    n = np.arange(top)[:, None]
-    coef = np.where(n < count, (-1.0) ** n * q ** ((n + 0.5) ** 2), 0.0)
+    n = np.arange(top)
+    coef = (-1.0) ** n * q ** ((n + 0.5) ** 2)
     two_t = 2.0 - 4.0 * sin * sin
-    b1, b2 = coef[-1].astype(complex), np.zeros_like(z)
-    for c_n in coef[-2::-1]:
-        b1, b2 = c_n + two_t * b1 - b2, b1
+    # each term's coefficients are formed as the recurrence reaches it, so a
+    # long array holds no (terms, elements) table
+    b1, b2 = np.where(top - 1 < count, coef[-1], 0.0).astype(complex), np.zeros_like(z)
+    for k in range(top - 2, -1, -1):
+        b1, b2 = np.where(k < count, coef[k], 0.0) + two_t * b1 - b2, b1
     return 2.0 * sin * (b1 + b2)
 
 
@@ -139,9 +141,17 @@ def _theta1(z: np.ndarray, q: float) -> np.ndarray:
     ell = np.rint(z.imag / pit)
     m = np.rint(z.real / math.pi)
     zr = z - m * math.pi - 1j * (ell * pit)
-    # theta_1(zr + l*pi*tau) = (-1)^l exp(pi*|tau|*l^2 - 2i*l*zr) theta_1(zr)
-    val = (-1.0) ** (m + ell) * np.exp(pit * ell * ell - 2j * ell * zr)
-    return val * _theta1_strip(zr, q)
+    # theta_1(zr + l*pi*tau) = (-1)^l exp(pi*|tau|*l^2 - 2i*l*zr) theta_1(zr):
+    # the sign from the parity of m + l, the exponential only where l != 0.
+    # Every value is multiplied by its complex phase, not negated, because the
+    # product sets the sign of a zero imaginary part, which picks the branch
+    # of a later complex log (the Frobenius log determinants)
+    phase = (1.0 - 2.0 * ((m + ell) % 2)).astype(complex)
+    shifted = np.flatnonzero(ell)
+    if shifted.size:
+        ls = ell[shifted]
+        phase[shifted] *= np.exp(pit * ls * ls - 2j * ls * zr[shifted])
+    return phase * _theta1_strip(zr, q)
 
 
 def _thetas(indices: tuple[int, ...], z: np.ndarray, q: float) -> np.ndarray:
@@ -156,11 +166,14 @@ def _thetas(indices: tuple[int, ...], z: np.ndarray, q: float) -> np.ndarray:
     args = np.add.outer([shifts[i] for i in indices], z)
     vals = _theta1(args, q).reshape(args.shape)
     phase = np.exp(-1j * z - pit / 4)
+    # products into new arrays: numpy multiplies a one-element array in place
+    # with other rounding than a longer one, and a value must not depend on
+    # the array it is evaluated in
     for row, index in enumerate(indices):
         if index == 3:
-            vals[row] *= phase
+            vals[row] = vals[row] * phase
         elif index == 4:
-            vals[row] *= 1j * phase
+            vals[row] = vals[row] * (1j * phase)
     return vals
 
 

@@ -26,8 +26,6 @@ import numpy as np
 from .elliptic import EllipticModulus, incomplete_elliptic_F, inverse_sn_real, jacobi_sn_cn_dn
 from .exceptions import ConvergenceError, DomainError
 
-_MIN_PERIOD_RATIO = 1e-3  # reject K'/K below this; theta-series precision collapses
-
 SECTORS = ("a", "p")
 
 
@@ -96,11 +94,6 @@ class Couplings:
             raise DomainError(f"expected 0 < beta < alpha < 1, got {beta}, {alpha}")
         s = math.sinh(2.0 * kx) * math.sinh(2.0 * ky)
         modulus = EllipticModulus(math.sinh(2.0 * kx_star) / math.sinh(2.0 * ky))
-        if modulus.bigKprime / modulus.bigK < _MIN_PERIOD_RATIO:
-            raise DomainError(
-                f"couplings too close to criticality: K'/K = "
-                f"{modulus.bigKprime / modulus.bigK:.2e} < {_MIN_PERIOD_RATIO}"
-            )
         for name, value in (("kx_star", kx_star), ("alpha", alpha), ("beta", beta),
                             ("s", s), ("modulus", modulus)):
             object.__setattr__(self, name, value)
@@ -329,7 +322,12 @@ def b_elliptic(u, c: Couplings):
     b_of_theta at the momentum corresponding to u.  Elementwise over an array
     of real u; a scalar u gives a complex.
     """
-    k = c.modulus.k
-    sn, cn, dn = (np.real(f) for f in jacobi_sn_cn_dn(u, c.modulus))
-    root = (dn + 1j * k * sn * cn) / np.sqrt(1.0 - k**2 * sn**4)
+    root = _b_elliptic_of(*jacobi_sn_cn_dn(u, c.modulus), c.modulus.k)
     return complex(root) if np.ndim(root) == 0 else root
+
+
+def _b_elliptic_of(sn, cn, dn, k: float):
+    """The :func:`b_elliptic` root from sn, cn and dn of real u (the real
+    parts are read)."""
+    sn, cn, dn = np.real(sn), np.real(cn), np.real(dn)
+    return (dn + 1j * k * sn * cn) / np.sqrt(1.0 - k**2 * sn**4)

@@ -22,8 +22,8 @@ from .formfactors import (_FULL_ENUMERATION_MAX_N, FockState, FormFactorSpec,
                           ff_pfaffian, fock_basis, two_particle_matrices,
                           vacuum_overlap, xi_t)
 from .linalg import det_and_inverse, log_det_and_inverse, pfaffian
-from .spectral import (Couplings, b_elliptic, b_of_theta, gamma_of_theta, log_sinh,
-                       u_of_theta)
+from .spectral import (Couplings, _b_elliptic_of, b_of_theta, gamma_of_theta,
+                       log_sinh, u_of_theta)
 
 SUITES = ("elliptic", "cauchy", "rotation", "formfactor")
 _SEED = 2024            # pseudo-random points of the elliptic and Cauchy suites
@@ -31,9 +31,9 @@ _ELLIPTIC_POINTS = 100  # random points per elliptic identity
 _CAUCHY_CONFIGS, _CAUCHY_MAX_SIZE = 50, 8  # random Cauchy matrices of 1 to 8 points
 _SUITE_MAX_MN = 4       # particles, bra plus ket, in the form-factor suite's specs
 _STACK_ROWS = 512  # specs per stack of the form-factor suite, which bounds its memory
-# specs of the form-factor suite: each costs about 10 us through both routes
-# and the assembly check (N=32 has 637,393 and takes 6 s at (0.4, 0.7)), so
-# this is about 10 s; past it the cutoff-4 Fock bases also run to GBs (1.6
+# specs of the form-factor suite: each costs about 7 us through both routes
+# and the assembly check (N=32 has 637,393 and takes 4.5 s at (0.4, 0.7)), so
+# this is about 7 s; past it the cutoff-4 Fock bases also run to GBs (1.6
 # million states at N=80, where a run was killed by the memory limit)
 _MAX_SUITE_SPECS = 1_000_000
 
@@ -68,10 +68,22 @@ def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b).max(axis=axes) / scale))
 
 
+def _sn_cn_dn_of(mod, args: dict) -> dict:
+    """(sn, cn, dn) of each named argument array, from one evaluation over
+    all of them; each value keeps its argument's shape."""
+    flat = jacobi_sn_cn_dn(np.concatenate([np.ravel(a) for a in args.values()]), mod)
+    ends = np.cumsum([np.size(a) for a in args.values()])[:-1]
+    parts = zip(*(np.split(f, ends) for f in flat))
+    return {name: tuple(v.reshape(np.shape(a)) for v in values)
+            for (name, a), values in zip(args.items(), parts)}
+
+
 def elliptic_suite(c: Couplings) -> dict[str, float]:
     """Elliptic-function and parametrization identities along the curve.
 
     Each identity is checked on an array of pseudo-random points at once.
+    Every point is drawn first, so that sn/cn/dn run once over all of them
+    and theta once per index.
     """
     n_points = _ELLIPTIC_POINTS
     rng = np.random.default_rng(_SEED)
@@ -80,61 +92,79 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
     bigk, bigkp = mod.bigK, mod.bigKprime
     out = dict(mod.self_check())
 
-    def real_sn_cn_dn(u):
-        return tuple(f.real for f in jacobi_sn_cn_dn(u, mod))
-
     us = rng.uniform(-bigk * 0.98, bigk * 0.98, 2 * n_points)
-    sn1, cn1, dn1 = jacobi_sn_cn_dn(us + 2.0 * bigk, mod)
-    sn0, cn0, dn0 = jacobi_sn_cn_dn(us, mod)
+    re_im = rng.uniform((-bigk, -0.45), (bigk, 0.45), (n_points, 2))
+    u, v = rng.uniform(-bigk, bigk, (n_points, 2)).T
+    w = rng.uniform(-bigk / 2, bigk / 2, n_points)
+    z_re_im = rng.uniform((-2.0, -0.4), (2.0, 0.4), (20, 2))
+    thetas = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, n_points)
+    half = n_points // 2
+    t2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, half)
+    s1, s2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, (n_points, 2)).T
+
+    gam = gamma_of_theta(thetas, c)
+    uu = u_of_theta(thetas, c)
+    t1, g1, u1 = thetas[:half], gam[:half], uu[:half]
+    g2, u2 = gamma_of_theta(t2, c), u_of_theta(t2, c)
+    apart = np.abs(u1 - u2) >= 1e-8
+    t1, g1, u1, t2, g2, u2 = (x[apart] for x in (t1, g1, u1, t2, g2, u2))
+    far = np.minimum(np.abs(s1 - s2), np.abs(s1 + s2 - 2.0 * math.pi)) >= 1e-3
+    s1, s2 = s1[far], s2[far]
+    h1, h2 = gamma_of_theta(s1, c), gamma_of_theta(s2, c)
+    d = u_of_theta(s1, c) - u_of_theta(s2, c)
+
+    sn_cn_dn = _sn_cn_dn_of(mod, {
+        "us": us, "us_2k": us + 2.0 * bigk,
+        "complex": re_im[:, 0] + 1j * (re_im[:, 1] * bigkp),
+        "u": u, "v": v, "u_minus_v": u - v, "w": w, "2w": 2.0 * w,
+        **{f"eta{sgn}": uu - sgn * 1j * c.eta for sgn in (1.0, -1.0)},
+        "uu": uu, "uu_k": uu + bigk, "2uu": 2.0 * uu, "u2": u2, "u1_u2": u1 - u2,
+        "d": d, **{f"d{sgn}": d + sgn * 1j * bigkp for sgn in (1.0, -1.0)}})
+
+    def real(name):
+        return tuple(f.real for f in sn_cn_dn[name])
+
+    sn0, cn0, dn0 = sn_cn_dn["us"]
+    sn1, cn1, dn1 = sn_cn_dn["us_2k"]
     out["half_period_shifts"] = _worst(np.abs(sn1 + sn0), np.abs(cn1 + cn0),
                                        np.abs(dn1 - dn0))
 
-    re_im = rng.uniform((-bigk, -0.45), (bigk, 0.45), (n_points, 2))
-    sn, cn, dn = jacobi_sn_cn_dn(re_im[:, 0] + 1j * (re_im[:, 1] * bigkp), mod)
+    sn, cn, dn = sn_cn_dn["complex"]
     out["algebraic_identities"] = _worst(np.abs(sn**2 + cn**2 - 1.0),
                                          np.abs(dn**2 + kk * sn**2 - 1.0))
 
-    u, v = rng.uniform(-bigk, bigk, (n_points, 2)).T
-    snu, cnu, dnu = real_sn_cn_dn(u)
-    snv, cnv, dnv = real_sn_cn_dn(v)
+    snu, cnu, dnu = real("u")
+    snv, cnv, dnv = real("v")
     out["dn_addition"] = _rel(
-        jacobi_sn_cn_dn(u - v, mod)[2].real,
+        real("u_minus_v")[2],
         (dnu * dnv + kk * snu * cnu * snv * cnv) / (1.0 - kk * snu**2 * snv**2))
 
-    u = rng.uniform(-bigk / 2, bigk / 2, n_points)
-    snu, cnu, dnu = real_sn_cn_dn(u)
-    out["sn_doubling"] = _rel(jacobi_sn_cn_dn(2.0 * u, mod)[0].real,
-                              2.0 * snu * cnu * dnu / (1.0 - kk * snu**4))
+    snw, cnw, dnw = real("w")
+    out["sn_doubling"] = _rel(real("2w")[0], 2.0 * snw * cnw * dnw / (1.0 - kk * snw**4))
 
     pit = math.pi * mod.tau
-    re_im = rng.uniform((-2.0, -0.4), (2.0, 0.4), (20, 2))
-    z = re_im[:, 0] + 1j * re_im[:, 1]
-    out["theta1_quasiperiod"] = _rel(theta(1, z + pit, mod.q),
-                                     -np.exp(-1j * pit - 2j * z) * theta(1, z, mod.q))
-    out["theta1_half_tau"] = _rel(theta(1, pit / 2.0, mod.q),
+    z = z_re_im[:, 0] + 1j * z_re_im[:, 1]
+    th1 = theta(1, np.concatenate([z + pit, z, [pit / 2.0, math.pi / 2.0]]), mod.q)
+    out["theta1_quasiperiod"] = _rel(th1[:len(z)],
+                                     -np.exp(-1j * pit - 2j * z) * th1[len(z):-2])
+    out["theta1_half_tau"] = _rel(th1[-2],
                                   1j * np.exp(-1j * pit / 4.0) * theta(4, 0.0, mod.q))
-    out["theta2_is_shifted_theta1"] = _rel(theta(1, math.pi / 2.0, mod.q),
-                                           theta(2, 0.0, mod.q))
+    out["theta2_is_shifted_theta1"] = _rel(th1[-1], theta(2, 0.0, mod.q))
 
-    thetas = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, n_points)
-    gam = gamma_of_theta(thetas, c)
-    uu = u_of_theta(thetas, c)
     sqk = math.sqrt(k)
     out["exp_gamma_vs_sn"] = _worst(*(
-        _rel(np.exp(-(gam + sgn * 1j * thetas) / 2.0),
-             -sqk * jacobi_sn_cn_dn(uu - sgn * 1j * c.eta, mod)[0])
+        _rel(np.exp(-(gam + sgn * 1j * thetas) / 2.0), -sqk * sn_cn_dn[f"eta{sgn}"][0])
         for sgn in (1.0, -1.0)))
 
     gamma_0 = 2.0 * (c.ky - c.kx_star)
     gamma_pi = 2.0 * (c.ky + c.kx_star)
-    sn, cn, dn = real_sn_cn_dn(uu)
+    sn, cn, dn = real("uu")
     sh_0 = np.sinh((gam + gamma_0) / 2.0)
     sh_pi = np.sinh((gam + gamma_pi) / 2.0)
-    out["sn_shift_quarter"] = _rel(jacobi_sn_cn_dn(uu + bigk, mod)[0].real,
+    out["sn_shift_quarter"] = _rel(real("uu_k")[0],
                                    c.sinh2ky * np.sin(thetas / 2.0) / sh_0)
     out["sn_of_u_theta"] = _rel(sn, -c.sinh2ky * np.cos(thetas / 2.0) / sh_pi)
-    sn_double = np.where(np.abs(2.0 * uu) > 1e-12,
-                         jacobi_sn_cn_dn(2.0 * uu, mod)[0].real, 0.0)
+    sn_double = np.where(np.abs(2.0 * uu) > 1e-12, real("2uu")[0], 0.0)
     out["sn_double_u_theta"] = _rel(sn_double,
                                     -c.sinh2ky * np.sin(thetas) / np.sinh(gam))
     out["k_sn_squared"] = _rel(k * sn**2, np.sinh((gamma_pi - gam) / 2.0) / sh_pi)
@@ -143,40 +173,29 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
     out["dn_of_u_theta"] = _rel(dn, np.sqrt(math.sinh(gamma_pi) * sh_0
                                             / (c.sinh2ky * sh_pi)))
 
-    half = n_points // 2
-    t1, g1, u1, sn1 = thetas[:half], gam[:half], uu[:half], sn[:half]
-    t2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, half)
-    g2, u2 = gamma_of_theta(t2, c), u_of_theta(t2, c)
-    apart = np.abs(u1 - u2) >= 1e-8
-    t1, g1, u1, sn1, t2, g2, u2 = (x[apart] for x in (t1, g1, u1, sn1, t2, g2, u2))
-    sn2 = jacobi_sn_cn_dn(u2, mod)[0].real
+    sn1, sn2 = sn[:half][apart], real("u2")[0]
     out["sn_of_difference"] = _worst(
-        _rel(jacobi_sn_cn_dn(u1 - u2, mod)[0].real,
+        _rel(real("u1_u2")[0],
              c.sinh2ky * np.sin((t1 - t2) / 2.0) / np.sinh((g1 + g2) / 2.0)),
         _rel(1.0 - kk * sn1**2 * sn2**2,
              math.sinh(gamma_pi) * np.sinh((g1 + g2) / 2.0)
              / (np.sinh((gamma_pi + g1) / 2.0) * np.sinh((gamma_pi + g2) / 2.0))))
 
-    out["sqrt_b_elliptic"] = _rel(b_elliptic(uu, c) ** 2, b_of_theta(thetas, c))
+    out["sqrt_b_elliptic"] = _rel(_b_elliptic_of(sn, cn, dn, k) ** 2,
+                                  b_of_theta(thetas, c))
 
-    t1, t2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, (n_points, 2)).T
-    apart = np.minimum(np.abs(t1 - t2), np.abs(t1 + t2 - 2.0 * math.pi)) >= 1e-3
-    t1, t2 = t1[apart], t2[apart]
-    g1, g2 = gamma_of_theta(t1, c), gamma_of_theta(t2, c)
-    u1, u2 = u_of_theta(t1, c), u_of_theta(t2, c)
-    b1, b2 = np.sqrt(b_of_theta(t1, c)), np.sqrt(b_of_theta(t2, c))
-    sn, cn, dn = real_sn_cn_dn(u1 - u2)
-    root = np.sqrt(np.sinh(g1) * np.sinh(g2))
-    out["dn_sn_kernel"] = _rel((b1 / b2 + b2 / b1) / (2.0 * np.sin((t1 - t2) / 2.0)),
+    b1, b2 = np.sqrt(b_of_theta(s1, c)), np.sqrt(b_of_theta(s2, c))
+    sn, cn, dn = real("d")
+    root = np.sqrt(np.sinh(h1) * np.sinh(h2))
+    out["dn_sn_kernel"] = _rel((b1 / b2 + b2 / b1) / (2.0 * np.sin((s1 - s2) / 2.0)),
                                c.sinh2ky / root * dn / sn)
-    out["cn_kernel"] = _rel((b1 * b2 - 1.0 / (b1 * b2)) / (2.0 * np.sin((t1 + t2) / 2.0)),
+    out["cn_kernel"] = _rel((b1 * b2 - 1.0 / (b1 * b2)) / (2.0 * np.sin((s1 + s2) / 2.0)),
                             -1j * c.sinh2kx_star / root * cn)
     direct = sqk * sn
     rho = math.sqrt(c.sinh2ky / c.sinh2kx)
     out["sn_shift_iKprime"] = _worst(
-        *(_rel(sqk * jacobi_sn_cn_dn(u1 - u2 + sgn * 1j * bigkp, mod)[0], 1.0 / direct)
-          for sgn in (1.0, -1.0)),
-        _rel(direct, rho * np.sin((t1 - t2) / 2.0) / np.sinh((g1 + g2) / 2.0)))
+        *(_rel(sqk * sn_cn_dn[f"d{sgn}"][0], 1.0 / direct) for sgn in (1.0, -1.0)),
+        _rel(direct, rho * np.sin((s1 - s2) / 2.0) / np.sinh((h1 + h2) / 2.0)))
     return out
 
 
@@ -219,7 +238,7 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
         r = max(r, abs(complex(terms.sum())) / max(scale, 1e-300))
     out["theta_interpolation"] = r
 
-    r = 0.0
+    diffs = {}
     for size in (2, 4, 6, 8, 10):
         # separated real parts plus alternating iK'/2 offsets (the same mixed
         # structure the physics uses) keep the pfaffian comparable to the
@@ -229,9 +248,14 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
         base = (np.linspace(-0.8, 0.8, size)
                 + rng.uniform(-0.03, 0.03, size) / size) * mod.bigK
         pts = base + 0.5j * mod.bigKprime * (np.arange(size) % 2)
-        mat = math.sqrt(mod.k) * jacobi_sn_cn_dn(np.subtract.outer(pts, pts), mod)[0]
+        diffs[size] = np.subtract.outer(pts, pts)
+    r = 0.0
+    for size, (sn, _, _) in _sn_cn_dn_of(mod, diffs).items():
+        mat = math.sqrt(mod.k) * sn
         np.fill_diagonal(mat, 0.0)
-        r = max(r, abs(cf.sn_pfaffian_product(pts, mod) / pfaffian(mat) - 1.0))
+        # the entries above the diagonal are the factors of sn_pfaffian_product
+        product = complex(np.prod(mat[np.triu_indices(size, 1)]))
+        r = max(r, abs(product / pfaffian(mat) - 1.0))
     out["sn_pfaffian_identity"] = r
 
     out.update({f"ising_{k}": v for k, v in cf.ising_constraint_residuals(c).items()})
@@ -370,12 +394,15 @@ def formfactor_suite(c: Couplings, site: int | None = None) -> dict[str, float]:
     _check_spec_count(c)
     site = c.n // 2 if site is None else site
     routes, assembly = [], []
+    vacuum = vacuum_overlap(c)
     for stack in _spec_groups(c, site, _SUITE_MAX_MN):
+        # one R per stack serves the pfaffian route (ff_pfaffian's body) and
+        # the assembly check
+        pairing = assemble_r_matrix(stack, c)
         f_closed = ff_closed(stack, c)
-        routes.append(np.abs(f_closed - ff_pfaffian(stack, c))
+        routes.append(np.abs(f_closed - vacuum * pfaffian(pairing))
                       / np.maximum(np.abs(f_closed), 1e-30))
-        assembly.append(_mat_rel(assemble_r_matrix(stack, c),
-                                 cf.assemble_r_elliptic(stack, c)))
+        assembly.append(_mat_rel(pairing, cf.assemble_r_elliptic(stack, c)))
     out = {"closed_vs_pfaffian": _worst(*routes),
            "pairing_matrix_assembly": _worst(*assembly)}
 

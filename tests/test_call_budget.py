@@ -7,15 +7,24 @@ record, in which each sn/cn/dn grid, Phi^-1 and log det Phi is built once.
 An elliptic Cauchy config evaluates theta_1 once, over every argument its
 Frobenius formulas and interpolation terms read, so the closed products read
 the interpolation terms of the Ising config that Phi^-1 built.
+The elliptic assembly of the pairing matrix gathers its entries from sn
+grids built once per coupling, the form-factor suite builds one pairing
+matrix per stack for both the pfaffian route and the assembly check, and the
+elliptic suite and the Cauchy suite's sn-pfaffian check draw every point
+first and evaluate sn/cn/dn once.
 Counting the theta_1 evaluations and the route calls pins that down, so a
-return to per-config or per-site loops fails here.  The bounds are the counts at N=8,
-(0.4, 0.7).  Evaluated one config at a time, the Cauchy suite makes 403
-theta_1 evaluations there, and 159 with its per-point factors (lambda, f,
-g) rebuilt by each closed form; ``verify all`` made 179 while the rotation
-suite built Phi^-1 and log det Phi again.  With theta_1 evaluated once per
-Frobenius formula rather than once per config, the Cauchy suite made 132
-and ``verify all`` 167.  With one stack per site, the form-factor suite
-makes 46 ff_closed and 42 ff_pfaffian calls.
+return to per-config, per-site or per-check loops fails here.  The pins are
+the exact counts at N=8, (0.4, 0.7).  Evaluated one config at a time, the
+Cauchy suite makes 403 theta_1 evaluations there, and 159 with its
+per-point factors (lambda, f, g) rebuilt by each closed form; ``verify all``
+made 179 while the rotation suite built Phi^-1 and log det Phi again.  With
+theta_1 evaluated once per Frobenius formula rather than once per config,
+the Cauchy suite made 132 and ``verify all`` 167, and with one evaluation
+per Cauchy config 27 and 62 (the elliptic suite 25, the form-factor suite
+10, one sn evaluation per stack).  With one stack per site, the form-factor
+suite made 46 ff_closed and 42 ff_pfaffian calls, and 18 and 14 with the
+translation phases over every site at once; ff_pfaffian now runs for the
+translation phases only.
 
 The oracle labels its states from eigenvalues alone, with one eigenvalue call
 per pair of conjugate character blocks, and forms a character block's
@@ -34,8 +43,8 @@ from isingff import cauchy, cli, elliptic, oracle, verification
 from isingff.formfactors import FockState, FormFactorSpec
 from isingff.spectral import Couplings
 
-THETA1_BUDGET = {"cauchy": 27, "formfactor": 10, "all": 62}
-ROUTE_BUDGET = {"ff_closed": 18, "ff_pfaffian": 14}
+THETA1_BUDGET = {"elliptic": 4, "cauchy": 18, "formfactor": 3, "all": 23}
+ROUTE_BUDGET = {"ff_closed": 18, "ff_pfaffian": 4}
 
 
 @pytest.fixture
@@ -59,25 +68,34 @@ def counted(monkeypatch):
     return c, counted
 
 
+def test_elliptic_suite_budget(counted):
+    # one sn/cn/dn evaluation, and one theta call per index (1, 2 and 4)
+    c, counts = counted
+    verification.elliptic_suite(c)
+    assert counts["theta1"] == THETA1_BUDGET["elliptic"]
+
+
 def test_cauchy_suite_budget(counted):
     c, counts = counted
     verification.cauchy_suite(c)
-    assert counts["theta1"] <= THETA1_BUDGET["cauchy"]
+    assert counts["theta1"] == THETA1_BUDGET["cauchy"]
 
 
 def test_formfactor_suite_budget(counted):
+    # the aa, pp and bra x ket sn grids of the elliptic assembly
     c, counts = counted
     verification.formfactor_suite(c)
-    assert counts["theta1"] <= THETA1_BUDGET["formfactor"]
+    assert counts["theta1"] == THETA1_BUDGET["formfactor"]
     for name, budget in ROUTE_BUDGET.items():
-        assert counts[name] <= budget, name
+        assert counts[name] == budget, name
 
 
 def test_all_suites_budget(counted):
-    # the rotation suite reads Phi^-1 and log det Phi from the Cauchy suite's record
+    # the rotation suite reads Phi^-1 and log det Phi from the Cauchy suite's
+    # record, and the form-factor suite its aa and pp sn grids
     c, counts = counted
     verification.run_suite("all", c)
-    assert counts["theta1"] <= THETA1_BUDGET["all"]
+    assert counts["theta1"] == THETA1_BUDGET["all"]
 
 
 def test_one_theta1_evaluation_per_cauchy_config(counted):

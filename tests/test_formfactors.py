@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from isingff import elliptic, spectral
-from isingff.cauchy import assemble_r_elliptic, induced_rotation
+from isingff.cauchy import (_sn_pairing_entries, assemble_r_elliptic, induced_rotation,
+                            ising_record)
+from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
 from isingff.formfactors import (FockState, FormFactorSpec, SpecStack, _fock_basis,
                                  abs_ff2_table, assemble_r_matrix, ff_closed,
@@ -286,6 +288,35 @@ class TestSpecStacks:
                     assert np.array_equal(r[row, :m, m:], dinv[np.ix_(ia, ip)])
                     assert np.array_equal(r[row, m:, :m], -dinv[np.ix_(ia, ip)].T)
                     assert np.array_equal(r[row, m:, m:], bdinv[np.ix_(ip, ip)])
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("kxy", BENCH_COUPLINGS)
+    def test_elliptic_entries_are_gathered_from_the_coupling_grids(self, kxy, n,
+                                                                  monkeypatch):
+        c = Couplings.from_kx_ky(*kxy, n)
+        stacks = list(_spec_groups(c, 0, 4))
+        assemble_r_elliptic(stacks[0], c)       # builds the coupling's sn grids
+        calls = []
+        theta1 = elliptic._theta1
+        monkeypatch.setattr(elliptic, "_theta1",
+                            lambda *args: calls.append(1) or theta1(*args))
+        gathered = [_sn_pairing_entries(stack, c) for stack in stacks]
+        for stack in stacks:
+            assemble_r_elliptic(stack, c)
+        assert not calls
+        monkeypatch.undo()
+        u, mod = ising_record(c)["u"], c.modulus
+        for stack, rt in zip(stacks, gathered):
+            k = stack.bra.shape[1] + stack.ket.shape[1]
+            i, j = np.triu_indices(k, 1)
+            for row, (ia, ip) in enumerate(zip(stack.bra, stack.ket)):
+                # the differences of the spec's own curve points, bras shifted by iK'
+                ut = np.concatenate([u["a"][ia] + 1j * mod.bigKprime,
+                                     u["p"][ip].astype(complex)])
+                own = np.zeros((k, k), dtype=complex)
+                own[i, j] = math.sqrt(mod.k) * jacobi_sn_cn_dn(ut[i] - ut[j], mod)[0]
+                own -= own.T
+                assert np.array_equal(rt[row].view(float), own.view(float))
 
     @pytest.mark.parametrize("n", [3, 6])
     @pytest.mark.parametrize("kxy", BENCH_COUPLINGS)

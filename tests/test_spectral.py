@@ -86,6 +86,25 @@ class TestCouplings:
         with pytest.raises(DomainError):
             dataclasses.replace(C, ky=0.05)
 
+    @pytest.mark.parametrize("ky", [0.3, 0.7, 0.9, 1.2])
+    def test_period_ratio_near_the_critical_line(self, ky):
+        # kx from far above the critical line kx*(kx) = ky down to a few ulps
+        # across it: every coupling is either rejected or has K'/K above 0.08
+        # (q below 0.78), so the theta series keeps its precision
+        kx_c = -0.5 * math.log(math.tanh(ky))
+        kxs = [kx_c * (1.0 + d) for d in np.logspace(-17, 0, 200)]
+        kxs += list(kx_c + np.arange(-10, 40) * np.spacing(kx_c))
+        ratios, rejected = [], 0
+        for kx in kxs:
+            try:
+                c = Couplings(8, float(kx), ky)
+            except DomainError:
+                rejected += 1
+                continue
+            ratios.append(c.modulus.bigKprime / c.modulus.bigK)
+        assert rejected > 0 and min(ratios) < 0.09   # the sweep reaches the edge
+        assert min(ratios) > 0.08
+
     def test_eta_is_solved_on_first_read(self):
         c = Couplings.from_kx_ky(0.4, 0.7, 6)
         assert "eta" not in vars(c)
