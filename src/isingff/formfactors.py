@@ -375,6 +375,23 @@ def abs_ff2_table(c: Couplings, bras: FockBasis, kets: FockBasis) -> np.ndarray:
     return np.exp(log_f2, out=log_f2)
 
 
+# A spectral sum's |F|^2 table depends on none of M, dx, dy and eps_x, so a
+# caller that sweeps separations at one coupling can read it again.  Only a
+# table of at most 2 MiB is kept (every full table up to N=10; 128 KiB at
+# N=8), so a one-shot call holds at most 2 MiB more than a streamed one and
+# the eight most recent hold at most 16 MiB.  A larger table, such as the
+# full one at N=11 (8 MiB), streams one block at a time and is not kept.
+_FF2_KEPT_MAX_BYTES = 2 * 2**20
+
+
+@lru_cache(maxsize=8)
+def _kept_ff2_blocks(c: Couplings, parity: int, cap: int):
+    """The read-only (rows, |F|^2) blocks of a spectral sum, as it streams them."""
+    kets = _fock_basis(c, "p", parity, cap)
+    return tuple((rows, *_read_only(abs_ff2_table(c, bras, kets)))
+                 for rows, bras in _fock_basis(c, "a", parity, cap).blocks())
+
+
 # ---- two-point correlation -------------------------------------------------
 
 
@@ -390,8 +407,14 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
     Fock basis of both sectors for N <= 12; beyond that a particle-number
     cutoff (default 4) is applied and a truncation bound is estimated.
 
-    The |F|^2 table is streamed in fixed blocks of bra rows, so memory stays
-    bounded and repeated runs are bit-identical.
+    The |F|^2 table is summed in fixed blocks of bra rows, so repeated runs
+    are bit-identical.  It depends only on the coupling, the parity and the
+    cutoff, so a table of at most 2 MiB (every full table up to N=10) is kept
+    after its first sum, for the eight most recent (coupling, parity,
+    cutoff), and a later call with the same three reads it instead of
+    building it; only such repeats gain.  A larger table, such as the full
+    one from N=11 or the even 4-particle one past N=12, streams through one
+    block at a time and is not kept.
     """
     if eps_x not in (1, -1) or eps_y not in (1, -1):
         raise DomainError("eps_x and eps_y must be +1 or -1")
@@ -430,10 +453,16 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
                      u_p * np.exp(dx * e_a - 1j * dy * ph_a)], axis=1)
     right = np.stack([np.exp(dx * e_p - 1j * dy * ph_p),
                       np.exp((m_height - dx) * e_p + 1j * dy * ph_p)], axis=1)
+    if len(basis_a) * len(basis_p) * 8 <= _FF2_KEPT_MAX_BYTES:       # doubles
+        ff2_blocks = _kept_ff2_blocks(c, parity, c.n if cutoff is None else min(c.n, cutoff))
+    else:
+        ff2_blocks = ((rows, abs_ff2_table(c, bras, basis_p))
+                      for rows, bras in basis_a.blocks())
     num = 0j
-    for rows, bras in basis_a.blocks():
+    for rows, ff2 in ff2_blocks:
         # a real product with the (re, im) columns of ``right``
-        partial = (abs_ff2_table(c, bras, basis_p) @ right.view(float)).view(complex)
+        partial = (ff2 @ right.view(float)).view(complex)
+        del ff2             # a streamed block is freed before the next is built
         num += np.sum(left[rows] * partial)
     den = np.sum(np.exp(m_height * e_a)) * u_a + np.sum(np.exp(m_height * e_p)) * u_p
     if abs(den) < 1e-300:

@@ -299,26 +299,47 @@ def test_criterion_10_nu_lambda_reduction():
     assert passed
 
 
-def test_criterion_11_infinite_lattice_row_correlation():
-    """Row correlation at N=16 equals the infinite-lattice Toeplitz determinant."""
+def _toeplitz_row_correlations(c: Couplings, radii) -> list[float]:
+    """Infinite-lattice <s_00 s_0R> at the alpha and beta of ``c``, per R."""
     # Montroll, Potts and Ward (J. Math. Phys. 4, 308, 1963): <s_00 s_0R> is
     # det[c_{i-j}], R x R, with c_k the Fourier coefficients of
-    # sqrt((1 - alpha z)(1 - beta/z) / ((1 - beta z)(1 - alpha/z))), z = e^{i theta};
-    # at (0.6, 0.9) the correlation length is short enough for N=16, M=24
-    c = Couplings.from_kx_ky(0.6, 0.9, 16)
+    # sqrt((1 - alpha z)(1 - beta/z) / ((1 - beta z)(1 - alpha/z))), z = e^{i theta}
     z = np.exp(2j * np.pi * np.arange(4096) / 4096)
     symbol = np.sqrt((1.0 - c.alpha * z) * (1.0 - c.beta / z)
                      / ((1.0 - c.beta * z) * (1.0 - c.alpha / z)))
     coef = np.fft.fft(symbol) / len(z)        # c_k at k mod 4096
+    return [np.linalg.det(coef[i[:, None] - i[None, :]]).real
+            for i in map(np.arange, radii)]
+
+
+def test_criterion_11_infinite_lattice_row_correlation():
+    """Row correlation at N=16 equals the infinite-lattice Toeplitz determinant."""
+    # at (0.6, 0.9) the correlation length is short enough for N=16, M=24
+    c = Couplings.from_kx_ky(0.6, 0.9, 16)
     errs = []
-    for r in (1, 2, 3):
-        i = np.arange(r)
-        toeplitz = np.linalg.det(coef[i[:, None] - i[None, :]]).real
+    for r, toeplitz in zip((1, 2, 3), _toeplitz_row_correlations(c, (1, 2, 3))):
         with pytest.warns(UserWarning, match="particle-number cutoff"):
             errs.append(abs(two_point_correlation(c, 24, 0, r) - toeplitz))
     passed = max(errs) < 1e-12
     _report(11, "row correlation vs Toeplitz determinant, (0.6, 0.9), N=16, R=1..3",
             passed, "errors " + ", ".join(f"{e:.2e}" for e in errs))
+    assert passed
+
+
+def test_criterion_11_infinite_lattice_column_correlation():
+    """Column correlation at N=16 equals the Toeplitz determinant of the
+    swapped couplings."""
+    # on the infinite lattice the column direction is the row direction with
+    # kx and ky exchanged, so <s_00 s_R0> at (kx, ky) is <s_00 s_0R> at (ky, kx)
+    c = Couplings.from_kx_ky(0.6, 0.9, 16)
+    swapped = Couplings.from_kx_ky(0.9, 0.6, 16)
+    errs = []
+    for r, toeplitz in zip((1, 2, 3), _toeplitz_row_correlations(swapped, (1, 2, 3))):
+        with pytest.warns(UserWarning, match="particle-number cutoff"):
+            errs.append(abs(two_point_correlation(c, 24, r, 0) - toeplitz))
+    passed = max(errs) < 1e-11
+    _report(11, "column correlation vs Toeplitz determinant of (ky, kx), (0.6, 0.9), "
+            "N=16, R=1..3", passed, "errors " + ", ".join(f"{e:.2e}" for e in errs))
     assert passed
 
 

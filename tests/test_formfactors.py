@@ -12,10 +12,11 @@ from isingff.cauchy import (_sn_pairing_entries, assemble_r_elliptic, induced_ro
                             ising_record)
 from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
-from isingff.formfactors import (FockState, FormFactorSpec, SpecStack, _fock_basis,
-                                 abs_ff2_table, assemble_r_matrix, ff_closed,
-                                 ff_pfaffian, fock_basis, two_particle_matrices,
-                                 two_point_correlation, vacuum_overlap, xi_t)
+from isingff.formfactors import (_FF2_KEPT_MAX_BYTES, FockState, FormFactorSpec,
+                                 SpecStack, _fock_basis, _kept_ff2_blocks, abs_ff2_table,
+                                 assemble_r_matrix, ff_closed, ff_pfaffian, fock_basis,
+                                 two_particle_matrices, two_point_correlation,
+                                 vacuum_overlap, xi_t)
 from isingff.linalg import det_and_inverse, pfaffian
 from isingff.spectral import Couplings, gamma_of_theta, nu_of_gamma
 from isingff.verification import (_spec_groups, completeness_sum_rule,
@@ -444,6 +445,64 @@ class TestTwoPointCorrelation:
         assert abs(full - trunc) < 1e-6
 
 
+class TestAbsFF2Cache:
+    """The |F|^2 tables that two_point_correlation keeps per (coupling,
+    parity, cap) and reads again."""
+
+    def setup_method(self):
+        _kept_ff2_blocks.cache_clear()
+
+    @pytest.mark.filterwarnings("ignore:particle-number cutoff")
+    @pytest.mark.parametrize("kxy", BENCH_COUPLINGS)
+    def test_warm_call_equals_cold_call(self, kxy):
+        c = Couplings.from_kx_ky(*kxy, 8)
+        calls = [((m, dx, dy, eps_x, eps_y), {})
+                 for eps_y in (1, -1) for eps_x in (1, -1)
+                 for m, dx, dy in ((16, 5, 3), (8, 0, -2))]
+        calls.append(((32, 7, 1, -1, 1), {"max_particles": 4}))
+        cold = []
+        for args, kwargs in calls:
+            _kept_ff2_blocks.cache_clear()
+            cold.append(two_point_correlation(c, *args, **kwargs))
+        _kept_ff2_blocks.cache_clear()
+        for args, kwargs in calls:        # every table kept, by another separation
+            two_point_correlation(c, 4, 1, 1, eps_y=args[4], **kwargs)
+        assert _kept_ff2_blocks.cache_info().currsize == 3   # (c, 0, 8), (c, 1, 8), (c, 0, 4)
+        assert [two_point_correlation(c, *args, **kwargs) for args, kwargs in calls] == cold
+        assert _kept_ff2_blocks.cache_info().misses == 3
+
+    def test_kept_tables_are_read_only(self):
+        c = Couplings.from_kx_ky(0.5, 0.5, 10)     # two blocks of bra rows
+        two_point_correlation(c, 16, 5, 3)
+        blocks = _kept_ff2_blocks(c, 0, 10)
+        assert len(blocks) == 2 and _kept_ff2_blocks.cache_info().misses == 1
+        for _, table in blocks:
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_full_table_past_the_cap_is_not_kept(self, n):
+        # 2^(n-1) x 2^(n-1) doubles: 8 MiB at N=11, 32 MiB at N=12, so it streams
+        two_point_correlation(Couplings.from_kx_ky(0.4, 0.7, n), 8, 2, 3)
+        assert _kept_ff2_blocks.cache_info().currsize == 0
+
+    def test_held_bytes_stay_within_the_budget(self):
+        # each kept table is at most the cap, and at most maxsize are kept
+        info = _kept_ff2_blocks.cache_info
+        assert info().maxsize * _FF2_KEPT_MAX_BYTES <= 16 * 2**20
+        c10 = Couplings.from_kx_ky(0.5, 0.5, 10)
+        two_point_correlation(c10, 8, 2, 3)        # 512 x 512 doubles, the cap itself
+        assert sum(table.nbytes for _, table in _kept_ff2_blocks(c10, 0, 10)) \
+            == _FF2_KEPT_MAX_BYTES
+        for kx in (0.4, 0.5, 0.6, 0.7):
+            for eps_y in (1, -1):
+                two_point_correlation(Couplings.from_kx_ky(kx, 0.9, 6), 8, 2, 3, eps_y=eps_y)
+        assert info().currsize == info().maxsize
+        misses = info().misses
+        two_point_correlation(c10, 8, 2, 3)        # the least recently used, dropped
+        assert info().misses == misses + 1 and info().currsize == info().maxsize
+
+
 def test_evaluation_path_imports_no_verification_route():
     """formfactors, which ff and corr run, imports nothing from the elliptic,
     Cauchy or verification layers."""
@@ -467,6 +526,7 @@ def test_evaluation_path_evaluates_no_elliptic_function(monkeypatch):
     each runs from cold tables."""
     spectral.coupling_tables.cache_clear()
     _fock_basis.cache_clear()
+    _kept_ff2_blocks.cache_clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("an elliptic function was evaluated")
