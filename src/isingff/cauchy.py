@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache, partial, wraps
 
 import numpy as np
 
-from .elliptic import EllipticModulus, jacobi_sn_cn_dn, theta
+from .elliptic import EllipticModulus, evaluate_at_once, jacobi_sn_cn_dn, theta
 from .exceptions import DomainError, SingularMatrixError
 from .formfactors import FormFactorSpec, SpecStack, _as_stack, _ell, _unstack
 from .spectral import (SECTORS, Couplings, _read_only, coupling_tables, log_sinh,
@@ -78,14 +78,6 @@ def _on_zero_lattice(xs, ys, q: float) -> np.ndarray:
     lies on the zero lattice of theta_1, where Cauchy entries are undefined."""
     diff = _differences(np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex))
     return np.any(_theta1_zero_distance(diff, q) < _LATTICE_TOL, axis=(-2, -1))
-
-
-def _theta1_of(q: float, *args: np.ndarray) -> list[np.ndarray]:
-    """theta_1 of each argument array, from one evaluation over all of them;
-    each value is a C-contiguous array of its argument's shape."""
-    flat = theta(1, np.concatenate([np.ravel(a) for a in args]), q)
-    ends = np.cumsum([np.size(a) for a in args])[:-1]
-    return [v.reshape(np.shape(a)) for a, v in zip(args, np.split(flat, ends))]
 
 
 def _upper_pairs(zs: np.ndarray) -> np.ndarray:
@@ -168,8 +160,9 @@ class EllipticPointConfig:
         bal = xs.sum(axis=1) - ys.sum(axis=1) + alpha
         diff = _differences(xs, ys)
         names = ("alpha", "bal", "xy", "xy_alpha", "bal_xy", "xx", "yy")
-        values = _theta1_of(self.q, alpha, bal, diff, diff + alpha[:, None, None],
-                            bal[:, None, None] - diff, _upper_pairs(xs), _upper_pairs(ys))
+        values = evaluate_at_once(partial(theta, 1, q=self.q), alpha, bal, diff,
+                                  diff + alpha[:, None, None], bal[:, None, None] - diff,
+                                  _upper_pairs(xs), _upper_pairs(ys))
         return dict(zip(names, _read_only(*values)))
 
     @cached_property
@@ -203,17 +196,14 @@ def frobenius_log_det(cfg: EllipticPointConfig) -> complex | np.ndarray:
     points give a real part of -inf.  A stack gives (S,) values."""
     ta = _theta1_of_alpha(cfg)
     grid = cfg.theta1_grid
-    # Python's complex division per row: numpy's multiplies by a reciprocal,
-    # which can move the last bit of log det Phi and so of the CLI residuals
-    ratio = np.array([complex(t) / complex(a) for t, a in zip(grid["bal"], ta)])
     with np.errstate(divide="ignore"):
         # the product over i < j of theta_1(y_j - y_i) is that of -theta_1(y_i - y_j)
-        log_det = (np.log(ratio)
+        log_det = (np.log(grid["bal"] / ta)
                    + np.log(grid["xx"]).sum(axis=1)
                    + np.log(-grid["yy"]).sum(axis=1)
                    - np.log(grid["xy"]).reshape(len(ta), -1).sum(axis=1))
-    return cfg.unstack(np.array([complex(v.real, math.remainder(v.imag, 2.0 * math.pi))
-                                 for v in log_det]))
+    log_det.imag -= 2.0 * math.pi * np.rint(log_det.imag / (2.0 * math.pi))
+    return cfg.unstack(log_det)
 
 
 def frobenius_inverse(cfg: EllipticPointConfig) -> np.ndarray:
@@ -242,7 +232,8 @@ def _interpolation_terms(zs, zs_prime, q: float) -> np.ndarray:
     """prod_j theta_1(z_i - z'_j) / prod_{j != i} theta_1(z_i - z_j) for each i,
     along the last axis of (n,) or (S, n) points, from one theta_1 evaluation."""
     zs = np.asarray(zs, dtype=complex)
-    cross, upper = _theta1_of(q, _differences(zs, np.asarray(zs_prime)), _upper_pairs(zs))
+    cross, upper = evaluate_at_once(partial(theta, 1, q=q),
+                                    _differences(zs, np.asarray(zs_prime)), _upper_pairs(zs))
     return _interpolation_from(cross, upper)
 
 
@@ -454,7 +445,8 @@ def closed_products_theta(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     f, g = (1j / kappa * cfg.unstack(t) for t in cfg.interpolation_terms)
     shift = math.pi * c.modulus.tau / 2.0
     z = np.concatenate([xs + shift, ys - shift])
-    num, den = _theta1_of(cfg.q, _differences(z, xs), _differences(z, ys))
+    num, den = evaluate_at_once(partial(theta, 1, q=cfg.q),
+                                _differences(z, xs), _differences(z, ys))
     h = np.prod(num, axis=-1) / np.prod(den, axis=-1)
     sn_pp = _sn_cn_dn_of_differences(c, "p", "p")[0].real
     sn_aa = _sn_cn_dn_of_differences(c, "a", "a")[0].real

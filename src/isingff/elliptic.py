@@ -295,6 +295,17 @@ def jacobi_sn_cn_dn(u, mod: EllipticModulus):
     return sn, cn, dn
 
 
+def evaluate_at_once(f, *args) -> list:
+    """``f`` of each argument array, from one call of ``f`` over all of them
+    concatenated: per argument a C-contiguous array of its shape, or a tuple
+    of them where ``f`` gives a tuple (as :func:`jacobi_sn_cn_dn` does)."""
+    flat = f(np.concatenate([np.ravel(a) for a in args]))
+    ends = np.cumsum([np.size(a) for a in args])[:-1]
+    parts = [[v.reshape(np.shape(a)) for a, v in zip(args, np.split(values, ends))]
+             for values in (flat if isinstance(flat, tuple) else (flat,))]
+    return list(zip(*parts)) if isinstance(flat, tuple) else parts[0]
+
+
 def inverse_sn_real(s, mod: EllipticModulus):
     """u in [-K, K] with sn u = s and cn u >= 0, for real s in [-1, 1], elementwise.
 

@@ -1,10 +1,12 @@
 """Dense complex linear algebra: pfaffian, determinant (or its log), inverse.
 
 The pfaffian is computed by skew-symmetric tridiagonalization (Parlett-Reid
-style Gauss transforms) with partial pivoting, the determinant by Gaussian
-elimination with partial pivoting, each on one matrix or on a stack of them
-at once.  Row/column swaps are counted exactly because the sign of the
-pfaffian carries physics downstream.  Inverses are numpy's LAPACK solve.
+style Gauss transforms) with partial pivoting, on one matrix or on a stack of
+them at once.  Row/column swaps are counted exactly because the sign of the
+pfaffian carries physics downstream.  Determinants, log determinants and
+inverses, which only the verification suites and the tests read as dense
+references, are numpy's LAPACK (``det``, ``slogdet``, ``inv``) on the same
+stacks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .exceptions import DomainError, SingularMatrixError
 
 _SKEW_TOL = 1e-13
 _PIVOT_TOL = 1e-13
+_RCOND_TOL = 1e-13  # smallest 1/cond that det_and_inverse accepts
 
 
 def _largest_entries(m: np.ndarray) -> np.ndarray:
@@ -36,20 +39,23 @@ def _textbook_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_skew(m: np.ndarray) -> np.ndarray:
-    """``m`` as a complex (S, k, k) stack, each matrix checked antisymmetric."""
-    m = np.asarray(m)
+def _square_stack(m) -> np.ndarray:
+    """``m`` as a complex (S, k, k) stack; a single matrix is the stack of one."""
+    m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise DomainError(f"pfaffian needs a square matrix or a stack of them, "
-                          f"got shape {m.shape}")
-    if m.ndim == 2:
-        m = m[None]
+        raise DomainError(f"need a square matrix or a stack of them, got shape {m.shape}")
+    return m if m.ndim == 3 else m[None]
+
+
+def _check_skew(m) -> np.ndarray:
+    """``m`` as a complex (S, k, k) stack, each matrix checked antisymmetric."""
+    m = _square_stack(m)
     asym = _largest_entries(m + np.swapaxes(m, 1, 2))
     bad = asym > _SKEW_TOL * np.maximum(1.0, _largest_entries(m))
     if np.any(bad):
         raise DomainError(f"matrix not antisymmetric: max|M + M^T| = "
                           f"{float(asym[bad][0]):.3e}")
-    return m.astype(complex)
+    return m
 
 
 def pfaffian(m: np.ndarray):
@@ -92,40 +98,30 @@ def pfaffian(m: np.ndarray):
     return complex(pf[0]) if np.ndim(m) == 2 else pf
 
 
-def _eliminate(m: np.ndarray, log: bool):
-    """(log) det and inverse of one matrix, or of each matrix of a stack.
-
-    The pivots of Gaussian elimination with partial pivoting run through
-    every matrix of a stack at once, each keeping its own pivoting and swap
-    count; the inverses are numpy's LAPACK solve of the same stack.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise DomainError(f"need a square matrix or a stack of them, got shape {m.shape}")
-    stack = m if m.ndim == 3 else m[None]
-    a, (size, n) = stack.copy(), stack.shape[:2]
-    row_sums = np.sum(np.abs(a), axis=2)
-    floor = _PIVOT_TOL * np.maximum(np.max(row_sums, axis=1, initial=0.0), 1e-300)
-    pivots, swaps, s = np.empty((size, n), dtype=complex), np.zeros(size), np.arange(size)
-    for k in range(n):
-        kp = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        a[s, k, k:], a[s, kp, k:] = a[s, kp, k:], a[s, k, k:]
-        swaps += kp != k
-        pivots[:, k] = a[:, k, k]
-        if np.any(np.abs(pivots[:, k]) <= floor):
-            raise SingularMatrixError(f"matrix singular to tolerance (min pivot "
-                                      f"{np.min(np.abs(pivots[:, k])):.3e})")
-        factor = a[:, k + 1:, k] / pivots[:, k, None]
-        a[:, k + 1:, k + 1:] -= factor[:, :, None] * a[:, None, k, k + 1:]
-    det = (np.log(pivots).sum(axis=1) + 1j * np.pi * swaps if log
-           else (-1.0) ** swaps * np.prod(pivots, axis=1))
-    inv = np.linalg.inv(stack)
-    return (complex(det[0]), inv[0]) if m.ndim == 2 else (det, inv)
+def _det_and_inverse(m: np.ndarray, log: bool):
+    """(log) det and inverse of one matrix, or of each matrix of a stack,
+    from numpy's LAPACK on the whole stack."""
+    stack = _square_stack(m)
+    try:
+        inv = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix exactly singular") from None
+    # condition number in the infinity norm (largest row sum), from the
+    # inverse formed anyway; a NaN or inf in the inverse fails the check too
+    cond = np.linalg.norm(stack, np.inf, axis=(1, 2)) * np.linalg.norm(inv, np.inf, axis=(1, 2))
+    if not np.all(cond * _RCOND_TOL < 1.0):
+        raise SingularMatrixError(f"matrix singular to tolerance (cond {np.max(cond):.3e})")
+    if log:
+        sign, log_abs = np.linalg.slogdet(stack)
+        det = log_abs + 1j * np.angle(sign)
+    else:
+        det = np.linalg.det(stack)
+    return (complex(det[0]), inv[0]) if np.ndim(m) == 2 else (det, inv)
 
 
 def det_and_inverse(m: np.ndarray):
     """Determinant and inverse of a square complex matrix, or of each matrix
-    of an (S, k, k) stack, via Gaussian elimination with partial pivoting.
+    of an (S, k, k) stack, from numpy's LAPACK (``det`` and ``inv``).
 
     A single matrix gives a Python complex and its inverse, a stack an array
     of S determinants and the stack of inverses.
@@ -133,17 +129,18 @@ def det_and_inverse(m: np.ndarray):
     Raises
     ------
     SingularMatrixError
-        If any pivot falls below 1e-13 times its matrix's largest row sum.
+        If any matrix is exactly singular, or near-singular:
+        1 / (||A||_inf ||A^-1||_inf) at most 1e-13.
     """
-    return _eliminate(m, log=False)
+    return _det_and_inverse(m, log=False)
 
 
 def log_det_and_inverse(m: np.ndarray):
     """log det and inverse, returned like :func:`det_and_inverse`.
 
-    log|det| is the sum of the logs of the elimination pivots, so it stays
-    finite where the determinant itself over- or underflows; the imaginary
-    part (the phase) is defined modulo 2*pi.  Raises like
+    log|det| is numpy's ``slogdet``, so it stays finite where the
+    determinant itself over- or underflows; the imaginary part (the phase)
+    is the angle of its sign, in (-pi, pi].  Raises like
     :func:`det_and_inverse`.
     """
-    return _eliminate(m, log=True)
+    return _det_and_inverse(m, log=True)

@@ -11,17 +11,18 @@ The CLI ``verify`` command and the test suite both call these functions.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from . import cauchy as cf
-from .elliptic import jacobi_sn_cn_dn, theta
+from .elliptic import evaluate_at_once, jacobi_sn_cn_dn, theta
 from .exceptions import DomainError, ResourceError
 from .formfactors import (_FULL_ENUMERATION_MAX_N, FockState, FormFactorSpec,
-                          SpecStack, abs_ff2_table, assemble_r_matrix, ff_closed,
+                          SpecStack, _ff2_blocks, assemble_r_matrix, ff_closed,
                           ff_pfaffian, fock_basis, two_particle_matrices,
                           vacuum_overlap, xi_t)
-from .linalg import det_and_inverse, log_det_and_inverse, pfaffian
+from .linalg import log_det_and_inverse, pfaffian
 from .spectral import (Couplings, _b_elliptic_of, b_of_theta, gamma_of_theta,
                        log_sinh, u_of_theta)
 
@@ -68,16 +69,6 @@ def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b).max(axis=axes) / scale))
 
 
-def _sn_cn_dn_of(mod, args: dict) -> dict:
-    """(sn, cn, dn) of each named argument array, from one evaluation over
-    all of them; each value keeps its argument's shape."""
-    flat = jacobi_sn_cn_dn(np.concatenate([np.ravel(a) for a in args.values()]), mod)
-    ends = np.cumsum([np.size(a) for a in args.values()])[:-1]
-    parts = zip(*(np.split(f, ends) for f in flat))
-    return {name: tuple(v.reshape(np.shape(a)) for v in values)
-            for (name, a), values in zip(args.items(), parts)}
-
-
 def elliptic_suite(c: Couplings) -> dict[str, float]:
     """Elliptic-function and parametrization identities along the curve.
 
@@ -113,13 +104,15 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
     h1, h2 = gamma_of_theta(s1, c), gamma_of_theta(s2, c)
     d = u_of_theta(s1, c) - u_of_theta(s2, c)
 
-    sn_cn_dn = _sn_cn_dn_of(mod, {
+    args = {
         "us": us, "us_2k": us + 2.0 * bigk,
         "complex": re_im[:, 0] + 1j * (re_im[:, 1] * bigkp),
         "u": u, "v": v, "u_minus_v": u - v, "w": w, "2w": 2.0 * w,
         **{f"eta{sgn}": uu - sgn * 1j * c.eta for sgn in (1.0, -1.0)},
         "uu": uu, "uu_k": uu + bigk, "2uu": 2.0 * uu, "u2": u2, "u1_u2": u1 - u2,
-        "d": d, **{f"d{sgn}": d + sgn * 1j * bigkp for sgn in (1.0, -1.0)}})
+        "d": d, **{f"d{sgn}": d + sgn * 1j * bigkp for sgn in (1.0, -1.0)}}
+    sn_cn_dn = dict(zip(args, evaluate_at_once(partial(jacobi_sn_cn_dn, mod=mod),
+                                               *args.values())))
 
     def real(name):
         return tuple(f.real for f in sn_cn_dn[name])
@@ -221,7 +214,7 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
     for rows in by_size.values():
         xs, ys, alphas = (np.array(v) for v in zip(*rows))
         cfg = cf.EllipticPointConfig(xs, ys, q, alphas)
-        # the dense elimination of the whole stack is the reference
+        # numpy's LAPACK determinant and inverse of the whole stack are the reference
         lu_log_det, lu_inv = log_det_and_inverse(cf.elliptic_cauchy_matrix(cfg))
         r_det = max(r_det, *map(_log_rel, cf.frobenius_log_det(cfg), lu_log_det))
         r_inv = max(r_inv, _mat_rel(cf.frobenius_inverse(cfg), lu_inv))
@@ -238,7 +231,7 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
         r = max(r, abs(complex(terms.sum())) / max(scale, 1e-300))
     out["theta_interpolation"] = r
 
-    diffs = {}
+    diffs = []
     for size in (2, 4, 6, 8, 10):
         # separated real parts plus alternating iK'/2 offsets (the same mixed
         # structure the physics uses) keep the pfaffian comparable to the
@@ -248,13 +241,13 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
         base = (np.linspace(-0.8, 0.8, size)
                 + rng.uniform(-0.03, 0.03, size) / size) * mod.bigK
         pts = base + 0.5j * mod.bigKprime * (np.arange(size) % 2)
-        diffs[size] = np.subtract.outer(pts, pts)
+        diffs.append(np.subtract.outer(pts, pts))
     r = 0.0
-    for size, (sn, _, _) in _sn_cn_dn_of(mod, diffs).items():
+    for sn, _, _ in evaluate_at_once(partial(jacobi_sn_cn_dn, mod=mod), *diffs):
         mat = math.sqrt(mod.k) * sn
         np.fill_diagonal(mat, 0.0)
         # the entries above the diagonal are the factors of sn_pfaffian_product
-        product = complex(np.prod(mat[np.triu_indices(size, 1)]))
+        product = complex(np.prod(mat[np.triu_indices(len(mat), 1)]))
         r = max(r, abs(product / pfaffian(mat) - 1.0))
     out["sn_pfaffian_identity"] = r
 
@@ -298,7 +291,7 @@ def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
     """Induced-rotation relations and the two-particle closed forms."""
     rot = cf.induced_rotation(c, site)
     out = dict(rot.relation_residuals())
-    det_d, dinv_num = det_and_inverse(rot.d)
+    log_det_d, dinv_num = log_det_and_inverse(rot.d)
     dinv, bdinv, dinvc = two_particle_matrices(c, site)
     out["dinv_times_d"] = _mat_rel(dinv @ rot.d, np.eye(c.n))
     out["dinv_closed_vs_numeric"] = _mat_rel(dinv, dinv_num)
@@ -322,8 +315,8 @@ def rotation_suite(c: Couplings, site: int = 0) -> dict[str, float]:
     # at large N, while |det D| itself stays near the squared vacuum overlap
     log_abs_det_d = (c.n * math.log(c.sinh2ky / c.n) + cf.log_det_phi_theta(c).real
                      - 0.5 * (log_sinh(p.gamma).sum() + log_sinh(a.gamma).sum()))
-    out["abs_det_d_elliptic_route"] = _log_rel(log_abs_det_d, math.log(abs(det_d)))
-    out["vacuum_overlap_vs_det"] = _rel(vacuum_overlap(c), abs(det_d) ** 0.5)
+    out["abs_det_d_elliptic_route"] = _log_rel(log_abs_det_d, log_det_d.real)
+    out["vacuum_overlap_vs_det"] = _rel(vacuum_overlap(c), math.exp(0.5 * log_det_d.real))
     out["vacuum_overlap_vs_xi"] = _rel(vacuum_overlap(c),
                                        math.sqrt(c.xi * xi_t(c)))
     return out
@@ -369,18 +362,22 @@ def _check_spec_count(c: Couplings) -> None:
 
 
 def completeness_sum_rule(c: Couplings) -> float:
-    """Largest |sum over kets of |F|^2 - 1| over every bra.
+    """Largest |sum of |F|^2 - 1| over every row (a bra, summed over kets) and
+    every column (a ket, summed over bras) of the full |F|^2 table.
 
     sigma^2 = 1, and a bra couples only to kets of its own particle-number
-    parity, so each row of the full |F|^2 table sums to one.
+    parity, so both the rows and the columns of each parity's table sum to
+    one.  The table's blocks are those of the spectral sum, kept or streamed.
     """
     worst = 0.0
     for parity in (0, 1):
-        kets = fock_basis(c, "p", parity)
-        for _, bras in fock_basis(c, "a", parity).blocks():
-            sums = abs_ff2_table(c, bras, kets).sum(axis=1)
+        columns = 0.0
+        for _, ff2 in _ff2_blocks(c, parity, c.n):
             # np.maximum keeps a NaN, where max() could drop it
-            worst = np.maximum(worst, np.max(np.abs(sums - 1.0)))
+            worst = np.maximum(worst, np.max(np.abs(ff2.sum(axis=1) - 1.0)))
+            columns = columns + ff2.sum(axis=0)
+            del ff2         # a streamed block is freed before the next is built
+        worst = np.maximum(worst, np.max(np.abs(columns - 1.0)))
     return float(worst)
 
 

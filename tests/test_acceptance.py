@@ -299,17 +299,23 @@ def test_criterion_10_nu_lambda_reduction():
     assert passed
 
 
+def _toeplitz_determinants(symbol, radii) -> list[float]:
+    """det[c_{i-j}], R x R, per R, with c_k the Fourier coefficients of
+    ``symbol(z)`` on the unit circle z = e^{i theta}."""
+    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    coef = np.fft.fft(symbol(z)) / len(z)     # c_k at k mod 4096
+    return [np.linalg.det(coef[i[:, None] - i[None, :]]).real
+            for i in map(np.arange, radii)]
+
+
 def _toeplitz_row_correlations(c: Couplings, radii) -> list[float]:
     """Infinite-lattice <s_00 s_0R> at the alpha and beta of ``c``, per R."""
     # Montroll, Potts and Ward (J. Math. Phys. 4, 308, 1963): <s_00 s_0R> is
     # det[c_{i-j}], R x R, with c_k the Fourier coefficients of
-    # sqrt((1 - alpha z)(1 - beta/z) / ((1 - beta z)(1 - alpha/z))), z = e^{i theta}
-    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
-    symbol = np.sqrt((1.0 - c.alpha * z) * (1.0 - c.beta / z)
-                     / ((1.0 - c.beta * z) * (1.0 - c.alpha / z)))
-    coef = np.fft.fft(symbol) / len(z)        # c_k at k mod 4096
-    return [np.linalg.det(coef[i[:, None] - i[None, :]]).real
-            for i in map(np.arange, radii)]
+    # sqrt((1 - alpha z)(1 - beta/z) / ((1 - beta z)(1 - alpha/z)))
+    return _toeplitz_determinants(
+        lambda z: np.sqrt((1.0 - c.alpha * z) * (1.0 - c.beta / z)
+                          / ((1.0 - c.beta * z) * (1.0 - c.alpha / z))), radii)
 
 
 def test_criterion_11_infinite_lattice_row_correlation():
@@ -340,6 +346,25 @@ def test_criterion_11_infinite_lattice_column_correlation():
     passed = max(errs) < 1e-11
     _report(11, "column correlation vs Toeplitz determinant of (ky, kx), (0.6, 0.9), "
             "N=16, R=1..3", passed, "errors " + ", ".join(f"{e:.2e}" for e in errs))
+    assert passed
+
+
+def test_criterion_11_infinite_lattice_diagonal_correlation():
+    """Diagonal correlation at N=16 equals the infinite-lattice Toeplitz
+    determinant of the diagonal symbol."""
+    # McCoy and Wu (The Two-Dimensional Ising Model, 1973, ch. XI): <s_00 s_RR>
+    # is det[c_{i-j}], R x R, with c_k the Fourier coefficients of
+    # sqrt((1 - z/s) / (1 - 1/(s z))), s = sinh(2 kx) sinh(2 ky)
+    c = Couplings.from_kx_ky(0.6, 0.9, 16)
+    toeplitz = _toeplitz_determinants(
+        lambda z: np.sqrt((1.0 - z / c.s) / (1.0 - 1.0 / (c.s * z))), (1, 2, 3))
+    errs = []
+    for r, value in zip((1, 2, 3), toeplitz):
+        with pytest.warns(UserWarning, match="particle-number cutoff"):
+            errs.append(abs(two_point_correlation(c, 24, r, r) - value))
+    passed = max(errs) < 1e-11
+    _report(11, "diagonal correlation vs Toeplitz determinant, (0.6, 0.9), N=16, R=1..3",
+            passed, "errors " + ", ".join(f"{e:.2e}" for e in errs))
     assert passed
 
 

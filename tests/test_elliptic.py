@@ -12,6 +12,7 @@ from isingff import elliptic
 from isingff.elliptic import (EllipticModulus, complete_elliptic_K, incomplete_elliptic_F,
                               inverse_sn_real, jacobi_sn_cn_dn, theta)
 from isingff.exceptions import DomainError
+from isingff.spectral import Couplings
 
 
 def elliptic_K_quadrature(k: float) -> float:
@@ -133,6 +134,31 @@ class TestThetaAgainstMpmath:
             if index == 2 and name == "half_pi":
                 bound = max(bound, THETA2_NEAR_ZERO_BOUND)
             assert err <= bound, (name, err)
+
+
+class TestJacobiAgainstMpmath:
+    # the moduli Couplings reaches toward the critical line: kx = kx_c (1 + eps)
+    # with sinh(2 kx_c) sinh(2 ky) = 1 gives q from about 0.09 (eps = 0.1) to
+    # 0.75 (eps = 1e-14); the largest error measured is 4e-14
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("ky", [0.3, 0.7, 0.9, 1.2])
+    def test_error_near_criticality(self, ky, eps):
+        mpmath = pytest.importorskip("mpmath")
+        kx_c = -0.5 * math.log(math.tanh(ky))
+        mod = Couplings(8, kx_c * (1.0 + eps), ky).modulus
+        big_k, big_kp = mod.bigK, mod.bigKprime
+        rng = np.random.default_rng(11)
+        # real u, and complex u in the period rectangle, |Im u| <= 0.9 K'
+        u = np.concatenate([rng.uniform(-2.0 * big_k, 2.0 * big_k, 20),
+                            rng.uniform(-2.0 * big_k, 2.0 * big_k, 20)
+                            + 1j * rng.uniform(-0.9 * big_kp, 0.9 * big_kp, 20)])
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mod.k) ** 2
+            for name, value in zip(("sn", "cn", "dn"), jacobi_sn_cn_dn(u, mod)):
+                ref = np.array([complex(mpmath.ellipfun(name, mpmath.mpc(v.real, v.imag), m=m))
+                                for v in u])
+                err = np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref)))
+                assert err < 1e-12, (name, err)
 
 
 class TestJacobiFunctions:

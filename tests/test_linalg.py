@@ -216,3 +216,13 @@ class TestStackedElimination:
             with pytest.raises(SingularMatrixError):
                 fn(stack)
             fn(stack[:2])
+
+    def test_near_singular_rejected(self):
+        # exactly representable, not exactly singular: det = 1.1e-15, and
+        # 1 / cond_inf = 2.8e-16 is below the 1e-13 floor
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+        stack = np.concatenate([pivoting_stack(2, 2, np.random.default_rng(9)), m[None]])
+        for fn in (det_and_inverse, log_det_and_inverse):
+            for a in (m, stack):
+                with pytest.raises(SingularMatrixError):
+                    fn(a)
