@@ -144,8 +144,9 @@ class Couplings:
 class SectorTable:
     """Per-momentum data of one fermion sector, in quasimomentum order.
 
-    ``amp`` normalises a particle in the two-particle form factors, and
-    ``log_amp2`` = 2 log ``amp``; ``pair_ratio`` is sin((theta-theta')/2) /
+    ``log_amp2`` = +-nu - log N - log sinh gamma (+ in sector "a") is the
+    log squared normalisation of a particle in the two-particle form factors,
+    and ``amp`` = exp(``log_amp2`` / 2); ``pair_ratio`` is sin((theta-theta')/2) /
     sinh((gamma+gamma')/2) with a zero diagonal.  The arrays are read-only,
     because every equal :class:`Couplings` shares the table.
     """
@@ -193,14 +194,13 @@ def coupling_tables(c: Couplings) -> CouplingTables:
     for sector, sign in zip(SECTORS, (1.0, -1.0)):
         th, g = thetas[sector], gamma[sector]
         nu = _nu(g, gamma["a"], gamma["p"])
+        log_amp2 = sign * nu - math.log(c.n) - log_sinh(g)
         ratio = np.sin((th[:, None] - th[None, :]) / 2.0) \
             / np.sinh((g[:, None] + g[None, :]) / 2.0)
         np.fill_diagonal(ratio, 0.0)
         tables[sector] = SectorTable(
             sector=sector, thetas=th, gamma=g, nu=nu,
-            amp=np.exp(sign * nu / 2.0) / np.sqrt(c.n * np.sinh(g)),
-            log_amp2=sign * nu - np.log(c.n * np.sinh(g)),
-            pair_ratio=ratio)
+            amp=np.exp(log_amp2 / 2.0), log_amp2=log_amp2, pair_ratio=ratio)
     ap_ratio = _read_only(np.sinh((gamma["a"][:, None] + gamma["p"][None, :]) / 2.0)
                           / np.sin((thetas["a"][:, None] - thetas["p"][None, :]) / 2.0))[0]
     rho2 = c.sinh2ky / c.sinh2kx
@@ -226,10 +226,13 @@ def _solve_eta(target_sinh2kx: float, modulus: EllipticModulus) -> float:
 
 
 def gamma_of_theta(theta, c: Couplings):
-    """Single-particle energy gamma_theta >= 0 of the lattice dispersion."""
-    ch = (math.cosh(2 * c.kx_star) * math.cosh(2 * c.ky)
-          - math.sinh(2 * c.kx_star) * math.sinh(2 * c.ky) * np.cos(theta))
-    return np.arccosh(ch)
+    """Single-particle energy gamma_theta >= 0 of the lattice dispersion: cosh gamma =
+    cosh 2kx* cosh 2ky - sinh 2kx* sinh 2ky cos theta with cosh gamma - 1 = 2 sinh^2(gamma/2)
+    is sinh^2(gamma/2) = sinh^2(ky - kx*) + sinh 2kx* sinh 2ky sin^2(theta/2), whose terms
+    are non-negative: nothing cancels, so a small gamma near criticality keeps its digits."""
+    sinh2_half = (math.sinh(c.ky - c.kx_star) ** 2
+                  + c.sinh2kx_star * c.sinh2ky * np.sin(np.asarray(theta) / 2.0) ** 2)
+    return 2.0 * np.arcsinh(np.sqrt(sinh2_half))
 
 
 def b_of_theta(theta, c: Couplings):
@@ -287,15 +290,10 @@ def u_of_theta(theta, c: Couplings):
 
 
 def log_sinh(x):
-    """log(sinh(x)) for x > 0, safe against overflow at large x."""
+    """log(sinh(x)) for x > 0, as x - log 2 + log(1 - e^{-2x}): no overflow at
+    large x, and expm1 keeps the digits at small x."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    big = x > 20.0
-    out[big] = x[big] - math.log(2.0) + np.log1p(-np.exp(-2.0 * x[big]))
-    out[~big] = np.log(np.sinh(x[~big]))
-    return float(out[0]) if scalar else out
+    return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x))
 
 
 def nu_of_gamma(gamma, c: Couplings):

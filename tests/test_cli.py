@@ -351,3 +351,30 @@ def test_zero_width_is_a_domain_error(capsys, argv):
     assert code == 3
     assert captured.out == ""
     assert "lattice width" in captured.err
+
+
+class TestNearCriticality:
+    """At (0.4407, 0.4407) gamma_0 = 2(ky - kx*) is about 5e-5, so every
+    route reads a small gamma that must keep its digits."""
+
+    COUPLING = ("--kx", "0.4407", "--ky", "0.4407")
+
+    @pytest.mark.parametrize("suite, n", [("all", "8"), ("cauchy", "32")])
+    def test_verify_passes(self, capsys, suite, n):
+        code, out = run(capsys, "verify", suite, *self.COUPLING, "--n", n)
+        res = _strict_json(out)["results"]
+        assert code == 0 and res["failed_checks"] == []
+        for name, value in res["residuals"].items():
+            assert isinstance(value, float) and value <= 1e-10, name
+
+    def test_corr_agrees_with_oracle(self, capsys):
+        code, out = run(capsys, "corr", *self.COUPLING, "--n", "8", "--m-height", "16",
+                        "--dx", "3", "--dy", "2", "--eps-x", "-1")
+        assert code == 0
+        assert json.loads(out)["results"]["oracle_residual"] <= 1e-11
+
+    def test_ff_agrees_with_oracle(self, capsys):
+        code, out = run(capsys, "ff", *self.COUPLING, "--n", "8", "--site", "2",
+                        "--bra", "1,2", "--ket", "")
+        assert code == 0
+        assert json.loads(out)["results"]["oracle_residual"] <= 1e-11

@@ -228,6 +228,26 @@ class TestGamma:
         assert gamma_of_theta(th, C) == pytest.approx(
             float(gamma_of_theta(2 * math.pi - th, C)), rel=1e-14)
 
+    @pytest.mark.parametrize("kx, ky, n, gate", [
+        (0.3, 0.9, 64, 1e-15), (0.3, 0.9, 256, 1e-15),
+        (0.4, 0.7, 64, 1e-15), (0.4, 0.7, 256, 1e-15),
+        (0.5, 0.5, 64, 1e-15), (0.5, 0.5, 256, 1e-15),
+        # near the critical line the floor is the rounding of ky - kx* itself
+        (0.4407, 0.4407, 32, 1e-11)])
+    def test_against_50_digit_dispersion(self, kx, ky, n, gate):
+        mp = pytest.importorskip("mpmath")
+        c = Couplings.from_kx_ky(kx, ky, n)
+        with mp.workdps(50):
+            kx_star, k = mp.atanh(mp.exp(-2 * mp.mpf(kx))), mp.mpf(ky)
+            ch, sh = mp.cosh(2 * kx_star) * mp.cosh(2 * k), mp.sinh(2 * kx_star) * mp.sinh(2 * k)
+            worst = 0.0
+            for sector in SECTORS:
+                thetas = quasimomenta(sector, n)
+                for theta, g in zip(thetas, gamma_of_theta(thetas, c)):
+                    ref = mp.acosh(ch - sh * mp.cos(mp.mpf(float(theta))))
+                    worst = max(worst, float(abs(g - ref) / ref))
+        assert worst <= gate
+
 
 class TestB:
     def test_endpoint_values(self):
@@ -301,6 +321,17 @@ class TestNu:
     def test_log_sinh_large_argument(self):
         assert log_sinh(500.0) == pytest.approx(500.0 - math.log(2.0), rel=1e-15)
         assert log_sinh(0.3) == pytest.approx(math.log(math.sinh(0.3)), rel=1e-14)
+        mp = pytest.importorskip("mpmath")
+        xs = np.array([1e-12, 1e-8, 1e-4, 0.01, 0.3, 1.0, 5.0, 19.999, 20.0,
+                       20.001, 35.0, 100.0, 700.0])
+        out = log_sinh(xs)
+        assert out.shape == xs.shape
+        with mp.workdps(40):
+            for x, got in zip(xs, out):
+                ref = mp.log(mp.sinh(mp.mpf(float(x))))
+                assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), x
+        assert isinstance(log_sinh(20.0), float)
+        assert log_sinh(xs.reshape(13, 1)).shape == (13, 1)
 
     def test_decays_with_lattice_width(self):
         worst = []
