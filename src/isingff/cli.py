@@ -149,7 +149,7 @@ def _cmd_ff(args) -> int:
     if c.n <= _ORACLE_MAX_N:
         eps_y = 1 if len(spec.bra) % 2 == 0 else -1
         ops = build_operators(c, eps_y=eps_y)
-        spect = labeled_spectrum(ops)
+        spect = labeled_spectrum(ops, [("a", spec.bra.indices), ("p", spec.ket.indices)])
         bra = find_state(spect, "a", spec.bra.indices)
         ket = find_state(spect, "p", spec.ket.indices)
         pair = [st for st in spect if st.block in (bra.block, ket.block)]

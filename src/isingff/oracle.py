@@ -2,15 +2,16 @@
 
 Holds the spin operators and V_y^{1/2} as diagonals, the translation T and
 the global flip U as index maps, and V as one entry formula, and labels
-every eigenstate of V with a Fock momentum set.  T and U generate an abelian
-group; its character table gives every (momentum, charge) block of V at
-once, read off V at the orbit representatives.  V is diagonalized block by
-block, once per pair of conjugate characters, whose blocks are complex
-conjugates of each other, and all eigenvalues together are grouped by a
-tolerance relative to the eigenvalue and matched in energy order against
-the predicted labels, sorted once by (character, V).  Everything here is independent of the
-closed-form modules except for the shared dispersion gamma_theta, so it
-serves as ground truth for matrix elements and correlations at small N.
+every eigenstate of V, or those of chosen (T, U) characters, with a Fock
+momentum set.  T and U generate an abelian group; its character table gives
+every (momentum, charge) block of V at once, read off V at the orbit
+representatives.  V is diagonalized block by block, once per pair of
+conjugate characters, whose blocks are complex conjugates of each other, and
+all eigenvalues together are grouped by a tolerance relative to the
+eigenvalue and matched in energy order against the predicted labels, sorted
+once by (character, V).  Everything here is independent of the closed-form
+modules except for the shared dispersion gamma_theta, so it serves as
+ground truth for matrix elements and correlations at small N.
 
 Momentum-reversal doublets: states whose momentum sets S and -S share the
 same energy, translation eigenvalue, and charge (possible for N >= 4, at any
@@ -230,7 +231,9 @@ def _lower_triangles(v_low: np.ndarray, chi: np.ndarray, norm: np.ndarray) -> np
     return out
 
 
-def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
+def labeled_spectrum(ops: SpinOperatorSet,
+                     states: list[tuple[str, tuple[int, ...]]] | None = None
+                     ) -> list[LabeledEigenstate]:
     """Simultaneous (V, T, U) eigenbasis of ``ops``, with Fock labels attached.
 
     V is diagonalized in one block per character chi = (T, U) of the symmetry
@@ -257,6 +260,14 @@ def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
     Groups of more than one state are momentum-reversal doublets: their
     vectors share a block id and the label-to-vector assignment inside the
     block is not physically meaningful.
+
+    With ``states``, a list of (sector, indices), only the characters that
+    hold those states are summed, diagonalized, matched and returned (with,
+    for a conjugate partner, its lead's block summed and diagonalized).  No
+    group crosses a character, so each returned state carries the eigenvalue
+    bits, quantum numbers and block partition of the whole spectrum; block
+    ids are numbered within the returned list.  The label count per
+    character is still checked for every character.
     """
     n = ops.couplings.n
     act = _group_action(ops)
@@ -287,33 +298,45 @@ def labeled_spectrum(ops: SpinOperatorSet) -> list[LabeledEigenstate]:
             f"block T={t_of[k]:.4f}, U={u[k]} has {size[k]} states "
             f"but {count[k]} predicted labels"
         )
+    if states is None:
+        want = size > 0
+    else:
+        asked = {(sector, tuple(idx)) for sector, idx in states}
+        want = np.zeros(len(m), dtype=bool)
+        want[char_of[[i for i, lab in enumerate(labels) if lab[:2] in asked]]] = True
+        if not want.any():
+            return []
+    need = want | want[conj]              # a wanted partner needs its lead's block
     order = np.lexsort((lam, char_of))
+    order = order[want[char_of[order]]]
     lam = lam[order]
 
     # H_chi is summed only for the lead, the smaller index, of each conjugate pair
-    lead = np.flatnonzero((conj >= np.arange(len(m))) & (size > 0))
+    lead = np.flatnonzero((conj >= np.arange(len(m))) & need)
     r, s = np.tril_indices(len(reps))
     h_low = dict(zip(lead.tolist(), _lower_triangles(
         ops.v_entries(reps[r], act[:, reps[s]]),                         # V[r, g s]
         chi[lead], np.sqrt(stab_size[r] * stab_size[s]))))
-    # <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for the g with g|x> = |r>
-    col = np.cumsum(keep, axis=1)[:, orbit] - 1
-    amp = np.where(keep[:, orbit], chi[:, to_rep] * np.sqrt(stab_size[orbit] / len(act)), 0)
+    scale = np.sqrt(stab_size[orbit] / len(act))
     blocks, vals = {}, {}
-    for k in np.flatnonzero(size).tolist():
+    for k in np.flatnonzero(need).tolist():
+        col = np.cumsum(keep[k])[orbit] - 1
+        # <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for the g with g|x> = |r>
+        amp = np.where(keep[k, orbit], chi[k, to_rep] * scale, 0)
         if conj[k] < k:               # a partner: its lead came first
-            blocks[k] = _CharacterBlock(None, col[k], amp[k], blocks[conj[k]])
+            blocks[k] = _CharacterBlock(None, col, amp, blocks[conj[k]])
             vals[k] = vals[conj[k]]
             continue
         inside = keep[k, r] & keep[k, s]     # each lead's block, read off h_low
         h = np.zeros((size[k], size[k]), dtype=complex)
-        h[col[k, reps[r[inside]]], col[k, reps[s[inside]]]] = h_low[k][inside]
-        blocks[k] = _CharacterBlock(h, col[k], amp[k])
+        h[col[reps[r[inside]]], col[reps[s[inside]]]] = h_low[k][inside]
+        blocks[k] = _CharacterBlock(h, col, amp)
         vals[k] = eigvalsh(h)
-    w = np.concatenate(list(vals.values()))
+    w = np.concatenate([vals[k] for k in np.flatnonzero(want).tolist()])
 
     chars = char_of[order]                        # the character of each position
-    first = np.cumsum(size) - size                # each character's first position
+    held = np.where(want, size, 0)
+    first = np.cumsum(held) - held                # each character's first position
     new = np.r_[True, (np.diff(w) > _GROUP_TOL * np.abs(w[1:])) | (np.diff(chars) != 0)]
     starts = np.flatnonzero(new)
     ends = np.r_[starts[1:], len(w)]

@@ -28,9 +28,9 @@ translation phases only.
 
 The oracle labels its states from eigenvalues alone, with one eigenvalue call
 per pair of conjugate character blocks, and forms a character block's
-eigenvectors only when one of them is read, once per conjugate pair, so
-``isingff ff`` expands two blocks, the bra's and the ket's, out of about
-twenty at N=10.
+eigenvectors only when one of them is read, once per conjugate pair.
+``isingff ff`` labels and expands two character blocks, the bra's and the
+ket's, out of twenty at N=10.
 """
 
 import cmath
@@ -143,6 +143,25 @@ def test_oracle_labels_without_eigenvectors(eigh_calls, eps_y, n):
         assert st.vector is st.vector
     # a partner block's eigenvectors are its lead's, conjugated
     assert eigh_calls == {"values": len(pairs), "vectors": len(pairs)}
+
+
+# ff labels only the bra's and the ket's characters: one eigenvalue call per
+# conjugate pair among the two, a partner's (m > N) on its lead's block
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("eps_y", [1, -1])
+def test_oracle_ff_labels_two_characters(capsys, eigh_calls, eps_y, n):
+    bra, ket = ((1, 2), (0, 5)) if eps_y == 1 else ((3,), (1, 2, 6))
+    c = Couplings.from_kx_ky(0.4, 0.7, n)
+    labels = {lab[:2]: lab[3:] for lab in oracle.predicted_fock_labels(c, eps_y)}
+    pairs = set()
+    for t, u in (labels["a", bra], labels["p", ket]):
+        m = round(-cmath.phase(t) * n / math.pi) % (2 * n)
+        pairs.add((min(m, -m % (2 * n)), u))
+    code = cli.main(["ff", "--kx", "0.4", "--ky", "0.7", "--n", str(n), "--site", "3",
+                     "--bra", ",".join(map(str, bra)), "--ket", ",".join(map(str, ket))])
+    capsys.readouterr()
+    assert code == 0
+    assert eigh_calls == {"values": len(pairs), "vectors": 2}
 
 
 def test_oracle_ff_expands_two_blocks(capsys, eigh_calls):

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -206,6 +207,45 @@ class TestLabeledSpectrum:
         spect = labeled_spectrum(build_operators(c, eps_y=-1))
         assert len(spect) == 1024
 
+    # the faulty cell above lies in neither block of this ff, whose own blocks
+    # label cleanly; a ket in a faulty block is still refused
+    def test_ff_in_clean_blocks_of_the_wide_spectrum(self, capsys):
+        argv = ["ff", "--kx", "0.2", "--ky", "1.2", "--n", "10", "--site", "5"]
+        assert cli.main(argv + ["--bra", "4", "--ket", "7"]) == cli.EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["oracle_agrees"] and results["oracle_residual"] <= 1e-12
+        assert cli.main(argv + ["--bra", "1", "--ket", "3"]) == cli.EXIT_DOMAIN
+        assert "matching labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kxy", BENCH_COUPLINGS, ids=str)
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_restriction_equals_full_spectrum(self, kxy, n, eps_y):
+        c = Couplings.from_kx_ky(*kxy, n)
+        ops = build_operators(c, eps_y=eps_y)
+        full = labeled_spectrum(ops)
+        labels = [lab[:2] for lab in predicted_fock_labels(c, eps_y)]
+        a_side, p_side = ([lab for lab in labels if lab[0] == sector] for sector in "ap")
+        rng = np.random.default_rng(n + 3 * eps_y)
+        for _ in range(3):
+            bra = a_side[rng.integers(len(a_side))]
+            ket = p_side[rng.integers(len(p_side))]
+            part = labeled_spectrum(ops, [bra, ket])
+            held = {(st.t_eigenvalue, st.charge) for st in full
+                    if (st.sector, st.indices) in (bra, ket)}
+            assert len(held) == 2
+            ref = [st for st in full if (st.t_eigenvalue, st.charge) in held]
+            assert [(st.sector, st.indices, st.eigenvalue, st.t_eigenvalue, st.charge)
+                    for st in part] == \
+                [(st.sector, st.indices, st.eigenvalue, st.t_eigenvalue, st.charge)
+                 for st in ref]
+            assert _partition(part) == _partition(ref)
+            spec = FormFactorSpec(int(rng.integers(n)), FockState(*bra), FockState(*ket))
+            assert oracle_ff_modulus(ops, part, spec) == oracle_ff_modulus(ops, full, spec)
+
+    def test_restriction_to_no_labeled_state_is_empty(self):
+        assert labeled_spectrum(OPS4, [("a", (0,)), ("p", (1,))]) == []   # odd, eps_y=+1
+
     @pytest.mark.parametrize("kxy", [(0.4, 0.7), (0.3, 0.9)], ids=str)
     @pytest.mark.parametrize("n", [8, 10])
     @pytest.mark.parametrize("eps_y", [1, -1])
@@ -233,6 +273,14 @@ class TestLabeledSpectrum:
         dense = np.trace(np.linalg.matrix_power(
             OPS4.v / np.linalg.eigvalsh(OPS4.v)[-1], m))
         assert abs(np.sum(w ** m) / dense - 1.0) < 1e-10
+
+
+def _partition(spectrum) -> set[frozenset]:
+    """The states of each block, as a set of label sets."""
+    blocks = {}
+    for st in spectrum:
+        blocks.setdefault(st.block, set()).add((st.sector, st.indices))
+    return {frozenset(b) for b in blocks.values()}
 
 
 def _momentum(t_eigenvalue: complex, n: int) -> int:
@@ -276,7 +324,8 @@ def _shift_label(labels):
 
 class TestLabelFailures:
     """Predicted labels that do not fit the spectrum raise AmbiguousLabelError,
-    and the CLI exits 3 on it."""
+    and the CLI exits 3 on it: on any label count that does not fit, and on
+    an energy that does not match in the bra's or the ket's own character."""
 
     @pytest.mark.parametrize("edit, kind", [(_drop_label, "predicted"),
                                             (_shift_label, "matching")],
@@ -295,6 +344,16 @@ class TestLabelFailures:
         with pytest.raises(AmbiguousLabelError, match=rf"has \d+ states but \d+ {kind} labels"):
             labeled_spectrum(build_operators(c, eps_y=eps_y))
         bra, ket = ("0,1", "") if eps_y == 1 else ("2", "1")
+        if kind == "matching":
+            # ff labels only the bra's and the ket's characters: a bra outside
+            # the tampered label's character passes, and that label's own
+            # state as the bra is refused
+            assert cli.main(["ff", "--kx", "0.4", "--ky", "0.7", "--n", "6", "--bra", bra,
+                             "--ket", ket]) == cli.EXIT_OK
+            capsys.readouterr()
+            sector, indices = predicted(c, eps_y)[5][:2]
+            assert sector == "a"
+            bra = ",".join(map(str, indices))
         code = cli.main(["ff", "--kx", "0.4", "--ky", "0.7", "--n", "6", "--bra", bra,
                          "--ket", ket])
         assert code == cli.EXIT_DOMAIN
