@@ -26,6 +26,7 @@ returns.  Singleton blocks reduce to plain matrix elements.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,30 +93,38 @@ class _CharacterBlock:
     """One character block of V and what expands H_chi's eigenvectors to the
     full space.  A lead holds the lower triangle of H_chi (all eigh reads);
     its conjugate partner holds the lead instead, since H_chi-bar = conj(H_chi)
-    has the conjugate eigenvectors.  The vectors are formed on first read."""
+    has the conjugate eigenvectors.  The lead's eigenvectors are computed on
+    the first read of a vector of either block, and each full-space vector on
+    its own first read, from its one column: ``ff`` reads one or two of a
+    block's ~52 states at N=10."""
 
     h: np.ndarray | None      # a lead's H_chi; None for a partner
     col: np.ndarray           # each basis state's column of H_chi
     amp: np.ndarray           # its amplitude <x|r_chi>, 0 outside the block
     lead: _CharacterBlock | None = None   # a partner's lead
+    formed: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:     # a lead's, as columns in eigenvalue order
         return eigh(self.h)[1]
 
-    @cached_property
-    def vectors(self) -> list[np.ndarray]:
-        """Row k: the full-space eigenvector of H_chi's k-th eigenvalue."""
-        q = self.eigenvectors if self.lead is None else self.lead.eigenvectors.conj()
-        vecs = q[self.col].T * self.amp
-        vecs.flags.writeable = False
-        return list(vecs)
+    def vector(self, row: int) -> np.ndarray:
+        """The full-space eigenvector of H_chi's row-th eigenvalue (read-only)."""
+        vec = self.formed.get(row)
+        if vec is None:
+            q = self.eigenvectors[:, row] if self.lead is None \
+                else self.lead.eigenvectors[:, row].conj()
+            vec = self.formed[row] = q[self.col] * self.amp
+            vec.flags.writeable = False
+        return vec
 
 
 @dataclass
 class LabeledEigenstate:
     """Eigenstate with its quantum numbers and matched Fock label; the
-    eigenvector is formed, with its whole character block, on first read."""
+    eigenvector is formed on first read, and kept: its block's eigenvectors
+    come from one eigh per conjugate pair, and only this state's column of
+    them is expanded to the full space."""
 
     sector: str
     indices: tuple[int, ...]
@@ -128,7 +137,7 @@ class LabeledEigenstate:
 
     @property
     def vector(self) -> np.ndarray:
-        return self._source.vectors[self._row]
+        return self._source.vector(self._row)
 
 
 def _spin_table(n: int) -> np.ndarray:
@@ -166,24 +175,53 @@ def build_operators(c: Couplings, eps_y: int = 1) -> SpinOperatorSet:
                            sl=list(spins.T.copy()), shift=shift, flip=flip)
 
 
-def predicted_fock_labels(c: Couplings, eps_y: int):
+@dataclass(eq=False)
+class FockLabels(Sequence):
+    """The surviving Fock labels of one tower, the antiperiodic sector's then
+    the periodic one's, each in :func:`fock_basis` order, with their
+    predicted V, T and U eigenvalues as arrays.  Label i reads as the tuple
+    (sector, indices, V, T, U)."""
+
+    states: tuple[tuple[int, ...], ...]
+    split: int              # the first periodic label
+    lam: np.ndarray         # predicted V eigenvalues
+    t: np.ndarray           # predicted T eigenvalues
+    charge: np.ndarray      # predicted U eigenvalues
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, i: int) -> tuple:
+        i = range(len(self))[i]
+        return ("a" if i < self.split else "p", self.states[i],
+                float(self.lam[i]), complex(self.t[i]), int(self.charge[i]))
+
+    def position(self, sector: str, indices) -> int | None:
+        """The index of the label (``sector``, ``indices``); None if there is none."""
+        lo, hi = {"a": (0, self.split), "p": (self.split, len(self))}.get(sector, (0, 0))
+        try:
+            return self.states.index(tuple(indices), lo, hi)
+        except ValueError:
+            return None
+
+
+def predicted_fock_labels(c: Couplings, eps_y: int) -> FockLabels:
     """All surviving Fock labels with predicted (V, T, U) values.
 
     For eps_y = +1 only even particle numbers survive in either sector; for
     eps_y = -1 only odd ones.  Charges: the two vacua carry +1 (antiperiodic)
-    and -1 (periodic), and every particle flips the sign.
+    and -1 (periodic), and every particle flips the sign, so each sector's
+    charge is one constant.  The arrays come straight from the two
+    :func:`fock_basis` objects; no per-label tuple is formed.
     """
     parity = 0 if eps_y == 1 else 1
     pref = (2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0)
-    labels = []
-    for sector, base_charge in (("a", 1), ("p", -1)):
-        basis = fock_basis(c, sector, parity)
-        lams = (pref * np.exp(basis.energies)).tolist()
-        t_vals = np.exp(-1j * basis.momenta).tolist()
-        charge = base_charge * (-1) ** parity
-        labels += [(sector, s, lam, t_val, charge)
-                   for s, lam, t_val in zip(basis.states, lams, t_vals)]
-    return labels
+    a, p = fock_basis(c, "a", parity), fock_basis(c, "p", parity)
+    charge = (-1) ** parity
+    return FockLabels(a.states + p.states, len(a),
+                      np.concatenate([pref * np.exp(a.energies), pref * np.exp(p.energies)]),
+                      np.concatenate([np.exp(-1j * a.momenta), np.exp(-1j * p.momenta)]),
+                      np.repeat([charge, -charge], [len(a), len(p)]))
 
 
 def _group_action(ops: SpinOperatorSet) -> np.ndarray:
@@ -247,16 +285,18 @@ def labeled_spectrum(ops: SpinOperatorSet,
     the same eigenvalues and the conjugate eigenvectors: only the lead
     (smaller index) of each conjugate pair is summed, in real arithmetic, and
     labelling makes one eigenvalues-only call per nonempty pair.  A block's
-    eigenvectors are computed, once per pair, and expanded back to the full
-    space, orthonormal, on the first read of one of its states'
-    :attr:`LabeledEigenstate.vector`.
+    eigenvectors are computed, once per pair, on the first read of one of
+    its states' :attr:`LabeledEigenstate.vector`, and each state's vector is
+    expanded back to the full space, orthonormal, on its own first read.
 
-    Each predicted label belongs to the character of its predicted (T, U)
-    values, and one sort orders the labels by (character, V), next to the
-    blocks' eigenvalues in energy order.  The eigenvalues are grouped by the
-    relative tolerance ``_GROUP_TOL * |lambda|``; every block must hold as
-    many labels as states, and every group exactly the labels of its block
-    within tolerance of its mean, otherwise an AmbiguousLabelError is raised.
+    The predicted V, T and U are read as arrays from
+    :func:`predicted_fock_labels`.  Each predicted label belongs to the
+    character of its predicted (T, U) values, and one sort orders the labels
+    by (character, V), next to the blocks' eigenvalues in energy order.  The
+    eigenvalues are grouped by the relative tolerance ``_GROUP_TOL *
+    |lambda|``; every block must hold as many labels as states, and every
+    group exactly the labels of its block within tolerance of its mean,
+    otherwise an AmbiguousLabelError is raised.
     Groups of more than one state are momentum-reversal doublets: their
     vectors share a block id and the label-to-vector assignment inside the
     block is not physically meaningful.
@@ -281,13 +321,12 @@ def labeled_spectrum(ops: SpinOperatorSet,
     t_of = np.exp(-1j * (math.pi * m / n)).tolist()
 
     labels = predicted_fock_labels(ops.couplings, ops.eps_y)
-    lam, t_lab, charge = (np.array(col) for col in list(zip(*labels))[2:])
     # the T eigenvalue exp(-i pi m / N) a label predicts gives its m, with a
     # margin of pi / 2N for rounding
-    m_lab = np.rint(np.angle(t_lab) * (-n / math.pi)).astype(int) % (2 * n)
+    m_lab = np.rint(np.angle(labels.t) * (-n / math.pi)).astype(int) % (2 * n)
     char_at = np.full((2 * n, 2), len(m))   # no character: a slot after the last
     char_at[m, (1 - u) // 2] = np.arange(len(m))
-    char_of = char_at[m_lab, (1 - charge) // 2]
+    char_of = char_at[m_lab, (1 - labels.charge) // 2]
     conj = char_at[-m % (2 * n), (1 - u) // 2]        # the character chi-bar of chi
     count = np.bincount(char_of, minlength=len(m) + 1)
     bad = np.flatnonzero(count != np.r_[size, 0])
@@ -301,15 +340,15 @@ def labeled_spectrum(ops: SpinOperatorSet,
     if states is None:
         want = size > 0
     else:
-        asked = {(sector, tuple(idx)) for sector, idx in states}
+        found = (labels.position(sector, idx) for sector, idx in states)
         want = np.zeros(len(m), dtype=bool)
-        want[char_of[[i for i, lab in enumerate(labels) if lab[:2] in asked]]] = True
+        want[char_of[[i for i in found if i is not None]]] = True
         if not want.any():
             return []
     need = want | want[conj]              # a wanted partner needs its lead's block
-    order = np.lexsort((lam, char_of))
+    order = np.lexsort((labels.lam, char_of))
     order = order[want[char_of[order]]]
-    lam = lam[order]
+    lam = labels.lam[order]
 
     # H_chi is summed only for the lead, the smaller index, of each conjugate pair
     lead = np.flatnonzero((conj >= np.arange(len(m))) & need)
@@ -361,9 +400,9 @@ def labeled_spectrum(ops: SpinOperatorSet,
     # inside a group the labels keep their predicted order
     order = order[np.lexsort((order, grp))]
     row = np.arange(len(w)) - first[chars]
-    lam_of, u_of = lam_grp.tolist(), u.tolist()
+    lam_of, u_of, split, fock = lam_grp.tolist(), u.tolist(), labels.split, labels.states
     # positional arguments: keywords take about three times as long
-    return [LabeledEigenstate(labels[i][0], labels[i][1], lam_of[g], t_of[k], u_of[k],
+    return [LabeledEigenstate("a" if i < split else "p", fock[i], lam_of[g], t_of[k], u_of[k],
                               g, blocks[k], j)
             for i, g, k, j in zip(order.tolist(), grp.tolist(), chars.tolist(), row.tolist())]
 
@@ -371,8 +410,9 @@ def labeled_spectrum(ops: SpinOperatorSet,
 def find_state(spectrum: list[LabeledEigenstate], sector: str,
                indices: tuple[int, ...]) -> LabeledEigenstate:
     """The labeled state (``sector``, ``indices``), by a scan of the list."""
+    indices = tuple(indices)
     for st in spectrum:
-        if st.sector == sector and st.indices == tuple(indices):
+        if st.sector == sector and st.indices == indices:
             return st
     raise DomainError(
         f"state ({sector}, {indices}) is not in the labeled spectrum; "

@@ -28,9 +28,11 @@ translation phases only.
 
 The oracle labels its states from eigenvalues alone, with one eigenvalue call
 per pair of conjugate character blocks, and forms a character block's
-eigenvectors only when one of them is read, once per conjugate pair.
-``isingff ff`` labels and expands two character blocks, the bra's and the
-ket's, out of twenty at N=10.
+eigenvectors only when one of them is read, once per conjugate pair; each
+state's full-space vector is formed on its first read, once.
+``isingff ff`` labels and diagonalizes two character blocks, the bra's and
+the ket's, out of twenty at N=10, and forms only the vectors of the bra's and
+the ket's degenerate blocks.
 """
 
 import cmath
@@ -127,6 +129,11 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+def _blocks(spect) -> list:
+    """The distinct character blocks behind the states of ``spect``."""
+    return list({id(st._source): st._source for st in spect}.values())
+
+
 # the odd tower's group is cyclic of order 2N, so its character table differs
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("eps_y", [1, -1])
@@ -143,6 +150,8 @@ def test_oracle_labels_without_eigenvectors(eigh_calls, eps_y, n):
         assert st.vector is st.vector
     # a partner block's eigenvectors are its lead's, conjugated
     assert eigh_calls == {"values": len(pairs), "vectors": len(pairs)}
+    # each state's vector is formed on its first read, once
+    assert sum(len(block.formed) for block in _blocks(spect)) == len(spect)
 
 
 # ff labels only the bra's and the ket's characters: one eigenvalue call per
@@ -164,12 +173,30 @@ def test_oracle_ff_labels_two_characters(capsys, eigh_calls, eps_y, n):
     assert eigh_calls == {"values": len(pairs), "vectors": 2}
 
 
-def test_oracle_ff_expands_two_blocks(capsys, eigh_calls):
-    code = cli.main(["ff", "--kx", "0.4", "--ky", "0.7", "--n", "8", "--site", "3",
-                     "--bra", "1,2", "--ket", "0,5"])
+# ff diagonalizes the bra's and the ket's characters and forms the vectors of
+# their degenerate blocks alone; a bra in a momentum-reversal doublet has two
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("eps_y", [1, -1])
+def test_oracle_ff_forms_the_vectors_of_two_blocks(monkeypatch, capsys, eigh_calls, eps_y, n):
+    bra = {(8, 1): (1, 2), (10, 1): (1, 3), (8, -1): (1, 2, 4), (10, -1): (1, 3, 5)}[n, eps_y]
+    ket = (0, 5) if eps_y == 1 else (1, 2, 6)
+    spectra = []
+
+    def keeping(*args):
+        spectra.append(oracle.labeled_spectrum(*args))
+        return spectra[-1]
+
+    monkeypatch.setattr(cli, "labeled_spectrum", keeping)
+    code = cli.main(["ff", "--kx", "0.4", "--ky", "0.7", "--n", str(n), "--site", "3",
+                     "--bra", ",".join(map(str, bra)), "--ket", ",".join(map(str, ket))])
     capsys.readouterr()
     assert code == 0
     assert eigh_calls["vectors"] == 2
+    (spect,) = spectra
+    ids = [oracle.find_state(spect, sector, idx).block for sector, idx in (("a", bra), ("p", ket))]
+    held = [sum(st.block == b for st in spect) for b in ids]
+    assert held[0] == 2 and held[1] in (1, 2)
+    assert sum(len(block.formed) for block in _blocks(spect)) == sum(held)
 
 
 # a bra in a momentum-reversal doublet, and a singleton pair

@@ -123,6 +123,18 @@ class TestFF:
         assert code == 0
         assert json.loads(out)["results"]["oracle_agrees"] is True
 
+    # a known fault, which passes loudly once mended (ROADMAP item 12): the
+    # gate is relative to the block norm, and this form factor is so small
+    # that the dense oracle's absolute rounding fails it, with
+    # oracle_residual 2.03e-8 on |F| = 2.55e-8, while labels and routes agree
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="oracle_residual 2.03e-8 on a form factor of 2.55e-8")
+    def test_tiny_form_factor_in_a_wide_spectrum(self, capsys):
+        code, out = run(capsys, "ff", "--kx", "0.2", "--ky", "1.2", "--n", "10",
+                        "--site", "6", "--bra", "0,9", "--ket", "2,5,6,7")
+        assert json.loads(out)["results"]["routes_agree"] is True
+        assert code == 0
+
     def test_invalid_momentum_list(self, capsys):
         code, _ = run(capsys, "ff", "--kx", "0.4", "--ky", "0.7", "--n", "4",
                       "--bra", "0,zebra", "--ket", "")

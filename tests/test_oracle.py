@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import json
 import math
@@ -261,11 +262,14 @@ class TestLabeledSpectrum:
             if m <= n:         # a lead: the smaller index of its conjugate pair
                 assert block.lead is None
                 assert block.h.tobytes() == ref[(m, u)].tobytes()
+                q = np.linalg.eigh(ref[(m, u)])[1]
             else:              # a partner: its lead's eigenvectors, conjugated
                 assert block.h is None and block.lead is blocks[(2 * n - m, u)]
                 q = np.linalg.eigh(ref[(2 * n - m, u)])[1].conj()
-                expanded = q[block.col].T * block.amp
-                assert np.array(block.vectors).tobytes() == expanded.tobytes()
+            # each row, formed alone, has the bits of the whole-block expansion
+            expanded = q[block.col].T * block.amp
+            rows = np.array([block.vector(row) for row in range(len(expanded))])
+            assert rows.tobytes() == expanded.tobytes()
 
     def test_trace_power_spectral_vs_dense(self):
         m = 6
@@ -314,12 +318,15 @@ def _complex_sum_blocks(ops) -> dict[tuple[int, int], np.ndarray]:
 
 
 def _drop_label(labels):
-    del labels[5]
+    keep = np.arange(len(labels)) != 5
+    return oracle.FockLabels(labels.states[:5] + labels.states[6:], labels.split - 1,
+                             labels.lam[keep], labels.t[keep], labels.charge[keep])
 
 
 def _shift_label(labels):
-    sector, indices, lam, t_val, charge = labels[5]
-    labels[5] = (sector, indices, lam * (1 + 1e-6), t_val, charge)
+    lam = labels.lam.copy()
+    lam[5] *= 1 + 1e-6
+    return dataclasses.replace(labels, lam=lam)
 
 
 class TestLabelFailures:
@@ -335,9 +342,7 @@ class TestLabelFailures:
         predicted = oracle.predicted_fock_labels
 
         def tampered(c, eps_y):
-            labels = predicted(c, eps_y)
-            edit(labels)
-            return labels
+            return edit(predicted(c, eps_y))
 
         monkeypatch.setattr(oracle, "predicted_fock_labels", tampered)
         c = Couplings.from_kx_ky(0.4, 0.7, 6)
