@@ -50,6 +50,8 @@ def _square_stack(m) -> np.ndarray:
 def _check_skew(m) -> np.ndarray:
     """``m`` as a complex (S, k, k) stack, each matrix checked antisymmetric."""
     m = _square_stack(m)
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has a non-finite entry")
     asym = _largest_entries(m + np.swapaxes(m, 1, 2))
     bad = asym > _SKEW_TOL * np.maximum(1.0, _largest_entries(m))
     if np.any(bad):
@@ -58,6 +60,7 @@ def _check_skew(m) -> np.ndarray:
     return m
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")   # checked at the end
 def pfaffian(m: np.ndarray):
     """Pfaffian of a complex antisymmetric matrix, Pf(m)^2 = det(m).
 
@@ -67,7 +70,9 @@ def pfaffian(m: np.ndarray):
     once and keeps its own pivoting, sign and checks.  Odd k gives 0; k = 0
     gives 1.  Antisymmetry is checked on entry, per matrix (absolute
     tolerance 1e-13 relative to its largest entry).  A matrix whose pivot
-    falls below 1e-13 x max(1, largest remaining entry) gives exactly 0.
+    falls below 1e-13 x max(1, largest remaining entry) gives exactly 0.  A
+    non-finite entry, or a pfaffian that overflows or whose kept pivots
+    multiply to 0, raises DomainError, naming log10|Pf|.
     """
     a = _check_skew(m).copy()
     stack, n = a.shape[:2]
@@ -85,6 +90,7 @@ def pfaffian(m: np.ndarray):
         dead = np.abs(a[:, k + 1, k]) <= floor
         if np.any(dead):
             # a dropped matrix is zeroed, so its later steps divide by 1
+            dead &= np.isfinite(floor)    # an infinite floor is an overflow, not a small pivot
             alive &= ~dead
             a[dead] = 0.0
         pf = _textbook_product(pf, a[:, k, k + 1])
@@ -94,6 +100,12 @@ def pfaffian(m: np.ndarray):
             col = a[:, k + 2:, k + 1]
             a[:, k + 2:, k + 2:] += tau[:, :, None] * col[:, None, :]
             a[:, k + 2:, k + 2:] -= col[:, :, None] * tau[:, None, :]
+    # an even matrix kept to the end has nonzero pivots, so a 0 is underflow
+    if n % 2 == 0 and not (np.isfinite(pf).all() and pf.all()):
+        lost = alive & ~(np.isfinite(pf) & (pf != 0))
+        if lost.any():
+            scale = np.sum(np.log10(np.abs(np.diagonal(a[np.argmax(lost)], 1)[::2])))
+            raise DomainError(f"pfaffian outside double range: log10|Pf| = {scale:.1f}")
     pf[~alive] = 0.0
     return complex(pf[0]) if np.ndim(m) == 2 else pf
 

@@ -9,7 +9,11 @@ representatives.  V is diagonalized block by block, once per pair of
 conjugate characters, whose blocks are complex conjugates of each other, and
 all eigenvalues together are grouped by a tolerance relative to the
 eigenvalue and matched in energy order against the predicted labels, sorted
-once by (character, V).  Everything here is independent of the closed-form
+once by (character, V).  What no coupling enters (spins, index maps,
+orbits, characters, block maps, spin distances: :class:`_Geometry`) is built
+once per (N, eps_y) and shared read-only; V_y^{1/2}, V_x's N + 1 entries,
+the labels, block sums, eigenvalues and matching are per coupling.
+Everything here is independent of the closed-form
 modules except for the shared dispersion gamma_theta, so it serves as
 ground truth for matrix elements and correlations at small N.
 
@@ -28,14 +32,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.linalg import eigh, eigvalsh
 
 from .exceptions import AmbiguousLabelError, DomainError, ResourceError
 from .formfactors import FormFactorSpec, fock_basis
-from .spectral import Couplings
+from .spectral import Couplings, _read_only
 
 _MAX_DENSE_N = 12
 _TRACE_MAX_N, _TRACE_MAX_M = 10, 64  # widths and heights the dense trace ratio takes
@@ -62,14 +66,9 @@ class SpinOperatorSet:
         return len(self.flip)
 
     def v_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """V[rows, cols] over broadcast basis-index arrays.  V_x is the product
-        over sites of ch + sh sigma^x_j (Kaufman 1949), so its entry between
-        basis states that differ on d spins is ch^(N-d) sh^d."""
-        c, d = self.couplings, np.arange(self.couplings.n + 1)
-        table = (2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0) \
-            * math.cosh(c.kx_star) ** (c.n - d) * math.sinh(c.kx_star) ** d
-        bits = np.count_nonzero(np.array(self.sl) < 0.0, axis=0)   # down spins
-        return self.vy_half[rows] * table[bits[rows ^ cols]] * self.vy_half[cols]
+        """V[rows, cols] over broadcast basis-index arrays."""
+        table = _vx_table(self.couplings)[_geometry(self.couplings.n, self.eps_y).down]
+        return self.vy_half[rows] * table[rows ^ cols] * self.vy_half[cols]
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -140,11 +139,64 @@ class LabeledEigenstate:
         return self._source.vector(self._row)
 
 
-def _spin_table(n: int) -> np.ndarray:
-    """spins[i, j] = sigma_j of basis state i (site 0 on the most significant bit)."""
-    idx = np.arange(1 << n)
-    bits = (idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    return 1.0 - 2.0 * bits
+def _vx_table(c: Couplings) -> np.ndarray:
+    """(2 sinh 2kx)^{N/2} ch^(N-d) sh^d for d = 0..N: V_x, the product over sites of
+    ch + sh sigma^x_j (Kaufman 1949), between basis states that differ on d spins."""
+    d = np.arange(c.n + 1)
+    return (2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0) \
+        * math.cosh(c.kx_star) ** (c.n - d) * math.sinh(c.kx_star) ** d
+
+
+class _Geometry:
+    """The read-only geometry of the width-N chain with boundary sign eps_y;
+    the :attr:`symmetry` that labelling reads is built on first read."""
+
+    def __init__(self, n: int, eps_y: int):
+        self.eps_y, idx, every = eps_y, np.arange(1 << n), (1 << n) - 1   # every spin's bit
+        # sl[j, i] = sigma_j of basis state i (site 0 on the most significant bit)
+        self.sl = 1.0 - 2.0 * ((idx[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1)
+        self.down = np.count_nonzero(self.sl < 0.0, axis=0).astype(np.uint8)
+        self.bond = sum(self.sl[j] * self.sl[(j + 1) % n] * (eps_y if j == n - 1 else 1)
+                        for j in range(n))
+        self.flip = idx ^ every
+        self.shift = ((idx << 1) & every) | (((idx >> (n - 1)) & 1) ^ (eps_y == -1))
+        _read_only(self.sl, self.down, self.bond, self.flip, self.shift)
+
+    @cached_property
+    def symmetry(self) -> _Symmetry:
+        return _Symmetry(self)
+
+
+class _Symmetry:
+    """A :class:`_Geometry`'s symmetry.  V_y^{1/2} is G-invariant (the bond sums
+    are exact integers), so V[r, g s] = vy_half[r] table[dist] vy_half[s]."""
+
+    def __init__(self, chain: _Geometry):
+        n, act = len(chain.sl), _group_action(chain)
+        to_rep = act.argmin(axis=0)       # a g taking x to its orbit's smallest index
+        self.reps, orbit = np.unique(act.min(axis=0), return_inverse=True)
+        stab = act[:, self.reps] == self.reps      # (|G|, R): g fixes representative r
+        stab_size = stab.sum(axis=0)
+        self.m, self.u, self.chi = _characters(n, chain.eps_y)
+        self.keep = np.abs(self.chi @ stab - stab_size) < 0.5   # chi trivial on Stab_r
+        self.size = self.keep.sum(axis=1)
+        self.t_of = tuple(np.exp(-1j * (math.pi * self.m / n)).tolist())
+        self.char_at = np.full((2 * n, 2), len(self.m))   # no character: a slot after the last
+        self.char_at[self.m, (1 - self.u) // 2] = np.arange(len(self.m))
+        self.conj = self.char_at[-self.m % (2 * n), (1 - self.u) // 2]   # chi-bar of chi
+        # each x's column of H_chi; <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for g|x> = |r>
+        self.col = np.cumsum(self.keep, axis=1)[:, orbit] - 1
+        scale = np.sqrt(stab_size[orbit] / len(act))
+        self.amp = np.where(self.keep[:, orbit], self.chi[:, to_rep] * scale, 0)
+        self.r, self.s = np.tril_indices(len(self.reps))
+        self.norm = np.sqrt(stab_size[self.r] * stab_size[self.s])
+        self.dist = chain.down[self.reps[self.r] ^ act[:, self.reps[self.s]]]
+        _read_only(*(v for v in vars(self).values() if isinstance(v, np.ndarray)))
+
+
+@lru_cache(maxsize=None)          # at most 2 x 12 keys: N <= 12, eps_y = +-1
+def _geometry(n: int, eps_y: int) -> _Geometry:
+    return _Geometry(n, eps_y)
 
 
 def build_operators(c: Couplings, eps_y: int = 1) -> SpinOperatorSet:
@@ -157,22 +209,11 @@ def build_operators(c: Couplings, eps_y: int = 1) -> SpinOperatorSet:
     """
     if eps_y not in (1, -1):
         raise DomainError("eps_y must be +1 or -1")
-    n = c.n
-    if n > _MAX_DENSE_N:
-        raise ResourceError(f"dense oracle limited to N <= {_MAX_DENSE_N}, got {n}")
-    dim = 1 << n
-    spins = _spin_table(n)
-
-    bond = sum(spins[:, j] * spins[:, (j + 1) % n] * (eps_y if j == n - 1 else 1)
-               for j in range(n))
-    vy_half = np.exp(0.5 * c.ky * bond)
-
-    idx = np.arange(dim)
-    flip = idx ^ (dim - 1)
-    msb = ((idx >> (n - 1)) & 1) ^ (eps_y == -1)
-    shift = ((idx << 1) & (dim - 1)) | msb
-    return SpinOperatorSet(couplings=c, eps_y=eps_y, vy_half=vy_half,
-                           sl=list(spins.T.copy()), shift=shift, flip=flip)
+    if c.n > _MAX_DENSE_N:
+        raise ResourceError(f"dense oracle limited to N <= {_MAX_DENSE_N}, got {c.n}")
+    g = _geometry(c.n, eps_y)
+    return SpinOperatorSet(couplings=c, eps_y=eps_y, vy_half=np.exp(0.5 * c.ky * g.bond),
+                           sl=list(g.sl), shift=g.shift, flip=g.flip)
 
 
 @dataclass(eq=False)
@@ -224,19 +265,20 @@ def predicted_fock_labels(c: Couplings, eps_y: int) -> FockLabels:
                       np.repeat([charge, -charge], [len(a), len(p)]))
 
 
-def _group_action(ops: SpinOperatorSet) -> np.ndarray:
-    """act[j + N*s, x]: the basis index of T^j U^s |x>, for j < N and s in (0, 1).
+def _group_action(chain) -> np.ndarray:
+    """act[j + N*s, x]: the basis index of T^j U^s |x>, for j < N and s in (0, 1),
+    from the spin diagonals ``sl`` and index maps ``shift`` and ``flip`` of ``chain``.
 
     T and U commute and generate an abelian group G of order 2N (T^N = 1 for
     eps_y = +1, T^N = U for eps_y = -1), so the 2N rows are all of G.
     """
-    n = ops.couplings.n
-    step = np.argsort(ops.shift)          # T|x> = |step[x]>
-    act = np.empty((2 * n, ops.dim), dtype=np.intp)
-    act[0] = np.arange(ops.dim)
+    n, dim = len(chain.sl), len(chain.flip)
+    step = np.argsort(chain.shift)        # T|x> = |step[x]>
+    act = np.empty((2 * n, dim), dtype=np.intp)
+    act[0] = np.arange(dim)
     for j in range(1, n):
         act[j] = step[act[j - 1]]
-    act[n:] = act[:n, ops.flip]
+    act[n:] = act[:n, chain.flip]
     return act
 
 
@@ -309,25 +351,14 @@ def labeled_spectrum(ops: SpinOperatorSet,
     ids are numbered within the returned list.  The label count per
     character is still checked for every character.
     """
-    n = ops.couplings.n
-    act = _group_action(ops)
-    to_rep = act.argmin(axis=0)           # an element g taking x to its orbit's smallest index
-    reps, orbit = np.unique(act.min(axis=0), return_inverse=True)
-    stab = act[:, reps] == reps           # (|G|, R): g fixes representative r
-    stab_size = stab.sum(axis=0)
-    m, u, chi = _characters(n, ops.eps_y)
-    keep = np.abs(chi @ stab - stab_size) < 0.5         # chi trivial on Stab_r
-    size = keep.sum(axis=1)
-    t_of = np.exp(-1j * (math.pi * m / n)).tolist()
+    n, sym = ops.couplings.n, _geometry(ops.couplings.n, ops.eps_y).symmetry
+    m, u, size, conj, t_of = sym.m, sym.u, sym.size, sym.conj, sym.t_of
 
     labels = predicted_fock_labels(ops.couplings, ops.eps_y)
     # the T eigenvalue exp(-i pi m / N) a label predicts gives its m, with a
     # margin of pi / 2N for rounding
     m_lab = np.rint(np.angle(labels.t) * (-n / math.pi)).astype(int) % (2 * n)
-    char_at = np.full((2 * n, 2), len(m))   # no character: a slot after the last
-    char_at[m, (1 - u) // 2] = np.arange(len(m))
-    char_of = char_at[m_lab, (1 - labels.charge) // 2]
-    conj = char_at[-m % (2 * n), (1 - u) // 2]        # the character chi-bar of chi
+    char_of = sym.char_at[m_lab, (1 - labels.charge) // 2]
     count = np.bincount(char_of, minlength=len(m) + 1)
     bad = np.flatnonzero(count != np.r_[size, 0])
     if bad.size:
@@ -352,24 +383,21 @@ def labeled_spectrum(ops: SpinOperatorSet,
 
     # H_chi is summed only for the lead, the smaller index, of each conjugate pair
     lead = np.flatnonzero((conj >= np.arange(len(m))) & need)
-    r, s = np.tril_indices(len(reps))
+    vy = ops.vy_half[sym.reps]
     h_low = dict(zip(lead.tolist(), _lower_triangles(
-        ops.v_entries(reps[r], act[:, reps[s]]),                         # V[r, g s]
-        chi[lead], np.sqrt(stab_size[r] * stab_size[s]))))
-    scale = np.sqrt(stab_size[orbit] / len(act))
+        vy[sym.r] * np.take(_vx_table(ops.couplings), sym.dist) * vy[sym.s],   # V[r, g s]
+        sym.chi[lead], sym.norm)))
     blocks, vals = {}, {}
     for k in np.flatnonzero(need).tolist():
-        col = np.cumsum(keep[k])[orbit] - 1
-        # <x|r_chi> = chi(g) sqrt(|Stab_r| / |G|) for the g with g|x> = |r>
-        amp = np.where(keep[k, orbit], chi[k, to_rep] * scale, 0)
         if conj[k] < k:               # a partner: its lead came first
-            blocks[k] = _CharacterBlock(None, col, amp, blocks[conj[k]])
+            blocks[k] = _CharacterBlock(None, sym.col[k], sym.amp[k], blocks[conj[k]])
             vals[k] = vals[conj[k]]
             continue
-        inside = keep[k, r] & keep[k, s]     # each lead's block, read off h_low
+        at = sym.col[k, sym.reps]                            # each representative's row
+        inside = sym.keep[k, sym.r] & sym.keep[k, sym.s]     # each lead's block, read off h_low
         h = np.zeros((size[k], size[k]), dtype=complex)
-        h[col[reps[r[inside]]], col[reps[s[inside]]]] = h_low[k][inside]
-        blocks[k] = _CharacterBlock(h, col, amp)
+        h[at[sym.r[inside]], at[sym.s[inside]]] = h_low[k][inside]
+        blocks[k] = _CharacterBlock(h, sym.col[k], sym.amp[k])
         vals[k] = eigvalsh(h)
     w = np.concatenate([vals[k] for k in np.flatnonzero(want).tolist()])
 

@@ -32,7 +32,8 @@ eigenvectors only when one of them is read, once per conjugate pair; each
 state's full-space vector is formed on its first read, once.
 ``isingff ff`` labels and diagonalizes two character blocks, the bra's and
 the ket's, out of twenty at N=10, and forms only the vectors of the bra's and
-the ket's degenerate blocks.
+the ket's degenerate blocks.  The oracle's coupling-free geometry is built
+once per (N, eps_y) and read by every later coupling.
 """
 
 import cmath
@@ -197,6 +198,21 @@ def test_oracle_ff_forms_the_vectors_of_two_blocks(monkeypatch, capsys, eigh_cal
     held = [sum(st.block == b for st in spect) for b in ids]
     assert held[0] == 2 and held[1] in (1, 2)
     assert sum(len(block.formed) for block in _blocks(spect)) == sum(held)
+
+
+# the oracle's geometry (group action, character blocks, spin distances)
+# depends on (N, eps_y) alone: ff builds it on its first call and every
+# later coupling reads it
+def test_oracle_ff_builds_the_geometry_once_per_width_and_sign(capsys):
+    oracle._geometry.cache_clear()
+    for n in (8, 10):
+        for kx, ky in ((0.4, 0.7), (0.5, 0.5), (0.3, 0.9)):
+            for bra, ket in (("1", "0,2,3"), ("0,3", "1,4")):
+                code = cli.main(["ff", "--kx", str(kx), "--ky", str(ky), "--n", str(n),
+                                 "--site", "3", "--bra", bra, "--ket", ket])
+                assert code == 0
+    capsys.readouterr()
+    assert oracle._geometry.cache_info().misses == 4      # (8, +1), (8, -1), (10, +1), (10, -1)
 
 
 # a bra in a momentum-reversal doublet, and a singleton pair

@@ -59,6 +59,32 @@ class TestPfaffian:
         m = np.outer(v, w) - np.outer(w, v)
         assert pfaffian(m) == 0.0
 
+    # past double range the pfaffian raises, naming log10|Pf|, with no
+    # RuntimeWarning (which the test configuration turns into an error)
+    def test_overflow_raises(self):
+        m = random_skew(512, np.random.default_rng(0))
+        with pytest.raises(DomainError, match=r"log10\|Pf\| = 3\d\d\."):
+            pfaffian(m)
+        # Pf = 1e616: the elimination overflows an entry, which is no
+        # pivot below the floor
+        with pytest.raises(DomainError, match=r"log10\|Pf\| = 616\.0"):
+            pfaffian(1e308 * np.triu(np.ones((4, 4)), 1) - 1e308 * np.tril(np.ones((4, 4)), -1))
+
+    def test_underflow_raises_instead_of_zero(self):
+        # every pivot is far above the floor, but their product is below 1e-323
+        m = 1e-5 * random_skew(200, np.random.default_rng(0))
+        with pytest.raises(DomainError, match=r"log10\|Pf\| = -3\d\d\."):
+            pfaffian(m)
+        with pytest.raises(DomainError):
+            pfaffian(np.stack([random_skew(200, np.random.default_rng(1)), m]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_rejected(self, bad):
+        m = random_skew(4, np.random.default_rng(2))
+        m[2, 0] = bad      # below the diagonal, which elimination never reads
+        with pytest.raises(DomainError, match="non-finite"):
+            pfaffian(m)
+
 
 def scalar_pfaffian(m):
     """The one-matrix Parlett-Reid pfaffian that the stacked one replaced,

@@ -365,6 +365,46 @@ class TestLabelFailures:
         assert f"{kind} labels" in capsys.readouterr().err
 
 
+def _fingerprint(spectrum) -> list[tuple]:
+    """Every state's label, eigenvalue bits, quantum numbers, block id and
+    vector bytes, then the bytes of every lead block's H_chi."""
+    states = [(st.sector, st.indices, st.eigenvalue.hex(), st.t_eigenvalue, st.charge,
+               st.block, st.vector.tobytes()) for st in spectrum]
+    sources = {id(st._source): st._source for st in spectrum}.values()
+    return states + [b.h.tobytes() for b in sources if b.h is not None]
+
+
+class TestGeometryCache:
+    """The coupling-free geometry of a width and boundary sign is built once
+    and shared: labelling with it kept from another coupling gives the same
+    bits as with it new, and none of its arrays can be written."""
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_kept_geometry_labels_bit_for_bit(self, eps_y, n):
+        def label(kx, ky):
+            return _fingerprint(labeled_spectrum(
+                build_operators(Couplings.from_kx_ky(kx, ky, n), eps_y)))
+
+        label(0.4, 0.7)
+        kept = label(0.5, 0.5)
+        oracle._geometry.cache_clear()
+        assert label(0.5, 0.5) == kept
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_shared_arrays_are_read_only(self, eps_y, n):
+        ops = build_operators(Couplings.from_kx_ky(0.4, 0.7, n), eps_y)
+        st = labeled_spectrum(ops)[0]
+        geometry = oracle._geometry(n, eps_y)
+        arrays = [v for part in (geometry, geometry.symmetry) for v in vars(part).values()
+                  if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 18
+        for array in arrays + [*ops.sl, ops.shift, ops.flip, st._source.col, st._source.amp]:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+
 class TestOracleMatrixElements:
     def test_width_one_vacuum_element(self):
         c = Couplings.from_kx_ky(0.4, 0.7, 1)
