@@ -210,7 +210,10 @@ def assemble_r_matrix(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.ndar
     dinv, bdinv, dinvc = _two_particle_entries(c, stack.site, ia[:, :, None],
                                                ia[:, None, :], ip[:, :, None],
                                                ip[:, None, :])
-    r = np.block([[dinvc, dinv], [-np.swapaxes(dinv, 1, 2), bdinv]])
+    m = ia.shape[1]
+    r = np.empty((len(ia), m + ip.shape[1], m + ip.shape[1]), dtype=complex)
+    r[:, :m, :m], r[:, :m, m:], r[:, m:, m:] = dinvc, dinv, bdinv
+    r[:, m:, :m] = -np.swapaxes(dinv, 1, 2)
     return _unstack(spec, r)
 
 

@@ -2,14 +2,18 @@
 
 The pfaffian is computed by skew-symmetric tridiagonalization (Parlett-Reid
 style Gauss transforms) with partial pivoting, on one matrix or on a stack of
-them at once.  Row/column swaps are counted exactly because the sign of the
-pfaffian carries physics downstream.  Determinants, log determinants and
-inverses, which only the verification suites and the tests read as dense
-references, are numpy's LAPACK (``det``, ``slogdet``, ``inv``) on the same
-stacks.
+them at once; both do the same arithmetic in the same order, so a matrix
+gives the same bits alone as in any stack.  Row/column swaps are counted
+exactly because the sign of the pfaffian carries physics downstream.
+Determinants, log determinants and inverses, which only the verification
+suites and the tests read as dense references, are numpy's LAPACK (``det``,
+``slogdet``, ``inv``) on the same stacks.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -22,7 +26,7 @@ _RCOND_TOL = 1e-13  # smallest 1/cond that det_and_inverse accepts
 
 def _largest_entries(m: np.ndarray) -> np.ndarray:
     """max |m| over the last two axes, and 0 for empty matrices."""
-    return np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
 def _textbook_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -60,32 +64,45 @@ def _check_skew(m) -> np.ndarray:
     return m
 
 
+def _overflow(a: np.ndarray) -> DomainError:
+    """The range error of an elimination ended in ``a`` (one matrix), scaled
+    from the pivots left on its superdiagonal."""
+    scale = np.sum(np.log10(np.abs(np.diagonal(a, 1)[::2])))
+    return DomainError(f"pfaffian outside double range: log10|Pf| = {scale:.1f}")
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # checked at the end
 def pfaffian(m: np.ndarray):
     """Pfaffian of a complex antisymmetric matrix, Pf(m)^2 = det(m).
 
     ``m`` is one k x k matrix, giving a Python complex, or an (S, k, k)
-    stack, giving an array of S pfaffians; a single matrix is the stack of
-    one.  Every matrix of a stack runs through the same elimination steps at
-    once and keeps its own pivoting, sign and checks.  Odd k gives 0; k = 0
-    gives 1.  Antisymmetry is checked on entry, per matrix (absolute
-    tolerance 1e-13 relative to its largest entry).  A matrix whose pivot
-    falls below 1e-13 x max(1, largest remaining entry) gives exactly 0.  A
-    non-finite entry, or a pfaffian that overflows or whose kept pivots
-    multiply to 0, raises DomainError, naming log10|Pf|.
+    stack, giving an array of S pfaffians.  One matrix, or a stack of one,
+    runs a one-matrix elimination; a larger stack runs every matrix through
+    the same elimination steps at once, each keeping its own pivoting, sign
+    and checks.  Both do the same arithmetic in the same order, so a matrix
+    gives the same bits alone and in any stack.  Odd k gives 0; k = 0 gives
+    1.  Antisymmetry is checked on entry, per matrix (absolute tolerance
+    1e-13 relative to its largest entry).  A matrix whose pivot falls below
+    1e-13 x max(1, largest remaining entry) gives exactly 0.  A non-finite
+    entry, or a pfaffian that overflows or whose kept pivots multiply to 0,
+    raises DomainError, naming log10|Pf|.
     """
     a = _check_skew(m).copy()
+    if len(a) == 1:
+        pf = _pfaffian_one(a[0])
+        return pf if np.ndim(m) == 2 else np.array([pf])
     stack, n = a.shape[:2]
     pf = np.full(stack, 1.0 + 0.0j if n % 2 == 0 else 0.0j)
     alive = np.ones(stack, dtype=bool)
     s = np.arange(stack)
     for k in range(0, n - 1, 2) if n % 2 == 0 else ():
-        # pivot the largest remaining entry of column k into position (k+1, k)
-        kp = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
-        swap = kp != k + 1
-        a[s, k + 1, k:], a[s, kp, k:] = a[s, kp, k:], a[s, k + 1, k:]
-        a[s, k:, k + 1], a[s, k:, kp] = a[s, k:, kp], a[s, k:, k + 1]
-        pf[swap] = -pf[swap]
+        if k + 2 < n:    # the last step has one candidate row
+            # pivot the largest remaining entry of column k into position (k+1, k)
+            kp = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
+            swap = kp != k + 1
+            a[s, k + 1, k:], a[s, kp, k:] = a[s, kp, k:], a[s, k + 1, k:]
+            a[s, k:, k + 1], a[s, k:, kp] = a[s, k:, kp], a[s, k:, k + 1]
+            pf[swap] = -pf[swap]
         floor = _PIVOT_TOL * np.maximum(1.0, _largest_entries(a[:, k:, k:]))
         dead = np.abs(a[:, k + 1, k]) <= floor
         if np.any(dead):
@@ -104,10 +121,44 @@ def pfaffian(m: np.ndarray):
     if n % 2 == 0 and not (np.isfinite(pf).all() and pf.all()):
         lost = alive & ~(np.isfinite(pf) & (pf != 0))
         if lost.any():
-            scale = np.sum(np.log10(np.abs(np.diagonal(a[np.argmax(lost)], 1)[::2])))
-            raise DomainError(f"pfaffian outside double range: log10|Pf| = {scale:.1f}")
+            raise _overflow(a[np.argmax(lost)])
     pf[~alive] = 0.0
-    return complex(pf[0]) if np.ndim(m) == 2 else pf
+    return pf
+
+
+def _pfaffian_one(a: np.ndarray) -> complex:
+    """The stacked elimination of :func:`pfaffian` on one checked matrix,
+    eliminated in place: 2-D basic slices, and the sign, pivot, floor and
+    product as Python scalars.  CPython's complex product is the textbook
+    product of :func:`_textbook_product`, so the bits are those of a stack."""
+    n = len(a)
+    if n % 2:
+        return 0j
+    pf = 1.0 + 0.0j
+    for k in range(0, n - 1, 2):
+        if k + 2 < n:
+            kp = k + 1 + int(np.abs(a[k + 1:, k]).argmax())
+            if kp != k + 1:    # swap rows, then columns, k+1 and kp
+                row = a[k + 1, k:].copy()
+                a[k + 1, k:], a[kp, k:] = a[kp, k:], row
+                column = a[k:, k + 1].copy()
+                a[k:, k + 1], a[k:, kp] = a[k:, kp], column
+                pf = -pf
+        # max(big, 1.0), not max(1.0, big): a NaN entry keeps the floor NaN
+        floor = _PIVOT_TOL * max(float(np.abs(a[k:, k:]).max()), 1.0)
+        pivot = complex(a[k, k + 1])
+        if abs(a[k + 1, k]) <= floor and math.isfinite(floor):
+            return 0j
+        pf *= pivot
+        if k + 2 < n:
+            tau = a[k, k + 2:] / pivot
+            col = a[k + 2:, k + 1]
+            t = a[k + 2:, k + 2:]
+            t += tau[:, None] * col[None, :]
+            t -= col[:, None] * tau[None, :]
+    if not (cmath.isfinite(pf) and pf):
+        raise _overflow(a)
+    return pf
 
 
 def _det_and_inverse(m: np.ndarray, log: bool):

@@ -147,6 +147,34 @@ class TestFF:
                       "--site", "1", "--bra", "0,3", "--ket", "0,1")
         assert out1 == out2
 
+    # stdout of `ff` at (0.4, 0.7), N=256, byte for byte: the spec whose
+    # pfaffian route falls below the pivot floor (exit 0 with a pfaffian of
+    # exactly 0), bra = ket = 0..23 (a 48 x 48 R) and a paired m+n=16 spec
+    @pytest.mark.parametrize("site, bra, ket, results", [
+        ("184", "13,56,72,75,143,153,168,193,208,221,222,233", "",
+         '"closed_abs": 1.2186133025258493e-49, "closed_im": -1.1856375683165596e-49, '
+         '"closed_re": 2.815704844072839e-50, "pfaffian_im": 0.0, "pfaffian_re": 0.0, '
+         '"route_residual": 1.2186133025258493e-19, "routes_agree": true'),
+        ("0", ",".join(map(str, range(24))), ",".join(map(str, range(24))),
+         '"closed_abs": 0.2813312944532548, "closed_im": 0.04127987431426715, '
+         '"closed_re": 0.2782863079911447, "pfaffian_im": 0.041279874314264664, '
+         '"pfaffian_re": 0.27828630799112786, "route_residual": 6.043525715998707e-14, '
+         '"routes_agree": true'),
+        ("107", "18,48,62,132,188,214,232,250", "18,49,62,132,189,215,232,250",
+         '"closed_abs": 0.02553813197689508, "closed_im": 0.012859429699019811, '
+         '"closed_re": 0.022064252824088068, "pfaffian_im": 0.0128594296990199, '
+         '"pfaffian_re": 0.02206425282408806, "route_residual": 3.4749054335119294e-15, '
+         '"routes_agree": true'),
+    ], ids=["pfaffian-zero", "24-24", "paired-16"])
+    def test_stdout_at_n256_is_pinned(self, capsys, site, bra, ket, results):
+        code, out = run(capsys, "ff", "--kx", "0.4", "--ky", "0.7", "--n", "256",
+                        "--site", site, "--bra", bra, "--ket", ket)
+        as_list = (lambda s: f"[{', '.join(s.split(','))}]" if s else "[]")
+        assert code == 0
+        assert out == (f'{{"command": "ff", "inputs": {{"bra": {as_list(bra)}, '
+                       f'"ket": {as_list(ket)}, "kx": 0.4, "ky": 0.7, "n": 256, '
+                       f'"site": {site}, "tolerance": 1e-10}}, "results": {{{results}}}}}\n')
+
 
 class TestCorr:
     def test_agrees_with_oracle(self, capsys):

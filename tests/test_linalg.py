@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingff.exceptions import DomainError, SingularMatrixError
+from isingff.formfactors import SpecStack, assemble_r_matrix
 from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
+from isingff.spectral import Couplings
 
 
 def random_skew(n, rng, complex_entries=True):
@@ -12,6 +14,14 @@ def random_skew(n, rng, complex_entries=True):
     if complex_entries:
         a = a + 1j * rng.standard_normal((n, n))
     return a - a.T
+
+
+def second_of_two(m):
+    """A stack of two: a random skew matrix of ``m``'s shape, then ``m``, so
+    that ``m`` runs the stacked elimination and is not the first matrix."""
+    rows, cols = m.shape
+    first = random_skew(rows, np.random.default_rng(9)) if rows == cols else np.zeros(m.shape)
+    return np.stack([first, m])
 
 
 class TestPfaffian:
@@ -51,6 +61,10 @@ class TestPfaffian:
             pfaffian(np.array([[0.0, 1.0], [-1.0 + 1e-8, 0.0]]))
         with pytest.raises(DomainError):
             pfaffian(np.ones((2, 3)))
+        with pytest.raises(DomainError, match="not antisymmetric"):
+            pfaffian(second_of_two(np.array([[0.0, 1.0], [-1.0 + 1e-8, 0.0]])))
+        with pytest.raises(DomainError):
+            pfaffian(second_of_two(np.ones((2, 3))))
 
     def test_numerically_singular_gives_zero(self):
         # rank-2 skew matrix embedded in dimension 4
@@ -58,6 +72,8 @@ class TestPfaffian:
         w = np.array([0.0, 1.0, -1.0, 2.0])
         m = np.outer(v, w) - np.outer(w, v)
         assert pfaffian(m) == 0.0
+        pfs = pfaffian(second_of_two(m))
+        assert pfs[1] == 0.0 and pfs[0] != 0.0
 
     # past double range the pfaffian raises, naming log10|Pf|, with no
     # RuntimeWarning (which the test configuration turns into an error)
@@ -69,6 +85,9 @@ class TestPfaffian:
         # pivot below the floor
         with pytest.raises(DomainError, match=r"log10\|Pf\| = 616\.0"):
             pfaffian(1e308 * np.triu(np.ones((4, 4)), 1) - 1e308 * np.tril(np.ones((4, 4)), -1))
+        with pytest.raises(DomainError, match=r"log10\|Pf\| = 616\.0"):
+            pfaffian(second_of_two(1e308 * np.triu(np.ones((4, 4)), 1)
+                                   - 1e308 * np.tril(np.ones((4, 4)), -1)))
 
     def test_underflow_raises_instead_of_zero(self):
         # every pivot is far above the floor, but their product is below 1e-323
@@ -84,6 +103,8 @@ class TestPfaffian:
         m[2, 0] = bad      # below the diagonal, which elimination never reads
         with pytest.raises(DomainError, match="non-finite"):
             pfaffian(m)
+        with pytest.raises(DomainError, match="non-finite"):
+            pfaffian(second_of_two(m))
 
 
 def scalar_pfaffian(m):
@@ -122,19 +143,61 @@ def pivoting_skew_stack(size, n, rng):
     return a - np.swapaxes(a, 1, 2)
 
 
+def paired_r_stack(kxy, size, pairs, rng, n=256):
+    """R at N=``n`` of ``size`` specs at random sites, each with ``pairs`` bra
+    momenta and a ket momentum at distance pi/N from each."""
+    offset = rng.integers(0, 2, (size, 1))
+    bra = np.sort([2 * rng.choice(n // 2, pairs, replace=False) for _ in range(size)],
+                  axis=1) + offset
+    ket = np.sort((bra + rng.integers(0, 2, bra.shape)) % n, axis=1)
+    return assemble_r_matrix(SpecStack(rng.integers(0, n, size), bra, ket),
+                             Couplings.from_kx_ky(*kxy, n))
+
+
+COUPLINGS = ((0.3, 0.9), (0.4, 0.7), (0.5, 0.5))
+# the spec at (0.4, 0.7), N=256 whose pivot falls below the floor: Pf = 0
+PFAFFIAN_ZERO = (184, (13, 56, 72, 75, 143, 153, 168, 193, 208, 221, 222, 233))
+
+
+def pfaffian_stack(case, rng):
+    """The stack of a bit-pin case: random skew matrices of size ``case``, or
+    R matrices at N=256 of the pfaffian-zero spec, of bra = ket = 0..23, or
+    of paired specs at the coupling ``case``."""
+    if isinstance(case, int):
+        return np.concatenate([pivoting_skew_stack(20, case, rng),
+                               random_skew(case, rng)[None]])
+    if case == "pfaffian-zero":
+        zero = SpecStack(PFAFFIAN_ZERO[0], np.array([PFAFFIAN_ZERO[1]]), np.zeros((1, 0), int))
+        r = assemble_r_matrix(zero, Couplings.from_kx_ky(0.4, 0.7, 256))
+        return np.concatenate([r, paired_r_stack((0.4, 0.7), 4, 6, rng)])
+    if case == "block-24":
+        block = np.tile(np.arange(24), (3, 1))
+        return assemble_r_matrix(SpecStack(np.array([0, 1, 128]), block, block),
+                                 Couplings.from_kx_ky(0.4, 0.7, 256))
+    return paired_r_stack(case, 6, 8, rng)
+
+
+def bits(z):
+    return z.real, z.imag, np.signbit(z.real), np.signbit(z.imag)
+
+
 class TestStackedPfaffian:
-    @pytest.mark.parametrize("n", range(13))
-    def test_stack_equals_each_matrix_and_the_scalar_algorithm(self, n):
-        rng = np.random.default_rng(100 + n)
-        stack = np.concatenate([pivoting_skew_stack(20, n, rng),
-                                random_skew(n, rng)[None]])
+    @pytest.mark.parametrize("case", [
+        *range(13), 16, 24, 48, "pfaffian-zero", "block-24",
+        *(pytest.param(kxy, id=f"paired-{kxy[0]}-{kxy[1]}") for kxy in COUPLINGS)])
+    def test_stack_equals_each_matrix_and_the_scalar_algorithm(self, case):
+        rng = np.random.default_rng(100 + (case if isinstance(case, int) else 0))
+        stack = pfaffian_stack(case, rng)
         pfs = pfaffian(stack)
-        assert pfs.shape == (21,)
+        assert pfs.shape == (len(stack),)
         for m, pf in zip(stack, pfs):
             one = pfaffian(m)
             assert isinstance(one, complex)
             assert one == pf == scalar_pfaffian(m)
             assert pfaffian(m[None])[0] == one
+            assert bits(one) == bits(pf) == bits(complex(scalar_pfaffian(m)))
+        if case == "pfaffian-zero":
+            assert pfs[0] == 0.0 and pfs[1:].all()
 
     @pytest.mark.parametrize("n", [2, 6, 12])
     def test_square_is_determinant(self, n):
