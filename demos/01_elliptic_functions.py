@@ -13,7 +13,7 @@ from isingff import EllipticModulus, complete_elliptic_K, jacobi_sn_cn_dn, theta
 from isingff.elliptic import inverse_sn_real
 
 # A modulus bundles k with its quarter periods and nome.
-mod = EllipticModulus.from_k(0.8)
+mod = EllipticModulus(0.8)
 print("modulus k        :", mod.k)
 print("complementary k' :", mod.kprime)
 print("quarter period K :", mod.bigK)

@@ -2,23 +2,26 @@
 
 The dispersion relation defines an algebraic curve; Jacobi functions of
 modulus k = 1/(sinh 2Kx sinh 2Ky) uniformize it, and each quasimomentum
-theta gets a real coordinate u_theta in [-K, K).
+theta gets a real coordinate u_theta in [-K, K).  The modulus, eta and
+u_theta are the elliptic routes' own, in isingff.cauchy; the couplings hold
+only elementary scalars, k among them.
 """
 
 import math
 
 import numpy as np
 
-from isingff import Couplings, b_of_theta, gamma_of_theta, u_of_theta
+from isingff import Couplings, b_elliptic, b_of_theta, gamma_of_theta, u_of_theta
+from isingff.cauchy import ising_eta, ising_modulus
 from isingff.elliptic import jacobi_sn_cn_dn
-from isingff.spectral import b_elliptic, quasimomenta
+from isingff.spectral import quasimomenta
 
 c = Couplings.from_kx_ky(0.4, 0.7, 8)
-mod = c.modulus
+mod, eta = ising_modulus(c), ising_eta(c)
 print("couplings Kx, Ky :", c.kx, c.ky)
 print("dual coupling    :", c.kx_star, " (ferromagnetic since Kx* < Ky)")
 print("modulus k = 1/s  :", mod.k)
-print("eta              :", c.eta, "in (-K'/2, 0), K'/2 =", mod.bigKprime / 2)
+print("eta              :", eta, "in (-K'/2, 0), K'/2 =", mod.bigKprime / 2)
 
 # The two momentum sectors: antiperiodic (half-integer) and periodic (integer).
 print("\nantiperiodic momenta / pi:", quasimomenta("a", 8) / math.pi)
@@ -36,8 +39,8 @@ for th in c.sector("a").thetas:
 rhs = math.cosh(2 * c.kx) * math.cosh(2 * c.ky)
 worst = 0.0
 for u in np.linspace(-mod.bigK * 0.95, mod.bigK * 0.95, 11):
-    snp = jacobi_sn_cn_dn(u + 1j * c.eta, mod)[0]
-    snm = jacobi_sn_cn_dn(u - 1j * c.eta, mod)[0]
+    snp = jacobi_sn_cn_dn(u + 1j * eta, mod)[0]
+    snm = jacobi_sn_cn_dn(u - 1j * eta, mod)[0]
     z = snp / snm
     lam = 1.0 / (mod.k * snp * snm)
     lhs = c.sinh2kx * (lam + 1 / lam) / 2 + c.sinh2ky * (z + 1 / z) / 2

@@ -11,14 +11,15 @@ import numpy as np
 
 from isingff import Couplings, det_and_inverse, pfaffian
 from isingff.cauchy import (EllipticPointConfig, elliptic_cauchy_matrix,
-                            frobenius_inverse, frobenius_log_det, phi_inverse_closed,
+                            frobenius_inverse, frobenius_log_det, ising_modulus,
+                            phi_inverse_closed,
                             phi_matrix, psi_matrix, psi_phi_inverse_closed,
                             sn_pfaffian_product, theta_interpolation_sum)
 from isingff.elliptic import jacobi_sn_cn_dn
 
 rng = np.random.default_rng(0)
 c = Couplings.from_kx_ky(0.4, 0.7, 5)
-mod = c.modulus
+mod = ising_modulus(c)
 
 # A generic elliptic Cauchy matrix and its closed determinant/inverse.
 size = 5

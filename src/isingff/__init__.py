@@ -10,13 +10,13 @@ from .elliptic import (EllipticModulus, complete_elliptic_K, inverse_sn_real,
 from .exceptions import (AmbiguousLabelError, ConvergenceError, DomainError,
                          IsingFFError, ResourceError, SingularMatrixError,
                          VerificationError)
-from .cauchy import InducedRotation, induced_rotation
+from .cauchy import InducedRotation, b_elliptic, induced_rotation, u_of_theta
 from .formfactors import (FockState, FormFactorSpec, SpecStack, ff_closed,
                           ff_pfaffian, two_particle_matrices,
                           two_point_correlation, vacuum_overlap, xi_t)
 from .linalg import det_and_inverse, pfaffian
-from .spectral import (Couplings, b_elliptic, b_of_theta, gamma_of_theta,
-                       quasimomenta, sqrt_b_of_theta, u_of_theta)
+from .spectral import (Couplings, b_of_theta, gamma_of_theta, quasimomenta,
+                       sqrt_b_of_theta)
 
 __all__ = [
     "AmbiguousLabelError", "ConvergenceError", "Couplings", "DomainError",

@@ -34,7 +34,9 @@ or a stack of S matrices of one size, (S, n) points and (S,) shifts.  The
 Frobenius functions evaluate a stack at once and give one result per row:
 (S, n, n) matrices, (S,) log determinants, (S, n) interpolation terms.  A
 single matrix is the stack of one and gives a matrix and a complex.  What the
-Ising closed forms build is built once per coupling, in :func:`ising_record`.
+Ising closed forms build is built once per coupling, in :func:`ising_record`;
+the elliptic uniformization of the curve (:func:`ising_modulus`,
+:func:`ising_eta`, :func:`u_of_theta`) is this module's alone.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ from functools import cached_property, lru_cache, partial, wraps
 
 import numpy as np
 
-from .elliptic import EllipticModulus, evaluate_at_once, jacobi_sn_cn_dn, theta
-from .exceptions import DomainError, SingularMatrixError
+from .elliptic import (EllipticModulus, evaluate_at_once, incomplete_elliptic_F,
+                       inverse_sn_real, jacobi_sn_cn_dn, theta)
+from .exceptions import ConvergenceError, DomainError, SingularMatrixError
 from .formfactors import FormFactorSpec, SpecStack, _as_stack, _ell, _unstack
-from .spectral import (SECTORS, Couplings, _read_only, coupling_tables, log_sinh,
-                       sqrt_b_of_theta, u_of_theta)
+from .spectral import (SECTORS, Couplings, _read_only, coupling_tables, gamma_of_theta,
+                       log_sinh, sqrt_b_of_theta)
 
 _LATTICE_TOL = 1e-11
 
@@ -132,10 +135,6 @@ class EllipticPointConfig:
         if np.any(bad):
             raise DomainError(f"some x - y is on the zero lattice of theta_1 "
                               f"(rows {np.flatnonzero(bad).tolist()})")
-
-    @property
-    def size(self) -> int:
-        return self.xs.shape[-1]
 
     def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(S, n) points x and y and (S,) shifts; one matrix gives S = 1."""
@@ -276,6 +275,76 @@ def sn_pfaffian_product(us, mod: EllipticModulus) -> complex:
 # ---- Ising specialization ------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def ising_modulus(c: Couplings) -> EllipticModulus:
+    """The modulus ``c.k`` of the curve, built once per coupling value; where it
+    has no double-precision form, the DomainError names the elliptic routes."""
+    try:
+        return EllipticModulus(c.k)
+    except DomainError as exc:
+        raise DomainError(f"{exc}, so the elliptic routes (params, spectrum, verify) "
+                          f"cannot serve kx={c.kx}, ky={c.ky}") from exc
+
+
+@lru_cache(maxsize=64)
+def ising_eta(c: Couplings) -> float:
+    """The real eta in (-K'/2, 0) with sinh(2*kx) = i*sn(2i*eta), solved once per
+    coupling value: i*sn(2i*eta) = sc(2|eta|, k') = tan am(2|eta|, k'), so 2|eta|
+    is F(atan(sinh 2kx) | k') of the complementary modulus, whose complement is k."""
+    mod = ising_modulus(c)
+    eta = -0.5 * float(incomplete_elliptic_F(math.atan(c.sinh2kx), mod.k))
+    sn2ieta, _, _ = jacobi_sn_cn_dn(2j * eta, mod)
+    residual = abs(c.sinh2kx - (1j * sn2ieta))
+    if residual > 1e-11:
+        raise ConvergenceError(f"eta residual {residual:.3e} exceeds 1e-11")
+    return eta
+
+
+def u_of_theta(theta, c: Couplings):
+    """Image u_theta in [-K, K) of the spectral-curve point (e^{i theta}, e^{gamma}).
+
+    Computed by inverting sn on
+    sn(u_theta) = -sinh(2*ky) * cos(theta/2) / sinh((gamma_pi + gamma_theta)/2),
+    which lands on the branch cn(u) >= 0 and carries the sign convention
+    u_theta < 0 for theta < pi (u_0 = -K, u_pi = 0).  Near theta = 0 (where
+    that inversion is ill-conditioned, |sn| -> 1) the complementary relation
+    sn(u_theta + K) = sinh(2*ky) * sin(theta/2) / sinh((gamma_theta + gamma_0)/2)
+    is inverted instead; whichever argument is smaller in magnitude wins.
+    Elementwise over an array of momenta; a scalar theta gives a float.
+    """
+    theta = np.asarray(theta, dtype=float)
+    mod = ising_modulus(c)
+    gamma_0 = 2.0 * (c.ky - c.kx_star)
+    gamma_pi = 2.0 * (c.ky + c.kx_star)
+    gamma_t = gamma_of_theta(theta, c)
+    s_direct = -c.sinh2ky * np.cos(theta / 2.0) / np.sinh((gamma_pi + gamma_t) / 2.0)
+    s_shift = c.sinh2ky * np.sin(theta / 2.0) / np.sinh((gamma_t + gamma_0) / 2.0)
+    direct = np.abs(s_direct) <= np.abs(s_shift)
+    s = np.clip(np.where(direct, s_direct, s_shift), -1.0, 1.0)
+    w = inverse_sn_real(s, mod)
+    shifted = w - mod.bigK
+    u = np.where(direct, w, np.where(theta <= math.pi, shifted, -shifted))
+    return float(u) if u.ndim == 0 else u
+
+
+def b_elliptic(u, c: Couplings):
+    """sqrt(b) on the curve as a function of u, with the sign fixed by sqrt(b_pi) = 1.
+
+    Evaluates (dn u + i*k*sn u*cn u)/sqrt(1 - k^2 sn^4 u); its square equals
+    b_of_theta at the momentum corresponding to u.  Elementwise over an array
+    of real u; a scalar u gives a complex.
+    """
+    root = _b_elliptic_of(*jacobi_sn_cn_dn(u, ising_modulus(c)), c.k)
+    return complex(root) if np.ndim(root) == 0 else root
+
+
+def _b_elliptic_of(sn, cn, dn, k: float):
+    """The :func:`b_elliptic` root from sn, cn and dn of real u (the real
+    parts are read)."""
+    sn, cn, dn = np.real(sn), np.real(cn), np.real(dn)
+    return (dn + 1j * k * sn * cn) / np.sqrt(1.0 - k**2 * sn**4)
+
+
 @lru_cache(maxsize=4)
 def ising_record(c: Couplings) -> dict:
     """The read-only record shared by every Ising closed form and elliptic route
@@ -303,11 +372,12 @@ def _per_coupling(build):
 def ising_cauchy_config(c: Couplings) -> tuple[EllipticPointConfig, complex]:
     """Points x (periodic) and y (antiperiodic), u scaled by pi/2K, alpha and
     the scalar kappa of Phi as an elliptic Cauchy matrix (see above)."""
-    u, scale = ising_record(c)["u"], math.pi / (2.0 * c.modulus.bigK)
+    mod = ising_modulus(c)
+    u, scale = ising_record(c)["u"], math.pi / (2.0 * mod.bigK)
     xs, ys = u["p"] * scale, u["a"] * scale
-    t2, t3, t4 = c.modulus._theta_zeros
-    alpha = math.pi / 2.0 - math.pi * c.modulus.tau / 2.0
-    return EllipticPointConfig(xs, ys, c.modulus.q, alpha), t2 * t4 / t3
+    t2, t3, t4 = mod._theta_zeros
+    alpha = math.pi / 2.0 - math.pi * mod.tau / 2.0
+    return EllipticPointConfig(xs, ys, mod.q, alpha), t2 * t4 / t3
 
 
 def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
@@ -331,7 +401,7 @@ def ising_constraint_residuals(c: Couplings) -> dict[str, float]:
 def _sn_cn_dn_of_differences(c: Couplings, rows: str, cols: str):
     """sn, cn and dn of u_i - u_j, i over sector ``rows`` and j over ``cols``."""
     u = ising_record(c)["u"]
-    return _read_only(*jacobi_sn_cn_dn(np.subtract.outer(u[rows], u[cols]), c.modulus))
+    return _read_only(*jacobi_sn_cn_dn(np.subtract.outer(u[rows], u[cols]), ising_modulus(c)))
 
 
 def phi_matrix(c: Couplings) -> np.ndarray:
@@ -397,9 +467,9 @@ def lambda_factors(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     The ratio lambda(u, v) = L(u)/L(v) is exp((nu_v - nu_u)/2).  One sn
     evaluation over the 2N momenta; the arrays are read-only.
     """
-    n, k = c.n, c.modulus.k
+    n, k = c.n, c.k
     u = np.concatenate([ising_record(c)["u"]["p"], ising_record(c)["u"]["a"]])
-    sn, _, dn = (f.real for f in jacobi_sn_cn_dn(u, c.modulus))
+    sn, _, dn = (f.real for f in jacobi_sn_cn_dn(u, ising_modulus(c)))
     w = np.prod((1.0 - k * sn[:n] * sn[:, None]) / (1.0 - k * sn[n:] * sn[:, None]),
                 axis=-1)
     lam = w * dn / (1.0 + k * sn)
@@ -443,7 +513,7 @@ def closed_products_theta(c: Couplings) -> tuple[np.ndarray, np.ndarray]:
     cfg, kappa = ising_cauchy_config(c)
     xs, ys = cfg.xs, cfg.ys
     f, g = (1j / kappa * cfg.unstack(t) for t in cfg.interpolation_terms)
-    shift = math.pi * c.modulus.tau / 2.0
+    shift = math.pi * ising_modulus(c).tau / 2.0
     z = np.concatenate([xs + shift, ys - shift])
     num, den = evaluate_at_once(partial(theta, 1, q=cfg.q),
                                 _differences(z, xs), _differences(z, ys))
@@ -468,7 +538,7 @@ def log_det_phi_squared_trig(c: Couplings) -> float:
     n = c.n
     a, p = c.sector("a"), c.sector("p")
     return float(2.0 * n * math.log(n)
-                 + 0.5 * math.log1p(-c.modulus.k**2)
+                 + 0.5 * math.log1p(-c.k**2)
                  - 2.0 * n * math.log(c.sinh2ky)
                  + 0.5 * (p.nu.sum() - a.nu.sum())
                  + log_sinh(p.gamma).sum() + log_sinh(a.gamma).sum())
@@ -530,7 +600,7 @@ def _sn_pairing_table(c: Couplings) -> np.ndarray:
     antiperiodic momenta, then u_p at the periodic ones.  Read-only and
     antisymmetric: the upper triangle comes from the aa and pp grids and one
     bra x ket grid, the lower triangle is its negative transpose."""
-    u, mod = ising_record(c)["u"], c.modulus
+    u, mod = ising_record(c)["u"], ising_modulus(c)
     sn_ap = jacobi_sn_cn_dn(np.subtract.outer(u["a"] + 1j * mod.bigKprime, u["p"]), mod)[0]
     sn = np.block([[_sn_cn_dn_of_differences(c, "a", "a")[0], sn_ap],
                    [np.zeros_like(sn_ap), _sn_cn_dn_of_differences(c, "p", "p")[0]]])

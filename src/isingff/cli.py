@@ -27,13 +27,14 @@ import sys
 import numpy as np
 
 from . import verification
+from .cauchy import ising_eta, ising_modulus, u_of_theta
 from .exceptions import (AmbiguousLabelError, ConvergenceError, DomainError,
                          ResourceError, SingularMatrixError, VerificationError)
 from .formfactors import (FockState, FormFactorSpec, SpecStack, ff_closed, ff_pfaffian,
                           two_point_correlation, vacuum_overlap, xi_t)
 from .oracle import (_TRACE_MAX_M, _TRACE_MAX_N, block_labels, build_operators, find_state,
                      labeled_spectrum, oracle_correlation, oracle_ff_modulus)
-from .spectral import Couplings, b_of_theta, u_of_theta
+from .spectral import Couplings, b_of_theta
 
 _ORACLE_MAX_N = 10
 EXIT_OK = 0
@@ -84,16 +85,15 @@ def _couplings(args) -> Couplings:
 
 def _cmd_params(args) -> int:
     c = _couplings(args)
+    mod = ising_modulus(c)
     results = {
         "kx": c.kx, "ky": c.ky, "n": c.n,
         "kx_star": c.kx_star,
         "ferromagnetic": bool(c.kx_star < c.ky),
         "alpha": c.alpha, "beta": c.beta,
         "sinh2kx_sinh2ky": c.s,
-        "k": c.modulus.k, "kprime": c.modulus.kprime,
-        "K": c.modulus.bigK, "Kprime": c.modulus.bigKprime,
-        "nome_q": c.modulus.q,
-        "eta": c.eta,
+        "k": mod.k, "kprime": mod.kprime, "K": mod.bigK, "Kprime": mod.bigKprime,
+        "nome_q": mod.q, "eta": ising_eta(c),
         "xi": c.xi, "xi_T": xi_t(c),
         "vacuum_overlap": vacuum_overlap(c),
     }

@@ -219,10 +219,10 @@ class EllipticModulus:
     q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.k < 1.0:
-            raise DomainError(f"modulus k={self.k} outside (0, 1)")
+        bigK = complete_elliptic_K(self.k)   # DomainError outside (0, 1)
         kprime = math.sqrt((1.0 - self.k) * (1.0 + self.k))
-        bigK = complete_elliptic_K(self.k)
+        if kprime == 1.0:
+            raise DomainError(f"modulus k={self.k:.3e}: k' = sqrt(1 - k^2) rounds to 1")
         bigKprime = complete_elliptic_K(kprime)
         ratio = bigKprime / bigK
         q = math.exp(-math.pi * ratio)
@@ -233,10 +233,6 @@ class EllipticModulus:
         for name, value in (("kprime", kprime), ("bigK", bigK), ("bigKprime", bigKprime),
                             ("tau", 1j * ratio), ("q", q)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_k(cls, k: float) -> "EllipticModulus":
-        return cls(k)
 
     def complementary(self) -> "EllipticModulus":
         """Modulus object for k', with K and K' exchanged."""

@@ -190,12 +190,10 @@ def xi_t(c: Couplings) -> float:
 def vacuum_overlap(c: Couplings) -> float:
     """Vacuum-to-vacuum spin matrix element |det D|^{1/2}, evaluated in log space.
 
-    Equals [(1 - k^2) * prod_p e^{nu} * prod_a e^{-nu}]^{1/8}; converges to
-    the spontaneous magnetization (1 - s^{-2})^{1/8} as N grows.
+    Equals [(1 - k^2) * prod_p e^{nu} * prod_a e^{-nu}]^{1/8} = exp(log_vac2 / 2);
+    converges to the spontaneous magnetization (1 - s^{-2})^{1/8} as N grows.
     """
-    tab = coupling_tables(c)
-    log_val = (math.log1p(-c.modulus.k**2) + tab.p.nu.sum() - tab.a.nu.sum()) / 8.0
-    return math.exp(log_val)
+    return math.exp(coupling_tables(c).log_vac2 / 2.0)
 
 
 def assemble_r_matrix(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.ndarray:

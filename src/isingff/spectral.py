@@ -1,13 +1,11 @@
-"""Lattice dispersion relation and elliptic parametrization of the spectral curve.
+"""Lattice dispersion relation and the per-coupling spectral tables.
 
-The dispersion gamma_theta, the unimodular coefficients b_theta, and the map
-theta -> u_theta onto the real period interval [-K, K) of the uniformizing
-elliptic functions, together with the coupling container of n, kx and ky,
-whose construction derives every scalar but eta and evaluates no elliptic function.
+The dispersion gamma_theta, the unimodular coefficients b_theta, and the
+coupling container of n, kx and ky, whose scalars are all elementary: the
+elliptic uniformization of the curve is :mod:`isingff.cauchy`'s own.
 
 Each momentum sector has one read-only :class:`SectorTable`, reached by
-``c.sector(name)`` and built lazily, once per coupling value; it holds only
-elementary functions of theta, so building it evaluates no elliptic function.
+``c.sector(name)`` and built lazily, once per coupling value.
 
 Quasimomenta are handled as exact integer indices into a sector's ordered
 momentum set wherever states are matched across modules; floating theta values
@@ -18,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import EllipticModulus, incomplete_elliptic_F, inverse_sn_real, jacobi_sn_cn_dn
-from .exceptions import ConvergenceError, DomainError
+from .exceptions import DomainError
 
 SECTORS = ("a", "p")
 
@@ -54,12 +51,12 @@ def quasimomenta(sector: str, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Couplings:
-    """Lattice width and couplings, with every derived scalar of the curve.
+    """Lattice width and couplings, with the elementary scalars of the curve.
 
     Construction enforces an integral n >= 1 and the ferromagnetic region
     kx_star < ky (alpha < 1); the inputs alone decide equality and hashing.
-    The real eta in (-K'/2, 0) satisfying sinh(2*kx) = i*sn(2i*eta) is solved
-    on first read: only the elliptic verification routes need it.
+    The elliptic modulus (of ``k`` = 1/s) and eta are the elliptic routes' own
+    (:func:`isingff.cauchy.ising_modulus`, :func:`isingff.cauchy.ising_eta`).
 
     Pure data, immutable and safe to share across threads.  ``sector(name)``
     returns the read-only :class:`SectorTable` of a sector, built on first
@@ -73,7 +70,7 @@ class Couplings:
     alpha: float = field(init=False, repr=False, compare=False)
     beta: float = field(init=False, repr=False, compare=False)
     s: float = field(init=False, repr=False, compare=False)
-    modulus: EllipticModulus = field(init=False, repr=False, compare=False)
+    k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, kx, ky = self.n, self.kx, self.ky
@@ -90,21 +87,17 @@ class Couplings:
             )
         alpha = math.tanh(kx_star) / math.tanh(ky)
         beta = math.tanh(kx_star) * math.tanh(ky)
-        if not 0.0 < beta < alpha < 1.0:
-            raise DomainError(f"expected 0 < beta < alpha < 1, got {beta}, {alpha}")
+        k = math.sinh(2.0 * kx_star) / math.sinh(2.0 * ky)     # 1/s: near 1 at criticality
+        if not (0.0 < beta < alpha < 1.0 and k < 1.0):
+            raise DomainError(f"expected 0 < beta < alpha < 1, k < 1: {beta}, {alpha}, {k}")
         s = math.sinh(2.0 * kx) * math.sinh(2.0 * ky)
-        modulus = EllipticModulus(math.sinh(2.0 * kx_star) / math.sinh(2.0 * ky))
-        for name, value in (("kx_star", kx_star), ("alpha", alpha), ("beta", beta),
-                            ("s", s), ("modulus", modulus)):
+        for name, value in (("kx_star", kx_star), ("alpha", alpha), ("beta", beta), ("s", s),
+                            ("k", k)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def from_kx_ky(cls, kx: float, ky: float, n: int) -> "Couplings":
         return cls(n, kx, ky)
-
-    @cached_property
-    def eta(self) -> float:
-        return _solve_eta(self.sinh2kx, self.modulus)
 
     @property
     def sinh2kx(self) -> float:
@@ -130,13 +123,16 @@ class Couplings:
         return getattr(coupling_tables(self), name)
 
     def __getattr__(self, name: str):
-        # ``<field>_<sector>``: a field of the sector's table, or ``<field>_of_theta``
-        # at its momenta for u, b and sqrt_b (``perfbench/workloads.build_corr``)
+        # ``<field>_<sector>``: a table field, or ``<field>_of_theta`` at the sector's
+        # momenta; u is the elliptic side's, imported for ``perfbench/workloads.build_corr``
         field, _, sector = name.rpartition("_")
-        curve = {"u": u_of_theta, "b": b_of_theta, "sqrt_b": sqrt_b_of_theta}
-        if sector not in SECTORS or field not in ("thetas", "gamma", "nu", *curve):
+        curve = {"b": b_of_theta, "sqrt_b": sqrt_b_of_theta}
+        if sector not in SECTORS or field not in ("thetas", "gamma", "nu", "u", *curve):
             raise AttributeError(name)
         table = self.sector(sector)
+        if field == "u":
+            from .cauchy import u_of_theta
+            return u_of_theta(table.thetas, self)
         return curve[field](table.thetas, self) if field in curve else getattr(table, field)
 
 
@@ -167,7 +163,8 @@ class CouplingTables(NamedTuple):
     """Both sector tables, the mixed a x p pair ratio and the scalars of log|F|^2.
 
     ``ap_ratio`` is sinh((gamma_a+gamma_p)/2)/sin((theta_a-theta_p)/2),
-    ``rho2`` = sinh(2ky)/sinh(2kx), and ``log_vac2`` = log(xi * xi_T).
+    ``rho2`` = sinh(2ky)/sinh(2kx), and the log squared vacuum overlap is
+    ``log_vac2`` = (log(1 - k^2) + sum nu_p - sum nu_a) / 4, log(xi * xi_T).
     """
 
     a: SectorTable
@@ -206,23 +203,7 @@ def coupling_tables(c: Couplings) -> CouplingTables:
     rho2 = c.sinh2ky / c.sinh2kx
     return CouplingTables(
         **tables, ap_ratio=ap_ratio, rho2=rho2, log_rho2=math.log(rho2),
-        log_vac2=math.log(c.xi) + (tables["p"].nu.sum() - tables["a"].nu.sum()) / 4.0)
-
-
-def _solve_eta(target_sinh2kx: float, modulus: EllipticModulus) -> float:
-    """Solve sinh(2*kx) = i*sn(2i*eta) for eta in (-K'/2, 0).
-
-    For pure-imaginary argument, i*sn(2i*eta) = sc(2|eta|, k'), which is
-    tan am(2|eta|, k'); so v = 2|eta| is the incomplete elliptic integral
-    F(atan(sinh 2kx) | k') of the complementary modulus, whose complement is k.
-    """
-    v = float(incomplete_elliptic_F(math.atan(target_sinh2kx), modulus.k))
-    eta = -0.5 * v
-    sn2ieta, _, _ = jacobi_sn_cn_dn(2j * eta, modulus)
-    residual = abs(target_sinh2kx - (1j * sn2ieta))
-    if residual > 1e-11:
-        raise ConvergenceError(f"eta residual {residual:.3e} exceeds 1e-11")
-    return eta
+        log_vac2=(math.log1p(-c.k**2) + tables["p"].nu.sum() - tables["a"].nu.sum()) / 4.0)
 
 
 def gamma_of_theta(theta, c: Couplings):
@@ -263,32 +244,6 @@ def sqrt_b_of_theta(theta, c: Couplings):
     return np.sqrt(b_of_theta(theta, c))
 
 
-def u_of_theta(theta, c: Couplings):
-    """Image u_theta in [-K, K) of the spectral-curve point (e^{i theta}, e^{gamma}).
-
-    Computed by inverting sn on
-    sn(u_theta) = -sinh(2*ky) * cos(theta/2) / sinh((gamma_pi + gamma_theta)/2),
-    which lands on the branch cn(u) >= 0 and carries the sign convention
-    u_theta < 0 for theta < pi (u_0 = -K, u_pi = 0).  Near theta = 0 (where
-    that inversion is ill-conditioned, |sn| -> 1) the complementary relation
-    sn(u_theta + K) = sinh(2*ky) * sin(theta/2) / sinh((gamma_theta + gamma_0)/2)
-    is inverted instead; whichever argument is smaller in magnitude wins.
-    Elementwise over an array of momenta; a scalar theta gives a float.
-    """
-    theta = np.asarray(theta, dtype=float)
-    gamma_0 = 2.0 * (c.ky - c.kx_star)
-    gamma_pi = 2.0 * (c.ky + c.kx_star)
-    gamma_t = gamma_of_theta(theta, c)
-    s_direct = -c.sinh2ky * np.cos(theta / 2.0) / np.sinh((gamma_pi + gamma_t) / 2.0)
-    s_shift = c.sinh2ky * np.sin(theta / 2.0) / np.sinh((gamma_t + gamma_0) / 2.0)
-    direct = np.abs(s_direct) <= np.abs(s_shift)
-    s = np.clip(np.where(direct, s_direct, s_shift), -1.0, 1.0)
-    w = inverse_sn_real(s, c.modulus)
-    shifted = w - c.modulus.bigK
-    u = np.where(direct, w, np.where(theta <= math.pi, shifted, -shifted))
-    return float(u) if u.ndim == 0 else u
-
-
 def log_sinh(x):
     """log(sinh(x)) for x > 0, as x - log 2 + log(1 - e^{-2x}): no overflow at
     large x, and expm1 keeps the digits at small x."""
@@ -311,21 +266,3 @@ def _nu(gamma, gamma_a: np.ndarray, gamma_p: np.ndarray) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)[..., None]
     return (log_sinh((g + gamma_a) / 2.0).sum(axis=-1)
             - log_sinh((g + gamma_p) / 2.0).sum(axis=-1))
-
-
-def b_elliptic(u, c: Couplings):
-    """sqrt(b) on the curve as a function of u, with the sign fixed by sqrt(b_pi) = 1.
-
-    Evaluates (dn u + i*k*sn u*cn u)/sqrt(1 - k^2 sn^4 u); its square equals
-    b_of_theta at the momentum corresponding to u.  Elementwise over an array
-    of real u; a scalar u gives a complex.
-    """
-    root = _b_elliptic_of(*jacobi_sn_cn_dn(u, c.modulus), c.modulus.k)
-    return complex(root) if np.ndim(root) == 0 else root
-
-
-def _b_elliptic_of(sn, cn, dn, k: float):
-    """The :func:`b_elliptic` root from sn, cn and dn of real u (the real
-    parts are read)."""
-    sn, cn, dn = np.real(sn), np.real(cn), np.real(dn)
-    return (dn + 1j * k * sn * cn) / np.sqrt(1.0 - k**2 * sn**4)

@@ -23,8 +23,7 @@ from .formfactors import (_FULL_ENUMERATION_MAX_N, FockState, FormFactorSpec,
                           ff_pfaffian, fock_basis, two_particle_matrices,
                           vacuum_overlap, xi_t)
 from .linalg import log_det_and_inverse, pfaffian
-from .spectral import (Couplings, _b_elliptic_of, b_of_theta, gamma_of_theta,
-                       log_sinh, u_of_theta)
+from .spectral import Couplings, b_of_theta, gamma_of_theta, log_sinh
 
 SUITES = ("elliptic", "cauchy", "rotation", "formfactor")
 _SEED = 2024            # pseudo-random points of the elliptic and Cauchy suites
@@ -78,7 +77,7 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
     """
     n_points = _ELLIPTIC_POINTS
     rng = np.random.default_rng(_SEED)
-    mod = c.modulus
+    mod = cf.ising_modulus(c)
     k, kk = mod.k, mod.k**2
     bigk, bigkp = mod.bigK, mod.bigKprime
     out = dict(mod.self_check())
@@ -94,21 +93,21 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
     s1, s2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, (n_points, 2)).T
 
     gam = gamma_of_theta(thetas, c)
-    uu = u_of_theta(thetas, c)
+    uu = cf.u_of_theta(thetas, c)
     t1, g1, u1 = thetas[:half], gam[:half], uu[:half]
-    g2, u2 = gamma_of_theta(t2, c), u_of_theta(t2, c)
+    g2, u2 = gamma_of_theta(t2, c), cf.u_of_theta(t2, c)
     apart = np.abs(u1 - u2) >= 1e-8
     t1, g1, u1, t2, g2, u2 = (x[apart] for x in (t1, g1, u1, t2, g2, u2))
     far = np.minimum(np.abs(s1 - s2), np.abs(s1 + s2 - 2.0 * math.pi)) >= 1e-3
     s1, s2 = s1[far], s2[far]
     h1, h2 = gamma_of_theta(s1, c), gamma_of_theta(s2, c)
-    d = u_of_theta(s1, c) - u_of_theta(s2, c)
+    d = cf.u_of_theta(s1, c) - cf.u_of_theta(s2, c)
 
     args = {
         "us": us, "us_2k": us + 2.0 * bigk,
         "complex": re_im[:, 0] + 1j * (re_im[:, 1] * bigkp),
         "u": u, "v": v, "u_minus_v": u - v, "w": w, "2w": 2.0 * w,
-        **{f"eta{sgn}": uu - sgn * 1j * c.eta for sgn in (1.0, -1.0)},
+        **{f"eta{sgn}": uu - sgn * 1j * cf.ising_eta(c) for sgn in (1.0, -1.0)},
         "uu": uu, "uu_k": uu + bigk, "2uu": 2.0 * uu, "u2": u2, "u1_u2": u1 - u2,
         "d": d, **{f"d{sgn}": d + sgn * 1j * bigkp for sgn in (1.0, -1.0)}}
     sn_cn_dn = dict(zip(args, evaluate_at_once(partial(jacobi_sn_cn_dn, mod=mod),
@@ -174,7 +173,7 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
              math.sinh(gamma_pi) * np.sinh((g1 + g2) / 2.0)
              / (np.sinh((gamma_pi + g1) / 2.0) * np.sinh((gamma_pi + g2) / 2.0))))
 
-    out["sqrt_b_elliptic"] = _rel(_b_elliptic_of(sn, cn, dn, k) ** 2,
+    out["sqrt_b_elliptic"] = _rel(cf._b_elliptic_of(sn, cn, dn, k) ** 2,
                                   b_of_theta(thetas, c))
 
     b1, b2 = np.sqrt(b_of_theta(s1, c)), np.sqrt(b_of_theta(s2, c))
@@ -195,7 +194,7 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
 def cauchy_suite(c: Couplings) -> dict[str, float]:
     """Frobenius determinant machinery and the Ising closed forms."""
     rng = np.random.default_rng(_SEED)
-    mod = c.modulus
+    mod = cf.ising_modulus(c)
     q = mod.q
     out: dict[str, float] = {}
 

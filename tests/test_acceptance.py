@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from isingff.cauchy import (EllipticPointConfig, elliptic_cauchy_matrix,
-                            frobenius_inverse, frobenius_log_det, lambda_factors,
+                            frobenius_inverse, frobenius_log_det, ising_modulus,
+                            lambda_factors,
                             sn_pfaffian_product, theta_interpolation_sum,
                             _interpolation_terms)
 from isingff.elliptic import jacobi_sn_cn_dn
@@ -153,7 +154,7 @@ def _separated(xs, ys, gap):
 def test_criterion_4_frobenius_suite():
     """Frobenius determinant and inverse vs dense LU; balanced sums vanish."""
     rng = np.random.default_rng(42)
-    moduli = [Couplings.from_kx_ky(kx, ky, 2).modulus for kx, ky in COUPLINGS]
+    moduli = [ising_modulus(Couplings.from_kx_ky(kx, ky, 2)) for kx, ky in COUPLINGS]
     worst_det = worst_inv = 0.0
     configs = 0
     while configs < 50:
@@ -194,7 +195,7 @@ def test_criterion_5_pfaffian_identity():
     rng = np.random.default_rng(7)
     worst_rel = worst_det = 0.0
     for kx, ky in COUPLINGS:
-        mod = Couplings.from_kx_ky(kx, ky, 2).modulus
+        mod = ising_modulus(Couplings.from_kx_ky(kx, ky, 2))
         for size in (2, 4, 6, 8, 10):
             base = (np.linspace(-0.8, 0.8, size)
                     + rng.uniform(-0.03, 0.03, size) / size) * mod.bigK

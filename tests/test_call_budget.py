@@ -54,7 +54,7 @@ ROUTE_BUDGET = {"ff_closed": 18, "ff_pfaffian": 4}
 def counted(monkeypatch):
     """A fresh N=8 coupling, with eta solved, and the calls counted from then on."""
     c = Couplings.from_kx_ky(0.4, 0.7, 8)
-    c.eta   # solving eta is construction work, not the suites'
+    cauchy.ising_eta(c)   # solving eta is construction work, not the suites'
     counted = dict.fromkeys(("theta1", *ROUTE_BUDGET), 0)
 
     def counting(name, fn):

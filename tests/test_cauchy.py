@@ -8,21 +8,21 @@ from isingff.cauchy import (EllipticPointConfig, _interpolation_terms,
                             closed_products_theta, elliptic_cauchy_matrix,
                             frobenius_inverse, frobenius_log_det,
                             ising_cauchy_config, ising_constraint_residuals,
-                            ising_record, lambda_factors,
+                            ising_eta, ising_modulus, ising_record, lambda_factors,
                             log_det_phi_squared_trig, log_det_phi_theta,
                             phi_inverse_closed, phi_inverse_psi_closed,
                             phi_inverse_trig, phi_matrix, psi_matrix,
                             psi_phi_inverse_closed, sn_pfaffian_product,
-                            theta_interpolation_sum)
+                            theta_interpolation_sum, u_of_theta)
 from isingff import elliptic
 from isingff.elliptic import EllipticModulus, jacobi_sn_cn_dn, theta
 from isingff.exceptions import DomainError
 from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
-from isingff.spectral import SECTORS, Couplings, sqrt_b_of_theta, u_of_theta
+from isingff.spectral import SECTORS, Couplings, sqrt_b_of_theta
 from isingff.verification import _log_rel, cauchy_suite, rotation_suite
 
 BENCH_COUPLINGS = [(0.3, 0.9), (0.4, 0.7), (0.5, 0.5)]
-MOD = EllipticModulus.from_k(0.55)
+MOD = EllipticModulus(0.55)
 Q = MOD.q
 
 
@@ -170,7 +170,7 @@ class TestIsingSpecialization:
         assert _log_rel(frobenius_log_det(cfg), log_det) < 1e-10
 
     def test_width_one_phi_psi(self):
-        kprime = self.c1.modulus.kprime
+        kprime = ising_modulus(self.c1).kprime
         assert phi_matrix(self.c1)[0, 0] == pytest.approx(-kprime, rel=1e-13)
         assert abs(psi_matrix(self.c1)[0, 0]) < 1e-14
         assert phi_inverse_closed(self.c1)[0, 0] == pytest.approx(-1.0 / kprime,
@@ -269,7 +269,7 @@ class TestIsingSpecialization:
             np.testing.assert_array_equal(record["sqrt_b"][sector],
                                           sqrt_b_of_theta(thetas, c))
         cfg, _ = ising_cauchy_config(c)
-        scale = math.pi / (2.0 * c.modulus.bigK)
+        scale = math.pi / (2.0 * ising_modulus(c).bigK)
         np.testing.assert_array_equal(cfg.xs, record["u"]["p"] * scale)
         np.testing.assert_array_equal(cfg.ys, record["u"]["a"] * scale)
         assert ising_cauchy_config(c)[0] is cfg
@@ -302,7 +302,7 @@ class TestIsingSpecialization:
         # the curve points and the Cauchy configuration evaluate no theta_1;
         # the grids and closed forms, built on first read, do
         c = Couplings.from_kx_ky(0.4, 0.7, 6)
-        c.eta   # solved on first read, with theta_1
+        ising_eta(c)   # solved on first read, with theta_1
         ising_record.cache_clear()
 
         def refuse(*args, **kwargs):

@@ -9,7 +9,8 @@ import pytest
 from isingff.cli import _closed_block_norm, main
 from isingff.formfactors import FockState, FormFactorSpec, ff_closed
 from isingff.oracle import block_labels, build_operators, find_state, labeled_spectrum
-from isingff.spectral import SECTORS, Couplings, b_of_theta, u_of_theta
+from isingff.cauchy import u_of_theta
+from isingff.spectral import SECTORS, Couplings, b_of_theta
 from isingff.verification import formfactor_suite, rotation_suite
 
 
@@ -418,3 +419,27 @@ class TestNearCriticality:
                         "--bra", "1,2", "--ket", "")
         assert code == 0
         assert json.loads(out)["results"]["oracle_residual"] <= 1e-11
+
+
+class TestStrongCoupling:
+    """At (6, 6) k = 1/s is about 1.5e-10, below the 1.3e-9 where
+    k' = sqrt((1 - k)(1 + k)) rounds to 1: the evaluation path, which reads no
+    modulus, serves the coupling, and the elliptic routes refuse it by name."""
+
+    COUPLING = ("--kx", "6", "--ky", "6", "--n", "8")
+
+    def test_corr_agrees_with_the_dense_trace(self, capsys):
+        code, out = run(capsys, "corr", *self.COUPLING, "--m-height", "8",
+                        "--dx", "2", "--dy", "1")
+        assert code == 0
+        assert json.loads(out)["results"]["oracle_agrees"] is True
+
+    @pytest.mark.parametrize("argv", [["params"], ["verify", "all"]],
+                             ids=lambda argv: argv[0])
+    def test_elliptic_routes_name_their_limit(self, capsys, argv):
+        code = main(argv + list(self.COUPLING))
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "modulus k=1.510e-10" in captured.err
+        assert "k' = sqrt(1 - k^2) rounds to 1" in captured.err
+        assert "elliptic routes (params, spectrum, verify)" in captured.err

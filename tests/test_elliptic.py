@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import ellipj
 
 from isingff import elliptic
+from isingff.cauchy import ising_modulus
 from isingff.elliptic import (EllipticModulus, complete_elliptic_K, incomplete_elliptic_F,
                               inverse_sn_real, jacobi_sn_cn_dn, theta)
 from isingff.exceptions import DomainError
@@ -145,7 +146,7 @@ class TestJacobiAgainstMpmath:
     def test_error_near_criticality(self, ky, eps):
         mpmath = pytest.importorskip("mpmath")
         kx_c = -0.5 * math.log(math.tanh(ky))
-        mod = Couplings(8, kx_c * (1.0 + eps), ky).modulus
+        mod = ising_modulus(Couplings(8, kx_c * (1.0 + eps), ky))
         big_k, big_kp = mod.bigK, mod.bigKprime
         rng = np.random.default_rng(11)
         # real u, and complex u in the period rectangle, |Im u| <= 0.9 K'
@@ -162,7 +163,7 @@ class TestJacobiAgainstMpmath:
 
 
 class TestJacobiFunctions:
-    mod = EllipticModulus.from_k(0.8)
+    mod = EllipticModulus(0.8)
 
     def test_origin(self):
         sn, cn, dn = jacobi_sn_cn_dn(0.0, self.mod)
@@ -266,11 +267,11 @@ class TestIncompleteF:
 
 
 class TestInverseSn:
-    mod = EllipticModulus.from_k(0.6)
+    mod = EllipticModulus(0.6)
 
     @pytest.mark.parametrize("k", MODULI_TO_ONE)
     def test_roundtrip_near_k_one(self, k):
-        mod = EllipticModulus.from_k(k)
+        mod = EllipticModulus(k)
         s = np.linspace(-1.0, 1.0, 41)
         u = inverse_sn_real(s, mod)
         sn, cn, _ = jacobi_sn_cn_dn(u, mod)
@@ -311,7 +312,7 @@ class TestInverseSn:
 class TestEllipticModulus:
     @pytest.mark.parametrize("k", [0.2, 0.59, 0.8, 0.97])
     def test_invariants(self, k):
-        mod = EllipticModulus.from_k(k)
+        mod = EllipticModulus(k)
         res = mod.self_check()
         assert res["k2_plus_kprime2"] < 1e-15
         assert res["nome"] < 1e-15
@@ -320,7 +321,7 @@ class TestEllipticModulus:
         assert 0.0 < mod.q < 1.0
 
     def test_complementary_swaps_periods(self):
-        mod = EllipticModulus.from_k(0.3)
+        mod = EllipticModulus(0.3)
         comp = mod.complementary()
         assert comp.bigK == pytest.approx(mod.bigKprime, rel=1e-15)
         assert comp.bigKprime == pytest.approx(mod.bigK, rel=1e-15)
@@ -328,14 +329,14 @@ class TestEllipticModulus:
     def test_domain(self):
         for k in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(DomainError):
-                EllipticModulus.from_k(k)
+                EllipticModulus(k)
         with pytest.raises(DomainError):
             EllipticModulus(1.5)
 
     def test_k_is_the_only_input(self):
         mod = EllipticModulus(0.8)
-        assert mod == EllipticModulus.from_k(0.8)
-        assert hash(mod) == hash(EllipticModulus.from_k(0.8))
+        assert mod == EllipticModulus(0.8)
+        assert hash(mod) == hash(EllipticModulus(0.8))
         assert repr(mod) == "EllipticModulus(k=0.8)"
         assert mod.tau == 1j * mod.bigKprime / mod.bigK
         for derived in ("kprime", "bigK", "bigKprime", "tau", "q"):

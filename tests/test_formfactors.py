@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isingff import elliptic, spectral
+from isingff import cauchy, elliptic, spectral
 from isingff.cauchy import (_sn_pairing_entries, assemble_r_elliptic, induced_rotation,
-                            ising_record)
+                            ising_modulus, ising_record)
 from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
 from isingff.formfactors import (_FF2_KEPT_MAX_BYTES, FockState, FormFactorSpec,
@@ -18,7 +18,7 @@ from isingff.formfactors import (_FF2_KEPT_MAX_BYTES, FockState, FormFactorSpec,
                                  two_particle_matrices, two_point_correlation,
                                  vacuum_overlap, xi_t)
 from isingff.linalg import det_and_inverse, pfaffian
-from isingff.spectral import Couplings, gamma_of_theta, nu_of_gamma
+from isingff.spectral import Couplings, coupling_tables, gamma_of_theta, nu_of_gamma
 from isingff.verification import (_spec_groups, completeness_sum_rule,
                                   formfactor_suite, rotation_suite)
 
@@ -306,7 +306,7 @@ class TestSpecStacks:
             assemble_r_elliptic(stack, c)
         assert not calls
         monkeypatch.undo()
-        u, mod = ising_record(c)["u"], c.modulus
+        u, mod = ising_record(c)["u"], ising_modulus(c)
         for stack, rt in zip(stacks, gathered):
             k = stack.bra.shape[1] + stack.ket.shape[1]
             i, j = np.triu_indices(k, 1)
@@ -503,28 +503,42 @@ class TestAbsFF2Cache:
         assert info().misses == misses + 1 and info().currsize == info().maxsize
 
 
+def _imports(module: str, nodes):
+    """(line, dotted name) of each import statement among the nodes of
+    ``module``'s source tree, given the tree (every node) or its body."""
+    source = Path(__file__).resolve().parents[1] / "src" / "isingff" / f"{module}.py"
+    for node in nodes(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, f"{node.module or ''}.{alias.name}")
+                        for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
 def test_evaluation_path_imports_no_verification_route():
     """formfactors, which ff and corr run, imports nothing from the elliptic,
     Cauchy or verification layers."""
-    source = Path(__file__).resolve().parents[1] / "src" / "isingff" / "formfactors.py"
     banned = {"elliptic", "cauchy", "verification"}
-    for node in ast.walk(ast.parse(source.read_text())):
-        if isinstance(node, ast.ImportFrom):
-            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
-        elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        for name in names:
-            assert not banned & set(name.split(".")), f"line {node.lineno}: {name}"
+    for line, name in _imports("formfactors", ast.walk):
+        assert not banned & set(name.split(".")), f"line {line}: {name}"
+
+
+@pytest.mark.parametrize("module", ["spectral", "formfactors", "linalg"])
+def test_evaluation_layers_import_no_elliptic_side(module):
+    """The modules of the evaluation path import neither elliptic nor cauchy
+    at module level: the uniformization of the curve is the elliptic routes'
+    own.  (``Couplings.__getattr__`` imports ``u_of_theta`` in its body.)"""
+    for line, name in _imports(module, lambda tree: tree.body):
+        assert not {"elliptic", "cauchy"} & set(name.split(".")), f"line {line}: {name}"
 
 
 def test_evaluation_path_evaluates_no_elliptic_function(monkeypatch):
     """Constructing the couplings, the form factors, the vacuum overlap, xi_T
     and the spectral sum read only elementary functions of theta: with
-    theta_1, the inverse of sn and the incomplete elliptic integral refused,
-    each runs from cold tables."""
+    theta_1 and the complete elliptic integral refused, so that no modulus
+    can be built either, each runs from cold tables."""
     spectral.coupling_tables.cache_clear()
+    cauchy.ising_modulus.cache_clear()
     _fock_basis.cache_clear()
     _kept_ff2_blocks.cache_clear()
 
@@ -532,13 +546,38 @@ def test_evaluation_path_evaluates_no_elliptic_function(monkeypatch):
         raise AssertionError("an elliptic function was evaluated")
 
     monkeypatch.setattr(elliptic, "_theta1", refuse)
-    monkeypatch.setattr(spectral, "inverse_sn_real", refuse)
-    monkeypatch.setattr(spectral, "incomplete_elliptic_F", refuse)
+    monkeypatch.setattr(elliptic, "complete_elliptic_K", refuse)
     c = Couplings.from_kx_ky(0.4, 0.7, 8)
     spec = FormFactorSpec(3, FockState("a", (1, 4)), FockState("p", (0, 6)))
     values = (ff_closed(spec, c), ff_pfaffian(spec, c), vacuum_overlap(c), xi_t(c),
               two_point_correlation(c, 8, 2, 3))
     assert all(math.isfinite(abs(v)) for v in values)
+
+
+def _mp_sectors(mpmath, kx: float, ky: float, n: int):
+    """theta_a, gamma_a and nu_a, and the vacuum overlap
+    ((1 - k^2) exp(sum nu_p - sum nu_a))^(1/8) at width n, each written out
+    from elementary functions at mpmath's working precision."""
+    kx, ky = mpmath.mpf(kx), mpmath.mpf(ky)
+    kx_star = mpmath.atanh(mpmath.exp(-2 * kx))
+    ch, sh = mpmath.cosh(2 * kx_star), mpmath.sinh(2 * kx_star)
+
+    def gamma(t):
+        return mpmath.acosh(ch * mpmath.cosh(2 * ky) - sh * mpmath.sinh(2 * ky) * mpmath.cos(t))
+
+    theta_a = [(2 * j + 1) * mpmath.pi / n for j in range(n)]
+    gamma_a = [gamma(t) for t in theta_a]
+    gamma_p = [gamma(2 * j * mpmath.pi / n) for j in range(n)]
+
+    def nu(g):
+        return (sum(mpmath.log(mpmath.sinh((g + h) / 2)) for h in gamma_a)
+                - sum(mpmath.log(mpmath.sinh((g + h) / 2)) for h in gamma_p))
+
+    nu_a = [nu(g) for g in gamma_a]
+    k = sh / mpmath.sinh(2 * ky)
+    vacuum = ((1 - k**2) * mpmath.exp(sum(nu(g) for g in gamma_p) - sum(nu_a))) ** (
+        mpmath.mpf(1) / 8)
+    return theta_a, gamma_a, nu_a, vacuum
 
 
 def test_ff_closed_against_a_50_digit_reference():
@@ -549,26 +588,8 @@ def test_ff_closed_against_a_50_digit_reference():
     mpmath = pytest.importorskip("mpmath")
     n, site, bra = 16, 8, (6, 7, 8, 9)
     with mpmath.workdps(50):
+        theta_a, gamma_a, nu_a, vacuum = _mp_sectors(mpmath, 0.3, 0.9, n)
         kx, ky = mpmath.mpf(0.3), mpmath.mpf(0.9)
-        kx_star = mpmath.atanh(mpmath.exp(-2 * kx))
-        ch, sh = mpmath.cosh(2 * kx_star), mpmath.sinh(2 * kx_star)
-
-        def gamma(t):
-            return mpmath.acosh(ch * mpmath.cosh(2 * ky)
-                                - sh * mpmath.sinh(2 * ky) * mpmath.cos(t))
-
-        theta_a = [(2 * j + 1) * mpmath.pi / n for j in range(n)]
-        gamma_a = [gamma(t) for t in theta_a]
-        gamma_p = [gamma(2 * j * mpmath.pi / n) for j in range(n)]
-
-        def nu(g):
-            return (sum(mpmath.log(mpmath.sinh((g + h) / 2)) for h in gamma_a)
-                    - sum(mpmath.log(mpmath.sinh((g + h) / 2)) for h in gamma_p))
-
-        nu_a = [nu(g) for g in gamma_a]
-        k = sh / mpmath.sinh(2 * ky)
-        vacuum = ((1 - k**2) * mpmath.exp(sum(nu(g) for g in gamma_p) - sum(nu_a))) ** (
-            mpmath.mpf(1) / 8)
         rho2 = mpmath.sinh(2 * ky) / mpmath.sinh(2 * kx)
         ell = site - mpmath.mpf(1) / 2
 
@@ -587,6 +608,17 @@ def test_ff_closed_against_a_50_digit_reference():
     c = Couplings.from_kx_ky(0.3, 0.9, n)
     spec = FormFactorSpec(site, FockState("a", bra), FockState("p", ()))
     assert abs(ff_closed(spec, c) - ref) <= 1e-13 * abs(ref)
+
+
+def test_vacuum_prefactor_near_criticality_against_a_50_digit_reference():
+    """The closed route's prefactor exp(log_vac2 / 2), the vacuum overlap,
+    at (0.4407, 0.4407), N=8, where gamma_0 is 5.3e-5; formed from xi it was
+    8.5e-13 off."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ref = float(_mp_sectors(mpmath, 0.4407, 0.4407, 8)[3])
+    value = math.exp(coupling_tables(Couplings.from_kx_ky(0.4407, 0.4407, 8)).log_vac2 / 2.0)
+    assert abs(value - ref) <= 2e-13 * ref
 
 
 def _mp_pfaffian(a: list) -> complex:

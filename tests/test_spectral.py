@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from isingff.cauchy import b_elliptic, ising_eta, ising_modulus, u_of_theta
 from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
-from isingff.spectral import (SECTORS, Couplings, b_elliptic, b_of_theta,
-                              coupling_tables, gamma_of_theta,
-                              log_sinh, nu_of_gamma, quasimomenta,
-                              sqrt_b_of_theta, u_of_theta)
+from isingff.spectral import (SECTORS, Couplings, b_of_theta, coupling_tables,
+                              gamma_of_theta, log_sinh, nu_of_gamma, quasimomenta,
+                              sqrt_b_of_theta)
 from isingff.verification import elliptic_suite
 
 C = Couplings.from_kx_ky(0.4, 0.7, 5)
@@ -44,21 +44,29 @@ class TestCouplings:
         with pytest.raises(DomainError):
             Couplings.from_kx_ky(0.1, 0.2, 4)
 
+    def test_strong_coupling_constructs(self):
+        # k = 1/s is about 1.5e-10, so k' rounds to 1: only the elliptic
+        # routes, which build the modulus, refuse the coupling
+        c = Couplings(8, 6, 6)
+        assert 0.0 < c.k < 2e-10 and c.k == pytest.approx(1.0 / c.s, rel=1e-14)
+        with pytest.raises(DomainError, match="rounds to 1"):
+            ising_modulus(c)
+
     def test_ordering_of_derived_scalars(self):
         assert 0.0 < C.beta < C.alpha < 1.0
         assert C.kx_star < C.ky
-        assert 0.0 < C.modulus.k < 1.0
+        assert 0.0 < C.k < 1.0
 
     def test_dual_coupling_identity(self):
         # sinh(2 kx*) sinh(2 kx) = 1, hence k = 1/s
         assert C.sinh2kx_star * C.sinh2kx == pytest.approx(1.0, rel=1e-14)
-        assert C.modulus.k == pytest.approx(1.0 / C.s, rel=1e-14)
+        assert C.k == pytest.approx(1.0 / C.s, rel=1e-14)
 
     def test_direct_construction_is_the_classmethod(self):
         c = Couplings(n=5, kx=0.4, ky=0.7)
         assert c == C and hash(c) == hash(C)
         assert repr(c) == "Couplings(n=5, kx=0.4, ky=0.7)"
-        for name in ("kx_star", "alpha", "beta", "s", "modulus"):
+        for name in ("kx_star", "alpha", "beta", "s", "k"):
             assert getattr(c, name) == getattr(C, name)
         with pytest.raises(DomainError, match="ferromagnetic"):
             Couplings(n=8, kx=0.1, ky=0.2)
@@ -81,7 +89,7 @@ class TestCouplings:
     def test_replace_gives_a_consistent_instance(self):
         c = dataclasses.replace(C, n=16)
         fresh = Couplings.from_kx_ky(0.4, 0.7, 16)
-        assert c == fresh and c.modulus == C.modulus
+        assert c == fresh and c.k == C.k
         assert len(c.sector("p").gamma) == 16
         with pytest.raises(DomainError):
             dataclasses.replace(C, ky=0.05)
@@ -97,32 +105,33 @@ class TestCouplings:
         ratios, rejected = [], 0
         for kx in kxs:
             try:
-                c = Couplings(8, float(kx), ky)
+                mod = ising_modulus(Couplings(8, float(kx), ky))
             except DomainError:
                 rejected += 1
                 continue
-            ratios.append(c.modulus.bigKprime / c.modulus.bigK)
+            ratios.append(mod.bigKprime / mod.bigK)
         assert rejected > 0 and min(ratios) < 0.09   # the sweep reaches the edge
         assert min(ratios) > 0.08
 
     def test_eta_is_solved_on_first_read(self):
         c = Couplings.from_kx_ky(0.4, 0.7, 6)
-        assert "eta" not in vars(c)
-        eta = c.eta
-        assert vars(c)["eta"] == eta and c.eta is eta
-        assert pickle.loads(pickle.dumps(c)).eta == eta
+        ising_eta.cache_clear()
+        eta = ising_eta(c)
+        assert ising_eta(Couplings.from_kx_ky(0.4, 0.7, 6)) is eta
+        assert ising_eta.cache_info().misses == 1
+        assert ising_eta(pickle.loads(pickle.dumps(c))) == eta
         assert copy.deepcopy(c) == c
 
     def test_eta_position_and_residual(self):
-        assert -C.modulus.bigKprime / 2.0 < C.eta < 0.0
-        sn2ieta = jacobi_sn_cn_dn(2j * C.eta, C.modulus)[0]
+        assert -ising_modulus(C).bigKprime / 2.0 < ising_eta(C) < 0.0
+        sn2ieta = jacobi_sn_cn_dn(2j * ising_eta(C), ising_modulus(C))[0]
         assert abs(math.sinh(2 * C.kx) - (1j * sn2ieta)) < 1e-11
 
     @pytest.mark.parametrize("kx, ky", [(0.4, 0.7), (0.3, 0.9), (0.5, 0.5),
                                         (0.05, 1.5), (0.7, 0.8), (1.2, 0.3)])
     def test_eta_is_the_root_of_sc(self, kx, ky):
         c = Couplings.from_kx_ky(kx, ky, 1)
-        comp = c.modulus.complementary()
+        comp = ising_modulus(c).complementary()
 
         def sc(v):
             sn, cn, _ = jacobi_sn_cn_dn(v, comp)
@@ -130,19 +139,19 @@ class TestCouplings:
 
         root = brentq(sc, 1e-14 * comp.bigK, (1 - 1e-12) * comp.bigK,
                       xtol=1e-15, rtol=8.9e-16)
-        assert abs(-0.5 * root - c.eta) <= 1e-13 * abs(c.eta)
+        assert abs(-0.5 * root - ising_eta(c)) <= 1e-13 * abs(ising_eta(c))
 
     def test_eta_vanishes_with_weak_horizontal_coupling(self):
-        eta = Couplings.from_kx_ky(0.05, 1.5, 1).eta
+        eta = ising_eta(Couplings.from_kx_ky(0.05, 1.5, 1))
         assert -0.06 < eta < 0.0
 
     def test_uniformization_satisfies_curve(self):
         rng = np.random.default_rng(1)
-        mod = C.modulus
+        mod = ising_modulus(C)
         rhs = math.cosh(2 * C.kx) * math.cosh(2 * C.ky)
         for u in rng.uniform(-mod.bigK, mod.bigK, 20):
-            snp = jacobi_sn_cn_dn(u + 1j * C.eta, mod)[0]
-            snm = jacobi_sn_cn_dn(u - 1j * C.eta, mod)[0]
+            snp = jacobi_sn_cn_dn(u + 1j * ising_eta(C), mod)[0]
+            snm = jacobi_sn_cn_dn(u - 1j * ising_eta(C), mod)[0]
             z = snp / snm
             lam = 1.0 / (mod.k * snp * snm)
             lhs = C.sinh2kx * (lam + 1 / lam) / 2 + C.sinh2ky * (z + 1 / z) / 2
@@ -218,9 +227,9 @@ class TestGamma:
         expected = math.acosh(math.cosh(2 * c.kx_star) * math.cosh(2 * c.ky))
         assert g == pytest.approx(expected, rel=1e-14)
         u = u_of_theta(math.pi / 2, c)
-        snp = jacobi_sn_cn_dn(u + 1j * c.eta, c.modulus)[0]
-        snm = jacobi_sn_cn_dn(u - 1j * c.eta, c.modulus)[0]
-        lam = 1.0 / (c.modulus.k * snp * snm)
+        snp = jacobi_sn_cn_dn(u + 1j * ising_eta(c), ising_modulus(c))[0]
+        snm = jacobi_sn_cn_dn(u - 1j * ising_eta(c), ising_modulus(c))[0]
+        lam = 1.0 / (ising_modulus(c).k * snp * snm)
         assert abs(lam - math.exp(g)) < 1e-11
 
     def test_reflection_symmetry(self):
@@ -272,12 +281,12 @@ class TestB:
             root = b_elliptic(u_of_theta(th, C), C)
             assert abs(root**2 - b_of_theta(th, C)) < 1e-13
         assert b_elliptic(0.0, C) == pytest.approx(1.0)
-        assert b_elliptic(-C.modulus.bigK, C) == pytest.approx(1.0)
+        assert b_elliptic(-ising_modulus(C).bigK, C) == pytest.approx(1.0)
 
 
 class TestUOfTheta:
     def test_endpoints(self):
-        assert abs(u_of_theta(0.0, C) + C.modulus.bigK) < 1e-13
+        assert abs(u_of_theta(0.0, C) + ising_modulus(C).bigK) < 1e-13
         assert abs(u_of_theta(math.pi, C)) < 1e-13
 
     def test_reflection(self):
@@ -300,8 +309,8 @@ class TestUOfTheta:
         gamma_pi = 2 * (C.ky + C.kx_star)
         for th in rng.uniform(0, 2 * math.pi, 100):
             u = u_of_theta(th, C)
-            assert -C.modulus.bigK <= u < C.modulus.bigK
-            sn, cn, _ = jacobi_sn_cn_dn(u, C.modulus)
+            assert -ising_modulus(C).bigK <= u < ising_modulus(C).bigK
+            sn, cn, _ = jacobi_sn_cn_dn(u, ising_modulus(C))
             g = float(gamma_of_theta(th, C))
             target = -C.sinh2ky * math.cos(th / 2) / math.sinh((gamma_pi + g) / 2)
             assert abs(sn.real - target) < 1e-13
