@@ -117,14 +117,18 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _closed_block_norm(c: Couplings, site: int, bra_labels: list, ket_labels: list) -> float:
+def _closed_block_norm(c: Couplings, site: int, bra_labels: list, ket_labels: list,
+                       known: dict) -> float:
     """sqrt of the sum of |F|^2 over the (bra, ket) label pairs of two oracle
-    blocks: one ``ff_closed`` stack per (m, n), the squares summed in label
-    order with Python's ``abs`` (``np.abs`` can differ in the last bit)."""
+    blocks: a pair in ``known``, a dict from (bra, ket) indices to F, reads its
+    value there (``ff_closed`` has the same bits in any stack), the others
+    come from one ``ff_closed`` stack per (m, n); the squares are summed in
+    label order with Python's ``abs`` (``np.abs`` can differ in the last bit)."""
     pairs = [(b, k) for _, b in bra_labels for _, k in ket_labels]
-    values = {}
-    for shape in {(len(b), len(k)) for b, k in pairs}:
-        group = [(b, k) for b, k in pairs if (len(b), len(k)) == shape]
+    values = dict(known)
+    rest = [p for p in pairs if p not in values]
+    for shape in {(len(b), len(k)) for b, k in rest}:
+        group = [(b, k) for b, k in rest if (len(b), len(k)) == shape]
         bra, ket = (np.array(side, dtype=int) for side in zip(*group))
         values.update(zip(group, ff_closed(SpecStack(site, bra, ket), c)))
     return math.sqrt(sum(abs(complex(values[p])) ** 2 for p in pairs))
@@ -156,7 +160,8 @@ def _cmd_ff(args) -> int:
         oracle_val = oracle_ff_modulus(ops, pair, spec)
         bra_labels, ket_labels = block_labels(pair, bra.block), block_labels(pair, ket.block)
         blockwise = len(bra_labels) > 1 or len(ket_labels) > 1
-        closed_block = _closed_block_norm(c, args.site, bra_labels, ket_labels)
+        closed_block = _closed_block_norm(c, args.site, bra_labels, ket_labels,
+                                          {(spec.bra.indices, spec.ket.indices): f_closed})
         oracle_residual = abs(closed_block - oracle_val) / max(closed_block, 1e-30)
         results.update({
             "oracle_abs": oracle_val,

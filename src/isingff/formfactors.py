@@ -107,24 +107,32 @@ class SpecStack(NamedTuple):
 
 def _as_stack(spec: FormFactorSpec | SpecStack, c: Couplings) -> SpecStack:
     """``spec`` as a checked stack; a :class:`FormFactorSpec` gives S = 1."""
-    if isinstance(spec, FormFactorSpec):
-        spec = SpecStack(spec.site, np.array([spec.bra.indices], dtype=int),
-                         np.array([spec.ket.indices], dtype=int))
-    bra, ket = np.asarray(spec.bra, dtype=int), np.asarray(spec.ket, dtype=int)
-    if not (bra.ndim == ket.ndim == 2 and len(bra) == len(ket)
-            and (bra.shape[1] + ket.shape[1]) % 2 == 0):
-        raise DomainError(f"a spec stack needs (S, m) bra and (S, n) ket indices, "
-                          f"m + n even, got shapes {bra.shape} and {ket.shape}")
-    if not all(np.all((x >= 0) & (x < c.n)) and np.all(np.diff(x, axis=1) > 0)
-               for x in (bra, ket)):
-        raise DomainError(f"momentum indices must increase strictly within [0, {c.n})")
     site = spec.site
-    if np.ndim(site) != 0:
+    if isinstance(spec, FormFactorSpec):
+        # FockState has checked that each side increases strictly, and
+        # FormFactorSpec that m + n is even: only the ends remain, on the tuples
+        bra, ket = spec.bra.indices, spec.ket.indices
+        inside = all(x[0] >= 0 and x[-1] < c.n for x in (bra, ket) if x)
+        bra, ket = np.array([bra], dtype=int), np.array([ket], dtype=int)
+    else:
+        bra, ket = np.asarray(spec.bra, dtype=int), np.asarray(spec.ket, dtype=int)
+        if not (bra.ndim == ket.ndim == 2 and len(bra) == len(ket)
+                and (bra.shape[1] + ket.shape[1]) % 2 == 0):
+            raise DomainError(f"a spec stack needs (S, m) bra and (S, n) ket indices, "
+                              f"m + n even, got shapes {bra.shape} and {ket.shape}")
+        inside = all(np.all((x >= 0) & (x < c.n)) and np.all(np.diff(x, axis=1) > 0)
+                     for x in (bra, ket))
+    if not inside:
+        raise DomainError(f"momentum indices must increase strictly within [0, {c.n})")
+    if np.ndim(site) == 0:
+        inside = 0 <= site < c.n
+    else:
         site = np.asarray(site, dtype=int)
         if site.shape != (len(bra),):
             raise DomainError(f"a stack needs one site or {len(bra)} sites, "
                               f"got shape {site.shape}")
-    if not np.all((site >= 0) & (site < c.n)):
+        inside = np.all((site >= 0) & (site < c.n))
+    if not inside:
         raise DomainError(f"site {spec.site} outside [0, {c.n})")
     return SpecStack(site, bra, ket)
 

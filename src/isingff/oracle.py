@@ -5,15 +5,19 @@ the global flip U as index maps, and V as one entry formula, and labels
 every eigenstate of V, or those of chosen (T, U) characters, with a Fock
 momentum set.  T and U generate an abelian group; its character table gives
 every (momentum, charge) block of V at once, read off V at the orbit
-representatives.  V is diagonalized block by block, once per pair of
+representatives.  V's eigenvalues come block by block, once per pair of
 conjugate characters, whose blocks are complex conjugates of each other, and
 all eigenvalues together are grouped by a tolerance relative to the
 eigenvalue and matched in energy order against the predicted labels, sorted
-once by (character, V).  What no coupling enters (spins, index maps,
-orbits, characters, block maps, spin distances: :class:`_Geometry`) is built
-once per (N, eps_y) and shared read-only; V_y^{1/2}, V_x's N + 1 entries,
-the labels, block sums, eigenvalues and matching are per coupling.
-Everything here is independent of the closed-form
+once by (character, V).  No block is fully diagonalized: the eigenvectors of
+an eigenvalue group are formed by inverse iteration on the group's known
+eigenvalues when one of its states is read, and a matrix element below
+1e-6 is taken again from eigenvectors refined against V's factors in
+extended precision (:func:`_refined_group`).  What no coupling enters
+(spins, index maps, orbits, characters, block maps, spin distances:
+:class:`_Geometry`) is built once per (N, eps_y) and shared read-only;
+V_y^{1/2}, V_x's N + 1 entries, the labels, block sums, eigenvalues and
+matching are per coupling.  Everything here is independent of the closed-form
 modules except for the shared dispersion gamma_theta, so it serves as
 ground truth for matrix elements and correlations at small N.
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.linalg import eigh, eigvalsh
+from numpy.linalg import LinAlgError, eigvalsh, norm, solve
 
 from .exceptions import AmbiguousLabelError, DomainError, ResourceError
 from .formfactors import FormFactorSpec, fock_basis
@@ -47,6 +51,9 @@ _TRACE_MAX_N, _TRACE_MAX_M = 10, 64  # widths and heights the dense trace ratio 
 # spectrum spans about ten decades at N=10, (0.3, 0.9), so a tolerance
 # relative to the top merges distinct states at the bottom
 _GROUP_TOL = 1e-9
+# oracle_ff_modulus refines the eigenvectors behind a matrix element below
+# this: H_chi's carry an absolute error of order 1e-17 into it
+_REFINE_BELOW = 1e-6
 
 
 @dataclass
@@ -90,40 +97,165 @@ class SpinOperatorSet:
 @dataclass(eq=False)
 class _CharacterBlock:
     """One character block of V and what expands H_chi's eigenvectors to the
-    full space.  A lead holds the lower triangle of H_chi (all eigh reads);
-    its conjugate partner holds the lead instead, since H_chi-bar = conj(H_chi)
-    has the conjugate eigenvectors.  The lead's eigenvectors are computed on
-    the first read of a vector of either block, and each full-space vector on
-    its own first read, from its one column: ``ff`` reads one or two of a
-    block's ~52 states at N=10."""
+    full space.  A lead holds the lower triangle of H_chi, its eigenvalues in
+    ascending order and, set by labelling, each row's eigenvalue group
+    ``[lo, hi)``; its conjugate partner holds the lead instead, since
+    H_chi-bar = conj(H_chi) has the conjugate eigenvectors.  The first read of
+    a vector of either block forms its group's eigenvectors of H_chi by
+    :func:`_group_eigenvectors`, and each full-space vector is formed on its
+    own first read, from its one column: ``ff`` reads one or two of a block's
+    ~52 states at N=10."""
 
     h: np.ndarray | None      # a lead's H_chi; None for a partner
     col: np.ndarray           # each basis state's column of H_chi
     amp: np.ndarray           # its amplitude <x|r_chi>, 0 outside the block
     lead: _CharacterBlock | None = None   # a partner's lead
+    w: np.ndarray | None = None           # a lead's eigenvalues, ascending
+    groups: list[tuple[int, int]] = field(default_factory=list, repr=False)   # a lead's, by row
+    columns: dict[int, np.ndarray] = field(default_factory=dict, repr=False)  # a lead's, by row
     formed: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:     # a lead's, as columns in eigenvalue order
-        return eigh(self.h)[1]
+    def column(self, row: int) -> np.ndarray:
+        """A lead's eigenvector of H_chi for its row-th eigenvalue."""
+        q = self.columns.get(row)
+        if q is None:
+            lo, hi = self.groups[row]
+            self.columns.update(zip(range(lo, hi), _group_eigenvectors(self.h, self.w, lo, hi).T))
+            q = self.columns[row]
+        return q
 
     def vector(self, row: int) -> np.ndarray:
         """The full-space eigenvector of H_chi's row-th eigenvalue (read-only)."""
         vec = self.formed.get(row)
         if vec is None:
-            q = self.eigenvectors[:, row] if self.lead is None \
-                else self.lead.eigenvectors[:, row].conj()
+            q = self.column(row) if self.lead is None else self.lead.column(row).conj()
             vec = self.formed[row] = q[self.col] * self.amp
             vec.flags.writeable = False
         return vec
 
 
+@lru_cache(maxsize=None)
+def _start_block(size: int, width: int) -> np.ndarray:
+    """The fixed start block of inverse iteration, from its own seeded generator
+    (read-only: it is shared by every block of this size)."""
+    (block,) = _read_only(np.random.default_rng(0).standard_normal((size, width)))
+    return block
+
+
+def _shifted(h_low: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """H - shift for the Hermitian H whose lower triangle is ``h_low``, formed
+    as eigvalsh reads it (the upper triangle its conjugate transpose, the
+    diagonal real), with the shift at the mean of the group ``w[lo:hi]``."""
+    a = h_low + h_low.conj().T
+    a[np.diag_indices(len(w))] = h_low.diagonal().real - w[lo:hi].mean()
+    return a
+
+
+def _solve_shifted(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a^{-1} b for ``a`` from :func:`_shifted`.  Where the shift is an
+    eigenvalue to the last bit, the LU factorization meets an exact zero
+    pivot, and the shift moves, in ``a``, by size * eps * lambda_max."""
+    try:
+        return solve(a, b)
+    except LinAlgError:
+        a[np.diag_indices(len(a))] -= len(a) * np.finfo(float).eps * w[-1]   # V is positive definite
+        return solve(a, b)
+
+
+def _orthonormal(y: np.ndarray) -> np.ndarray:
+    """The columns of ``y`` made orthonormal by Gram-Schmidt, twice: columns
+    are only combined, coordinate by coordinate, so a coordinate where a
+    column is small takes rounding of its own size.  A Householder QR puts
+    rounding of the order eps * |y| into every coordinate, and so into the
+    large-eigenvalue directions that a small eigenvalue's vectors are nearly
+    free of (at ``ff --kx 0.15 --ky 1.5 --n 8 --site 0 --bra 0,1,2,3,5
+    --ket 0``, a doublet's, oracle_residual 2.1e-7 against 1.0e-8 here)."""
+    q = np.empty_like(y)
+    for j in range(y.shape[1]):
+        v = y[:, j]
+        for _ in range(2 if j else 0):
+            v = v - q[:, :j] @ (q[:, :j].conj().T @ v)
+        q[:, j] = v / norm(v)
+    return q
+
+
+def _group_eigenvectors(h_low: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Orthonormal eigenvectors, as columns, of the Hermitian H whose lower
+    triangle is ``h_low``, for its eigenvalues ``w[lo:hi]`` (one group).
+
+    Two steps of inverse iteration (Ipsen, SIAM Review 39, 254, 1997) solve
+    (H - shift) X = B (:func:`_shifted`), each followed by
+    :func:`_orthonormal`, from a fixed start block of its own seeded
+    generator, so a vector does not depend on the global random state.  The
+    eigenvalues are known to rounding, so each solve damps an eigenvector
+    outside the group, of eigenvalue lambda_j, by
+    |lambda - shift| / |lambda_j - shift| against the group's.  Vectors of
+    distinct groups are orthogonal to about eps * lambda_max / gap.
+    """
+    a = _shifted(h_low, w, lo, hi)
+    x = _start_block(len(w), hi - lo)
+    for _ in range(2):
+        x = _orthonormal(_solve_shifted(a, x, w))
+    return x
+
+
+def _v_product(ops: SpinOperatorSet, x: np.ndarray) -> np.ndarray:
+    """V x for full-space columns ``x``, in extended precision
+    (np.clongdouble), from V's factors as :func:`build_operators` gives them:
+    V_y^{1/2}, ch + sh sigma^x on every site (whose product :func:`_vx_table`
+    tabulates), V_y^{1/2}."""
+    c, ld = ops.couplings, np.longdouble
+    half = ops.vy_half.astype(ld)[:, None]
+    y = (half * x).reshape((2,) * c.n + x.shape[1:])
+    th = ld(math.sinh(c.kx_star)) / ld(math.cosh(c.kx_star))
+    for site in range(c.n):
+        y = y + th * np.flip(y, site)
+    scale = (ld(2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0)) * ld(math.cosh(c.kx_star)) ** c.n
+    return scale * half * y.reshape(x.shape)
+
+
+def _refined_group(ops: SpinOperatorSet, lead: _CharacterBlock, lo: int, hi: int) -> np.ndarray:
+    """The eigenvectors of V in the lead block's group ``[lo, hi)``, as columns
+    of H_chi's coordinates, from those of H_chi by two Newton steps.
+
+    H_chi's summed entries round by about eps * lambda_max, so its
+    eigenvectors miss V's by that over the gap; a small form factor, whose
+    bra and ket nearly cancel under the spin, reads that as a relative error
+    of order 1e-17 / |F|.  Each step takes the residual R = V X - X (X^H V X)
+    in extended precision, from :func:`_v_product` on the full-space
+    expansion, and solves the Jacobi-Davidson correction equation
+    (1 - X X^H)(H - shift) T = -R, T orthogonal to X, with H_chi's LU in
+    double (Sleijpen and van der Vorst, SIAM J. Matrix Anal. Appl. 17, 401,
+    1996): T = -M R + M X C, M = (H - shift)^{-1},
+    C = (X^H M X)^{-1} X^H M R.  Each step shrinks the miss by about
+    eps * lambda_max / gap.
+    """
+    width, inside = hi - lo, np.flatnonzero(lead.amp)
+    rows, amp = lead.col[inside], lead.amp[inside, None].astype(np.clongdouble)
+    a = _shifted(lead.h, lead.w, lo, hi)
+    x = np.array([lead.column(r) for r in range(lo, hi)], dtype=np.clongdouble).T
+    full = np.zeros((len(lead.amp), width), dtype=np.clongdouble)
+    for _ in range(2):
+        full[inside] = x[rows] * amp
+        vx = np.zeros_like(x)
+        np.add.at(vx, rows, amp.conj() * _v_product(ops, full)[inside])
+        r = vx - x @ (x.conj().T @ vx)
+        xd = x.astype(complex)
+        m = _solve_shifted(a, np.hstack([r.astype(complex), xd]), lead.w)
+        mr, mx = m[:, :width], m[:, width:]
+        x = x + (mx @ solve(xd.conj().T @ mx, xd.conj().T @ mr) - mr)
+        # x^H x = 1 + e to about 1e-16: (1 + e)^{-1/2} to third order
+        e = x.conj().T @ x - np.eye(width)
+        x = x @ (np.eye(width) - e / 2 + 3 * (e @ e) / 8)
+    return x.astype(complex)
+
+
 @dataclass
 class LabeledEigenstate:
     """Eigenstate with its quantum numbers and matched Fock label; the
-    eigenvector is formed on first read, and kept: its block's eigenvectors
-    come from one eigh per conjugate pair, and only this state's column of
-    them is expanded to the full space."""
+    eigenvector is formed on first read, and kept: its eigenvalue group's
+    eigenvectors of the block come from one inverse iteration per conjugate
+    pair, and only this state's column is expanded to the full space."""
 
     sector: str
     indices: tuple[int, ...]
@@ -326,10 +458,14 @@ def labeled_spectrum(ops: SpinOperatorSet,
     the conjugate character (momentum -m, same charge) is conj(H_chi), with
     the same eigenvalues and the conjugate eigenvectors: only the lead
     (smaller index) of each conjugate pair is summed, in real arithmetic, and
-    labelling makes one eigenvalues-only call per nonempty pair.  A block's
-    eigenvectors are computed, once per pair, on the first read of one of
-    its states' :attr:`LabeledEigenstate.vector`, and each state's vector is
-    expanded back to the full space, orthonormal, on its own first read.
+    labelling makes one eigenvalues-only call per nonempty pair and records
+    each row's eigenvalue group on the lead.  The first read of a state's
+    :attr:`LabeledEigenstate.vector` forms the eigenvectors of its group, once
+    per pair, by inverse iteration on the group's eigenvalues
+    (:func:`_group_eigenvectors`), and each state's vector is expanded back
+    to the full space on its own first read.  The vectors of one group are
+    orthonormal to rounding; those of distinct groups are orthogonal to
+    about eps * lambda_max / gap (1.1e-11 at (0.2, 1.2), N=10, eps_y=+1).
 
     The predicted V, T and U are read as arrays from
     :func:`predicted_fock_labels`.  Each predicted label belongs to the
@@ -397,8 +533,8 @@ def labeled_spectrum(ops: SpinOperatorSet,
         inside = sym.keep[k, sym.r] & sym.keep[k, sym.s]     # each lead's block, read off h_low
         h = np.zeros((size[k], size[k]), dtype=complex)
         h[at[sym.r[inside]], at[sym.s[inside]]] = h_low[k][inside]
-        blocks[k] = _CharacterBlock(h, sym.col[k], sym.amp[k])
         vals[k] = eigvalsh(h)
+        blocks[k] = _CharacterBlock(h, sym.col[k], sym.amp[k], w=vals[k])
     w = np.concatenate([vals[k] for k in np.flatnonzero(want).tolist()])
 
     chars = char_of[order]                        # the character of each position
@@ -428,6 +564,10 @@ def labeled_spectrum(ops: SpinOperatorSet,
     # inside a group the labels keep their predicted order
     order = order[np.lexsort((order, grp))]
     row = np.arange(len(w)) - first[chars]
+    # each row's group, recorded on the lead, which forms a group's vectors at once
+    bounds = list(zip((starts[grp] - first[chars]).tolist(), (ends[grp] - first[chars]).tolist()))
+    for k in np.flatnonzero(want).tolist():
+        blocks[min(k, conj[k])].groups = bounds[first[k]:first[k] + size[k]]
     lam_of, u_of, split, fock = lam_grp.tolist(), u.tolist(), labels.split, labels.states
     # positional arguments: keywords take about three times as long
     return [LabeledEigenstate("a" if i < split else "p", fock[i], lam_of[g], t_of[k], u_of[k],
@@ -456,13 +596,30 @@ def oracle_ff_modulus(ops: SpinOperatorSet, spectrum: list[LabeledEigenstate],
     returned value is the basis-invariant Frobenius norm of the spin-operator
     sub-block between the two blocks; for singleton blocks this is the plain
     matrix-element modulus.  ``spectrum`` may be any part of the labeled
-    states that holds both blocks whole.
+    states that holds both blocks whole.  Below ``_REFINE_BELOW`` the value
+    is taken again from both blocks' eigenvectors of V, refined by
+    :func:`_refined_group` (about 3 ms more at N=10).
     """
     bra = find_state(spectrum, "a", spec.bra.indices)
     ket = find_state(spectrum, "p", spec.ket.indices)
     bra_vecs = np.array([st.vector for st in spectrum if st.block == bra.block])
     ket_vecs = np.array([st.vector for st in spectrum if st.block == ket.block])
-    return float(np.linalg.norm(bra_vecs.conj() @ (ops.sl[spec.site] * ket_vecs).T))
+    value = float(np.linalg.norm(bra_vecs.conj() @ (ops.sl[spec.site] * ket_vecs).T))
+    if value < _REFINE_BELOW:
+        bra_vecs, ket_vecs = (_refined_vectors(ops, st) for st in (bra, ket))
+        value = float(np.linalg.norm(bra_vecs.conj() @ (ops.sl[spec.site] * ket_vecs).T))
+    return value
+
+
+def _refined_vectors(ops: SpinOperatorSet, state: LabeledEigenstate) -> np.ndarray:
+    """The full-space vectors, as rows, of ``state``'s eigenvalue group from
+    :func:`_refined_group` (a partner's: its lead's, conjugated)."""
+    source = state._source
+    lead = source.lead or source
+    q = _refined_group(ops, lead, *lead.groups[state._row])
+    if source.lead is not None:
+        q = q.conj()
+    return (q[source.col] * source.amp[:, None]).T
 
 
 def block_labels(spectrum: list[LabeledEigenstate], block: int) -> list[tuple[str, tuple]]:

@@ -27,13 +27,16 @@ translation phases over every site at once; ff_pfaffian now runs for the
 translation phases only.
 
 The oracle labels its states from eigenvalues alone, with one eigenvalue call
-per pair of conjugate character blocks, and forms a character block's
-eigenvectors only when one of them is read, once per conjugate pair; each
-state's full-space vector is formed on its first read, once.
-``isingff ff`` labels and diagonalizes two character blocks, the bra's and
-the ket's, out of twenty at N=10, and forms only the vectors of the bra's and
-the ket's degenerate blocks.  The oracle's coupling-free geometry is built
-once per (N, eps_y) and read by every later coupling.
+per pair of conjugate character blocks, and makes no full eigendecomposition:
+the eigenvectors of one eigenvalue group of a block are formed by inverse
+iteration on the group's eigenvalues, once per group and conjugate pair,
+when one of them is read; each state's full-space vector is formed on its
+first read, once.  A form factor below 1e-6 is read again from its two
+groups' vectors refined against V's factors, one refinement per group.
+``isingff ff`` labels two character blocks, the bra's and the ket's, out of
+twenty at N=10, and forms only the vectors of the bra's and the ket's
+degenerate blocks, one inverse iteration each.  The oracle's coupling-free
+geometry is built once per (N, eps_y) and read by every later coupling.
 """
 
 import cmath
@@ -115,9 +118,9 @@ def test_one_theta1_evaluation_per_cauchy_config(counted):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The oracle's eigensolver calls from then on: eigvalsh for values, eigh
-    for vectors."""
-    calls = {"values": 0, "vectors": 0}
+    """The oracle's eigensolver calls from then on: eigvalsh for values,
+    inverse iteration for vectors, and any full eigh."""
+    calls = {"values": 0, "vectors": 0, "eigh": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -125,8 +128,11 @@ def eigh_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    assert not hasattr(oracle, "eigh")
     monkeypatch.setattr(oracle, "eigvalsh", counting("values", oracle.eigvalsh))
-    monkeypatch.setattr(oracle, "eigh", counting("vectors", oracle.eigh))
+    monkeypatch.setattr(oracle, "_group_eigenvectors",
+                        counting("vectors", oracle._group_eigenvectors))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     return calls
 
 
@@ -146,17 +152,20 @@ def test_oracle_labels_without_eigenvectors(eigh_calls, eps_y, n):
     moms = {t: round(-cmath.phase(t) * n / math.pi) % (2 * n) for t, _ in blocks}
     pairs = {(min(moms[t], -moms[t] % (2 * n)), u) for t, u in blocks}
     assert len(pairs) == {(8, 1): 10, (8, -1): 9, (10, 1): 12, (10, -1): 11}[n, eps_y]
-    assert eigh_calls == {"values": len(pairs), "vectors": 0}
+    assert eigh_calls == {"values": len(pairs), "vectors": 0, "eigh": 0}
     for st in spect:
         assert st.vector is st.vector
-    # a partner block's eigenvectors are its lead's, conjugated
-    assert eigh_calls == {"values": len(pairs), "vectors": len(pairs)}
+    # one inverse iteration per eigenvalue group of a lead block: a
+    # partner block's eigenvectors are its lead's, conjugated
+    groups = {st.block for st in spect if st._source.lead is None}
+    assert eigh_calls == {"values": len(pairs), "vectors": len(groups), "eigh": 0}
     # each state's vector is formed on its first read, once
     assert sum(len(block.formed) for block in _blocks(spect)) == len(spect)
 
 
 # ff labels only the bra's and the ket's characters: one eigenvalue call per
-# conjugate pair among the two, a partner's (m > N) on its lead's block
+# conjugate pair among the two, a partner's (m > N) on its lead's block, and
+# one inverse iteration for each of the two states
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("eps_y", [1, -1])
 def test_oracle_ff_labels_two_characters(capsys, eigh_calls, eps_y, n):
@@ -171,11 +180,12 @@ def test_oracle_ff_labels_two_characters(capsys, eigh_calls, eps_y, n):
                      "--bra", ",".join(map(str, bra)), "--ket", ",".join(map(str, ket))])
     capsys.readouterr()
     assert code == 0
-    assert eigh_calls == {"values": len(pairs), "vectors": 2}
+    assert eigh_calls == {"values": len(pairs), "vectors": 2, "eigh": 0}
 
 
-# ff diagonalizes the bra's and the ket's characters and forms the vectors of
-# their degenerate blocks alone; a bra in a momentum-reversal doublet has two
+# ff labels the bra's and the ket's characters and forms the vectors of their
+# degenerate blocks alone; a bra in a momentum-reversal doublet has two, from
+# one inverse iteration
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("eps_y", [1, -1])
 def test_oracle_ff_forms_the_vectors_of_two_blocks(monkeypatch, capsys, eigh_calls, eps_y, n):
@@ -192,12 +202,36 @@ def test_oracle_ff_forms_the_vectors_of_two_blocks(monkeypatch, capsys, eigh_cal
                      "--bra", ",".join(map(str, bra)), "--ket", ",".join(map(str, ket))])
     capsys.readouterr()
     assert code == 0
-    assert eigh_calls["vectors"] == 2
+    assert eigh_calls["vectors"] == 2 and eigh_calls["eigh"] == 0
     (spect,) = spectra
     ids = [oracle.find_state(spect, sector, idx).block for sector, idx in (("a", bra), ("p", ket))]
     held = [sum(st.block == b for st in spect) for b in ids]
     assert held[0] == 2 and held[1] in (1, 2)
     assert sum(len(block.formed) for block in _blocks(spect)) == sum(held)
+
+
+# a form factor below 1e-6 is taken again from refined vectors: one
+# refinement for each of its two groups, on the vectors of their one inverse
+# iteration each; a larger one refines nothing
+@pytest.mark.parametrize("kx, ky, site, bra, ket, refined", [
+    ("0.4", "0.7", "3", "1,3", "0,5", 0),            # |F| = 0.0376
+    ("0.2", "1.2", "6", "0,9", "2,5,6,7", 2),        # |F| = 2.55e-8
+])
+def test_oracle_ff_refines_small_form_factors_only(monkeypatch, capsys, eigh_calls,
+                                                   kx, ky, site, bra, ket, refined):
+    calls = []
+    refine = oracle._refined_group
+
+    def counting(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(oracle, "_refined_group", counting)
+    code = cli.main(["ff", "--kx", kx, "--ky", ky, "--n", "10", "--site", site,
+                     "--bra", bra, "--ket", ket])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == refined and eigh_calls["vectors"] == 2 and eigh_calls["eigh"] == 0
 
 
 # the oracle's geometry (group action, character blocks, spin distances)

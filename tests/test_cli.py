@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from isingff import cli
 from isingff.cli import _closed_block_norm, main
 from isingff.formfactors import FockState, FormFactorSpec, ff_closed
 from isingff.oracle import block_labels, build_operators, find_state, labeled_spectrum
@@ -79,7 +81,11 @@ class TestFF:
             abs(ff_closed(FormFactorSpec(3, FockState("a", b), FockState("p", k)), c)) ** 2
             for b in bras for k in kets))
         labels = ([("a", b) for b in bras], [("p", k) for k in kets])
-        assert _closed_block_norm(c, 3, *labels) == per_spec
+        assert _closed_block_norm(c, 3, *labels, {}) == per_spec
+        # a known pair reads its value, with the bits of the stacked one
+        known = {(bras[0], kets[0]): ff_closed(
+            FormFactorSpec(3, FockState("a", bras[0]), FockState("p", kets[0])), c)}
+        assert _closed_block_norm(c, 3, *labels, known) == per_spec
 
     def test_block_with_labels_of_two_particle_numbers(self, capsys):
         # at this ky the antiperiodic states (3, 4) and (0, 1, 6, 7) have the
@@ -124,17 +130,70 @@ class TestFF:
         assert code == 0
         assert json.loads(out)["results"]["oracle_agrees"] is True
 
-    # a known fault, which passes loudly once mended (ROADMAP item 12): the
-    # gate is relative to the block norm, and this form factor is so small
-    # that the dense oracle's absolute rounding fails it, with
-    # oracle_residual 2.03e-8 on |F| = 2.55e-8, while labels and routes agree
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="oracle_residual 2.03e-8 on a form factor of 2.55e-8")
+    # small form factors in wide spectra (ROADMAP item 12): the gate is
+    # relative to the block norm, so the oracle's vectors must be accurate at
+    # the bottom of the spectrum; formed by a full eigh these specs read
+    # oracle_residual 2.03e-8, 1.18e-8, 1.00e-8, 1.53e-8 and 2.03e-8, by
+    # inverse iteration and, below |F| = 1e-6, a refinement against V's
+    # factors 6.8e-11, 1.0e-12, 3.6e-10, 6.6e-11 and 2.8e-9
     def test_tiny_form_factor_in_a_wide_spectrum(self, capsys):
         code, out = run(capsys, "ff", "--kx", "0.2", "--ky", "1.2", "--n", "10",
                         "--site", "6", "--bra", "0,9", "--ket", "2,5,6,7")
         assert json.loads(out)["results"]["routes_agree"] is True
         assert code == 0
+
+    # the last four a full eigh passed (5.5e-10, 2.9e-9, 6.5e-9 and 4.4e-9)
+    # and inverse iteration with a Householder QR and no refinement did not
+    # (6.3e-8, 1.4e-8, 2.1e-7 and 1.4e-8); now 2.1e-10, 7.6e-11, 3.8e-9 and
+    # 2.5e-9
+    @pytest.mark.parametrize("kx, ky, n, site, bra, ket", [
+        ("0.15", "1.5", "9", "5", "2,3,4,7", "2,6"),               # |F| = 1.44e-4
+        ("0.2", "1.2", "9", "3", "", "2,4,5,7"),                   # |F| = 2.70e-9
+        ("0.15", "1.5", "7", "4", "0,2,3,4,5,6", "0,3"),           # |F| = 2.64e-9
+        ("0.3", "0.9", "8", "3", "", "0,2,3,5,6,7"),               # |F| = 5.27e-11
+        ("0.4", "0.7", "10", "6", "", "0,3,4,5,8,9"),              # |F| = 3.41e-10
+        ("0.3", "0.9", "9", "5", "0,2,3,4,6,7,8", "4"),            # |F| = 7.33e-10
+        ("0.15", "1.5", "8", "0", "0,1,2,3,5", "0"),               # |F| = 9.47e-12
+        ("0.4407", "0.4407", "9", "3", "0,4", "0,2,3,4,5,6,7,8"),  # |F| = 2.46e-10
+    ])
+    def test_small_form_factor_in_a_wide_spectrum(self, capsys, kx, ky, n, site, bra, ket):
+        code, out = run(capsys, "ff", "--kx", kx, "--ky", ky, "--n", n,
+                        "--site", site, "--bra", bra, "--ket", ket)
+        res = json.loads(out)["results"]
+        assert res["routes_agree"] is True and res["oracle_agrees"] is True
+        assert code == 0
+
+    def test_large_form_factor_in_a_wide_spectrum_to_rounding(self, capsys):
+        _, out = run(capsys, "ff", "--kx", "0.15", "--ky", "1.5", "--n", "9",
+                     "--site", "5", "--bra", "2,3,4,7", "--ket", "2,6")
+        assert json.loads(out)["results"]["oracle_residual"] <= 1e-11
+
+    # inverse iteration starts from a block of its own seeded generator, and
+    # the refinement of a form factor below 1e-6 draws nothing
+    @pytest.mark.parametrize("kx, ky, site, bra, ket", [
+        ("0.4", "0.7", "3", "1,3", "0,5"),                 # |F| = 0.0376
+        ("0.2", "1.2", "6", "0,9", "2,5,6,7"),             # |F| = 2.55e-8, refined
+    ])
+    def test_oracle_output_ignores_the_global_random_state(self, capsys, kx, ky, site, bra, ket):
+        argv = ("ff", "--kx", kx, "--ky", ky, "--n", "10", "--site", site,
+                "--bra", bra, "--ket", ket)
+        outs = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            outs.append(run(capsys, *argv))
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+    def test_closed_value_of_the_spec_is_not_evaluated_again(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(spec, c):
+            calls.append(spec)
+            return ff_closed(spec, c)
+
+        monkeypatch.setattr(cli, "ff_closed", counting)
+        code, _ = run(capsys, "ff", "--kx", "0.4", "--ky", "0.7", "--n", "8",
+                      "--site", "3", "--bra", "1", "--ket", "0,2,3")
+        assert code == 0 and len(calls) == 1
 
     def test_invalid_momentum_list(self, capsys):
         code, _ = run(capsys, "ff", "--kx", "0.4", "--ky", "0.7", "--n", "4",
@@ -220,6 +279,15 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[0] == "check,residual,passed"
         assert len(lines) > 5
+
+    # at (3, 3) k = 2.5e-5 and the sn pfaffian falls below the pivot floor of
+    # linalg.pfaffian, which returns exactly 0: the check fails as not finite
+    def test_vanishing_sn_pfaffian_fails_its_check(self, capsys):
+        code, out = run(capsys, "verify", "cauchy", "--kx", "3", "--ky", "3", "--n", "4")
+        res = _strict_json(out)["results"]
+        assert code == 5
+        assert res["residuals"]["sn_pfaffian_identity"] == "inf"
+        assert "sn_pfaffian_identity" in res["failed_checks"]
 
 
 def test_verify_site_zero_is_honoured(capsys):

@@ -362,6 +362,23 @@ class TestSpecStacks:
         with pytest.raises(DomainError):
             ff_closed(stack, C4)
 
+    # a single spec is checked on its tuples, with the messages of its stack of one
+    @pytest.mark.parametrize("site, bra, ket, message", [
+        (0, (0, 4), (), r"momentum indices must increase strictly within \[0, 4\)"),
+        (0, (), (-1, 2), r"momentum indices must increase strictly within \[0, 4\)"),
+        (1, (5,), (0, 1, 2), r"momentum indices must increase strictly within \[0, 4\)"),
+        (4, (0,), (1,), r"site 4 outside \[0, 4\)"),
+        (-1, (), (), r"site -1 outside \[0, 4\)"),
+    ])
+    def test_bad_single_specs_rejected(self, site, bra, ket, message):
+        spec = FormFactorSpec(site, FockState("a", bra), FockState("p", ket))
+        stack = SpecStack(site, np.array([bra], dtype=int).reshape(1, -1),
+                          np.array([ket], dtype=int).reshape(1, -1))
+        for route in (ff_closed, ff_pfaffian, assemble_r_matrix):
+            for case in (spec, stack):
+                with pytest.raises(DomainError, match=message):
+                    route(case, C4)
+
     def test_bad_site_rejected(self):
         stack = SpecStack(4, np.zeros((1, 0), dtype=int), np.zeros((1, 0), dtype=int))
         with pytest.raises(DomainError):
