@@ -83,9 +83,15 @@ def _on_zero_lattice(xs, ys, q: float) -> np.ndarray:
     return np.any(_theta1_zero_distance(diff, q) < _LATTICE_TOL, axis=(-2, -1))
 
 
+@lru_cache(maxsize=32)
+def _pairs_above(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only :func:`numpy.triu_indices` (i, j) with i < j < n, kept per n."""
+    return _read_only(*np.triu_indices(n, 1))
+
+
 def _upper_pairs(zs: np.ndarray) -> np.ndarray:
     """z_i - z_j for i < j along the last axis, in :func:`numpy.triu_indices` order."""
-    i, j = np.triu_indices(zs.shape[-1], 1)
+    i, j = _pairs_above(zs.shape[-1])
     return zs[..., i] - zs[..., j]
 
 
@@ -94,7 +100,7 @@ def _interpolation_from(cross: np.ndarray, upper: np.ndarray) -> np.ndarray:
     denominator from its values ``upper`` at i < j (see :func:`_upper_pairs`)
     by theta_1(z_j - z_i) = -theta_1(z_i - z_j)."""
     n = cross.shape[-2]
-    i, j = np.triu_indices(n, 1)
+    i, j = _pairs_above(n)
     within = np.ones(upper.shape[:-1] + (n, n), dtype=complex)
     within[..., i, j] = upper
     within[..., j, i] = -upper
@@ -267,7 +273,7 @@ def sn_pfaffian_product(us, mod: EllipticModulus) -> complex:
     us = np.asarray(us, dtype=complex)
     if len(us) % 2 != 0:
         raise DomainError("sn pfaffian product needs an even number of points")
-    i, j = np.triu_indices(len(us), 1)
+    i, j = _pairs_above(len(us))
     sn = jacobi_sn_cn_dn(us[i] - us[j], mod)[0]
     return complex(np.prod(math.sqrt(mod.k) * sn))
 

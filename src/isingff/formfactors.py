@@ -279,27 +279,23 @@ def ff_closed(spec: FormFactorSpec | SpecStack, c: Couplings):
 
 
 @dataclass(frozen=True)
-class FockBasis:
-    """Every Fock state of one sector with a fixed particle-number parity.
+class FockStates:
+    """Every Fock state of N momenta with a fixed particle-number parity, up
+    to a particle cap: the part of a basis that no coupling enters.
 
     States are ordered by particle number, then in ``itertools.combinations``
-    order.  ``occupancy`` is the 0/1 matrix (states x momenta); the reduced
-    energy (log of the transfer-matrix eigenvalue without its common
-    prefactor) and the total momentum are its products with gamma and theta.
-    The arrays are read-only, because :func:`fock_basis` shares one basis
-    between its callers.
+    order.  ``occupancy`` is the 0/1 matrix (states x momenta).  The arrays
+    are read-only, because :func:`_fock_states` shares one set of states
+    between both sectors and every coupling of one (N, parity, cap).
     """
 
-    sector: str
     parity: int
     states: tuple[tuple[int, ...], ...]
     occupancy: np.ndarray
     particles: np.ndarray
-    energies: np.ndarray
-    momenta: np.ndarray
 
     def __post_init__(self):
-        _read_only(self.occupancy, self.particles, self.energies, self.momenta)
+        _read_only(self.occupancy, self.particles)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -309,6 +305,23 @@ class FockBasis:
         rows = self.occupancy[self.particles == k]
         return np.nonzero(rows)[1].reshape(len(rows), k)
 
+
+@dataclass(frozen=True)
+class FockBasis(FockStates):
+    """The :class:`FockStates` of one sector at one coupling, with the reduced
+    energy (log of the transfer-matrix eigenvalue without its common
+    prefactor) and the total momentum of each state: the products of the
+    occupancy with gamma and theta.  Read-only, like the states.
+    """
+
+    sector: str
+    energies: np.ndarray
+    momenta: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        _read_only(self.energies, self.momenta)
+
     def blocks(self):
         """Consecutive (slice, basis) blocks of at most ``_BLOCK_ROWS`` states.
 
@@ -317,8 +330,8 @@ class FockBasis:
         """
         for start in range(0, len(self), _BLOCK_ROWS):
             sel = slice(start, start + _BLOCK_ROWS)
-            yield sel, FockBasis(self.sector, self.parity, self.states[sel],
-                                 self.occupancy[sel], self.particles[sel],
+            yield sel, FockBasis(self.parity, self.states[sel], self.occupancy[sel],
+                                 self.particles[sel], self.sector,
                                  self.energies[sel], self.momenta[sel])
 
 
@@ -331,27 +344,31 @@ def fock_basis(c: Couplings, sector: str, parity: int,
     return _fock_basis(c, sector, parity % 2, c.n if cutoff is None else min(c.n, cutoff))
 
 
-# a basis past N=12 can hold tens of MB, so the cache keeps few: enough for
-# both parities and sectors of three couplings
-@lru_cache(maxsize=16)
-def _fock_basis(c: Couplings, sector: str, parity: int, cap: int) -> FockBasis:
-    table = c.sector(sector)
-    n = c.n
+# the states past N=12 can hold tens of MB (the occupancy is states x N
+# doubles), so few are kept: both parities of four (N, cap) pairs, such as
+# the form-factor suite's caps 2 and 4 and the full basis at one N
+@lru_cache(maxsize=8)
+def _fock_states(n: int, parity: int, cap: int) -> FockStates:
     states = tuple(s for k in range(parity, cap + 1, 2)
                    for s in itertools.combinations(range(n), k))
     particles = np.fromiter(map(len, states), int, len(states))
     occupancy = np.zeros((len(states), n))
     occupancy[np.repeat(np.arange(len(states)), particles),
               np.fromiter(itertools.chain.from_iterable(states), int)] = 1.0
-    return FockBasis(
-        sector=sector,
-        parity=parity,
-        states=states,
-        occupancy=occupancy,
-        particles=particles,
-        energies=0.5 * table.gamma.sum() - occupancy @ table.gamma,
-        momenta=occupancy @ table.thetas,
-    )
+    return FockStates(parity, states, occupancy, particles)
+
+
+# a basis adds only two vectors to the states it shares with both sectors
+# and every coupling of its (N, parity, cap), so the cache keeps both
+# parities and sectors of four couplings, such as the full bases that the
+# form-factor suite's completeness sum rule reads at each coupling
+@lru_cache(maxsize=16)
+def _fock_basis(c: Couplings, sector: str, parity: int, cap: int) -> FockBasis:
+    table = c.sector(sector)
+    base = _fock_states(c.n, parity, cap)
+    return FockBasis(parity, base.states, base.occupancy, base.particles, sector,
+                     energies=0.5 * table.gamma.sum() - base.occupancy @ table.gamma,
+                     momenta=base.occupancy @ table.thetas)
 
 
 def _log_ff2_one_side(basis: FockBasis, table: SectorTable,

@@ -19,7 +19,8 @@ from isingff.elliptic import EllipticModulus, jacobi_sn_cn_dn, theta
 from isingff.exceptions import DomainError
 from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
 from isingff.spectral import SECTORS, Couplings, sqrt_b_of_theta
-from isingff.verification import _log_rel, cauchy_suite, rotation_suite
+from isingff import verification
+from isingff.verification import _cauchy_sample, _log_rel, cauchy_suite, rotation_suite
 
 BENCH_COUPLINGS = [(0.3, 0.9), (0.4, 0.7), (0.5, 0.5)]
 MOD = EllipticModulus(0.55)
@@ -326,3 +327,70 @@ def test_full_cauchy_suite_below_tolerance():
     for kx, ky, n in [(0.3, 0.9, 5), (0.5, 0.5, 4)]:
         res = cauchy_suite(Couplings.from_kx_ky(kx, ky, n))
         assert max(res.values()) < 1e-10, res
+
+
+def _drawn_per_call():
+    """The Cauchy suite's points as each call drew them before the sample was
+    kept: one generator from the seed, in the same order, the Frobenius
+    configurations grouped by size in order of first appearance."""
+    rng = np.random.default_rng(verification._SEED)
+    by_size = {}
+    for _ in range(verification._CAUCHY_CONFIGS):
+        size = int(rng.integers(1, verification._CAUCHY_MAX_SIZE + 1))
+        xs = rng.uniform(-1.2, 1.2, size) + 1j * rng.uniform(-0.2, 0.2, size)
+        ys = rng.uniform(-1.2, 1.2, size) + 1j * rng.uniform(-0.2, 0.2, size)
+        alpha = complex(rng.uniform(0.3, 1.2), rng.uniform(-0.2, 0.2))
+        pts = np.concatenate([xs, ys])
+        if np.min(np.abs(pts[:, None] - pts[None, :]) + np.eye(2 * size)) >= 0.1:
+            by_size.setdefault(size, []).append((xs, ys, alpha))
+    frobenius = [tuple(np.array(v) for v in zip(*rows)) for rows in by_size.values()]
+    interpolation = []
+    for m in range(2, 7):
+        zs = rng.uniform(-1, 1, m) + 1j * rng.uniform(-0.3, 0.3, m)
+        zp = rng.uniform(-1, 1, m) + 1j * rng.uniform(-0.3, 0.3, m)
+        zp[-1] += zs.sum() - zp.sum()
+        interpolation.append((zs, zp))
+    pfaffian_points = [np.linspace(-0.8, 0.8, size) + rng.uniform(-0.03, 0.03, size) / size
+                       for size in (2, 4, 6, 8, 10)]
+    sine = rng.uniform(0.1, 2.0 * math.pi - 0.1, 20)
+    return frobenius, interpolation, pfaffian_points, sine
+
+
+class TestCauchySample:
+    def test_equals_the_per_call_draws(self):
+        sample = _cauchy_sample()
+        frobenius, interpolation, pfaffian_points, sine = _drawn_per_call()
+        assert [xs.shape[1] for xs, _, _ in sample.frobenius] \
+            == [xs.shape[1] for xs, _, _ in frobenius]
+        for kept, drawn in zip(sample.frobenius, frobenius):
+            for a, b in zip(kept, drawn):
+                np.testing.assert_array_equal(a, b, strict=True)
+        assert len(sample.interpolation) == len(interpolation)
+        for kept, drawn in zip(sample.interpolation, interpolation):
+            for a, b in zip(kept, drawn):
+                np.testing.assert_array_equal(a, b, strict=True)
+        assert len(sample.pfaffian) == len(pfaffian_points)
+        for a, b in zip(sample.pfaffian, pfaffian_points):
+            np.testing.assert_array_equal(a, b, strict=True)
+        np.testing.assert_array_equal(sample.sine, sine, strict=True)
+
+    def test_drawn_once_and_read_only(self):
+        sample = _cauchy_sample()
+        assert _cauchy_sample() is sample
+        arrays = [a for group in sample.frobenius + sample.interpolation for a in group]
+        arrays += [*sample.pfaffian, sample.sine]
+        assert len(arrays) == 3 * len(sample.frobenius) + 2 * 5 + 5 + 1
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_suite_repeats_bit_for_bit_across_couplings(self):
+        def bits(res):
+            return {k: float(v).hex() for k, v in res.items()}
+
+        first = bits(cauchy_suite(Couplings.from_kx_ky(0.3, 0.9, 6)))
+        other = bits(cauchy_suite(Couplings.from_kx_ky(0.4, 0.7, 6)))
+        again = bits(cauchy_suite(Couplings.from_kx_ky(0.3, 0.9, 6)))
+        assert again == first
+        assert other != first

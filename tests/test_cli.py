@@ -289,6 +289,28 @@ class TestVerify:
         assert res["residuals"]["sn_pfaffian_identity"] == "inf"
         assert "sn_pfaffian_identity" in res["failed_checks"]
 
+    def test_nan_determinant_of_a_later_size_fails(self, capsys, monkeypatch):
+        """A NaN after finite residuals is kept: max(0.0, nan) would read 0.0."""
+        from isingff import cauchy
+        stacks = []
+
+        def nan_after_the_first_stack(cfg):
+            log_det = frobenius_log_det(cfg)
+            if cfg.xs.ndim == 1:        # the Ising config's log det Phi
+                return log_det
+            stacks.append(cfg.xs.shape)
+            return log_det if len(stacks) == 1 else np.full_like(log_det, np.nan)
+
+        frobenius_log_det = cauchy.frobenius_log_det
+        monkeypatch.setattr(cauchy, "frobenius_log_det", nan_after_the_first_stack)
+        code, out = run(capsys, "verify", "cauchy", "--kx", "0.3", "--ky", "0.9",
+                        "--n", "4")
+        res = _strict_json(out)["results"]
+        assert len(stacks) > 2
+        assert code == 5
+        assert res["residuals"]["frobenius_det_vs_lu"] == "nan"
+        assert res["failed_checks"] == ["frobenius_det_vs_lu"]
+
 
 def test_verify_site_zero_is_honoured(capsys):
     """An explicit --site 0 runs the form-factor suite at site 0; without

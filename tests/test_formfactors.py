@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isingff import cauchy, elliptic, spectral
+from isingff import cauchy, elliptic, spectral, verification
 from isingff.cauchy import (_sn_pairing_entries, assemble_r_elliptic, induced_rotation,
                             ising_modulus, ising_record)
 from isingff.elliptic import jacobi_sn_cn_dn
@@ -228,6 +228,43 @@ class TestFockBasis:
                        for m in range(n + 1) for k in range(n + 1)
                        if (m + k) % 2 == 0 and m + k <= max_mn)
         assert len(specs) == len(set(specs)) == expected
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_suite_specs_read_the_coupling_free_states(self, n):
+        """The stacks are those of every coupling's own cutoff-4 bases, in order."""
+        c = Couplings.from_kx_ky(0.4, 0.7, n)
+        for site in (1, np.arange(n)):
+            stacks = list(_spec_groups(c, site, 4))
+            expected = []
+            for parity, m, k in verification._group_shapes(n, 4):
+                bra = fock_basis(c, "a", parity, 4).indices(m)
+                ket = fock_basis(c, "p", parity, 4).indices(k)
+                sites = np.atleast_1d(site)
+                pairs = np.array(list(itertools.product(range(len(bra)), range(len(ket)),
+                                                        range(len(sites)))))
+                for start in range(0, len(pairs), verification._STACK_ROWS):
+                    rows, cols, at = pairs[start:start + verification._STACK_ROWS].T
+                    expected.append((sites[at], bra[rows], ket[cols]))
+            assert len(stacks) == len(expected)
+            for stack, (sites, bra, ket) in zip(stacks, expected):
+                np.testing.assert_array_equal(np.broadcast_to(stack.site, sites.shape), sites)
+                np.testing.assert_array_equal(stack.bra, bra, strict=True)
+                np.testing.assert_array_equal(stack.ket, ket, strict=True)
+
+    def test_repeated_suites_build_no_basis(self):
+        couplings = [Couplings.from_kx_ky(kx, ky, 8) for kx, ky in BENCH_COUPLINGS]
+        for c in couplings:
+            formfactor_suite(c)
+        misses = _fock_basis.cache_info().misses
+        for c in couplings:
+            formfactor_suite(c)
+        assert _fock_basis.cache_info().misses == misses
+
+    def test_states_shared_by_sectors_and_couplings(self):
+        bases = [fock_basis(Couplings.from_kx_ky(kx, ky, 6), sector, 0, cutoff=4)
+                 for kx, ky in BENCH_COUPLINGS for sector in ("a", "p")]
+        assert all(b.occupancy is bases[0].occupancy for b in bases)
+        assert all(b.states is bases[0].states for b in bases)
 
     def test_shared_and_read_only(self):
         c = Couplings.from_kx_ky(0.4, 0.7, 6)
