@@ -1,13 +1,13 @@
 """Dense complex linear algebra: pfaffian, determinant (or its log), inverse.
 
-The pfaffian is computed by skew-symmetric tridiagonalization (Parlett-Reid
-style Gauss transforms) with partial pivoting, on one matrix or on a stack of
-them at once; both do the same arithmetic in the same order, so a matrix
-gives the same bits alone as in any stack.  Row/column swaps are counted
-exactly because the sign of the pfaffian carries physics downstream.
-Determinants, log determinants and inverses, which only the verification
-suites and the tests read as dense references, are numpy's LAPACK (``det``,
-``slogdet``, ``inv``) on the same stacks.
+A pfaffian of order k <= 4 is its expansion in entries, over a whole stack
+at once; a larger one is eliminated one matrix at a time by skew-symmetric
+tridiagonalization (Parlett-Reid style Gauss transforms) with partial
+pivoting, the row/column swaps counted exactly because the sign of the
+pfaffian carries physics downstream.  Determinants, log determinants and
+inverses, which only the verification suites and the tests read as dense
+references, are numpy's LAPACK (``det``, ``slogdet``, ``inv``) on the same
+stacks.
 """
 
 from __future__ import annotations
@@ -64,11 +64,9 @@ def _check_skew(m) -> np.ndarray:
     return m
 
 
-def _overflow(a: np.ndarray) -> DomainError:
-    """The range error of an elimination ended in ``a`` (one matrix), scaled
-    from the pivots left on its superdiagonal."""
-    scale = np.sum(np.log10(np.abs(np.diagonal(a, 1)[::2])))
-    return DomainError(f"pfaffian outside double range: log10|Pf| = {scale:.1f}")
+def _out_of_range(log10_abs: float) -> DomainError:
+    """The error of a pfaffian outside double range, naming log10|Pf|."""
+    return DomainError(f"pfaffian outside double range: log10|Pf| = {log10_abs:.1f}")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # checked at the end
@@ -76,61 +74,61 @@ def pfaffian(m: np.ndarray):
     """Pfaffian of a complex antisymmetric matrix, Pf(m)^2 = det(m).
 
     ``m`` is one k x k matrix, giving a Python complex, or an (S, k, k)
-    stack, giving an array of S pfaffians.  One matrix, or a stack of one,
-    runs a one-matrix elimination; a larger stack runs every matrix through
-    the same elimination steps at once, each keeping its own pivoting, sign
-    and checks.  Both do the same arithmetic in the same order, so a matrix
-    gives the same bits alone and in any stack.  Odd k gives 0; k = 0 gives
-    1.  Antisymmetry is checked on entry, per matrix (absolute tolerance
-    1e-13 relative to its largest entry).  A matrix whose pivot falls below
-    1e-13 x max(1, largest remaining entry) gives exactly 0.  A non-finite
-    entry, or a pfaffian that overflows or whose kept pivots multiply to 0,
+    stack, giving an array of S pfaffians.  k <= 4 takes the expansion in
+    entries over the whole stack, a larger k the elimination of each matrix
+    in turn; a matrix gives the same bits alone and in any stack.  Odd k
+    gives 0; k = 0 gives 1.  Antisymmetry is checked on entry, per matrix
+    (absolute tolerance 1e-13 relative to its largest entry).  For k > 4, a
+    pivot below 1e-13 x max(1, largest remaining entry) gives exactly 0.  A
+    non-finite entry, or a pfaffian that overflows or underflows to 0,
     raises DomainError, naming log10|Pf|.
     """
-    a = _check_skew(m).copy()
-    if len(a) == 1:
-        pf = _pfaffian_one(a[0])
-        return pf if np.ndim(m) == 2 else np.array([pf])
-    stack, n = a.shape[:2]
-    pf = np.full(stack, 1.0 + 0.0j if n % 2 == 0 else 0.0j)
-    alive = np.ones(stack, dtype=bool)
-    s = np.arange(stack)
-    for k in range(0, n - 1, 2) if n % 2 == 0 else ():
-        if k + 2 < n:    # the last step has one candidate row
-            # pivot the largest remaining entry of column k into position (k+1, k)
-            kp = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
-            swap = kp != k + 1
-            a[s, k + 1, k:], a[s, kp, k:] = a[s, kp, k:], a[s, k + 1, k:]
-            a[s, k:, k + 1], a[s, k:, kp] = a[s, k:, kp], a[s, k:, k + 1]
-            pf[swap] = -pf[swap]
-        floor = _PIVOT_TOL * np.maximum(1.0, _largest_entries(a[:, k:, k:]))
-        dead = np.abs(a[:, k + 1, k]) <= floor
-        if np.any(dead):
-            # a dropped matrix is zeroed, so its later steps divide by 1
-            dead &= np.isfinite(floor)    # an infinite floor is an overflow, not a small pivot
-            alive &= ~dead
-            a[dead] = 0.0
-        pf = _textbook_product(pf, a[:, k, k + 1])
-        if k + 2 < n:
-            pivot = np.where(alive, a[:, k, k + 1], 1.0)
-            tau = a[:, k, k + 2:] / pivot[:, None]
-            col = a[:, k + 2:, k + 1]
-            a[:, k + 2:, k + 2:] += tau[:, :, None] * col[:, None, :]
-            a[:, k + 2:, k + 2:] -= col[:, :, None] * tau[:, None, :]
-    # an even matrix kept to the end has nonzero pivots, so a 0 is underflow
-    if n % 2 == 0 and not (np.isfinite(pf).all() and pf.all()):
-        lost = alive & ~(np.isfinite(pf) & (pf != 0))
-        if lost.any():
-            raise _overflow(a[np.argmax(lost)])
-    pf[~alive] = 0.0
+    a = _check_skew(m)
+    if a.shape[-1] <= 4:
+        pf = _expansion(a)
+    else:
+        pf = [_pfaffian_one(one) for one in a.copy()]
+    return complex(pf[0]) if np.ndim(m) == 2 else np.asarray(pf, dtype=complex)
+
+
+def _expansion(a: np.ndarray) -> np.ndarray:
+    """Pf of each matrix of an (S, k, k) stack with k <= 4, by its expansion
+    a01 a23 - a02 a13 + a03 a12 (a01 at k = 2).
+
+    A matrix whose expansion is not finite or is 0 is expanded again with
+    its entries scaled exactly by a power of two, 2^-e below 1, and the result
+    by 2^2e: a pfaffian in double range gets its value, a scaled expansion
+    of 0 (the terms cancel exactly) gives 0, and any other raises.
+    """
+    size, n = a.shape[:2]
+    if n != 4:
+        return a[:, 0, 1].copy() if n == 2 else np.full(size, 0j if n else 1.0 + 0.0j)
+
+    def expand(b):    # the products a01 a23, a02 a13 and a03 a12 at once
+        p = _textbook_product(b[:, 0, 1:], b[:, [2, 1, 1], [3, 3, 2]])
+        return p[:, 0] - p[:, 1] + p[:, 2]
+
+    pf = expand(a)
+    lost = ~np.isfinite(pf) | (pf == 0)
+    if lost.any():
+        b = a[lost]
+        e = np.frexp(_largest_entries(b))[1]    # |entries| < 2^e
+        f = -e[:, None, None]
+        scaled = expand(np.ldexp(b.real, f) + 1j * np.ldexp(b.imag, f))
+        value = np.ldexp(scaled.real, 2 * e) + 1j * np.ldexp(scaled.imag, 2 * e)
+        outside = ~np.isfinite(value) | ((value == 0) & (scaled != 0))
+        if outside.any():
+            i = np.argmax(outside)
+            raise _out_of_range(2 * e[i] * math.log10(2.0) + math.log10(abs(scaled[i])))
+        pf[lost] = value
     return pf
 
 
 def _pfaffian_one(a: np.ndarray) -> complex:
-    """The stacked elimination of :func:`pfaffian` on one checked matrix,
-    eliminated in place: 2-D basic slices, and the sign, pivot, floor and
-    product as Python scalars.  CPython's complex product is the textbook
-    product of :func:`_textbook_product`, so the bits are those of a stack."""
+    """The pfaffian of one checked matrix by skew-symmetric tridiagonalization
+    (Parlett-Reid Gauss transforms with partial pivoting), eliminated in
+    place on 2-D basic slices, with the sign, pivot, floor and product as
+    Python scalars."""
     n = len(a)
     if n % 2:
         return 0j
@@ -157,7 +155,8 @@ def _pfaffian_one(a: np.ndarray) -> complex:
             t += tau[:, None] * col[None, :]
             t -= col[:, None] * tau[None, :]
     if not (cmath.isfinite(pf) and pf):
-        raise _overflow(a)
+        # scaled from the pivots left on the superdiagonal
+        raise _out_of_range(np.sum(np.log10(np.abs(np.diagonal(a, 1)[::2]))))
     return pf
 
 

@@ -292,7 +292,7 @@ def cauchy_suite(c: Couplings) -> dict[str, float]:
         # the entries above the diagonal are the factors of sn_pfaffian_product
         product = complex(np.prod(mat[cf._pairs_above(len(mat))]))
         pf = pfaffian(mat)
-        # a pfaffian below its pivot floor is exactly 0: the check fails, not finite
+        # a pfaffian of 0 (from k = 6, a pivot below the floor) fails: inf, not finite
         r.append(abs(product / pf - 1.0) if pf != 0 else math.inf)
     out["sn_pfaffian_identity"] = _worst(r)
 

@@ -7,6 +7,15 @@ from isingff.exceptions import DomainError, SingularMatrixError
 from isingff.formfactors import SpecStack, assemble_r_matrix
 from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
 from isingff.spectral import Couplings
+from isingff.verification import _spec_groups
+
+
+def rank_four_skew():
+    """An integer 6 x 6 skew matrix of rank 4: Pf = 0, which the elimination
+    reaches only through its pivot floor (1.7e-13 without it)."""
+    v, w, x, y = np.array([[1.0, 2.0, 3.0, 4.0, 0.0, 1.0], [0.0, 1.0, -1.0, 2.0, 3.0, 1.0],
+                           [2.0, -1.0, 0.0, 1.0, 1.0, 5.0], [1.0, 1.0, 2.0, -3.0, 0.0, 2.0]])
+    return np.outer(v, w) - np.outer(w, v) + np.outer(x, y) - np.outer(y, x)
 
 
 def random_skew(n, rng, complex_entries=True):
@@ -18,7 +27,7 @@ def random_skew(n, rng, complex_entries=True):
 
 def second_of_two(m):
     """A stack of two: a random skew matrix of ``m``'s shape, then ``m``, so
-    that ``m`` runs the stacked elimination and is not the first matrix."""
+    that ``m`` runs in a stack and is not its first matrix."""
     rows, cols = m.shape
     first = random_skew(rows, np.random.default_rng(9)) if rows == cols else np.zeros(m.shape)
     return np.stack([first, m])
@@ -67,12 +76,17 @@ class TestPfaffian:
             pfaffian(second_of_two(np.ones((2, 3))))
 
     def test_numerically_singular_gives_zero(self):
-        # rank-2 skew matrix embedded in dimension 4
+        # rank-2 skew matrix embedded in dimension 4: the expansion cancels
+        # exactly
         v = np.array([1.0, 2.0, 3.0, 4.0])
         w = np.array([0.0, 1.0, -1.0, 2.0])
         m = np.outer(v, w) - np.outer(w, v)
         assert pfaffian(m) == 0.0
         pfs = pfaffian(second_of_two(m))
+        assert pfs[1] == 0.0 and pfs[0] != 0.0
+        # a rank-4 6 x 6 stops at the pivot floor
+        assert pfaffian(rank_four_skew()) == 0.0
+        pfs = pfaffian(second_of_two(rank_four_skew()))
         assert pfs[1] == 0.0 and pfs[0] != 0.0
 
     # past double range the pfaffian raises, naming log10|Pf|, with no
@@ -88,6 +102,30 @@ class TestPfaffian:
         with pytest.raises(DomainError, match=r"log10\|Pf\| = 616\.0"):
             pfaffian(second_of_two(1e308 * np.triu(np.ones((4, 4)), 1)
                                    - 1e308 * np.tril(np.ones((4, 4)), -1)))
+
+    def test_small_four_by_four_has_no_floor(self):
+        # the elimination's absolute pivot floor, 1e-13 x max(1, .), gave 0
+        m = 1e-100 * random_skew(4, np.random.default_rng(5))
+        assert pfaffian(m) == expansion_pfaffian(m) != 0.0
+        assert abs(pfaffian(m) / (1e-200 * pfaffian(1e100 * m)) - 1.0) < 1e-15
+        assert pfaffian(second_of_two(m))[1] == expansion_pfaffian(m)
+
+    def test_four_by_four_cancelling_past_overflow_has_its_value(self):
+        # a01 a23 and a02 a13 overflow and cancel; Pf = a03 a12 = 1e300
+        m = np.zeros((4, 4))
+        m[0, 1], m[2, 3], m[0, 2], m[1, 3], m[0, 3], m[1, 2] = 4 * (1e200,) + 2 * (1e150,)
+        m = m - m.T
+        assert abs(pfaffian(m) / 1e300 - 1.0) < 1e-15
+        assert abs(pfaffian(second_of_two(m))[1] / 1e300 - 1.0) < 1e-15
+
+    def test_four_by_four_underflow_raises(self):
+        # every product of two entries is below the smallest subnormal
+        m = 1e-170 * random_skew(4, np.random.default_rng(5))
+        assert expansion_pfaffian(m) == 0.0
+        with pytest.raises(DomainError, match=r"log10\|Pf\| = -33\d\."):
+            pfaffian(m)
+        with pytest.raises(DomainError, match=r"log10\|Pf\| = -33\d\."):
+            pfaffian(second_of_two(m))
 
     def test_underflow_raises_instead_of_zero(self):
         # every pivot is far above the floor, but their product is below 1e-323
@@ -132,6 +170,18 @@ def scalar_pfaffian(m):
             a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1])
             a[k + 2:, k + 2:] -= np.outer(a[k + 2:, k + 1], tau)
     return complex(pf)
+
+
+def expansion_pfaffian(m, number=complex):
+    """Pf of a k x k matrix with k <= 4 by its expansion in entries, each
+    entry made a ``number``: in Python complex arithmetic, the bit reference
+    of the kernel's expansion."""
+    a = [[number(x) for x in row] for row in m]
+    if len(a) % 2:
+        return 0j
+    if len(a) < 4:
+        return a[0][1] if a else 1.0 + 0.0j
+    return a[0][1] * a[2][3] - a[0][2] * a[1][3] + a[0][3] * a[1][2]
 
 
 def pivoting_skew_stack(size, n, rng):
@@ -188,14 +238,15 @@ class TestStackedPfaffian:
     def test_stack_equals_each_matrix_and_the_scalar_algorithm(self, case):
         rng = np.random.default_rng(100 + (case if isinstance(case, int) else 0))
         stack = pfaffian_stack(case, rng)
+        reference = expansion_pfaffian if stack.shape[-1] <= 4 else scalar_pfaffian
         pfs = pfaffian(stack)
         assert pfs.shape == (len(stack),)
         for m, pf in zip(stack, pfs):
             one = pfaffian(m)
             assert isinstance(one, complex)
-            assert one == pf == scalar_pfaffian(m)
+            assert one == pf == reference(m)
             assert pfaffian(m[None])[0] == one
-            assert bits(one) == bits(pf) == bits(complex(scalar_pfaffian(m)))
+            assert bits(one) == bits(pf) == bits(complex(reference(m)))
         if case == "pfaffian-zero":
             assert pfs[0] == 0.0 and pfs[1:].all()
 
@@ -207,11 +258,8 @@ class TestStackedPfaffian:
             assert abs(pf ** 2 / det - 1.0) < 1e-9
 
     def test_pivot_floor_zeroes_only_its_matrix(self):
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        w = np.array([0.0, 1.0, -1.0, 2.0])
-        singular = np.outer(v, w) - np.outer(w, v)
         rng = np.random.default_rng(7)
-        stack = np.stack([random_skew(4, rng), singular, random_skew(4, rng)])
+        stack = np.stack([random_skew(6, rng), rank_four_skew(), random_skew(6, rng)])
         pfs = pfaffian(stack)
         assert pfs[1] == 0.0
         assert pfs[0] == scalar_pfaffian(stack[0]) != 0.0
@@ -227,6 +275,29 @@ class TestStackedPfaffian:
 
     def test_empty_stack(self):
         assert pfaffian(np.zeros((0, 4, 4))).shape == (0,)
+        assert pfaffian(np.zeros((0, 6, 6))).shape == (0,)
+
+    @pytest.mark.parametrize("kxy", COUPLINGS)
+    def test_expansion_is_more_accurate_than_the_elimination(self, kxy):
+        # every k = 4 pairing matrix of the form-factor suite at N=8 (1,820
+        # specs), against its expansion in 40 digits: the error measured is
+        # the algorithm's rounding of the same double entries.  Worst
+        # relative errors: expansion 2.8e-13, 1.0e-13 and 9.3e-14 at the
+        # three couplings, elimination 8.5e-13, 1.9e-13 and 1.4e-13.
+        mpmath = pytest.importorskip("mpmath")
+        c = Couplings.from_kx_ky(*kxy, 8)
+        r = np.concatenate([assemble_r_matrix(stack, c) for stack in _spec_groups(c, 4, 4)
+                            if stack.bra.shape[1] + stack.ket.shape[1] == 4])
+        assert len(r) == 1820
+        with mpmath.workdps(40):
+            exact = [expansion_pfaffian(m, mpmath.mpc) for m in r]
+
+            def worst(pfs):
+                return max(float(abs(mpmath.mpc(pf) - ref) / abs(ref))
+                           for pf, ref in zip(pfs, exact))
+
+            expansion, elimination = worst(pfaffian(r)), worst(map(scalar_pfaffian, r))
+        assert expansion < elimination
 
 
 class TestDetAndInverse:
