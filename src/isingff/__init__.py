@@ -14,7 +14,7 @@ from .cauchy import InducedRotation, b_elliptic, induced_rotation, u_of_theta
 from .formfactors import (FockState, FormFactorSpec, SpecStack, ff_closed,
                           ff_pfaffian, two_particle_matrices,
                           two_point_correlation, vacuum_overlap, xi_t)
-from .linalg import det_and_inverse, pfaffian
+from .linalg import pfaffian
 from .spectral import (Couplings, b_of_theta, gamma_of_theta, quasimomenta,
                        sqrt_b_of_theta)
 
@@ -23,7 +23,7 @@ __all__ = [
     "EllipticModulus", "FockState", "FormFactorSpec", "InducedRotation",
     "IsingFFError", "ResourceError", "SingularMatrixError", "SpecStack",
     "VerificationError", "b_elliptic", "b_of_theta", "complete_elliptic_K",
-    "det_and_inverse", "ff_closed", "ff_pfaffian",
+    "ff_closed", "ff_pfaffian",
     "gamma_of_theta", "induced_rotation", "inverse_sn_real",
     "jacobi_sn_cn_dn", "pfaffian", "quasimomenta",
     "sqrt_b_of_theta", "theta", "two_particle_matrices",

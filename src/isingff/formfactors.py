@@ -457,8 +457,10 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
         raise DomainError(f"need 0 <= dx <= M, got dx={dx}, M={m_height}")
     # T^2N = 1: |dy| counts mod 2N, and |dy| < 2N is kept as given
     dy = (abs(dy) % (2 * c.n)) * (1 if dy >= 0 else -1)
-    if dx == 0 and dy % c.n == 0:
-        return 1.0
+    if dx in (0, m_height) and dy % c.n == 0:
+        # coincident points: s_0^2 = 1, U^chi s_0 = eps_x s_0 U^chi carries
+        # s_0 round the torus, and T^N is the spin flip for eps_y = -1
+        return float((eps_x if dx else 1) * (eps_y if abs(dy) == c.n else 1))
     parity = 0 if eps_y == 1 else 1
     cutoff = max_particles
     if c.n > _FULL_ENUMERATION_MAX_N and cutoff is None:

@@ -1,13 +1,12 @@
-"""Dense complex linear algebra: pfaffian, determinant (or its log), inverse.
+"""Dense complex linear algebra: pfaffian, log determinant and inverse.
 
 A pfaffian of order k <= 4 is its expansion in entries, over a whole stack
 at once; a larger one is eliminated one matrix at a time by skew-symmetric
 tridiagonalization (Parlett-Reid style Gauss transforms) with partial
 pivoting, the row/column swaps counted exactly because the sign of the
-pfaffian carries physics downstream.  Determinants, log determinants and
-inverses, which only the verification suites and the tests read as dense
-references, are numpy's LAPACK (``det``, ``slogdet``, ``inv``) on the same
-stacks.
+pfaffian carries physics downstream.  Log determinants and inverses, which
+only the verification suites and the tests read as dense references, are
+numpy's LAPACK (``slogdet``, ``inv``) on the same stacks.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .exceptions import DomainError, SingularMatrixError
 
 _SKEW_TOL = 1e-13
 _PIVOT_TOL = 1e-13
-_RCOND_TOL = 1e-13  # smallest 1/cond that det_and_inverse accepts
+_RCOND_TOL = 1e-13  # smallest 1/cond that log_det_and_inverse accepts
 
 
 def _largest_entries(m: np.ndarray) -> np.ndarray:
@@ -98,28 +97,35 @@ def _expansion(a: np.ndarray) -> np.ndarray:
     A matrix whose expansion is not finite or is 0 is expanded again with
     its entries scaled exactly by a power of two, 2^-e below 1, and the result
     by 2^2e: a pfaffian in double range gets its value, a scaled expansion
-    of 0 (the terms cancel exactly) gives 0, and any other raises.
+    of 0 (the terms cancel exactly) gives 0, and any other raises, as does
+    one of 0 where a product of two nonzero entries underflowed.
     """
     size, n = a.shape[:2]
     if n != 4:
         return a[:, 0, 1].copy() if n == 2 else np.full(size, 0j if n else 1.0 + 0.0j)
 
     def expand(b):    # the products a01 a23, a02 a13 and a03 a12 at once
-        p = _textbook_product(b[:, 0, 1:], b[:, [2, 1, 1], [3, 3, 2]])
-        return p[:, 0] - p[:, 1] + p[:, 2]
+        x, y = b[:, 0, 1:], b[:, [2, 1, 1], [3, 3, 2]]
+        p = _textbook_product(x, y)
+        return p[:, 0] - p[:, 1] + p[:, 2], p, x, y
 
-    pf = expand(a)
+    pf = expand(a)[0]
     lost = ~np.isfinite(pf) | (pf == 0)
     if lost.any():
         b = a[lost]
         e = np.frexp(_largest_entries(b))[1]    # |entries| < 2^e
         f = -e[:, None, None]
-        scaled = expand(np.ldexp(b.real, f) + 1j * np.ldexp(b.imag, f))
+        scaled, p, x, y = expand(np.ldexp(b.real, f) + 1j * np.ldexp(b.imag, f))
         value = np.ldexp(scaled.real, 2 * e) + 1j * np.ldexp(scaled.imag, 2 * e)
-        outside = ~np.isfinite(value) | ((value == 0) & (scaled != 0))
+        # a scaled expansion of 0 where a product of nonzero entries
+        # underflowed is no cancellation: the largest such product stands for it
+        under = np.where((p == 0) & (x != 0) & (y != 0),
+                         np.log10(np.abs(x)) + np.log10(np.abs(y)), -np.inf).max(axis=1)
+        log10_scaled = np.where(scaled != 0, np.log10(np.abs(scaled)), under)
+        outside = ~np.isfinite(value) | ((value == 0) & (log10_scaled > -np.inf))
         if outside.any():
             i = np.argmax(outside)
-            raise _out_of_range(2 * e[i] * math.log10(2.0) + math.log10(abs(scaled[i])))
+            raise _out_of_range(2 * e[i] * math.log10(2.0) + log10_scaled[i])
         pf[lost] = value
     return pf
 
@@ -160,9 +166,21 @@ def _pfaffian_one(a: np.ndarray) -> complex:
     return pf
 
 
-def _det_and_inverse(m: np.ndarray, log: bool):
-    """(log) det and inverse of one matrix, or of each matrix of a stack,
-    from numpy's LAPACK on the whole stack."""
+def log_det_and_inverse(m: np.ndarray):
+    """log det and inverse of a square complex matrix, or of each matrix of
+    an (S, k, k) stack, from numpy's LAPACK (``slogdet`` and ``inv``).
+
+    A single matrix gives a Python complex and its inverse, a stack an array
+    of S log determinants and the stack of inverses.  log|det| stays finite
+    where the determinant over- or underflows; the imaginary part (the
+    phase) is the angle of its sign, in (-pi, pi].
+
+    Raises
+    ------
+    SingularMatrixError
+        If any matrix is exactly singular, or near-singular:
+        1 / (||A||_inf ||A^-1||_inf) at most 1e-13.
+    """
     stack = _square_stack(m)
     try:
         inv = np.linalg.inv(stack)
@@ -173,36 +191,6 @@ def _det_and_inverse(m: np.ndarray, log: bool):
     cond = np.linalg.norm(stack, np.inf, axis=(1, 2)) * np.linalg.norm(inv, np.inf, axis=(1, 2))
     if not np.all(cond * _RCOND_TOL < 1.0):
         raise SingularMatrixError(f"matrix singular to tolerance (cond {np.max(cond):.3e})")
-    if log:
-        sign, log_abs = np.linalg.slogdet(stack)
-        det = log_abs + 1j * np.angle(sign)
-    else:
-        det = np.linalg.det(stack)
-    return (complex(det[0]), inv[0]) if np.ndim(m) == 2 else (det, inv)
-
-
-def det_and_inverse(m: np.ndarray):
-    """Determinant and inverse of a square complex matrix, or of each matrix
-    of an (S, k, k) stack, from numpy's LAPACK (``det`` and ``inv``).
-
-    A single matrix gives a Python complex and its inverse, a stack an array
-    of S determinants and the stack of inverses.
-
-    Raises
-    ------
-    SingularMatrixError
-        If any matrix is exactly singular, or near-singular:
-        1 / (||A||_inf ||A^-1||_inf) at most 1e-13.
-    """
-    return _det_and_inverse(m, log=False)
-
-
-def log_det_and_inverse(m: np.ndarray):
-    """log det and inverse, returned like :func:`det_and_inverse`.
-
-    log|det| is numpy's ``slogdet``, so it stays finite where the
-    determinant itself over- or underflows; the imaginary part (the phase)
-    is the angle of its sign, in (-pi, pi].  Raises like
-    :func:`det_and_inverse`.
-    """
-    return _det_and_inverse(m, log=True)
+    sign, log_abs = np.linalg.slogdet(stack)
+    log_det = log_abs + 1j * np.angle(sign)
+    return (complex(log_det[0]), inv[0]) if np.ndim(m) == 2 else (log_det, inv)

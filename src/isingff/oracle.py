@@ -648,14 +648,11 @@ def oracle_correlation(ops: SpinOperatorSet, m_height: int, dx: int, dy: int,
     lam_max = float(eigvalsh(ops.v)[-1])
     vn = ops.v / lam_max
     s0 = ops.sl[0]
-    # T^dy s_0 T^-dy is diagonal: s_0 read through the dy-fold translation
-    # map.  T^N is the spin flip rather than the identity for eps_y = -1, and
-    # T^2N the identity for both, so dy is reduced mod 2N, not mod N
-    moved = np.arange(ops.dim)
-    for _ in range(dy % (2 * c.n)):
-        moved = ops.shift[moved]
-    mid = s0[moved]
-    left = np.linalg.matrix_power(vn, dx) if dx else np.eye(ops.dim)
+    # T^dy s_0 T^-dy is the spin at site dy mod N; T^N is the spin flip for
+    # eps_y = -1 (T^2N the identity for both), which negates it
+    flipped = ops.eps_y == -1 and dy % (2 * c.n) >= c.n
+    mid = -ops.sl[dy % c.n] if flipped else ops.sl[dy % c.n]
+    left = np.linalg.matrix_power(vn, dx)
     right = np.linalg.matrix_power(vn, m_height - dx)
     # Tr[A B U^chi] = sum_ik A[i, k] B[k, cols[i]], so no product is formed
     cols = ops.flip if eps_x == -1 else np.arange(ops.dim)

@@ -17,7 +17,7 @@ from isingff.cauchy import (EllipticPointConfig, _interpolation_terms,
 from isingff import elliptic
 from isingff.elliptic import EllipticModulus, jacobi_sn_cn_dn, theta
 from isingff.exceptions import DomainError
-from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
+from isingff.linalg import log_det_and_inverse, pfaffian
 from isingff.spectral import SECTORS, Couplings, sqrt_b_of_theta
 from isingff import verification
 from isingff.verification import _cauchy_sample, _log_rel, cauchy_suite, rotation_suite
@@ -186,7 +186,7 @@ class TestIsingSpecialization:
     def test_phi_inverse_routes(self, n):
         c = Couplings.from_kx_ky(0.4, 0.7, n)
         phi = phi_matrix(c)
-        _, inv = det_and_inverse(phi)
+        _, inv = log_det_and_inverse(phi)
         assert np.max(np.abs(phi_inverse_closed(c) @ phi - np.eye(n))) < 1e-10
         assert np.max(np.abs(phi_inverse_closed(c) - inv)) < 1e-10
         assert np.max(np.abs(phi_inverse_trig(c) - inv)) < 1e-10
@@ -195,7 +195,7 @@ class TestIsingSpecialization:
     def test_products_and_diagonals(self, n):
         c = Couplings.from_kx_ky(0.5, 0.8, n)
         phi, psi = phi_matrix(c), psi_matrix(c)
-        _, inv = det_and_inverse(phi)
+        _, inv = log_det_and_inverse(phi)
         left = psi_phi_inverse_closed(c)
         right = phi_inverse_psi_closed(c)
         assert np.max(np.abs(left - psi @ inv)) < 1e-10

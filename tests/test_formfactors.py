@@ -17,7 +17,7 @@ from isingff.formfactors import (_FF2_KEPT_MAX_BYTES, FockState, FormFactorSpec,
                                  assemble_r_matrix, ff_closed, ff_pfaffian, fock_basis,
                                  two_particle_matrices, two_point_correlation,
                                  vacuum_overlap, xi_t)
-from isingff.linalg import det_and_inverse, pfaffian
+from isingff.linalg import log_det_and_inverse, pfaffian
 from isingff.spectral import Couplings, coupling_tables, gamma_of_theta, nu_of_gamma
 from isingff.verification import (_spec_groups, completeness_sum_rule,
                                   formfactor_suite, rotation_suite)
@@ -115,8 +115,8 @@ class TestVacuumOverlap:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_against_lu_determinant(self, n):
         c = Couplings.from_kx_ky(0.35, 0.8, n)
-        det, _ = det_and_inverse(induced_rotation(c, 0).d)
-        assert abs(vacuum_overlap(c) - abs(det) ** 0.5) < 1e-10
+        log_det, _ = log_det_and_inverse(induced_rotation(c, 0).d)
+        assert abs(vacuum_overlap(c) - np.exp(0.5 * log_det.real)) < 1e-10
 
     def test_equals_xi_xi_t(self):
         assert vacuum_overlap(C4) == pytest.approx(math.sqrt(C4.xi * xi_t(C4)),
@@ -451,6 +451,17 @@ class TestAbsFf2Table:
 class TestTwoPointCorrelation:
     def test_coincident_points(self):
         assert two_point_correlation(C4, 4, 0, 0) == 1.0
+
+    @pytest.mark.filterwarnings("ignore:particle-number cutoff")
+    def test_coincident_points_carry_the_boundary_signs(self):
+        # T^N = U flips every spin for eps_y = -1: at N=14 (a cutoff sum)
+        # dy = N is -1, the sign of its neighbour dx = 1, which is the
+        # negative of dy = 0's
+        c = Couplings.from_kx_ky(0.4, 0.7, 14)
+        assert two_point_correlation(c, 8, 0, 14, eps_y=-1) == -1.0
+        near = two_point_correlation(c, 8, 1, 14, eps_y=-1)
+        assert near < -0.78
+        assert near == pytest.approx(-two_point_correlation(c, 8, 1, 0, eps_y=-1), rel=1e-12)
 
     def test_reflection_symmetry_in_dy(self):
         for dy in (1, 2, 3):

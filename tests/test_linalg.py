@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from isingff.exceptions import DomainError, SingularMatrixError
 from isingff.formfactors import SpecStack, assemble_r_matrix
-from isingff.linalg import det_and_inverse, log_det_and_inverse, pfaffian
+from isingff.linalg import log_det_and_inverse, pfaffian
 from isingff.spectral import Couplings
 from isingff.verification import _spec_groups
 
@@ -47,8 +47,8 @@ class TestPfaffian:
         rng = np.random.default_rng(n)
         for _ in range(5):
             m = random_skew(n, rng)
-            det, _ = det_and_inverse(m)
-            assert abs(pfaffian(m) ** 2 / det - 1.0) < 1e-10
+            log_det, _ = log_det_and_inverse(m)
+            assert abs(pfaffian(m) ** 2 / np.exp(log_det) - 1.0) < 1e-10
 
     def test_odd_dimension_and_empty(self):
         assert pfaffian(random_skew(5, np.random.default_rng(1))) == 0.0
@@ -125,6 +125,18 @@ class TestPfaffian:
         with pytest.raises(DomainError, match=r"log10\|Pf\| = -33\d\."):
             pfaffian(m)
         with pytest.raises(DomainError, match=r"log10\|Pf\| = -33\d\."):
+            pfaffian(second_of_two(m))
+
+    def test_four_by_four_mixed_scale_underflow_raises(self):
+        # Pf = a01 a23 = 1e-400: scaling by the largest entry, a02 = 1, leaves
+        # that product below the smallest subnormal, which is no cancellation
+        m = np.zeros((4, 4))
+        m[0, 1] = m[2, 3] = 1e-200
+        m[0, 2] = 1.0
+        m = m - m.T
+        with pytest.raises(DomainError, match=r"log10\|Pf\| = -400\.0"):
+            pfaffian(m)
+        with pytest.raises(DomainError, match=r"log10\|Pf\| = -400\.0"):
             pfaffian(second_of_two(m))
 
     def test_underflow_raises_instead_of_zero(self):
@@ -253,9 +265,8 @@ class TestStackedPfaffian:
     @pytest.mark.parametrize("n", [2, 6, 12])
     def test_square_is_determinant(self, n):
         stack = pivoting_skew_stack(8, n, np.random.default_rng(n))
-        for m, pf in zip(stack, pfaffian(stack)):
-            det, _ = det_and_inverse(m)
-            assert abs(pf ** 2 / det - 1.0) < 1e-9
+        for m, pf, log_det in zip(stack, pfaffian(stack), log_det_and_inverse(stack)[0]):
+            assert abs(pf ** 2 / np.exp(log_det) - 1.0) < 1e-9
 
     def test_pivot_floor_zeroes_only_its_matrix(self):
         rng = np.random.default_rng(7)
@@ -302,42 +313,41 @@ class TestStackedPfaffian:
 
 class TestDetAndInverse:
     def test_identity(self):
-        det, inv = det_and_inverse(np.eye(3))
-        assert det == 1.0
+        log_det, inv = log_det_and_inverse(np.eye(3))
+        assert log_det == 0.0
         np.testing.assert_allclose(inv, np.eye(3))
 
     def test_diagonal(self):
-        det, inv = det_and_inverse(np.diag([2.0, 3.0]))
-        assert det == pytest.approx(6.0)
+        log_det, inv = log_det_and_inverse(np.diag([2.0, 3.0]))
+        assert np.exp(log_det) == pytest.approx(6.0)
         np.testing.assert_allclose(inv, np.diag([0.5, 1.0 / 3.0]))
 
     def test_random_residual(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-        det, inv = det_and_inverse(m)
+        log_det, inv = log_det_and_inverse(m)
         assert np.max(np.abs(m @ inv - np.eye(10))) < 1e-10
-        assert abs(det / np.linalg.det(m) - 1.0) < 1e-12
+        assert abs(np.exp(log_det) / np.linalg.det(m) - 1.0) < 1e-12
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            det_and_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            log_det_and_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
-            det_and_inverse(np.ones((2, 3)))
+            log_det_and_inverse(np.ones((2, 3)))
 
     def test_log_det_matches_det_where_both_exist(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        det, inv = det_and_inverse(m)
         log_det, log_inv = log_det_and_inverse(m)
-        assert abs(np.exp(log_det) / det - 1.0) < 1e-12
-        np.testing.assert_array_equal(inv, log_inv)
+        assert abs(np.exp(log_det) / np.linalg.det(m) - 1.0) < 1e-12
+        np.testing.assert_array_equal(np.linalg.inv(m), log_inv)
 
     def test_log_det_stays_finite_past_overflow(self):
         m = np.diag(np.full(400, 1e3)) * np.exp(0.25j)
         with np.errstate(over="ignore", invalid="ignore"):
-            det, _ = det_and_inverse(m)
+            det = np.linalg.det(m)
         log_det, _ = log_det_and_inverse(m)
         assert not np.isfinite(det)
         assert abs(log_det.real - 400 * np.log(1e3)) < 1e-9
@@ -355,34 +365,29 @@ class TestStackedElimination:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_stack_equals_each_matrix(self, n):
         stack = pivoting_stack(12, n, np.random.default_rng(200 + n))
-        dets, invs = det_and_inverse(stack)
         log_dets, log_invs = log_det_and_inverse(stack)
-        assert dets.shape == log_dets.shape == (12,) and invs.shape == stack.shape
-        for m, det, inv, log_det, log_inv in zip(stack, dets, invs, log_dets, log_invs):
-            one, one_inv = det_and_inverse(m)
+        assert log_dets.shape == (12,) and log_invs.shape == stack.shape
+        for m, log_det, log_inv in zip(stack, log_dets, log_invs):
             one_log, one_log_inv = log_det_and_inverse(m)
-            assert isinstance(one, complex) and isinstance(one_log, complex)
-            assert one == det and one_log == log_det
-            assert one_inv.tobytes() == inv.tobytes() == one_log_inv.tobytes() \
-                == log_inv.tobytes()
-            assert abs(det / np.linalg.det(m) - 1.0) < 1e-12
+            assert isinstance(one_log, complex)
+            assert one_log == log_det
+            assert one_log_inv.tobytes() == log_inv.tobytes()
+            assert abs(np.exp(log_det) / np.linalg.det(m) - 1.0) < 1e-12
 
     def test_singular_rejected(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
             log_det_and_inverse(m)
         stack = np.concatenate([pivoting_stack(2, 2, np.random.default_rng(9)), m[None]])
-        for fn in (det_and_inverse, log_det_and_inverse):
-            with pytest.raises(SingularMatrixError):
-                fn(stack)
-            fn(stack[:2])
+        with pytest.raises(SingularMatrixError):
+            log_det_and_inverse(stack)
+        log_det_and_inverse(stack[:2])
 
     def test_near_singular_rejected(self):
         # exactly representable, not exactly singular: det = 1.1e-15, and
         # 1 / cond_inf = 2.8e-16 is below the 1e-13 floor
         m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         stack = np.concatenate([pivoting_stack(2, 2, np.random.default_rng(9)), m[None]])
-        for fn in (det_and_inverse, log_det_and_inverse):
-            for a in (m, stack):
-                with pytest.raises(SingularMatrixError):
-                    fn(a)
+        for a in (m, stack):
+            with pytest.raises(SingularMatrixError):
+                log_det_and_inverse(a)

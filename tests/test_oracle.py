@@ -473,6 +473,38 @@ class TestOracleCorrelation:
     def test_coincident_points(self):
         assert oracle_correlation(OPS4, 4, 0, 0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("eps_x", [1, -1])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_coincident_points_are_exact_on_both_routes(self, eps_x, eps_y):
+        # s_0^2 = 1, U^chi s_0 = eps_x s_0 U^chi carries s_0 round the torus
+        # (dx = M), and T^N = U for eps_y = -1 flips it (|dy| = N)
+        ops = build_operators(C4, eps_y=eps_y)
+        for dx, dy in itertools.product((0, 5), (0, 4, -4, 8)):
+            exact = (eps_x if dx else 1) * (eps_y if abs(dy) == C4.n else 1)
+            assert two_point_correlation(C4, 5, dx, dy, eps_x=eps_x, eps_y=eps_y) == exact
+            dense = oracle_correlation(ops, 5, dx, dy, eps_x=eps_x)
+            assert abs(dense - exact) < 1e-12, (dx, dy, dense)
+
+    # at eps_x = -1 in the ordered phase the dense trace sums the positive
+    # entries of V^M; against its 40-digit value from the same double V
+    @pytest.mark.parametrize("kx, ky, n, m_height, dx, dy, value", [
+        (6.0, 6.0, 4, 16, 3, 11, 0.625),
+        (1.0, 1.2, 5, 4, 1, 1, 0.49905912821372606),   # the spectral sum is 7.1e-13 off
+    ])
+    def test_dense_trace_against_a_40_digit_trace(self, kx, ky, n, m_height, dx, dy, value):
+        mpmath = pytest.importorskip("mpmath")
+        ops = build_operators(Couplings.from_kx_ky(kx, ky, n))
+        dim = ops.dim
+        s0, mid = (1 - 2 * ((np.arange(dim) >> (n - 1 - j)) & 1) for j in (0, dy % n))
+        with mpmath.workdps(40):
+            v = mpmath.matrix(ops.v.tolist())
+            left, right = v ** dx, v ** (m_height - dx)
+            terms = [(left[i, k] * right[k, dim - 1 - i], int(s0[i] * mid[k]))
+                     for i in range(dim) for k in range(dim)]      # U|i> = |dim - 1 - i>
+            ref = mpmath.fsum(t * s for t, s in terms) / mpmath.fsum(t for t, _ in terms)
+            assert abs(ref - value) < 1e-16
+            assert abs(oracle_correlation(ops, m_height, dx, dy, eps_x=-1) - ref) < 1e-14
+
     def test_reflection_in_dy(self):
         a = oracle_correlation(OPS4, 4, 1, 1)
         b = oracle_correlation(OPS4, 4, 1, C4.n - 1)
