@@ -54,6 +54,17 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise DomainError(f"momentum list must be comma-separated integers: {text!r}") from exc
 
 
+def _tolerance(text: str) -> float:
+    """``text`` as a tolerance, a float >= 0 or inf: NaN or one below 0 fails every check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number >= 0, got {text!r}")
+    return value
+
+
 def _json_safe(value):
     """``value`` with every non-finite float replaced by its name ("nan",
     "inf", "-inf"), so that the output stays valid JSON."""
@@ -156,9 +167,8 @@ def _cmd_ff(args) -> int:
         spect = labeled_spectrum(ops, [("a", spec.bra.indices), ("p", spec.ket.indices)])
         bra = find_state(spect, "a", spec.bra.indices)
         ket = find_state(spect, "p", spec.ket.indices)
-        pair = [st for st in spect if st.block in (bra.block, ket.block)]
-        oracle_val = oracle_ff_modulus(ops, pair, spec)
-        bra_labels, ket_labels = block_labels(pair, bra.block), block_labels(pair, ket.block)
+        oracle_val = oracle_ff_modulus(ops, spect, spec)
+        bra_labels, ket_labels = block_labels(spect, bra.block), block_labels(spect, ket.block)
         blockwise = len(bra_labels) > 1 or len(ket_labels) > 1
         closed_block = _closed_block_norm(c, args.site, bra_labels, ket_labels,
                                           {(spec.bra.indices, spec.ket.indices): f_closed})
@@ -240,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_n:
             p.add_argument("--n", type=int, required=True, help="lattice width N")
         p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="agreement tolerance (default: env ISINGFF_TOL, else 1e-10)")
 
     p = sub.add_parser("params", help="derived coupling scalars")
@@ -291,11 +301,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.tol is None:
         # read on each call, so a later change to the variable applies
-        text = os.environ.get("ISINGFF_TOL", "1e-10")
         try:
-            args.tol = float(text)
-        except ValueError:
-            print(f"isingff: error: ISINGFF_TOL is not a number: {text!r}", file=sys.stderr)
+            args.tol = _tolerance(os.environ.get("ISINGFF_TOL", "1e-10"))
+        except argparse.ArgumentTypeError as exc:
+            print(f"isingff: error: ISINGFF_TOL: {exc}", file=sys.stderr)
             return EXIT_PARSE
     try:
         return args.func(args)

@@ -476,9 +476,9 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
     ph_a, ph_p = basis_a.momenta, basis_p.momenta
 
     chi = (1 - eps_x) // 2
-    # U charge of a-sector states is +eps_y^... : a-vacuum carries +1, the
-    # p-vacuum -1, and each particle flips the sign; surviving states have
-    # charge +eps_y (a) and -eps_y (p).
+    # the U charge, which the trace reads for eps_x = -1: the a-vacuum carries
+    # +1, the p-vacuum -1, and each particle flips the sign, so the states of
+    # the parity eps_y selects carry +eps_y (a) and -eps_y (p).
     u_a = float(eps_y) if chi else 1.0
     u_p = -float(eps_y) if chi else 1.0
 

@@ -102,9 +102,8 @@ class _CharacterBlock:
     ``[lo, hi)``; its conjugate partner holds the lead instead, since
     H_chi-bar = conj(H_chi) has the conjugate eigenvectors.  The first read of
     a vector of either block forms its group's eigenvectors of H_chi by
-    :func:`_group_eigenvectors`, and each full-space vector is formed on its
-    own first read, from its one column: ``ff`` reads one or two of a block's
-    ~52 states at N=10."""
+    :func:`_group_eigenvectors`, kept on the lead (~52 entries each at N=10);
+    a full-space vector is expanded from its one column on each read."""
 
     h: np.ndarray | None      # a lead's H_chi; None for a partner
     col: np.ndarray           # each basis state's column of H_chi
@@ -113,7 +112,6 @@ class _CharacterBlock:
     w: np.ndarray | None = None           # a lead's eigenvalues, ascending
     groups: list[tuple[int, int]] = field(default_factory=list, repr=False)   # a lead's, by row
     columns: dict[int, np.ndarray] = field(default_factory=dict, repr=False)  # a lead's, by row
-    formed: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def column(self, row: int) -> np.ndarray:
         """A lead's eigenvector of H_chi for its row-th eigenvalue."""
@@ -125,13 +123,19 @@ class _CharacterBlock:
         return q
 
     def vector(self, row: int) -> np.ndarray:
-        """The full-space eigenvector of H_chi's row-th eigenvalue (read-only)."""
-        vec = self.formed.get(row)
-        if vec is None:
-            q = self.column(row) if self.lead is None else self.lead.column(row).conj()
-            vec = self.formed[row] = q[self.col] * self.amp
-            vec.flags.writeable = False
-        return vec
+        """The full-space eigenvector of H_chi's row-th eigenvalue, a new array."""
+        q = self.column(row) if self.lead is None else self.lead.column(row).conj()
+        return q[self.col] * self.amp
+
+    def group_vectors(self, row: int, refine: SpinOperatorSet | None = None) -> np.ndarray:
+        """The full-space eigenvectors, as rows, of the row-th eigenvalue's group;
+        given V's operators as ``refine``, refined by :func:`_refined_group`."""
+        lead = self.lead or self
+        lo, hi = lead.groups[row]
+        if refine is None:
+            return np.array([self.vector(r) for r in range(lo, hi)])
+        q = _refined_group(refine, lead, lo, hi)
+        return ((q if lead is self else q.conj())[self.col] * self.amp[:, None]).T
 
 
 @lru_cache(maxsize=None)
@@ -253,9 +257,9 @@ def _refined_group(ops: SpinOperatorSet, lead: _CharacterBlock, lo: int, hi: int
 @dataclass
 class LabeledEigenstate:
     """Eigenstate with its quantum numbers and matched Fock label; the
-    eigenvector is formed on first read, and kept: its eigenvalue group's
-    eigenvectors of the block come from one inverse iteration per conjugate
-    pair, and only this state's column is expanded to the full space."""
+    eigenvector is a new array on each read, this state's column expanded to
+    the full space: its group's eigenvectors of the block come from one inverse
+    iteration per conjugate pair, kept on the lead."""
 
     sector: str
     indices: tuple[int, ...]
@@ -462,8 +466,8 @@ def labeled_spectrum(ops: SpinOperatorSet,
     each row's eigenvalue group on the lead.  The first read of a state's
     :attr:`LabeledEigenstate.vector` forms the eigenvectors of its group, once
     per pair, by inverse iteration on the group's eigenvalues
-    (:func:`_group_eigenvectors`), and each state's vector is expanded back
-    to the full space on its own first read.  The vectors of one group are
+    (:func:`_group_eigenvectors`), and a state's vector is expanded back to
+    the full space on each read, and not kept.  The vectors of one group are
     orthonormal to rounding; those of distinct groups are orthogonal to
     about eps * lambda_max / gap (1.1e-11 at (0.2, 1.2), N=10, eps_y=+1).
 
@@ -523,19 +527,17 @@ def labeled_spectrum(ops: SpinOperatorSet,
     h_low = dict(zip(lead.tolist(), _lower_triangles(
         vy[sym.r] * np.take(_vx_table(ops.couplings), sym.dist) * vy[sym.s],   # V[r, g s]
         sym.chi[lead], sym.norm)))
-    blocks, vals = {}, {}
+    blocks = {}
     for k in np.flatnonzero(need).tolist():
-        if conj[k] < k:               # a partner: its lead came first
+        if conj[k] < k:               # a partner: its lead came first and holds its w
             blocks[k] = _CharacterBlock(None, sym.col[k], sym.amp[k], blocks[conj[k]])
-            vals[k] = vals[conj[k]]
             continue
         at = sym.col[k, sym.reps]                            # each representative's row
         inside = sym.keep[k, sym.r] & sym.keep[k, sym.s]     # each lead's block, read off h_low
         h = np.zeros((size[k], size[k]), dtype=complex)
         h[at[sym.r[inside]], at[sym.s[inside]]] = h_low[k][inside]
-        vals[k] = eigvalsh(h)
-        blocks[k] = _CharacterBlock(h, sym.col[k], sym.amp[k], w=vals[k])
-    w = np.concatenate([vals[k] for k in np.flatnonzero(want).tolist()])
+        blocks[k] = _CharacterBlock(h, sym.col[k], sym.amp[k], w=eigvalsh(h))
+    w = np.concatenate([blocks[min(k, conj[k])].w for k in np.flatnonzero(want).tolist()])
 
     chars = char_of[order]                        # the character of each position
     held = np.where(want, size, 0)
@@ -595,31 +597,19 @@ def oracle_ff_modulus(ops: SpinOperatorSet, spectrum: list[LabeledEigenstate],
     If either state sits in a degenerate momentum-reversal block, the
     returned value is the basis-invariant Frobenius norm of the spin-operator
     sub-block between the two blocks; for singleton blocks this is the plain
-    matrix-element modulus.  ``spectrum`` may be any part of the labeled
-    states that holds both blocks whole.  Below ``_REFINE_BELOW`` the value
-    is taken again from both blocks' eigenvectors of V, refined by
-    :func:`_refined_group` (about 3 ms more at N=10).
+    matrix-element modulus.  ``spectrum`` may be any list of labeled states
+    that holds the bra and the ket: each one's eigenvalue group is read from
+    its character block.  Below ``_REFINE_BELOW`` the value is taken again
+    from both groups' eigenvectors of V, refined by :func:`_refined_group`
+    (about 3 ms more at N=10).
     """
-    bra = find_state(spectrum, "a", spec.bra.indices)
-    ket = find_state(spectrum, "p", spec.ket.indices)
-    bra_vecs = np.array([st.vector for st in spectrum if st.block == bra.block])
-    ket_vecs = np.array([st.vector for st in spectrum if st.block == ket.block])
-    value = float(np.linalg.norm(bra_vecs.conj() @ (ops.sl[spec.site] * ket_vecs).T))
-    if value < _REFINE_BELOW:
-        bra_vecs, ket_vecs = (_refined_vectors(ops, st) for st in (bra, ket))
+    pair = find_state(spectrum, "a", spec.bra.indices), find_state(spectrum, "p", spec.ket.indices)
+    for refine in (None, ops):
+        bra_vecs, ket_vecs = (st._source.group_vectors(st._row, refine) for st in pair)
         value = float(np.linalg.norm(bra_vecs.conj() @ (ops.sl[spec.site] * ket_vecs).T))
+        if value >= _REFINE_BELOW:
+            break
     return value
-
-
-def _refined_vectors(ops: SpinOperatorSet, state: LabeledEigenstate) -> np.ndarray:
-    """The full-space vectors, as rows, of ``state``'s eigenvalue group from
-    :func:`_refined_group` (a partner's: its lead's, conjugated)."""
-    source = state._source
-    lead = source.lead or source
-    q = _refined_group(ops, lead, *lead.groups[state._row])
-    if source.lead is not None:
-        q = q.conj()
-    return (q[source.col] * source.amp[:, None]).T
 
 
 def block_labels(spectrum: list[LabeledEigenstate], block: int) -> list[tuple[str, tuple]]:

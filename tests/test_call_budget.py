@@ -30,12 +30,13 @@ The oracle labels its states from eigenvalues alone, with one eigenvalue call
 per pair of conjugate character blocks, and makes no full eigendecomposition:
 the eigenvectors of one eigenvalue group of a block are formed by inverse
 iteration on the group's eigenvalues, once per group and conjugate pair,
-when one of them is read; each state's full-space vector is formed on its
-first read, once.  A form factor below 1e-6 is read again from its two
-groups' vectors refined against V's factors, one refinement per group.
+when one of them is read, and kept on the lead as columns of its block; a
+state's full-space vector is expanded from its column on each read and is
+not kept.  A form factor below 1e-6 is read again from its two groups'
+vectors refined against V's factors, one refinement per group.
 ``isingff ff`` labels two character blocks, the bra's and the ket's, out of
-twenty at N=10, and forms only the vectors of the bra's and the ket's
-degenerate blocks, one inverse iteration each.  The oracle's coupling-free
+twenty at N=10, and forms only the columns of the bra's and the ket's
+eigenvalue groups, one inverse iteration each.  The oracle's coupling-free
 geometry is built once per (N, eps_y) and read by every later coupling.
 """
 
@@ -141,6 +142,12 @@ def _blocks(spect) -> list:
     return list({id(st._source): st._source for st in spect}.values())
 
 
+def _leads(spect) -> list:
+    """The distinct lead blocks behind the states of ``spect``; a wanted
+    partner's lead may hold no returned state."""
+    return list({id(b.lead or b): b.lead or b for b in _blocks(spect)}.values())
+
+
 # the odd tower's group is cyclic of order 2N, so its character table differs
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("eps_y", [1, -1])
@@ -154,13 +161,15 @@ def test_oracle_labels_without_eigenvectors(eigh_calls, eps_y, n):
     assert len(pairs) == {(8, 1): 10, (8, -1): 9, (10, 1): 12, (10, -1): 11}[n, eps_y]
     assert eigh_calls == {"values": len(pairs), "vectors": 0, "eigh": 0}
     for st in spect:
-        assert st.vector is st.vector
+        assert st.vector.tobytes() == st.vector.tobytes()   # a re-read forms the same vector
     # one inverse iteration per eigenvalue group of a lead block: a
     # partner block's eigenvectors are its lead's, conjugated
     groups = {st.block for st in spect if st._source.lead is None}
     assert eigh_calls == {"values": len(pairs), "vectors": len(groups), "eigh": 0}
-    # each state's vector is formed on its first read, once
-    assert sum(len(block.formed) for block in _blocks(spect)) == len(spect)
+    # the leads keep one H_chi column per state of a lead block, and no
+    # full-space vector is kept
+    assert sum(len(lead.columns) for lead in _leads(spect)) == \
+        sum(st._source.lead is None for st in spect)
 
 
 # ff labels only the bra's and the ket's characters: one eigenvalue call per
@@ -183,8 +192,8 @@ def test_oracle_ff_labels_two_characters(capsys, eigh_calls, eps_y, n):
     assert eigh_calls == {"values": len(pairs), "vectors": 2, "eigh": 0}
 
 
-# ff labels the bra's and the ket's characters and forms the vectors of their
-# degenerate blocks alone; a bra in a momentum-reversal doublet has two, from
+# ff labels the bra's and the ket's characters and forms the columns of their
+# eigenvalue groups alone; a bra in a momentum-reversal doublet has two, from
 # one inverse iteration
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("eps_y", [1, -1])
@@ -207,7 +216,7 @@ def test_oracle_ff_forms_the_vectors_of_two_blocks(monkeypatch, capsys, eigh_cal
     ids = [oracle.find_state(spect, sector, idx).block for sector, idx in (("a", bra), ("p", ket))]
     held = [sum(st.block == b for st in spect) for b in ids]
     assert held[0] == 2 and held[1] in (1, 2)
-    assert sum(len(block.formed) for block in _blocks(spect)) == sum(held)
+    assert sum(len(lead.columns) for lead in _leads(spect)) == sum(held)
 
 
 # a form factor below 1e-6 is taken again from refined vectors: one

@@ -362,6 +362,32 @@ def test_unparseable_tolerance_env_var_is_parse_error(capsys, monkeypatch):
     assert out == "" and err.count("\n") == 1 and "ISINGFF_TOL" in err
 
 
+@pytest.mark.parametrize("text", ["nan", "-1e-10", "-inf"])
+def test_nan_or_negative_tolerance_is_parse_error(capsys, monkeypatch, text):
+    # either would fail every check; the flag and the variable share one rule
+    argv = ["verify", "rotation", "--kx", "0.4", "--ky", "0.7", "--n", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={text}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    monkeypatch.setenv("ISINGFF_TOL", text)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "ISINGFF_TOL" in err
+
+
+@pytest.mark.parametrize("text, code", [("0", 5), ("inf", 0)])
+def test_zero_and_infinite_tolerance_are_accepted(capsys, monkeypatch, text, code):
+    # 0 fails every nonzero residual, inf passes every finite one
+    argv = ("verify", "rotation", "--kx", "0.4", "--ky", "0.7", "--n", "4")
+    monkeypatch.delenv("ISINGFF_TOL", raising=False)
+    runs = [run(capsys, *argv, "--tol", text)]
+    monkeypatch.setenv("ISINGFF_TOL", text)
+    runs.append(run(capsys, *argv))
+    for got, out in runs:
+        assert got == code and float(json.loads(out)["inputs"]["tolerance"]) == float(text)
+
+
 def test_commands_import_no_scipy():
     # a fresh process: other tests load scipy into this one
     script = """

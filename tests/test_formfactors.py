@@ -581,11 +581,13 @@ def _imports(module: str, nodes):
 
 
 def test_evaluation_path_imports_no_verification_route():
-    """formfactors, which ff and corr run, imports nothing from the elliptic,
-    Cauchy or verification layers."""
+    """formfactors, which ff and corr run, and the dense oracle, which checks
+    them, import nothing from the elliptic, Cauchy or verification layers:
+    the three-way agreement needs an oracle of its own."""
     banned = {"elliptic", "cauchy", "verification"}
-    for line, name in _imports("formfactors", ast.walk):
-        assert not banned & set(name.split(".")), f"line {line}: {name}"
+    for module in ("formfactors", "oracle"):
+        for line, name in _imports(module, ast.walk):
+            assert not banned & set(name.split(".")), f"{module} line {line}: {name}"
 
 
 @pytest.mark.parametrize("module", ["spectral", "formfactors", "linalg"])

@@ -263,6 +263,21 @@ class TestLabeledSpectrum:
             spec = FormFactorSpec(int(rng.integers(n)), FockState(*bra), FockState(*ket))
             assert oracle_ff_modulus(ops, part, spec) == oracle_ff_modulus(ops, full, spec)
 
+    # a bra in a momentum-reversal doublet, of which the list holds one state,
+    # and a block norm below 1e-6 (|F| = 2.55e-8), read from refined vectors
+    @pytest.mark.parametrize("kxy, n, site, bra, ket, expected", [
+        ((0.4, 0.7), 8, 3, (0, 3), (1, 4), pytest.approx(0.4388906528715126, rel=1e-12)),
+        ((0.2, 1.2), 10, 6, (0, 9), (2, 5, 6, 7), pytest.approx(3.6118e-8, rel=1e-4)),
+    ])
+    def test_modulus_from_the_two_states_alone(self, kxy, n, site, bra, ket, expected):
+        ops = build_operators(Couplings.from_kx_ky(*kxy, n))
+        full = labeled_spectrum(ops)
+        spec = FormFactorSpec(site, FockState("a", bra), FockState("p", ket))
+        pair = [oracle.find_state(full, "a", bra), oracle.find_state(full, "p", ket)]
+        value = oracle_ff_modulus(ops, full, spec)
+        assert value == expected
+        assert oracle_ff_modulus(ops, pair, spec) == value
+
     def test_restriction_to_no_labeled_state_is_empty(self):
         assert labeled_spectrum(OPS4, [("a", (0,)), ("p", (1,))]) == []   # odd, eps_y=+1
 
