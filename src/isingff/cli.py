@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=verification.SUITES + ("all",))
     common(p)
     p.add_argument("--site", type=int, default=None,
-                   help="spin site (default: 0 for rotation, N/2 for formfactor)")
+                   help="spin site in [0, N) (default: 0 for rotation, N/2 for "
+                        "formfactor); elliptic and cauchy read no site")
     p.set_defaults(func=_cmd_verify)
 
     return parser

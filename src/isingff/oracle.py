@@ -14,8 +14,8 @@ an eigenvalue group are formed by inverse iteration on the group's known
 eigenvalues when one of its states is read, and a matrix element below
 1e-6 is taken again from eigenvectors refined against V's factors in
 extended precision (:func:`_refined_group`).  What no coupling enters
-(spins, index maps, orbits, characters, block maps, spin distances:
-:class:`_Geometry`) is built once per (N, eps_y) and shared read-only;
+(spins, index maps, orbits, characters, block maps, spin distances) is one
+read-only :class:`_Geometry`, built whole once per (N, eps_y) and shared;
 V_y^{1/2}, V_x's N + 1 entries, the labels, block sums, eigenvalues and
 matching are per coupling.  Everything here is independent of the closed-form
 modules except for the shared dispersion gamma_theta, so it serves as
@@ -284,8 +284,10 @@ def _vx_table(c: Couplings) -> np.ndarray:
 
 
 class _Geometry:
-    """The read-only geometry of the width-N chain with boundary sign eps_y;
-    the :attr:`symmetry` that labelling reads is built on first read."""
+    """What no coupling enters in the width-N chain with boundary sign eps_y,
+    read-only: spin diagonals, bond sums, index maps, orbits, characters, block
+    maps and spin distances.  V_y^{1/2} is G-invariant (the bond sums are exact
+    integers), so V[r, g s] = vy_half[r] table[dist] vy_half[s]."""
 
     def __init__(self, n: int, eps_y: int):
         self.eps_y, idx, every = eps_y, np.arange(1 << n), (1 << n) - 1   # every spin's bit
@@ -296,24 +298,12 @@ class _Geometry:
                         for j in range(n))
         self.flip = idx ^ every
         self.shift = ((idx << 1) & every) | (((idx >> (n - 1)) & 1) ^ (eps_y == -1))
-        _read_only(self.sl, self.down, self.bond, self.flip, self.shift)
-
-    @cached_property
-    def symmetry(self) -> _Symmetry:
-        return _Symmetry(self)
-
-
-class _Symmetry:
-    """A :class:`_Geometry`'s symmetry.  V_y^{1/2} is G-invariant (the bond sums
-    are exact integers), so V[r, g s] = vy_half[r] table[dist] vy_half[s]."""
-
-    def __init__(self, chain: _Geometry):
-        n, act = len(chain.sl), _group_action(chain)
+        act = _group_action(self)
         to_rep = act.argmin(axis=0)       # a g taking x to its orbit's smallest index
         self.reps, orbit = np.unique(act.min(axis=0), return_inverse=True)
         stab = act[:, self.reps] == self.reps      # (|G|, R): g fixes representative r
         stab_size = stab.sum(axis=0)
-        self.m, self.u, self.chi = _characters(n, chain.eps_y)
+        self.m, self.u, self.chi = _characters(n, eps_y)
         self.keep = np.abs(self.chi @ stab - stab_size) < 0.5   # chi trivial on Stab_r
         self.size = self.keep.sum(axis=1)
         self.t_of = tuple(np.exp(-1j * (math.pi * self.m / n)).tolist())
@@ -326,7 +316,7 @@ class _Symmetry:
         self.amp = np.where(self.keep[:, orbit], self.chi[:, to_rep] * scale, 0)
         self.r, self.s = np.tril_indices(len(self.reps))
         self.norm = np.sqrt(stab_size[self.r] * stab_size[self.s])
-        self.dist = chain.down[self.reps[self.r] ^ act[:, self.reps[self.s]]]
+        self.dist = self.down[self.reps[self.r] ^ act[:, self.reps[self.s]]]
         _read_only(*(v for v in vars(self).values() if isinstance(v, np.ndarray)))
 
 
@@ -491,14 +481,14 @@ def labeled_spectrum(ops: SpinOperatorSet,
     ids are numbered within the returned list.  The label count per
     character is still checked for every character.
     """
-    n, sym = ops.couplings.n, _geometry(ops.couplings.n, ops.eps_y).symmetry
-    m, u, size, conj, t_of = sym.m, sym.u, sym.size, sym.conj, sym.t_of
+    n, geo = ops.couplings.n, _geometry(ops.couplings.n, ops.eps_y)
+    m, u, size, conj, t_of = geo.m, geo.u, geo.size, geo.conj, geo.t_of
 
     labels = predicted_fock_labels(ops.couplings, ops.eps_y)
     # the T eigenvalue exp(-i pi m / N) a label predicts gives its m, with a
     # margin of pi / 2N for rounding
     m_lab = np.rint(np.angle(labels.t) * (-n / math.pi)).astype(int) % (2 * n)
-    char_of = sym.char_at[m_lab, (1 - labels.charge) // 2]
+    char_of = geo.char_at[m_lab, (1 - labels.charge) // 2]
     count = np.bincount(char_of, minlength=len(m) + 1)
     bad = np.flatnonzero(count != np.r_[size, 0])
     if bad.size:
@@ -523,20 +513,20 @@ def labeled_spectrum(ops: SpinOperatorSet,
 
     # H_chi is summed only for the lead, the smaller index, of each conjugate pair
     lead = np.flatnonzero((conj >= np.arange(len(m))) & need)
-    vy = ops.vy_half[sym.reps]
+    vy = ops.vy_half[geo.reps]
     h_low = dict(zip(lead.tolist(), _lower_triangles(
-        vy[sym.r] * np.take(_vx_table(ops.couplings), sym.dist) * vy[sym.s],   # V[r, g s]
-        sym.chi[lead], sym.norm)))
+        vy[geo.r] * np.take(_vx_table(ops.couplings), geo.dist) * vy[geo.s],   # V[r, g s]
+        geo.chi[lead], geo.norm)))
     blocks = {}
     for k in np.flatnonzero(need).tolist():
         if conj[k] < k:               # a partner: its lead came first and holds its w
-            blocks[k] = _CharacterBlock(None, sym.col[k], sym.amp[k], blocks[conj[k]])
+            blocks[k] = _CharacterBlock(None, geo.col[k], geo.amp[k], blocks[conj[k]])
             continue
-        at = sym.col[k, sym.reps]                            # each representative's row
-        inside = sym.keep[k, sym.r] & sym.keep[k, sym.s]     # each lead's block, read off h_low
+        at = geo.col[k, geo.reps]                            # each representative's row
+        inside = geo.keep[k, geo.r] & geo.keep[k, geo.s]     # each lead's block, read off h_low
         h = np.zeros((size[k], size[k]), dtype=complex)
-        h[at[sym.r[inside]], at[sym.s[inside]]] = h_low[k][inside]
-        blocks[k] = _CharacterBlock(h, sym.col[k], sym.amp[k], w=eigvalsh(h))
+        h[at[geo.r[inside]], at[geo.s[inside]]] = h_low[k][inside]
+        blocks[k] = _CharacterBlock(h, geo.col[k], geo.amp[k], w=eigvalsh(h))
     w = np.concatenate([blocks[min(k, conj[k])].w for k in np.flatnonzero(want).tolist()])
 
     chars = char_of[order]                        # the character of each position
@@ -601,8 +591,10 @@ def oracle_ff_modulus(ops: SpinOperatorSet, spectrum: list[LabeledEigenstate],
     that holds the bra and the ket: each one's eigenvalue group is read from
     its character block.  Below ``_REFINE_BELOW`` the value is taken again
     from both groups' eigenvectors of V, refined by :func:`_refined_group`
-    (about 3 ms more at N=10).
+    (about 3 ms more at N=10).  A site outside [0, N) raises DomainError.
     """
+    if not 0 <= spec.site < ops.couplings.n:
+        raise DomainError(f"site {spec.site} outside [0, {ops.couplings.n})")
     pair = find_state(spectrum, "a", spec.bra.indices), find_state(spectrum, "p", spec.ket.indices)
     for refine in (None, ops):
         bra_vecs, ket_vecs = (st._source.group_vectors(st._row, refine) for st in pair)

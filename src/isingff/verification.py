@@ -472,7 +472,14 @@ def formfactor_suite(c: Couplings, site: int | None = None) -> dict[str, float]:
 def run_suite(name: str, c: Couplings, site: int | None = None) -> dict[str, float]:
     """One named identity suite; ``all`` merges every suite.  Without a
     ``site`` the rotation suite runs at site 0 and the form-factor suite at
-    N/2."""
+    N/2; a site outside [0, N) raises DomainError for every suite, those
+    that read none (elliptic, cauchy) included."""
+    if name not in SUITES + ("all",):
+        raise DomainError(f"unknown suite {name!r}; pick from {SUITES + ('all',)}")
+    if name in ("formfactor", "all"):
+        _check_spec_count(c)      # before the site and the other suites
+    if site is not None and not 0 <= site < c.n:
+        raise DomainError(f"site {site} outside [0, {c.n})")
     if name == "elliptic":
         return elliptic_suite(c)
     if name == "cauchy":
@@ -481,11 +488,8 @@ def run_suite(name: str, c: Couplings, site: int | None = None) -> dict[str, flo
         return rotation_suite(c, site=0 if site is None else site)
     if name == "formfactor":
         return formfactor_suite(c, site=site)
-    if name == "all":
-        _check_spec_count(c)      # before the other suites run
-        merged = {}
-        for suite in SUITES:
-            res = run_suite(suite, c, site=site)
-            merged.update({f"{suite}.{k}": v for k, v in res.items()})
-        return merged
-    raise DomainError(f"unknown suite {name!r}; pick from {SUITES + ('all',)}")
+    merged = {}
+    for suite in SUITES:
+        res = run_suite(suite, c, site=site)
+        merged.update({f"{suite}.{k}": v for k, v in res.items()})
+    return merged

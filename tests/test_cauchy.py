@@ -16,7 +16,7 @@ from isingff.cauchy import (EllipticPointConfig, _interpolation_terms,
                             theta_interpolation_sum, u_of_theta)
 from isingff import elliptic
 from isingff.elliptic import EllipticModulus, jacobi_sn_cn_dn, theta
-from isingff.exceptions import DomainError
+from isingff.exceptions import DomainError, SingularMatrixError
 from isingff.linalg import log_det_and_inverse, pfaffian
 from isingff.spectral import SECTORS, Couplings, sqrt_b_of_theta
 from isingff import verification
@@ -71,6 +71,17 @@ class TestFrobenius:
         with pytest.raises(DomainError):
             frobenius_log_det(cfg)
 
+    def test_balancing_sum_on_the_zero_lattice_rejected(self):
+        cfg = EllipticPointConfig((0.3,), (0.9,), Q, 0.6)     # x - y + alpha = 0
+        with pytest.raises(SingularMatrixError, match="balancing sum"):
+            frobenius_inverse(cfg)
+
+    @pytest.mark.parametrize("xs, ys", [((0.1, 0.2), (0.3,)), ([[0.1, 0.2]], (0.3, 0.4)),
+                                        ([[[0.1]]], [[[0.3]]])])
+    def test_points_of_different_shapes_rejected(self, xs, ys):
+        with pytest.raises(DomainError, match="xs and ys must be"):
+            EllipticPointConfig(xs, ys, Q, 0.7)
+
 
 class TestFrobeniusStacks:
     @pytest.mark.parametrize("size", range(1, 9))
@@ -124,6 +135,10 @@ class TestThetaInterpolation:
     def test_unbalanced_rejected(self):
         with pytest.raises(DomainError):
             theta_interpolation_sum([0.1, 0.2], [0.1, 0.3], Q)
+
+    def test_point_sets_of_different_lengths_rejected(self):
+        with pytest.raises(DomainError, match="same length"):
+            theta_interpolation_sum([0.1, 0.2], [0.3], Q)
 
 
 class TestSnPfaffianProduct:

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from isingff import cli
+from isingff import cli, verification
 from isingff.cli import _closed_block_norm, main
+from isingff.exceptions import DomainError, VerificationError
 from isingff.formfactors import FockState, FormFactorSpec, ff_closed
 from isingff.oracle import block_labels, build_operators, find_state, labeled_spectrum
 from isingff.cauchy import u_of_theta
@@ -327,6 +328,34 @@ def test_verify_site_zero_is_honoured(capsys):
     residuals = json.loads(out)["results"]["residuals"]
     for suite, expected in [("rotation", rotation_suite(c, 0)), ("formfactor", at_middle)]:
         assert {k: residuals[f"{suite}.{k}"] for k in expected} == expected
+
+
+@pytest.mark.parametrize("suite", ["elliptic", "cauchy", "rotation", "formfactor", "all"])
+@pytest.mark.parametrize("site", ["-1", "4", "99"])
+def test_verify_site_outside_the_chain_is_domain_error(capsys, suite, site):
+    """Every suite refuses a site outside [0, N), those that read none too."""
+    code = main(["verify", suite, "--kx", "0.4", "--ky", "0.7", "--n", "4", f"--site={site}"])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert captured.err == f"domain error: site {site} outside [0, 4)\n"
+
+
+def test_unknown_suite_is_domain_error():
+    with pytest.raises(DomainError, match="unknown suite 'bogus'"):
+        verification.run_suite("bogus", Couplings.from_kx_ky(0.4, 0.7, 4))
+
+
+def test_verification_error_exits_5(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise VerificationError("correlation sum has non-negligible imaginary part 1.000e-03")
+
+    monkeypatch.setattr(cli, "two_point_correlation", fail)
+    code = main(["corr", "--kx", "0.4", "--ky", "0.7", "--n", "4", "--m-height", "4",
+                 "--dx", "1", "--dy", "1"])
+    captured = capsys.readouterr()
+    assert code == 5 and not captured.out
+    assert captured.err == ("verification failure: correlation sum has non-negligible "
+                            "imaginary part 1.000e-03\n")
 
 
 def test_unknown_command_is_parse_error():

@@ -45,6 +45,10 @@ class TestFockTypes:
         with pytest.raises(DomainError):
             FormFactorSpec(0, FockState("p", ()), FockState("p", ()))
 
+    def test_ket_outside_the_periodic_sector_rejected(self):
+        with pytest.raises(DomainError, match="ket must live in the periodic sector"):
+            FormFactorSpec(0, FockState("a", ()), FockState("a", ()))
+
     def test_out_of_range_index(self):
         spec = FormFactorSpec(0, FockState("a", (7,)), FockState("p", (0,)))
         with pytest.raises(DomainError):
@@ -93,6 +97,11 @@ class TestTwoParticleMatrices:
         rot = induced_rotation(c, n // 2)
         dinv, _, _ = two_particle_matrices(c, n // 2)
         assert np.max(np.abs(dinv @ rot.d - np.eye(n))) < 1e-10
+
+    @pytest.mark.parametrize("site", [-1, 4, 5])
+    def test_site_outside_the_chain_rejected(self, site):
+        with pytest.raises(DomainError, match=rf"site {site} outside \[0, 4\)"):
+            two_particle_matrices(C4, site)
 
     def test_antisymmetry_and_zero_diagonal(self):
         _, bdinv, dinvc = two_particle_matrices(C4, 2)
@@ -501,6 +510,11 @@ class TestTwoPointCorrelation:
         c = Couplings.from_kx_ky(0.4, 0.7, 12)
         with pytest.warns(UserWarning, match="cutoff"):
             two_point_correlation(c, 2, 1, 0, max_particles=0)
+
+    def test_no_states_below_the_cutoff(self):
+        # eps_y = -1 keeps odd particle numbers, and a cutoff of 0 keeps none
+        with pytest.raises(DomainError, match="no states of the required parity"):
+            two_point_correlation(C4, 8, 2, 1, eps_y=-1, max_particles=0)
 
     @pytest.mark.filterwarnings("ignore:particle-number cutoff")
     def test_cutoff_converges_to_full_sum(self):

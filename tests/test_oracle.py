@@ -9,7 +9,7 @@ import pytest
 
 from isingff import cli, oracle
 from isingff.exceptions import AmbiguousLabelError, DomainError, ResourceError
-from isingff.formfactors import FockState, FormFactorSpec, two_point_correlation
+from isingff.formfactors import FockState, FormFactorSpec, ff_closed, two_point_correlation
 from isingff.oracle import (_GROUP_TOL, build_operators, labeled_spectrum,
                             oracle_correlation, oracle_ff_modulus,
                             predicted_fock_labels)
@@ -445,8 +445,7 @@ class TestGeometryCache:
         ops = build_operators(Couplings.from_kx_ky(0.4, 0.7, n), eps_y)
         st = labeled_spectrum(ops)[0]
         geometry = oracle._geometry(n, eps_y)
-        arrays = [v for part in (geometry, geometry.symmetry) for v in vars(part).values()
-                  if isinstance(v, np.ndarray)]
+        arrays = [v for v in vars(geometry).values() if isinstance(v, np.ndarray)]
         assert len(arrays) >= 18
         for array in arrays + [*ops.sl, ops.shift, ops.flip, st._source.col, st._source.amp]:
             with pytest.raises(ValueError, match="read-only"):
@@ -482,6 +481,25 @@ class TestOracleMatrixElements:
         spec = FormFactorSpec(0, FockState("a", (0,)), FockState("p", (1,)))
         with pytest.raises(DomainError):
             oracle_ff_modulus(OPS4, SPECT4, spec)  # odd states, eps_y=+1 tower
+
+    @pytest.mark.parametrize("site", [-1, 6, 7])
+    def test_site_outside_the_chain_rejected(self, site, monkeypatch):
+        # the message of ff_closed, raised before any vector is formed
+        c = Couplings.from_kx_ky(0.4, 0.7, 6)
+        ops = build_operators(c, eps_y=1)
+        spect = labeled_spectrum(ops, [("a", (0, 1)), ("p", ())])
+        spec = FormFactorSpec(site, FockState("a", (0, 1)), FockState("p", ()))
+        message = rf"site {site} outside \[0, 6\)"
+        with pytest.raises(DomainError, match=message):
+            ff_closed(spec, c)
+        monkeypatch.setattr(oracle._CharacterBlock, "group_vectors", None)
+        with pytest.raises(DomainError, match=message):
+            oracle_ff_modulus(ops, spect, spec)
+
+    @pytest.mark.parametrize("eps_y", [0, 2, -2])
+    def test_bad_boundary_sign_rejected(self, eps_y):
+        with pytest.raises(DomainError, match="eps_y must be"):
+            build_operators(C4, eps_y=eps_y)
 
 
 class TestOracleCorrelation:
@@ -568,6 +586,21 @@ class TestOracleCorrelation:
             oracle_correlation(OPS4, 65, 1, 0)
         with pytest.raises(DomainError):
             oracle_correlation(OPS4, 4, 5, 0)
+
+    @pytest.mark.parametrize("eps_x", [0, 2, -2])
+    def test_bad_twist_sign_rejected(self, eps_x):
+        with pytest.raises(DomainError, match="eps_x must be"):
+            oracle_correlation(OPS4, 4, 1, 0, eps_x=eps_x)
+
+    # ROADMAP item 20: deep in the ordered phase the sector sums Z_a and Z_p
+    # cancel to 0 in double precision, where the dense trace sums positive
+    # entries of V^M
+    @pytest.mark.xfail(raises=DomainError, strict=True,
+                       reason="partition sum vanishes (ROADMAP item 20)")
+    def test_spectral_sum_where_the_sector_sums_cancel(self):
+        c = Couplings(6, 6, 6)
+        assert oracle_correlation(build_operators(c), 16, 3, 2, eps_x=-1) == 0.625
+        assert two_point_correlation(c, 16, 3, 2, eps_x=-1) == pytest.approx(0.625, rel=1e-12)
 
     @pytest.mark.parametrize("m_height", [0, -1])
     def test_torus_of_no_height_rejected(self, m_height):

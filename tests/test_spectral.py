@@ -44,6 +44,11 @@ class TestCouplings:
         with pytest.raises(DomainError):
             Couplings.from_kx_ky(0.1, 0.2, 4)
 
+    @pytest.mark.parametrize("kx, ky", [(0.0, 0.7), (-0.4, 0.7), (0.4, 0.0), (0.4, -0.7)])
+    def test_non_positive_coupling_rejected(self, kx, ky):
+        with pytest.raises(DomainError, match="couplings must be positive"):
+            Couplings(4, kx, ky)
+
     def test_strong_coupling_constructs(self):
         # k = 1/s is about 1.5e-10, so k' rounds to 1: only the elliptic
         # routes, which build the modulus, refuse the coupling
