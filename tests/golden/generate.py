@@ -1,10 +1,10 @@
 """The golden CLI corpus: a fixed list of ``isingff`` calls and their output.
 
 ``cli.jsonl`` starts with a header line naming the numeric stack that wrote
-it (numpy, its BLAS, the BLAS thread count and the machine), then holds one
-line per in-process :func:`isingff.cli.main` call: the call's tag, its argv,
-the exit code, stdout, and the last stderr line (the error line of exits
-2-4, and of exit 5 where a check raises; empty otherwise).  Warnings carry
+it (numpy, its BLAS, the BLAS thread count, the machine and the CPU model),
+then holds one line per in-process :func:`isingff.cli.main` call: the call's
+tag, its argv, the exit code, stdout, and the last stderr line (the error
+line of exits 2-4, and of exit 5 where a check raises; empty otherwise).  Warnings carry
 file paths, so they are caught and not stored.
 
 A nonzero exit that the ROADMAP names as a known fault is tagged with the
@@ -46,8 +46,15 @@ def stack() -> dict:
         blas = "unknown"
     threads = (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
                or str(os.cpu_count()))
+    cpu = platform.processor()
+    try:        # the BLAS picks its kernels by CPU model, and they round differently
+        with open("/proc/cpuinfo") as info:
+            cpu = next((line.split(":", 1)[1].strip() for line in info
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
     return {"numpy": np.__version__, "blas": blas, "blas_threads": threads,
-            "machine": platform.machine()}
+            "machine": platform.machine(), "cpu": cpu}
 
 
 def _ff(kx, ky, n, site, bra, ket) -> list[str]:

@@ -454,7 +454,6 @@ def test_verify_cauchy_at_n32_is_finite(capsys):
 
 
 def test_nan_residual_fails_verify(capsys, monkeypatch):
-    from isingff import verification
     monkeypatch.setattr(verification, "cauchy_suite",
                         lambda c: {"fine": 1e-13, "broken": float("nan")})
     code, out = run(capsys, "verify", "cauchy", "--kx", "0.3", "--ky", "0.9",
@@ -511,8 +510,6 @@ def test_verify_rotation_at_large_n(capsys, n):
 
 @pytest.mark.parametrize("suite", ["all", "formfactor"])
 def test_verify_refuses_oversized_formfactor_suite(capsys, monkeypatch, suite):
-    from isingff import verification
-
     def never(*args, **kwargs):
         raise AssertionError("a suite ran before the size check")
     for other in ("elliptic_suite", "cauchy_suite", "rotation_suite"):

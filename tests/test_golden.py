@@ -16,6 +16,7 @@ generate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(generate)
 
 _HEADER, *_LINES = (json.loads(line) for line in generate.CORPUS.read_text().splitlines())
+_STACK = generate.stack()
 
 
 def test_corpus_holds_the_generator_calls():
@@ -25,8 +26,7 @@ def test_corpus_holds_the_generator_calls():
 @pytest.mark.parametrize("line", [pytest.param(line, id=f"{i:02d}-{line['argv'][0]}")
                                   for i, line in enumerate(_LINES)])
 def test_call_gives_the_stored_output(line):
-    here = generate.stack()
-    if _HEADER["stack"] != here:
-        pytest.skip(f"corpus written on {_HEADER['stack']}, this stack is {here}; "
+    if _HEADER["stack"] != _STACK:
+        pytest.skip(f"corpus written on {_HEADER['stack']}, this stack is {_STACK}; "
                     f"rewrite it with {generate.REGENERATE}")
     assert generate.run(line["argv"]) == {k: line[k] for k in ("exit", "stdout", "stderr")}
