@@ -6,20 +6,21 @@ every eigenstate of V, or those of chosen (T, U) characters, with a Fock
 momentum set.  T and U generate an abelian group; its character table gives
 every (momentum, charge) block of V at once, read off V at the orbit
 representatives.  V's eigenvalues come block by block, once per pair of
-conjugate characters, whose blocks are complex conjugates of each other, and
-all eigenvalues together are grouped by a tolerance relative to the
-eigenvalue and matched in energy order against the predicted labels, sorted
-once by (character, V).  No block is fully diagonalized: the eigenvectors of
-an eigenvalue group are formed by inverse iteration on the group's known
+conjugate characters (whose blocks are complex conjugates of each other),
+coupling and process; each block's are grouped by a tolerance relative to
+the eigenvalue and matched in energy order against its character's
+predicted labels.  No block is fully diagonalized: the eigenvectors of an
+eigenvalue group are formed by inverse iteration on the group's known
 eigenvalues when one of its states is read, and a matrix element below
 1e-6 is taken again from eigenvectors refined against V's factors in
 extended precision (:func:`_refined_group`).  What no coupling enters
 (spins, index maps, orbits, characters, block maps, spin distances) is one
 read-only :class:`_Geometry`, built whole once per (N, eps_y) and shared;
 V_y^{1/2}, V_x's N + 1 entries, the labels, block sums, eigenvalues and
-matching are per coupling.  Everything here is independent of the closed-form
-modules except for the shared dispersion gamma_theta, so it serves as
-ground truth for matrix elements and correlations at small N.
+matching are per coupling, kept in one :class:`_Tower`.  Everything here is
+independent of the closed-form modules except for the shared dispersion
+gamma_theta, so it serves as ground truth for matrix elements and
+correlations at small N.
 
 Momentum-reversal doublets: states whose momentum sets S and -S share the
 same energy, translation eigenvalue, and charge (possible for N >= 4, at any
@@ -34,6 +35,7 @@ returns.  Singleton blocks reduce to plain matrix elements.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -97,20 +99,22 @@ class SpinOperatorSet:
 @dataclass(eq=False)
 class _CharacterBlock:
     """One character block of V and what expands H_chi's eigenvectors to the
-    full space.  A lead holds the lower triangle of H_chi, its eigenvalues in
-    ascending order and, set by labelling, each row's eigenvalue group
-    ``[lo, hi)``; its conjugate partner holds the lead instead, since
-    H_chi-bar = conj(H_chi) has the conjugate eigenvectors.  The first read of
-    a vector of either block forms its group's eigenvectors of H_chi by
-    :func:`_group_eigenvectors`, kept on the lead (~52 entries each at N=10);
-    a full-space vector is expanded from its one column on each read."""
+    full space.  A lead holds, read-only, the lower triangle of H_chi, its
+    eigenvalues in ascending order and their groups (:func:`_lead_block`);
+    its conjugate partner holds the lead instead, since H_chi-bar =
+    conj(H_chi) has the conjugate eigenvectors.  The first read of a vector of
+    either block forms its group's eigenvectors of H_chi by
+    :func:`_group_eigenvectors`, kept read-only on the lead (~52 entries each
+    at N=10); a full-space vector is expanded from its one column on each read."""
 
     h: np.ndarray | None      # a lead's H_chi; None for a partner
     col: np.ndarray           # each basis state's column of H_chi
     amp: np.ndarray           # its amplitude <x|r_chi>, 0 outside the block
     lead: _CharacterBlock | None = None   # a partner's lead
     w: np.ndarray | None = None           # a lead's eigenvalues, ascending
-    groups: list[tuple[int, int]] = field(default_factory=list, repr=False)   # a lead's, by row
+    groups: np.ndarray | None = None      # a lead's rows [lo, hi) of each row's group
+    grp: np.ndarray | None = None         # a lead's group of each row
+    means: np.ndarray | None = None       # a lead's mean eigenvalue of each group
     columns: dict[int, np.ndarray] = field(default_factory=dict, repr=False)  # a lead's, by row
 
     def column(self, row: int) -> np.ndarray:
@@ -118,7 +122,8 @@ class _CharacterBlock:
         q = self.columns.get(row)
         if q is None:
             lo, hi = self.groups[row]
-            self.columns.update(zip(range(lo, hi), _group_eigenvectors(self.h, self.w, lo, hi).T))
+            (x,) = _read_only(_group_eigenvectors(self.h, self.w, lo, hi))
+            self.columns.update(zip(range(lo, hi), x.T))
             q = self.columns[row]
         return q
 
@@ -259,7 +264,7 @@ class LabeledEigenstate:
     """Eigenstate with its quantum numbers and matched Fock label; the
     eigenvector is a new array on each read, this state's column expanded to
     the full space: its group's eigenvectors of the block come from one inverse
-    iteration per conjugate pair, kept on the lead."""
+    iteration per conjugate pair, coupling and process, kept on the lead."""
 
     sector: str
     indices: tuple[int, ...]
@@ -437,6 +442,90 @@ def _lower_triangles(v_low: np.ndarray, chi: np.ndarray, norm: np.ndarray) -> np
     return out
 
 
+def _lead_block(geo: _Geometry, k: int, h_low: np.ndarray) -> _CharacterBlock:
+    """Character k's lead block, read-only, from its entries ``h_low``."""
+    at = geo.col[k, geo.reps]                            # each representative's row
+    inside = geo.keep[k, geo.r] & geo.keep[k, geo.s]     # the block, read off h_low
+    h = np.zeros((geo.size[k], geo.size[k]), dtype=complex)
+    h[at[geo.r[inside]], at[geo.s[inside]]] = h_low[inside]
+    w = eigvalsh(h)
+    new = np.concatenate(([True], np.diff(w) > _GROUP_TOL * np.abs(w[1:])))
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(w))
+    grp = np.cumsum(new) - 1
+    return _CharacterBlock(*_read_only(h), geo.col[k], geo.amp[k], None, *_read_only(
+        w, np.stack((starts, ends), axis=1)[grp], grp,
+        np.add.reduceat(w, starts) / (ends - starts)))
+
+
+class _Tower:
+    """What labelling keeps of one tower, (Couplings, eps_y): built whole, the
+    predicted labels and each one's character (every character's count
+    checked); filled under ``_LABELLING``, by character, the blocks and each
+    labelled character's label of each row."""
+
+    def __init__(self, c: Couplings, eps_y: int):
+        self.geo = geo = _geometry(c.n, eps_y)
+        self.labels = labels = predicted_fock_labels(c, eps_y)
+        # the T eigenvalue exp(-i pi m / N) a label predicts gives its m, with a
+        # margin of pi / 2N for rounding
+        m_lab = np.rint(np.angle(labels.t) * (-c.n / math.pi)).astype(int) % (2 * c.n)
+        self.char_of = geo.char_at[m_lab, (1 - labels.charge) // 2]
+        count = np.bincount(self.char_of, minlength=len(geo.m) + 1)
+        bad = np.flatnonzero(count != np.r_[geo.size, 0])
+        if bad.size:
+            k = bad[0]
+            raise AmbiguousLabelError(
+                f"{count[k]} predicted labels fit no block" if k == len(geo.m) else
+                f"block T={geo.t_of[k]:.4f}, U={geo.u[k]} has {geo.size[k]} states "
+                f"but {count[k]} predicted labels"
+            )
+        self.c, self.blocks, self.rows = c, {}, {}
+
+    def label(self, want: list[int]) -> None:
+        """Label the characters ``want`` (ascending) not yet labelled, all or none."""
+        geo, conj = self.geo, self.geo.conj.tolist()
+        missing = [k for k in want if k not in self.rows]
+        if not missing:
+            return
+        # H_chi is summed only for the lead (smaller index) of a conjugate pair, in one pass
+        leads = sorted({min(k, conj[k]) for k in missing} - self.blocks.keys())
+        vy = np.exp(0.5 * self.c.ky * geo.bond)[geo.reps]
+        v_low = vy[geo.r] * np.take(_vx_table(self.c), geo.dist) * vy[geo.s]   # V[r, g s]
+        blocks = {k: _lead_block(geo, k, low) for k, low in
+                  zip(leads, _lower_triangles(v_low, geo.chi[leads], geo.norm))}
+        lead_of = {**self.blocks, **blocks}
+        rows = {k: self._match(k, lead_of[min(k, conj[k])]) for k in missing}
+        blocks.update((k, _CharacterBlock(None, geo.col[k], geo.amp[k], lead_of[conj[k]]))
+                      for k in missing if conj[k] < k)
+        self.blocks.update(blocks)
+        self.rows.update(rows)
+
+    def _match(self, k: int, lead: _CharacterBlock) -> list[int]:
+        """Character k's label of each row of its lead block: each group holds
+        k's labels within tolerance of its mean, in their predicted order."""
+        geo, labels = self.geo, np.flatnonzero(self.char_of == k)
+        labels = labels[np.argsort(self.labels.lam[labels], kind="stable")]    # by V
+        lam, mean = self.labels.lam[labels], lead.means[lead.grp]    # each row's group mean
+        tol, (starts, ends) = _GROUP_TOL * np.abs(mean), lead.groups.T
+        lo = np.searchsorted(lam, mean - tol, side="left")
+        hi = np.searchsorted(lam, mean + tol, side="right")
+        bad = np.flatnonzero((lo != starts) | (hi != ends))
+        if bad.size:
+            j = bad[0]
+            raise AmbiguousLabelError(
+                f"cell with V={mean[j]:.6g}, T={geo.t_of[k]:.4f}, U={geo.u[k]} "
+                f"has {ends[j] - starts[j]} states but {hi[j] - lo[j]} matching labels, "
+                f"the first at position {lo[j]} of {geo.size[k]} in energy order, "
+                f"not {starts[j]}"
+            )
+        return labels[np.lexsort((labels, lead.grp))].tolist()
+
+
+_tower = lru_cache(maxsize=8)(_Tower)      # the kept _Tower of (Couplings, eps_y)
+_LABELLING = threading.Lock()              # one thread at a time builds or fills a tower
+
+
 def labeled_spectrum(ops: SpinOperatorSet,
                      states: list[tuple[str, tuple[int, ...]]] | None = None
                      ) -> list[LabeledEigenstate]:
@@ -452,119 +541,54 @@ def labeled_spectrum(ops: SpinOperatorSet,
     the conjugate character (momentum -m, same charge) is conj(H_chi), with
     the same eigenvalues and the conjugate eigenvectors: only the lead
     (smaller index) of each conjugate pair is summed, in real arithmetic, and
-    labelling makes one eigenvalues-only call per nonempty pair and records
-    each row's eigenvalue group on the lead.  The first read of a state's
-    :attr:`LabeledEigenstate.vector` forms the eigenvectors of its group, once
-    per pair, by inverse iteration on the group's eigenvalues
-    (:func:`_group_eigenvectors`), and a state's vector is expanded back to
-    the full space on each read, and not kept.  The vectors of one group are
-    orthonormal to rounding; those of distinct groups are orthogonal to
-    about eps * lambda_max / gap (1.1e-11 at (0.2, 1.2), N=10, eps_y=+1).
+    diagonalized, by one eigenvalues-only call.  Each character is labelled
+    once per coupling and process: the tower's :class:`_Tower` (the last 8
+    are kept) keeps its blocks and its label of each row for later calls.
+    The first read of a state's :attr:`LabeledEigenstate.vector` forms the
+    eigenvectors of its group, kept on the lead, by inverse iteration on the
+    group's eigenvalues (:func:`_group_eigenvectors`); a state's vector is
+    expanded back to the full space on each read, and not kept.  The vectors
+    of one group are orthonormal to rounding; those of distinct groups are
+    orthogonal to about eps * lambda_max / gap (1.1e-11 at (0.2, 1.2), N=10).
 
     The predicted V, T and U are read as arrays from
     :func:`predicted_fock_labels`.  Each predicted label belongs to the
     character of its predicted (T, U) values, and one sort orders the labels
-    by (character, V), next to the blocks' eigenvalues in energy order.  The
-    eigenvalues are grouped by the relative tolerance ``_GROUP_TOL *
-    |lambda|``; every block must hold as many labels as states, and every
-    group exactly the labels of its block within tolerance of its mean,
-    otherwise an AmbiguousLabelError is raised.
-    Groups of more than one state are momentum-reversal doublets: their
-    vectors share a block id and the label-to-vector assignment inside the
-    block is not physically meaningful.
+    by (character, V).  A block's eigenvalues are grouped by the relative
+    tolerance ``_GROUP_TOL * |lambda|``, so no group crosses a character, and
+    are matched per character: every block must hold as many labels as
+    states, and every group exactly the labels of its block within tolerance
+    of its mean, otherwise an AmbiguousLabelError is raised (by the first
+    failing character, on every call).  Groups of more than one state are
+    momentum-reversal doublets: their vectors share a block id and the
+    label-to-vector assignment inside the block is not physically meaningful.
 
     With ``states``, a list of (sector, indices), only the characters that
-    hold those states are summed, diagonalized, matched and returned (with,
-    for a conjugate partner, its lead's block summed and diagonalized).  No
-    group crosses a character, so each returned state carries the eigenvalue
+    hold those states are labelled and returned (with, for a conjugate
+    partner, its lead's block).  Each returned state carries the eigenvalue
     bits, quantum numbers and block partition of the whole spectrum; block
     ids are numbered within the returned list.  The label count per
     character is still checked for every character.
     """
-    n, geo = ops.couplings.n, _geometry(ops.couplings.n, ops.eps_y)
-    m, u, size, conj, t_of = geo.m, geo.u, geo.size, geo.conj, geo.t_of
-
-    labels = predicted_fock_labels(ops.couplings, ops.eps_y)
-    # the T eigenvalue exp(-i pi m / N) a label predicts gives its m, with a
-    # margin of pi / 2N for rounding
-    m_lab = np.rint(np.angle(labels.t) * (-n / math.pi)).astype(int) % (2 * n)
-    char_of = geo.char_at[m_lab, (1 - labels.charge) // 2]
-    count = np.bincount(char_of, minlength=len(m) + 1)
-    bad = np.flatnonzero(count != np.r_[size, 0])
-    if bad.size:
-        k = bad[0]
-        raise AmbiguousLabelError(
-            f"{count[k]} predicted labels fit no block" if k == len(m) else
-            f"block T={t_of[k]:.4f}, U={u[k]} has {size[k]} states "
-            f"but {count[k]} predicted labels"
-        )
-    if states is None:
-        want = size > 0
-    else:
-        found = (labels.position(sector, idx) for sector, idx in states)
-        want = np.zeros(len(m), dtype=bool)
-        want[char_of[[i for i in found if i is not None]]] = True
-        if not want.any():
-            return []
-    need = want | want[conj]              # a wanted partner needs its lead's block
-    order = np.lexsort((labels.lam, char_of))
-    order = order[want[char_of[order]]]
-    lam = labels.lam[order]
-
-    # H_chi is summed only for the lead, the smaller index, of each conjugate pair
-    lead = np.flatnonzero((conj >= np.arange(len(m))) & need)
-    vy = ops.vy_half[geo.reps]
-    h_low = dict(zip(lead.tolist(), _lower_triangles(
-        vy[geo.r] * np.take(_vx_table(ops.couplings), geo.dist) * vy[geo.s],   # V[r, g s]
-        geo.chi[lead], geo.norm)))
-    blocks = {}
-    for k in np.flatnonzero(need).tolist():
-        if conj[k] < k:               # a partner: its lead came first and holds its w
-            blocks[k] = _CharacterBlock(None, geo.col[k], geo.amp[k], blocks[conj[k]])
-            continue
-        at = geo.col[k, geo.reps]                            # each representative's row
-        inside = geo.keep[k, geo.r] & geo.keep[k, geo.s]     # each lead's block, read off h_low
-        h = np.zeros((size[k], size[k]), dtype=complex)
-        h[at[geo.r[inside]], at[geo.s[inside]]] = h_low[k][inside]
-        blocks[k] = _CharacterBlock(h, geo.col[k], geo.amp[k], w=eigvalsh(h))
-    w = np.concatenate([blocks[min(k, conj[k])].w for k in np.flatnonzero(want).tolist()])
-
-    chars = char_of[order]                        # the character of each position
-    held = np.where(want, size, 0)
-    first = np.cumsum(held) - held                # each character's first position
-    new = np.r_[True, (np.diff(w) > _GROUP_TOL * np.abs(w[1:])) | (np.diff(chars) != 0)]
-    starts = np.flatnonzero(new)
-    ends = np.r_[starts[1:], len(w)]
-    grp = np.cumsum(new) - 1
-    lam_grp = np.add.reduceat(w, starts) / (ends - starts)
-    tol = _GROUP_TOL * np.abs(lam_grp)
-    # complex numbers sort by real part, then imaginary part: with the
-    # character as the real part, each search stays inside the group's block
-    key, k = chars + 1j * lam, chars[starts]
-    lo = np.searchsorted(key, k + 1j * (lam_grp - tol), side="left")
-    hi = np.searchsorted(key, k + 1j * (lam_grp + tol), side="right")
-    bad = np.flatnonzero((lo != starts) | (hi != ends))
-    if bad.size:
-        g = bad[0]
-        raise AmbiguousLabelError(
-            f"cell with V={lam_grp[g]:.6g}, T={t_of[k[g]]:.4f}, U={u[k[g]]} "
-            f"has {ends[g] - starts[g]} states but {hi[g] - lo[g]} matching labels, "
-            f"the first at position {lo[g] - first[k[g]]} of {size[k[g]]} in energy "
-            f"order, not {starts[g] - first[k[g]]}"
-        )
-
-    # inside a group the labels keep their predicted order
-    order = order[np.lexsort((order, grp))]
-    row = np.arange(len(w)) - first[chars]
-    # each row's group, recorded on the lead, which forms a group's vectors at once
-    bounds = list(zip((starts[grp] - first[chars]).tolist(), (ends[grp] - first[chars]).tolist()))
-    for k in np.flatnonzero(want).tolist():
-        blocks[min(k, conj[k])].groups = bounds[first[k]:first[k] + size[k]]
-    lam_of, u_of, split, fock = lam_grp.tolist(), u.tolist(), labels.split, labels.states
-    # positional arguments: keywords take about three times as long
-    return [LabeledEigenstate("a" if i < split else "p", fock[i], lam_of[g], t_of[k], u_of[k],
-                              g, blocks[k], j)
-            for i, g, k, j in zip(order.tolist(), grp.tolist(), chars.tolist(), row.tolist())]
+    with _LABELLING:
+        tower = _tower(ops.couplings, ops.eps_y)
+        geo, labels = tower.geo, tower.labels
+        if states is None:
+            want = np.flatnonzero(geo.size > 0).tolist()
+        else:
+            found = [labels.position(sector, idx) for sector, idx in states]
+            want = np.unique(tower.char_of[[i for i in found if i is not None]]).tolist()
+        tower.label(want)
+    out, split, fock = [], labels.split, labels.states
+    for k in want:
+        block, base = tower.blocks[k], out[-1].block + 1 if out else 0   # ids run on
+        lead, t, u = block.lead or block, geo.t_of[k], int(geo.u[k])
+        lam = lead.means.tolist()
+        # positional arguments: keywords take about three times as long
+        out += [LabeledEigenstate("a" if i < split else "p", fock[i], lam[g], t, u, base + g,
+                                  block, j)
+                for j, (i, g) in enumerate(zip(tower.rows[k], lead.grp.tolist()))]
+    return out
 
 
 def find_state(spectrum: list[LabeledEigenstate], sector: str,

@@ -76,29 +76,35 @@ def _mat_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b).max(axis=axes) / scale))
 
 
+@cache
+def _elliptic_sample() -> tuple[np.ndarray, ...]:
+    """The elliptic suite's read-only draws, once per process: the unit draws
+    of its four ranges of +-K or +-K/2, then its four that no coupling enters."""
+    rng, n, angle = np.random.default_rng(_SEED), _ELLIPTIC_POINTS, (1e-3, 2.0 * math.pi - 1e-3)
+    return _read_only(rng.random(2 * n), rng.random((n, 2)), rng.random((n, 2)), rng.random(n),
+                      rng.uniform((-2.0, -0.4), (2.0, 0.4), (20, 2)), rng.uniform(*angle, n),
+                      rng.uniform(*angle, n // 2), rng.uniform(*angle, (n, 2)))
+
+
 def elliptic_suite(c: Couplings) -> dict[str, float]:
     """Elliptic-function and parametrization identities along the curve.
 
-    Each identity is checked on an array of pseudo-random points at once.
-    Every point is drawn first, so that sn/cn/dn run once over all of them
-    and theta once per index.
+    Each identity is checked on an array of pseudo-random points at once, from
+    :func:`_elliptic_sample`.  Every point is drawn first, so that sn/cn/dn
+    run once over all of them and theta once per index.
     """
     n_points = _ELLIPTIC_POINTS
-    rng = np.random.default_rng(_SEED)
     mod = cf.ising_modulus(c)
     k, kk = mod.k, mod.k**2
     bigk, bigkp = mod.bigK, mod.bigKprime
     out = dict(mod.self_check())
 
-    us = rng.uniform(-bigk * 0.98, bigk * 0.98, 2 * n_points)
-    re_im = rng.uniform((-bigk, -0.45), (bigk, 0.45), (n_points, 2))
-    u, v = rng.uniform(-bigk, bigk, (n_points, 2)).T
-    w = rng.uniform(-bigk / 2, bigk / 2, n_points)
-    z_re_im = rng.uniform((-2.0, -0.4), (2.0, 0.4), (20, 2))
-    thetas = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, n_points)
-    half = n_points // 2
-    t2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, half)
-    s1, s2 = rng.uniform(1e-3, 2.0 * math.pi - 1e-3, (n_points, 2)).T
+    # scaled as numpy's uniform scales its unit draw U: low + (high - low) * U
+    us, re_im, uv, w = (lo + np.subtract(hi, lo) * unit for lo, hi, unit in zip(
+        (-bigk * 0.98, np.array((-bigk, -0.45)), -bigk, -bigk / 2),
+        (bigk * 0.98, np.array((bigk, 0.45)), bigk, bigk / 2), _elliptic_sample()))
+    z_re_im, thetas, t2, s12 = _elliptic_sample()[4:]
+    (u, v), (s1, s2), half = uv.T, s12.T, n_points // 2
 
     gam = gamma_of_theta(thetas, c)
     uu = cf.u_of_theta(thetas, c)

@@ -34,6 +34,9 @@ REGENERATE = "PYTHONPATH=src python3 tests/golden/generate.py"
 _SEED = 20261020
 _FF_COUPLINGS = ((0.4, 0.7), (0.2, 1.2), (0.4407, 0.4407))
 _CORR_COUPLINGS = ((0.4, 0.7), (0.3, 0.9), (1.0, 1.2))
+_VERIFY_COUPLINGS = ((0.4, 0.7), (0.3, 0.9), (0.5, 0.5))
+_REPEAT_COUPLINGS = ((0.4, 0.7), (0.2, 1.2))
+_LABEL_FAULT = "ff --kx 0.2 --ky 1.2 --n 10 --bra 1 --ket 3"     # item 12
 _PFAFFIAN_ZERO = ("184", "13,56,72,75,143,153,168,193,208,221,222,233")   # site, bra
 
 
@@ -62,18 +65,18 @@ def _ff(kx, ky, n, site, bra, ket) -> list[str]:
             "--bra", ",".join(map(str, bra)), "--ket", ",".join(map(str, ket))]
 
 
+def _random_ff(rng, kx, ky, n, parity) -> list[str]:
+    """A spec of the given bra parity: m + n <= 6, at a random site."""
+    m, k = rng.choice([(a, b) for a in range(parity, 5, 2)
+                       for b in range(parity, 5, 2) if a + b <= 6])
+    bra, ket = (sorted(rng.choice(n, size, replace=False).tolist()) for size in (m, k))
+    return _ff(kx, ky, n, int(rng.integers(n)), bra, ket)
+
+
 def _seeded_ff(rng) -> list[tuple[str, list[str]]]:
-    """One spec per (N, coupling, parity): m + n <= 6, at a random site."""
-    calls = []
-    for n in (4, 6, 8, 10):
-        for kx, ky in _FF_COUPLINGS:
-            for parity in (0, 1):
-                m, k = rng.choice([(a, b) for a in range(parity, 5, 2)
-                                   for b in range(parity, 5, 2) if a + b <= 6])
-                bra, ket = (sorted(rng.choice(n, size, replace=False).tolist())
-                            for size in (m, k))
-                calls.append(("seeded ff", _ff(kx, ky, n, int(rng.integers(n)), bra, ket)))
-    return calls
+    """One spec per (N, coupling, parity)."""
+    return [("seeded ff", _random_ff(rng, kx, ky, n, parity))
+            for n in (4, 6, 8, 10) for kx, ky in _FF_COUPLINGS for parity in (0, 1)]
 
 
 def _seeded_corr(rng) -> list[tuple[str, list[str]]]:
@@ -88,6 +91,22 @@ def _seeded_corr(rng) -> list[tuple[str, list[str]]]:
                 "--dy", str(int(rng.integers(2 * n))), "--eps-x", str(eps_x),
                 "--eps-y", str(int(rng.choice([1, -1])))]))
     return calls
+
+
+def _verify_all() -> list[tuple[str, list[str]]]:
+    """``verify all`` at N = 4, 8 and 12; (0.3, 0.9) at N=12 fails the route gate."""
+    return [("items 3/10" if (kx, ky, n) == (0.3, 0.9, 12) else "verify all",
+             ["verify", "all", "--kx", str(kx), "--ky", str(ky), "--n", str(n)])
+            for n in (4, 8, 12) for kx, ky in _VERIFY_COUPLINGS]
+
+
+def _repeated_ff(rng) -> list[tuple[str, list[str]]]:
+    """Six specs at each repeat coupling, N=10, and the item-12 label fault,
+    each called twice in a row: the second call reads what the first kept."""
+    specs = [("repeated ff", _random_ff(rng, kx, ky, 10, int(rng.integers(2))))
+             for kx, ky in _REPEAT_COUPLINGS for _ in range(6)]
+    specs.append(("item 12", _LABEL_FAULT.split()))
+    return [call for call in specs for _ in range(2)]
 
 
 def _argv(text: str) -> list[str]:
@@ -113,7 +132,7 @@ def calls() -> list[tuple[str, list[str]]]:
         "ff --kx 0.15 --ky 1.5 --n 8 --site 0 --bra 0,1,2,3,5 --ket 0",
     ]
     faults = [
-        ("item 12", "ff --kx 0.2 --ky 1.2 --n 10 --bra 1 --ket 3"),
+        ("item 12", _LABEL_FAULT),
         ("item 12", "ff --kx 6 --ky 6 --n 8"),
         ("items 3/10", "verify all --kx 0.2 --ky 1.2 --n 8"),
         ("item 20", "corr --kx 6 --ky 6 --n 6 --m-height 16 --dx 3 --dy 2 --eps-x -1"),
@@ -124,7 +143,7 @@ def calls() -> list[tuple[str, list[str]]]:
     rng = np.random.default_rng(_SEED)
     return ([("readme", _argv(t)) for t in readme]
             + [(tag, _argv(t)) for tag, t in faults]
-            + _seeded_ff(rng) + _seeded_corr(rng))
+            + _seeded_ff(rng) + _seeded_corr(rng) + _verify_all() + _repeated_ff(rng))
 
 
 def run(argv: list[str]) -> dict:

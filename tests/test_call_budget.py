@@ -26,18 +26,22 @@ suite made 46 ff_closed and 42 ff_pfaffian calls, and 18 and 14 with the
 translation phases over every site at once; ff_pfaffian now runs for the
 translation phases only.
 
-The oracle labels its states from eigenvalues alone, with one eigenvalue call
-per pair of conjugate character blocks, and makes no full eigendecomposition:
-the eigenvectors of one eigenvalue group of a block are formed by inverse
-iteration on the group's eigenvalues, once per group and conjugate pair,
-when one of them is read, and kept on the lead as columns of its block; a
-state's full-space vector is expanded from its column on each read and is
-not kept.  A form factor below 1e-6 is read again from its two groups'
-vectors refined against V's factors, one refinement per group.
+The oracle labels its states from eigenvalues alone, each pair of conjugate
+character blocks once per coupling and process: one eigenvalue call, grouped
+per character, kept with each character's label of each row in the
+coupling's tower.  It makes no full eigendecomposition: the eigenvectors of
+one eigenvalue group of a block are formed by inverse iteration on the
+group's eigenvalues, once per group, conjugate pair, coupling and process,
+when one of them is read, and kept read-only on the lead as columns of its
+block; a state's full-space vector is expanded from its column on each read
+and is not kept.  A form factor below 1e-6 is read again from its two
+groups' vectors refined against V's factors, one refinement per group.
 ``isingff ff`` labels two character blocks, the bra's and the ket's, out of
 twenty at N=10, and forms only the columns of the bra's and the ket's
-eigenvalue groups, one inverse iteration each.  The oracle's coupling-free
-geometry is built once per (N, eps_y) and read by every later coupling.
+eigenvalue groups, one inverse iteration each; a second call with either
+block kept labels and forms nothing of it again.  The oracle's
+coupling-free geometry is built once per (N, eps_y) and read by every later
+coupling.  The oracle counts here start from no kept tower.
 """
 
 import cmath
@@ -119,8 +123,8 @@ def test_one_theta1_evaluation_per_cauchy_config(counted):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The oracle's eigensolver calls from then on: eigvalsh for values,
-    inverse iteration for vectors, and any full eigh."""
+    """The oracle's eigensolver calls from then on, on no kept tower: eigvalsh
+    for values, inverse iteration for vectors, and any full eigh."""
     calls = {"values": 0, "vectors": 0, "eigh": 0}
 
     def counting(key, fn):
@@ -134,6 +138,7 @@ def eigh_calls(monkeypatch):
     monkeypatch.setattr(oracle, "_group_eigenvectors",
                         counting("vectors", oracle._group_eigenvectors))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    oracle._tower.cache_clear()     # a cold labelling, whatever ran before
     return calls
 
 
@@ -190,6 +195,21 @@ def test_oracle_ff_labels_two_characters(capsys, eigh_calls, eps_y, n):
     capsys.readouterr()
     assert code == 0
     assert eigh_calls == {"values": len(pairs), "vectors": 2, "eigh": 0}
+
+
+# a second identical ff call reads the tower and the vectors the first one
+# kept: no eigenvalue call and no inverse iteration, and the same output
+@pytest.mark.parametrize("eps_y", [1, -1])
+def test_oracle_ff_labels_once_per_coupling(capsys, eigh_calls, eps_y):
+    bra, ket = ("1,2", "0,5") if eps_y == 1 else ("3", "1,2,6")
+    argv = ["ff", "--kx", "0.4", "--ky", "0.7", "--n", "10", "--site", "3",
+            "--bra", bra, "--ket", ket]
+    assert cli.main(argv) == 0
+    first, cold = capsys.readouterr().out, dict(eigh_calls)
+    assert cold["values"] >= 1 and cold["vectors"] == 2
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert eigh_calls == cold
 
 
 # ff labels the bra's and the ket's characters and forms the columns of their

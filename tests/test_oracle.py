@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -237,6 +239,17 @@ class TestLabeledSpectrum:
         assert cli.main(argv + ["--bra", "1", "--ket", "3"]) == cli.EXIT_DOMAIN
         assert "matching labels" in capsys.readouterr().err
 
+    # the faulty character keeps nothing in the tower, so every call labels it
+    # again and is refused with the same message
+    def test_faulty_cell_refused_on_every_call(self, capsys, cold_tower):
+        argv = ["ff", "--kx", "0.2", "--ky", "1.2", "--n", "10", "--bra", "1", "--ket", "3"]
+        for _ in range(2):
+            assert cli.main(argv) == cli.EXIT_DOMAIN
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                "domain error: cell with V=1.91762e-05, T=0.5878-0.8090j, U=-1 has 1 states "
+                "but 0 matching labels, the first at position 1 of 51 in energy order, not 1")
+            assert not oracle._tower(Couplings.from_kx_ky(0.2, 1.2, 10), -1).rows
+
     @pytest.mark.parametrize("kxy", BENCH_COUPLINGS, ids=str)
     @pytest.mark.parametrize("n", [6, 8, 10])
     @pytest.mark.parametrize("eps_y", [1, -1])
@@ -294,7 +307,8 @@ class TestLabeledSpectrum:
             return {(_momentum(st.t_eigenvalue, n), st.charge): st._source for st in spect}
 
         blocks = blocks_of(labeled_spectrum(ops))
-        # the same blocks labelled again, their rows read last to first
+        # the same blocks labelled again, on a cold tower, their rows read last to first
+        oracle._tower.cache_clear()
         backward = blocks_of(labeled_spectrum(ops))
         assert blocks.keys() == ref.keys()
         for (m, u), block in blocks.items():
@@ -377,11 +391,21 @@ def _shift_label(labels):
     return dataclasses.replace(labels, lam=lam)
 
 
+@pytest.fixture
+def cold_tower():
+    """No kept tower before the test, and none of its towers after it."""
+    oracle._tower.cache_clear()
+    yield
+    oracle._tower.cache_clear()
+
+
 class TestLabelFailures:
     """Predicted labels that do not fit the spectrum raise AmbiguousLabelError,
     and the CLI exits 3 on it: on any label count that does not fit, and on
-    an energy that does not match in the bra's or the ket's own character."""
+    an energy that does not match in the bra's or the ket's own character.
+    Tampered labels build their own towers, so none is kept past the test."""
 
+    @pytest.mark.usefixtures("cold_tower")
     @pytest.mark.parametrize("edit, kind", [(_drop_label, "predicted"),
                                             (_shift_label, "matching")],
                              ids=["count", "energy"])
@@ -437,6 +461,7 @@ class TestGeometryCache:
         label(0.4, 0.7)
         kept = label(0.5, 0.5)
         oracle._geometry.cache_clear()
+        oracle._tower.cache_clear()
         assert label(0.5, 0.5) == kept
 
     @pytest.mark.parametrize("n", [6, 8, 10])
@@ -450,6 +475,88 @@ class TestGeometryCache:
         for array in arrays + [*ops.sl, ops.shift, ops.flip, st._source.col, st._source.amp]:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
+
+
+def _pair(c: Couplings, eps_y: int, seed: int) -> list[tuple]:
+    """A seeded bra and ket label of the tower, as ``labeled_spectrum`` takes them."""
+    labels = [lab[:2] for lab in predicted_fock_labels(c, eps_y)]
+    rng = np.random.default_rng(seed)
+    return [side[rng.integers(len(side))]
+            for side in ([lab for lab in labels if lab[0] == s] for s in "ap")]
+
+
+class TestKeptTower:
+    """A character is labelled once per coupling and process: a later call
+    reads the kept tower and labels bit for bit as a cold one, the kept
+    arrays cannot be written, and two threads may label one tower at once."""
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    def test_kept_tower_labels_bit_for_bit(self, cold_tower, partial, eps_y, n):
+        c = Couplings.from_kx_ky(0.4, 0.7, n)
+        ops, states = build_operators(c, eps_y), _pair(c, eps_y, n) if partial else None
+        cold = _fingerprint(labeled_spectrum(ops, states))
+        assert _fingerprint(labeled_spectrum(ops, states)) == cold
+
+    @pytest.mark.parametrize("n", [6, 10])
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_partial_then_full_equals_cold_full(self, cold_tower, eps_y, n):
+        c = Couplings.from_kx_ky(0.3, 0.9, n)
+        ops = build_operators(c, eps_y)
+        cold = _fingerprint(labeled_spectrum(ops))
+        oracle._tower.cache_clear()
+        for seed in range(3):
+            labeled_spectrum(ops, _pair(c, eps_y, seed))
+        assert _fingerprint(labeled_spectrum(ops)) == cold
+
+    def test_kept_arrays_are_read_only(self, cold_tower):
+        ops = build_operators(Couplings.from_kx_ky(0.4, 0.7, 8), -1)
+        spect = labeled_spectrum(ops)
+        leads = {id(lead): lead for lead in (st._source.lead or st._source for st in spect)}
+        assert len(leads) == 9
+        for lead in leads.values():
+            for array in (lead.h, lead.w, lead.groups, lead.grp, lead.means, lead.column(0)):
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = array.flat[0]
+
+    # four threads, more than the cores, label one tower at once, each a
+    # partial and then the whole spectrum or the other way round, switching
+    # as often as the interpreter allows: every result is the cold one's,
+    # no block is read half built, and each conjugate pair is diagonalized
+    # once, which a character labelled twice by racing threads would break
+    @pytest.mark.parametrize("eps_y", [1, -1])
+    def test_concurrent_labelling(self, monkeypatch, cold_tower, eps_y):
+        c = Couplings.from_kx_ky(0.4, 0.7, 10)
+        ops = build_operators(c, eps_y)
+        calls = [_pair(c, eps_y, 1), None]
+        cold = [_fingerprint(labeled_spectrum(ops, states)) for states in calls]
+        oracle._tower.cache_clear()
+        eigvalsh, diagonalized = oracle.eigvalsh, []
+        monkeypatch.setattr(oracle, "eigvalsh", lambda h: diagonalized.append(1) or eigvalsh(h))
+        start, results = threading.Barrier(4), {}
+
+        def label(worker):
+            start.wait()
+            for i in (0, 1) if worker % 2 else (1, 0):
+                spect = labeled_spectrum(ops, calls[i])
+                assert all(len((st._source.lead or st._source).groups) for st in spect)
+                results[worker, i] = _fingerprint(spect)
+
+        threads = [threading.Thread(target=label, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert all(results[key] == cold[key[1]] for key in results)
+        assert len(diagonalized) == {1: 12, -1: 11}[eps_y]
 
 
 class TestOracleMatrixElements:

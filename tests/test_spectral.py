@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from isingff import verification
 from isingff.cauchy import b_elliptic, ising_eta, ising_modulus, u_of_theta
 from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
@@ -362,3 +363,26 @@ def test_elliptic_identity_suite_everywhere_small():
     for kx, ky, n in [(0.3, 0.9, 6), (0.7, 0.8, 4)]:
         res = elliptic_suite(Couplings.from_kx_ky(kx, ky, n))
         assert max(res.values()) < 1e-10, res
+
+
+def test_elliptic_sample_scales_to_the_per_call_draws():
+    """The elliptic suite's sample is drawn once and read-only, and its unit
+    draws U, scaled as the suite scales them, low + (high - low) * U, are
+    numpy's per-call uniform draws bit for bit, at any K."""
+    sample = verification._elliptic_sample()
+    assert verification._elliptic_sample() is sample and len(sample) == 8
+    for arr in sample:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+    n, angle = verification._ELLIPTIC_POINTS, (1e-3, 2.0 * math.pi - 1e-3)
+    for bigk in (math.pi / 2, 1.8751972447858734, 2.2572053268208538, 7.9):
+        rng = np.random.default_rng(verification._SEED)
+        bounds = [(-bigk * 0.98, bigk * 0.98, 2 * n), ((-bigk, -0.45), (bigk, 0.45), (n, 2)),
+                  (-bigk, bigk, (n, 2)), (-bigk / 2, bigk / 2, n)]
+        drawn = [rng.uniform(*b) for b in bounds]
+        drawn += [rng.uniform((-2.0, -0.4), (2.0, 0.4), (20, 2)), rng.uniform(*angle, n),
+                  rng.uniform(*angle, n // 2), rng.uniform(*angle, (n, 2))]
+        scaled = [np.asarray(lo) + np.subtract(hi, lo) * unit
+                  for (lo, hi, _), unit in zip(bounds, sample)]
+        for a, b in zip(scaled + list(sample[4:]), drawn):
+            assert a.tobytes() == b.tobytes()
