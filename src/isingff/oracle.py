@@ -6,9 +6,9 @@ every eigenstate of V, or those of chosen (T, U) characters, with a Fock
 momentum set.  T and U generate an abelian group; its character table gives
 every (momentum, charge) block of V at once, read off V at the orbit
 representatives.  V's eigenvalues come block by block, once per pair of
-conjugate characters (whose blocks are complex conjugates of each other),
-coupling and process; each block's are grouped by a tolerance relative to
-the eigenvalue and matched in energy order against its character's
+conjugate characters (complex conjugate blocks), coupling and process at
+N <= 10; each block's are grouped by a tolerance relative to the
+eigenvalue and matched in energy order against its character's
 predicted labels.  No block is fully diagonalized: the eigenvectors of an
 eigenvalue group are formed by inverse iteration on the group's known
 eigenvalues when one of its states is read, and a matrix element below
@@ -56,6 +56,7 @@ _GROUP_TOL = 1e-9
 # oracle_ff_modulus refines the eigenvectors behind a matrix element below
 # this: H_chi's carry an absolute error of order 1e-17 into it
 _REFINE_BELOW = 1e-6
+_KEPT_MAX_N = 10    # towers kept up to N=10: ~1 MB of blocks with every vector read, 3.3 MB at N=11
 
 
 @dataclass
@@ -450,9 +451,8 @@ def _lead_block(geo: _Geometry, k: int, h_low: np.ndarray) -> _CharacterBlock:
     h[at[geo.r[inside]], at[geo.s[inside]]] = h_low[inside]
     w = eigvalsh(h)
     new = np.concatenate(([True], np.diff(w) > _GROUP_TOL * np.abs(w[1:])))
-    starts = np.flatnonzero(new)
+    starts, grp = np.flatnonzero(new), np.cumsum(new) - 1
     ends = np.append(starts[1:], len(w))
-    grp = np.cumsum(new) - 1
     return _CharacterBlock(*_read_only(h), geo.col[k], geo.amp[k], None, *_read_only(
         w, np.stack((starts, ends), axis=1)[grp], grp,
         np.add.reduceat(w, starts) / (ends - starts)))
@@ -480,18 +480,18 @@ class _Tower:
                 f"block T={geo.t_of[k]:.4f}, U={geo.u[k]} has {geo.size[k]} states "
                 f"but {count[k]} predicted labels"
             )
-        self.c, self.blocks, self.rows = c, {}, {}
+        self.blocks, self.rows = {}, {}
 
-    def label(self, want: list[int]) -> None:
-        """Label the characters ``want`` (ascending) not yet labelled, all or none."""
+    def label(self, ops: SpinOperatorSet, want: list[int]) -> None:
+        """Label ``ops``'s characters ``want`` (ascending) not yet labelled, all or none."""
         geo, conj = self.geo, self.geo.conj.tolist()
         missing = [k for k in want if k not in self.rows]
         if not missing:
             return
         # H_chi is summed only for the lead (smaller index) of a conjugate pair, in one pass
         leads = sorted({min(k, conj[k]) for k in missing} - self.blocks.keys())
-        vy = np.exp(0.5 * self.c.ky * geo.bond)[geo.reps]
-        v_low = vy[geo.r] * np.take(_vx_table(self.c), geo.dist) * vy[geo.s]   # V[r, g s]
+        vy = ops.vy_half[geo.reps]
+        v_low = vy[geo.r] * np.take(_vx_table(ops.couplings), geo.dist) * vy[geo.s]   # V[r, g s]
         blocks = {k: _lead_block(geo, k, low) for k, low in
                   zip(leads, _lower_triangles(v_low, geo.chi[leads], geo.norm))}
         lead_of = {**self.blocks, **blocks}
@@ -541,9 +541,9 @@ def labeled_spectrum(ops: SpinOperatorSet,
     the conjugate character (momentum -m, same charge) is conj(H_chi), with
     the same eigenvalues and the conjugate eigenvectors: only the lead
     (smaller index) of each conjugate pair is summed, in real arithmetic, and
-    diagonalized, by one eigenvalues-only call.  Each character is labelled
-    once per coupling and process: the tower's :class:`_Tower` (the last 8
-    are kept) keeps its blocks and its label of each row for later calls.
+    diagonalized, by one eigenvalues-only call.  Up to N=10 each character is
+    labelled once per coupling and process: the last 8 towers (:class:`_Tower`)
+    are kept, with the blocks and labels of the ``ops`` that filled them.
     The first read of a state's :attr:`LabeledEigenstate.vector` forms the
     eigenvectors of its group, kept on the lead, by inverse iteration on the
     group's eigenvalues (:func:`_group_eigenvectors`); a state's vector is
@@ -571,14 +571,14 @@ def labeled_spectrum(ops: SpinOperatorSet,
     character is still checked for every character.
     """
     with _LABELLING:
-        tower = _tower(ops.couplings, ops.eps_y)
+        tower = (_tower if ops.couplings.n <= _KEPT_MAX_N else _Tower)(ops.couplings, ops.eps_y)
         geo, labels = tower.geo, tower.labels
         if states is None:
             want = np.flatnonzero(geo.size > 0).tolist()
         else:
             found = [labels.position(sector, idx) for sector, idx in states]
             want = np.unique(tower.char_of[[i for i in found if i is not None]]).tolist()
-        tower.label(want)
+        tower.label(ops, want)
     out, split, fock = [], labels.split, labels.states
     for k in want:
         block, base = tower.blocks[k], out[-1].block + 1 if out else 0   # ids run on

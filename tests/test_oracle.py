@@ -520,11 +520,19 @@ class TestKeptTower:
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = array.flat[0]
 
-    # four threads, more than the cores, label one tower at once, each a
-    # partial and then the whole spectrum or the other way round, switching
-    # as often as the interpreter allows: every result is the cold one's,
-    # no block is read half built, and each conjugate pair is diagonalized
-    # once, which a character labelled twice by racing threads would break
+    def test_towers_kept_up_to_n10(self, cold_tower):
+        # a whole N=11 or N=12 spectrum is labelled on a tower of its own, not kept
+        for n in (10, 11, 12):
+            labeled_spectrum(build_operators(Couplings.from_kx_ky(0.4, 0.7, n), 1))
+        assert oracle._tower.cache_info().currsize == 1
+        kept = oracle._tower(Couplings.from_kx_ky(0.4, 0.7, 10), 1)
+        assert len(kept.rows) == np.count_nonzero(kept.geo.size)
+
+    # two threads label one tower at once, each a partial and then the whole
+    # spectrum or the other way round, switching as often as the interpreter
+    # allows: every result is the cold one's, no block is read half built,
+    # and each conjugate pair is diagonalized once, which a character
+    # labelled twice by racing threads would break (as it does without the lock)
     @pytest.mark.parametrize("eps_y", [1, -1])
     def test_concurrent_labelling(self, monkeypatch, cold_tower, eps_y):
         c = Couplings.from_kx_ky(0.4, 0.7, 10)
@@ -534,7 +542,7 @@ class TestKeptTower:
         oracle._tower.cache_clear()
         eigvalsh, diagonalized = oracle.eigvalsh, []
         monkeypatch.setattr(oracle, "eigvalsh", lambda h: diagonalized.append(1) or eigvalsh(h))
-        start, results = threading.Barrier(4), {}
+        start, results = threading.Barrier(2), {}
 
         def label(worker):
             start.wait()
@@ -543,7 +551,7 @@ class TestKeptTower:
                 assert all(len((st._source.lead or st._source).groups) for st in spect)
                 results[worker, i] = _fingerprint(spect)
 
-        threads = [threading.Thread(target=label, args=(w,)) for w in range(4)]
+        threads = [threading.Thread(target=label, args=(w,)) for w in range(2)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -554,7 +562,7 @@ class TestKeptTower:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(results) == 8
+        assert len(results) == 4
         assert all(results[key] == cold[key[1]] for key in results)
         assert len(diagonalized) == {1: 12, -1: 11}[eps_y]
 
