@@ -27,9 +27,9 @@ translation phases over every site at once; ff_pfaffian now runs for the
 translation phases only.
 
 The oracle labels its states from eigenvalues alone, each pair of conjugate
-character blocks once per coupling and process: one eigenvalue call, grouped
-per character, kept with each character's label of each row in the
-coupling's tower.  It makes no full eigendecomposition: the eigenvectors of
+character blocks once per coupling and process up to N=10: one eigenvalue
+call, grouped per character, kept with each character's label of each row
+in the coupling's tower (wider towers are not kept).  It makes no full eigendecomposition: the eigenvectors of
 one eigenvalue group of a block are formed by inverse iteration on the
 group's eigenvalues, once per group, conjugate pair, coupling and process,
 when one of them is read, and kept read-only on the lead as columns of its
