@@ -140,10 +140,19 @@ def calls() -> list[tuple[str, list[str]]]:
             *_PFAFFIAN_ZERO)),
         ("item 2", "verify elliptic --kx 3.5 --ky 3.5 --n 4"),
     ]
+    csv = [     # every command's CSV rows; the ff at --tol 0 fails its route check
+        "params --kx 0.5 --ky 0.5",
+        "spectrum --kx 0.4 --ky 0.7 --n 4",
+        "ff --kx 0.4 --ky 0.7 --n 6 --site 1 --bra 0,1 --ket 2,3",
+        "corr --kx 0.4 --ky 0.7 --n 4 --m-height 4 --dx 1 --dy 2 --eps-x -1",
+        "ff --kx 0.4 --ky 0.7 --n 4 --site 0 --bra 0,1 --ket 2,3 --tol 0",
+        "verify rotation --kx 0.4 --ky 0.7 --n 4",
+    ]
     rng = np.random.default_rng(_SEED)
     return ([("readme", _argv(t)) for t in readme]
             + [(tag, _argv(t)) for tag, t in faults]
-            + _seeded_ff(rng) + _seeded_corr(rng) + _verify_all() + _repeated_ff(rng))
+            + _seeded_ff(rng) + _seeded_corr(rng) + _verify_all() + _repeated_ff(rng)
+            + [("csv", _argv(t + " --output csv")) for t in csv])
 
 
 def run(argv: list[str]) -> dict:
