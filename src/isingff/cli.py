@@ -77,17 +77,36 @@ def _json_safe(value):
     return value
 
 
-def _emit(payload: dict, rows: list[dict], output: str) -> None:
-    if output == "json":
+def _passes(residual: float, tol: float) -> bool:
+    """The pass rule of every check: a finite residual of at most ``tol``."""
+    return bool(math.isfinite(residual) and residual <= tol)
+
+
+def _oracle_fields(residual: float, tol: float, **values) -> dict:
+    """``values`` with the dense oracle's residual and verdict: the oracle
+    checks at ``tol`` or at the floor here, whichever is larger."""
+    return {**values, "oracle_residual": residual,
+            "oracle_agrees": _passes(residual, max(tol, 1e-8))}
+
+
+def _respond(args, results: dict, rows: list[dict] | None = None, passed: bool = True,
+             **inputs) -> int:
+    """Print the payload as JSON, echoing kx, ky, n and ``inputs`` (``params``
+    echoes none), or print the CSV ``rows``, by default ``results`` as one row;
+    return the exit code of ``passed``."""
+    payload = {"command": args.command, "results": results}
+    if args.command != "params":
+        payload["inputs"] = {"kx": args.kx, "ky": args.ky, "n": args.n, **inputs}
+    if args.output == "json":
         print(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False))
-        return
-    if not rows:
-        return
-    keys = list(rows[0].keys())
-    print(",".join(keys))
-    for row in rows:
-        print(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k])
-                       for k in keys))
+    else:
+        rows = [results] if rows is None else rows
+        keys = list(rows[0])
+        print(",".join(keys))
+        for row in rows:
+            print(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k])
+                           for k in keys))
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 def _couplings(args) -> Couplings:
@@ -97,7 +116,7 @@ def _couplings(args) -> Couplings:
 def _cmd_params(args) -> int:
     c = _couplings(args)
     mod = ising_modulus(c)
-    results = {
+    return _respond(args, {
         "kx": c.kx, "ky": c.ky, "n": c.n,
         "kx_star": c.kx_star,
         "ferromagnetic": bool(c.kx_star < c.ky),
@@ -107,9 +126,7 @@ def _cmd_params(args) -> int:
         "nome_q": mod.q, "eta": ising_eta(c),
         "xi": c.xi, "xi_T": xi_t(c),
         "vacuum_overlap": vacuum_overlap(c),
-    }
-    _emit({"command": "params", "results": results}, [results], args.output)
-    return EXIT_OK
+    })
 
 
 def _cmd_spectrum(args) -> int:
@@ -121,11 +138,7 @@ def _cmd_spectrum(args) -> int:
                   "theta": float(t.thetas[i]), "gamma": float(t.gamma[i]),
                   "b_re": float(b[i].real), "b_im": float(b[i].imag),
                   "u": float(u[i]), "nu": float(t.nu[i])} for i in range(c.n)]
-    payload = {"command": "spectrum",
-               "inputs": {"kx": args.kx, "ky": args.ky, "n": args.n},
-               "results": {"points": rows}}
-    _emit(payload, rows, args.output)
-    return EXIT_OK
+    return _respond(args, {"points": rows}, rows)
 
 
 def _closed_block_norm(c: Couplings, site: int, bra_labels: list, ket_labels: list,
@@ -147,20 +160,19 @@ def _closed_block_norm(c: Couplings, site: int, bra_labels: list, ket_labels: li
 
 def _cmd_ff(args) -> int:
     c = _couplings(args)
-    tol = args.tol
     spec = FormFactorSpec(args.site, FockState("a", _parse_indices(args.bra)),
                           FockState("p", _parse_indices(args.ket)))
     f_closed = ff_closed(spec, c)
     f_pf = ff_pfaffian(spec, c)
+    # both residuals in Python scalars: numpy's complex abs can round the last digit apart
     route_residual = abs(f_closed - f_pf) / max(abs(f_closed), 1e-30)
     results = {
         "closed_re": f_closed.real, "closed_im": f_closed.imag,
         "closed_abs": abs(f_closed),
         "pfaffian_re": f_pf.real, "pfaffian_im": f_pf.imag,
         "route_residual": route_residual,
-        "routes_agree": bool(route_residual <= tol),
+        "routes_agree": _passes(route_residual, args.tol),
     }
-    ok = results["routes_agree"]
     if c.n <= _ORACLE_MAX_N:
         eps_y = 1 if len(spec.bra) % 2 == 0 else -1
         ops = build_operators(c, eps_y=eps_y)
@@ -169,72 +181,43 @@ def _cmd_ff(args) -> int:
         ket = find_state(spect, "p", spec.ket.indices)
         oracle_val = oracle_ff_modulus(ops, spect, spec)
         bra_labels, ket_labels = block_labels(spect, bra.block), block_labels(spect, ket.block)
-        blockwise = len(bra_labels) > 1 or len(ket_labels) > 1
         closed_block = _closed_block_norm(c, args.site, bra_labels, ket_labels,
                                           {(spec.bra.indices, spec.ket.indices): f_closed})
-        oracle_residual = abs(closed_block - oracle_val) / max(closed_block, 1e-30)
-        results.update({
-            "oracle_abs": oracle_val,
-            "oracle_is_blockwise": blockwise,
-            "oracle_residual": oracle_residual,
-            "oracle_agrees": bool(oracle_residual <= max(tol, 1e-8)),
-        })
-        ok = ok and results["oracle_agrees"]
-    payload = {"command": "ff",
-               "inputs": {"kx": args.kx, "ky": args.ky, "n": args.n,
-                          "site": args.site, "bra": list(spec.bra.indices),
-                          "ket": list(spec.ket.indices), "tolerance": tol},
-               "results": results}
-    _emit(payload, [results], args.output)
-    return EXIT_OK if ok else EXIT_VERIFY
+        results.update(_oracle_fields(
+            abs(closed_block - oracle_val) / max(closed_block, 1e-30), args.tol,
+            oracle_abs=oracle_val,
+            oracle_is_blockwise=len(bra_labels) > 1 or len(ket_labels) > 1))
+    passed = results["routes_agree"] and results.get("oracle_agrees", True)
+    return _respond(args, results, passed=passed, site=args.site, bra=list(spec.bra.indices),
+                    ket=list(spec.ket.indices), tolerance=args.tol)
 
 
 def _cmd_corr(args) -> int:
     c = _couplings(args)
-    tol = args.tol
     value = two_point_correlation(c, args.m_height, args.dx, args.dy,
                                   eps_x=args.eps_x, eps_y=args.eps_y)
     results = {"correlation": value}
-    ok = True
     if c.n <= _TRACE_MAX_N and args.m_height <= _TRACE_MAX_M:
         ops = build_operators(c, eps_y=args.eps_y)
         oracle_val = oracle_correlation(ops, args.m_height, args.dx, args.dy,
                                         eps_x=args.eps_x)
-        residual = abs(value - oracle_val) / max(1.0, abs(value), abs(oracle_val))
-        results.update({
-            "oracle": oracle_val,
-            "oracle_residual": residual,
-            "oracle_agrees": bool(residual <= max(tol, 1e-8)),
-        })
-        ok = results["oracle_agrees"]
-    payload = {"command": "corr",
-               "inputs": {"kx": args.kx, "ky": args.ky, "n": args.n,
-                          "m_height": args.m_height, "dx": args.dx,
-                          "dy": args.dy, "eps_x": args.eps_x,
-                          "eps_y": args.eps_y, "tolerance": tol},
-               "results": results}
-    _emit(payload, [results], args.output)
-    return EXIT_OK if ok else EXIT_VERIFY
+        results.update(_oracle_fields(verification._rel(value, oracle_val), args.tol,
+                                      oracle=oracle_val))
+    return _respond(args, results, passed=results.get("oracle_agrees", True),
+                    m_height=args.m_height, dx=args.dx, dy=args.dy, eps_x=args.eps_x,
+                    eps_y=args.eps_y, tolerance=args.tol)
 
 
 def _cmd_verify(args) -> int:
-    c = _couplings(args)
-    tol = args.tol
-    residuals = verification.run_suite(args.suite, c, site=args.site)
-    # a non-finite residual fails its check, and np.max keeps a NaN
-    passes = {k: bool(math.isfinite(v) and v <= tol) for k, v in residuals.items()}
+    residuals = verification.run_suite(args.suite, _couplings(args), site=args.site)
+    passes = {k: _passes(v, args.tol) for k, v in residuals.items()}
     failed = sorted(k for k, ok in passes.items() if not ok)
     results = {"residuals": residuals,
-               "max_residual": float(np.max(list(residuals.values()))),
-               "tolerance": tol, "passed": not failed, "failed_checks": failed}
+               "max_residual": float(np.max(list(residuals.values()))),   # keeps a NaN
+               "tolerance": args.tol, "passed": not failed, "failed_checks": failed}
     rows = [{"check": k, "residual": v, "passed": passes[k]}
             for k, v in sorted(residuals.items())]
-    payload = {"command": "verify",
-               "inputs": {"kx": args.kx, "ky": args.ky, "n": args.n,
-                          "suite": args.suite, "tolerance": tol},
-               "results": results}
-    _emit(payload, rows, args.output)
-    return EXIT_OK if results["passed"] else EXIT_VERIFY
+    return _respond(args, results, rows, not failed, suite=args.suite, tolerance=args.tol)
 
 
 def build_parser() -> argparse.ArgumentParser:

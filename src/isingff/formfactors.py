@@ -33,7 +33,8 @@ import numpy as np
 
 from .exceptions import DomainError, VerificationError
 from .linalg import pfaffian
-from .spectral import SECTORS, Couplings, SectorTable, _read_only, coupling_tables
+from .spectral import (SECTORS, Couplings, SectorTable, _read_only, coupling_tables,
+                       torus_dy, tower_parity)
 
 _FULL_ENUMERATION_MAX_N = 12
 _DEFAULT_PARTICLE_CUTOFF = 4
@@ -438,9 +439,9 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
 
     Assembled from the spectral expansion: squared form-factor moduli
     weighted by transfer-matrix and translation eigenvalues, with the
-    spin-flip insertion for eps_x = -1 and the state-parity selection implied
-    by eps_y.  The double sum runs over the full even- (or odd-) particle
-    Fock basis of both sectors for N <= 12; beyond that a particle-number
+    spin-flip insertion for eps_x = -1, in the tower of eps_y (its parity and
+    U charges are :func:`isingff.spectral.tower_parity`'s).  The double sum
+    runs over the tower's whole Fock basis for N <= 12; beyond that a particle
     cutoff (default 4) is applied and a truncation bound is estimated.
 
     The |F|^2 table is summed in fixed blocks of bra rows, so repeated runs
@@ -449,19 +450,12 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
     for later calls with the same three; a larger one streams through one
     block at a time (see :func:`_ff2_blocks`).
     """
-    if eps_x not in (1, -1) or eps_y not in (1, -1):
-        raise DomainError("eps_x and eps_y must be +1 or -1")
-    if m_height < 1:
-        raise DomainError(f"torus height M must be at least 1, got {m_height}")
-    if not 0 <= dx <= m_height:
-        raise DomainError(f"need 0 <= dx <= M, got dx={dx}, M={m_height}")
-    # T^2N = 1: |dy| counts mod 2N, and |dy| < 2N is kept as given
-    dy = (abs(dy) % (2 * c.n)) * (1 if dy >= 0 else -1)
+    parity = tower_parity(eps_y)
+    dy = torus_dy(c.n, m_height, dx, dy, eps_x)
     if dx in (0, m_height) and dy % c.n == 0:
         # coincident points: s_0^2 = 1, U^chi s_0 = eps_x s_0 U^chi carries
         # s_0 round the torus, and T^N is the spin flip for eps_y = -1
         return float((eps_x if dx else 1) * (eps_y if abs(dy) == c.n else 1))
-    parity = 0 if eps_y == 1 else 1
     cutoff = max_particles
     if c.n > _FULL_ENUMERATION_MAX_N and cutoff is None:
         cutoff = _DEFAULT_PARTICLE_CUTOFF
@@ -475,12 +469,8 @@ def two_point_correlation(c: Couplings, m_height: int, dx: int, dy: int,
     e_p = basis_p.energies - e_max
     ph_a, ph_p = basis_a.momenta, basis_p.momenta
 
-    chi = (1 - eps_x) // 2
-    # the U charge, which the trace reads for eps_x = -1: the a-vacuum carries
-    # +1, the p-vacuum -1, and each particle flips the sign, so the states of
-    # the parity eps_y selects carry +eps_y (a) and -eps_y (p).
-    u_a = float(eps_y) if chi else 1.0
-    u_p = -float(eps_y) if chi else 1.0
+    # for eps_x = -1 the trace reads the towers' U charges, eps_y (a) and -eps_y (p)
+    u_a, u_p = (float(eps_y), -float(eps_y)) if eps_x == -1 else (1.0, 1.0)
 
     # both weights times their translation phase are outer products of a bra
     # and a ket vector, so the double sum is two bilinear forms in |F|^2

@@ -45,7 +45,7 @@ from numpy.linalg import LinAlgError, eigvalsh, norm, solve
 
 from .exceptions import AmbiguousLabelError, DomainError, ResourceError
 from .formfactors import FormFactorSpec, fock_basis
-from .spectral import Couplings, _read_only
+from .spectral import Couplings, _read_only, torus_dy, tower_parity
 
 _MAX_DENSE_N = 12
 _TRACE_MAX_N, _TRACE_MAX_M = 10, 64  # widths and heights the dense trace ratio takes
@@ -339,8 +339,7 @@ def build_operators(c: Couplings, eps_y: int = 1) -> SpinOperatorSet:
     coupling) and V_x a product of commuting single-site flips; the
     symmetrized form makes V manifestly symmetric positive definite.
     """
-    if eps_y not in (1, -1):
-        raise DomainError("eps_y must be +1 or -1")
+    tower_parity(eps_y)         # refuses an eps_y other than +-1
     if c.n > _MAX_DENSE_N:
         raise ResourceError(f"dense oracle limited to N <= {_MAX_DENSE_N}, got {c.n}")
     g = _geometry(c.n, eps_y)
@@ -381,13 +380,11 @@ class FockLabels(Sequence):
 def predicted_fock_labels(c: Couplings, eps_y: int) -> FockLabels:
     """All surviving Fock labels with predicted (V, T, U) values.
 
-    For eps_y = +1 only even particle numbers survive in either sector; for
-    eps_y = -1 only odd ones.  Charges: the two vacua carry +1 (antiperiodic)
-    and -1 (periodic), and every particle flips the sign, so each sector's
-    charge is one constant.  The arrays come straight from the two
-    :func:`fock_basis` objects; no per-label tuple is formed.
+    The surviving particle numbers and the charges are the tower rule's
+    (:func:`isingff.spectral.tower_parity`).  The arrays come straight from the
+    two :func:`fock_basis` objects; no per-label tuple is formed.
     """
-    parity = 0 if eps_y == 1 else 1
+    parity = tower_parity(eps_y)
     pref = (2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0)
     a, p = fock_basis(c, "a", parity), fock_basis(c, "p", parity)
     charge = (-1) ** parity
@@ -645,12 +642,7 @@ def oracle_correlation(ops: SpinOperatorSet, m_height: int, dx: int, dy: int,
     if c.n > _TRACE_MAX_N or m_height > _TRACE_MAX_M:
         raise ResourceError(f"dense trace ratio limited to N <= {_TRACE_MAX_N}, "
                             f"M <= {_TRACE_MAX_M}")
-    if eps_x not in (1, -1):
-        raise DomainError("eps_x must be +1 or -1")
-    if m_height < 1:
-        raise DomainError(f"torus height M must be at least 1, got {m_height}")
-    if not 0 <= dx <= m_height:
-        raise DomainError(f"need 0 <= dx <= M, got dx={dx}, M={m_height}")
+    dy = torus_dy(c.n, m_height, dx, dy, eps_x)
     lam_max = float(eigvalsh(ops.v)[-1])
     vn = ops.v / lam_max
     s0 = ops.sl[0]

@@ -206,6 +206,28 @@ def coupling_tables(c: Couplings) -> CouplingTables:
         log_vac2=(math.log1p(-c.k**2) + tables["p"].nu.sum() - tables["a"].nu.sum()) / 4.0)
 
 
+def torus_dy(n: int, m_height: int, dx: int, dy: int, eps_x: int) -> int:
+    """``dy`` with |dy| reduced modulo 2N (T^2N = 1), after checking the M x N
+    torus: M >= 1, 0 <= dx <= M and eps_x = +-1."""
+    if eps_x not in (1, -1):
+        raise DomainError("eps_x must be +1 or -1")
+    if m_height < 1:
+        raise DomainError(f"torus height M must be at least 1, got {m_height}")
+    if not 0 <= dx <= m_height:
+        raise DomainError(f"need 0 <= dx <= M, got dx={dx}, M={m_height}")
+    return (abs(dy) % (2 * n)) * (1 if dy >= 0 else -1)
+
+
+def tower_parity(eps_y: int) -> int:
+    """The Fock parity of the tower with boundary sign ``eps_y``: +1 keeps the
+    even particle numbers of both sectors, -1 the odd.  U is +1 on the
+    antiperiodic vacuum and -1 on the periodic one, and each particle flips
+    it, so the tower's "a" states carry U = eps_y and its "p" states -eps_y."""
+    if eps_y not in (1, -1):
+        raise DomainError("eps_y must be +1 or -1")
+    return (1 - eps_y) // 2
+
+
 def gamma_of_theta(theta, c: Couplings):
     """Single-particle energy gamma_theta >= 0 of the lattice dispersion: cosh gamma =
     cosh 2kx* cosh 2ky - sinh 2kx* sinh 2ky cos theta with cosh gamma - 1 = 2 sinh^2(gamma/2)

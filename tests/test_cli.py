@@ -405,10 +405,23 @@ def test_nan_or_negative_tolerance_is_parse_error(capsys, monkeypatch, text):
     assert out == "" and err.count("\n") == 1 and "ISINGFF_TOL" in err
 
 
-@pytest.mark.parametrize("text, code", [("0", 5), ("inf", 0)])
-def test_zero_and_infinite_tolerance_are_accepted(capsys, monkeypatch, text, code):
+_VERIFY = ("verify", "rotation", "--kx", "0.4", "--ky", "0.7", "--n", "4")
+_FF = ("ff", "--kx", "0.4", "--ky", "0.7", "--n", "4", "--bra", "0,1", "--ket", "2,3")
+_CORR = ("corr", "--kx", "0.4", "--ky", "0.7", "--n", "4", "--m-height", "4",
+         "--dx", "1", "--dy", "2", "--eps-x", "-1")
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    pytest.param(_VERIFY, "0", 5, id="0-5"),
+    pytest.param(_VERIFY, "inf", 0, id="inf-0"),
+    pytest.param(_FF, "0", 5, id="ff-0-5"),
+    pytest.param(_FF, "inf", 0, id="ff-inf-0"),
+    # the oracle checks at no less than its floor, so this corr passes at 0
+    pytest.param(_CORR, "0", 0, id="corr-0-0"),
+    pytest.param(_CORR, "inf", 0, id="corr-inf-0"),
+])
+def test_zero_and_infinite_tolerance_are_accepted(capsys, monkeypatch, argv, text, code):
     # 0 fails every nonzero residual, inf passes every finite one
-    argv = ("verify", "rotation", "--kx", "0.4", "--ky", "0.7", "--n", "4")
     monkeypatch.delenv("ISINGFF_TOL", raising=False)
     runs = [run(capsys, *argv, "--tol", text)]
     monkeypatch.setenv("ISINGFF_TOL", text)

@@ -717,6 +717,27 @@ class TestOracleCorrelation:
         assert oracle_correlation(build_operators(c), 16, 3, 2, eps_x=-1) == 0.625
         assert two_point_correlation(c, 16, 3, 2, eps_x=-1) == pytest.approx(0.625, rel=1e-12)
 
+    # one torus check and one tower rule, so each refusal reads the same in every caller
+    @pytest.mark.parametrize("bad, message", [
+        ({"m_height": 0}, "torus height M must be at least 1, got 0"),
+        ({"dx": 5}, "need 0 <= dx <= M, got dx=5, M=4"),
+        ({"eps_x": 0}, "eps_x must be +1 or -1"),
+        ({"eps_y": 0}, "eps_y must be +1 or -1"),
+    ], ids=["height", "dx", "eps_x", "eps_y"])
+    def test_refusals_read_the_same_in_every_caller(self, bad, message):
+        torus = {"m_height": 4, "dx": 1, "dy": 2, "eps_x": 1, **bad}
+        eps_y = torus.pop("eps_y", 1)
+        calls = [lambda: two_point_correlation(C4, **torus, eps_y=eps_y)]
+        if "eps_y" in bad:
+            calls += [lambda: build_operators(C4, eps_y=eps_y),
+                      lambda: predicted_fock_labels(C4, eps_y)]
+        else:
+            calls.append(lambda: oracle_correlation(OPS4, **torus))
+        for call in calls:
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("m_height", [0, -1])
     def test_torus_of_no_height_rejected(self, m_height):
         # a height-0 trace ratio is Tr[s_0 s_0] / Tr[1], not a correlation
