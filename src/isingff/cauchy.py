@@ -320,11 +320,9 @@ def u_of_theta(theta, c: Couplings):
     """
     theta = np.asarray(theta, dtype=float)
     mod = ising_modulus(c)
-    gamma_0 = 2.0 * (c.ky - c.kx_star)
-    gamma_pi = 2.0 * (c.ky + c.kx_star)
     gamma_t = gamma_of_theta(theta, c)
-    s_direct = -c.sinh2ky * np.cos(theta / 2.0) / np.sinh((gamma_pi + gamma_t) / 2.0)
-    s_shift = c.sinh2ky * np.sin(theta / 2.0) / np.sinh((gamma_t + gamma_0) / 2.0)
+    s_direct = -c.sinh2ky * np.cos(theta / 2.0) / np.sinh((c.gamma_pi + gamma_t) / 2.0)
+    s_shift = c.sinh2ky * np.sin(theta / 2.0) / np.sinh((gamma_t + c.gamma_0) / 2.0)
     direct = np.abs(s_direct) <= np.abs(s_shift)
     s = np.clip(np.where(direct, s_direct, s_shift), -1.0, 1.0)
     w = inverse_sn_real(s, mod)
@@ -634,7 +632,6 @@ def assemble_r_elliptic(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.nd
     """
     stack = _as_stack(spec, c)
     ia, ip = stack.bra, stack.ket
-    rho = math.sqrt(c.sinh2ky / c.sinh2kx)
     ell = _ell(stack.site, 2)
     tab = coupling_tables(c)
     a, p = tab.a, tab.p
@@ -645,4 +642,4 @@ def assemble_r_elliptic(spec: FormFactorSpec | SpecStack, c: Couplings) -> np.nd
         / np.sqrt(c.n * np.sinh(p.gamma[ip])),
     ], axis=1)
     rt = _sn_pairing_entries(stack, c)
-    return _unstack(spec, -1j * rho * (omega[:, :, None] * rt * omega[:, None, :]))
+    return _unstack(spec, -1j * math.sqrt(c.rho2) * (omega[:, :, None] * rt * omega[:, None, :]))

@@ -171,9 +171,9 @@ def _two_particle_entries(c: Couplings, site, rows_a, cols_a, rows_p, cols_p):
     dinv = (1j * np.exp(-1j * ell * (a.thetas[rows_a] - p.thetas[cols_p]))
             * a.amp[rows_a] * p.amp[cols_p] * tab.ap_ratio[rows_a, cols_p])
     bdinv = (-1j * np.exp(1j * ell * (p.thetas[rows_p] + p.thetas[cols_p]))
-             * tab.rho2 * p.amp[rows_p] * p.amp[cols_p] * p.pair_ratio[rows_p, cols_p])
+             * c.rho2 * p.amp[rows_p] * p.amp[cols_p] * p.pair_ratio[rows_p, cols_p])
     dinvc = (-1j * np.exp(-1j * ell * (a.thetas[rows_a] + a.thetas[cols_a]))
-             * tab.rho2 * a.amp[rows_a] * a.amp[cols_a] * a.pair_ratio[rows_a, cols_a])
+             * c.rho2 * a.amp[rows_a] * a.amp[cols_a] * a.pair_ratio[rows_a, cols_a])
     return dinv, bdinv, dinvc
 
 
@@ -256,7 +256,7 @@ def ff_closed(spec: FormFactorSpec | SpecStack, c: Couplings):
     m, n = ia.shape[1], ip.shape[1]
     tab = coupling_tables(c)
 
-    log_f2 = (tab.log_vac2 + 0.5 * (m - n) ** 2 * tab.log_rho2
+    log_f2 = (tab.log_vac2 + 0.5 * (m - n) ** 2 * c.log_rho2
               + tab.a.log_amp2[ia].sum(axis=1) + tab.p.log_amp2[ip].sum(axis=1)
               + 0.5 * _pair_log_sums(tab.a.pair_ratio, ia, ia)
               + 0.5 * _pair_log_sums(tab.p.pair_ratio, ip, ip)
@@ -393,8 +393,7 @@ def abs_ff2_table(c: Couplings, bras: FockBasis, kets: FockBasis) -> np.ndarray:
         raise DomainError(
             "bra and ket parities differ; odd matrix elements vanish by charge selection"
         )
-    tab = coupling_tables(c)
-    lr = tab.log_rho2
+    tab, lr = coupling_tables(c), c.log_rho2
     log_f2 = bras.occupancy @ (_log_ratio2(tab.ap_ratio) @ kets.occupancy.T)
     log_f2 -= lr * np.outer(bras.particles, kets.particles)
     log_f2 += _log_ff2_one_side(bras, tab.a, lr)[:, None]

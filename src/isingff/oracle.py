@@ -220,7 +220,7 @@ def _v_product(ops: SpinOperatorSet, x: np.ndarray) -> np.ndarray:
     th = ld(math.sinh(c.kx_star)) / ld(math.cosh(c.kx_star))
     for site in range(c.n):
         y = y + th * np.flip(y, site)
-    scale = (ld(2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0)) * ld(math.cosh(c.kx_star)) ** c.n
+    scale = (ld(2.0 * c.sinh2kx) ** (c.n / 2.0)) * ld(math.cosh(c.kx_star)) ** c.n
     return scale * half * y.reshape(x.shape)
 
 
@@ -285,7 +285,7 @@ def _vx_table(c: Couplings) -> np.ndarray:
     """(2 sinh 2kx)^{N/2} ch^(N-d) sh^d for d = 0..N: V_x, the product over sites of
     ch + sh sigma^x_j (Kaufman 1949), between basis states that differ on d spins."""
     d = np.arange(c.n + 1)
-    return (2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0) \
+    return (2.0 * c.sinh2kx) ** (c.n / 2.0) \
         * math.cosh(c.kx_star) ** (c.n - d) * math.sinh(c.kx_star) ** d
 
 
@@ -385,7 +385,7 @@ def predicted_fock_labels(c: Couplings, eps_y: int) -> FockLabels:
     two :func:`fock_basis` objects; no per-label tuple is formed.
     """
     parity = tower_parity(eps_y)
-    pref = (2.0 * math.sinh(2.0 * c.kx)) ** (c.n / 2.0)
+    pref = (2.0 * c.sinh2kx) ** (c.n / 2.0)
     a, p = fock_basis(c, "a", parity), fock_basis(c, "p", parity)
     charge = (-1) ** parity
     return FockLabels(a.states + p.states, len(a),

@@ -55,7 +55,11 @@ class Couplings:
 
     Construction enforces an integral n >= 1 and the ferromagnetic region
     kx_star < ky (alpha < 1); the inputs alone decide equality and hashing.
-    The elliptic modulus (of ``k`` = 1/s) and eta are the elliptic routes' own
+    It derives, once, every scalar the other modules read: ``kx_star``,
+    ``alpha``, ``beta``, ``sinh2kx``, ``sinh2ky``, ``sinh2kx_star``, ``s``,
+    ``k`` = 1/s, ``xi`` (the magnetization is xi^{1/2}), ``gamma_0`` and
+    ``gamma_pi`` (gamma at theta = 0 and pi), ``rho2`` and ``log_rho2``.
+    The elliptic modulus (of ``k``) and eta are the elliptic routes' own
     (:func:`isingff.cauchy.ising_modulus`, :func:`isingff.cauchy.ising_eta`).
 
     Pure data, immutable and safe to share across threads.  ``sector(name)``
@@ -71,6 +75,14 @@ class Couplings:
     beta: float = field(init=False, repr=False, compare=False)
     s: float = field(init=False, repr=False, compare=False)
     k: float = field(init=False, repr=False, compare=False)
+    sinh2kx: float = field(init=False, repr=False, compare=False)
+    sinh2ky: float = field(init=False, repr=False, compare=False)
+    sinh2kx_star: float = field(init=False, repr=False, compare=False)
+    xi: float = field(init=False, repr=False, compare=False)
+    gamma_0: float = field(init=False, repr=False, compare=False)
+    gamma_pi: float = field(init=False, repr=False, compare=False)
+    rho2: float = field(init=False, repr=False, compare=False)
+    log_rho2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, kx, ky = self.n, self.kx, self.ky
@@ -87,34 +99,21 @@ class Couplings:
             )
         alpha = math.tanh(kx_star) / math.tanh(ky)
         beta = math.tanh(kx_star) * math.tanh(ky)
-        k = math.sinh(2.0 * kx_star) / math.sinh(2.0 * ky)     # 1/s: near 1 at criticality
+        sinh2ky, sinh2kx_star = math.sinh(2.0 * ky), math.sinh(2.0 * kx_star)
+        k = sinh2kx_star / sinh2ky     # 1/s: near 1 at criticality
         if not (0.0 < beta < alpha < 1.0 and k < 1.0):
             raise DomainError(f"expected 0 < beta < alpha < 1, k < 1: {beta}, {alpha}, {k}")
-        s = math.sinh(2.0 * kx) * math.sinh(2.0 * ky)
-        for name, value in (("kx_star", kx_star), ("alpha", alpha), ("beta", beta), ("s", s),
-                            ("k", k)):
-            object.__setattr__(self, name, value)
+        sinh2kx = math.sinh(2.0 * kx)
+        s, rho2 = sinh2kx * sinh2ky, sinh2ky / sinh2kx
+        vars(self).update(
+            kx_star=kx_star, alpha=alpha, beta=beta, s=s, k=k, sinh2kx=sinh2kx,
+            sinh2ky=sinh2ky, sinh2kx_star=sinh2kx_star, xi=abs(1.0 - s ** (-2)) ** 0.25,
+            gamma_0=2.0 * (ky - kx_star), gamma_pi=2.0 * (ky + kx_star),
+            rho2=rho2, log_rho2=math.log(rho2))
 
     @classmethod
     def from_kx_ky(cls, kx: float, ky: float, n: int) -> "Couplings":
         return cls(n, kx, ky)
-
-    @property
-    def sinh2kx(self) -> float:
-        return math.sinh(2.0 * self.kx)
-
-    @property
-    def sinh2ky(self) -> float:
-        return math.sinh(2.0 * self.ky)
-
-    @property
-    def sinh2kx_star(self) -> float:
-        return math.sinh(2.0 * self.kx_star)
-
-    @property
-    def xi(self) -> float:
-        """|1 - s^{-2}|^{1/4}; the spontaneous magnetization is xi^{1/2}."""
-        return abs(1.0 - self.s ** (-2)) ** 0.25
 
     def sector(self, name: str) -> "SectorTable":
         """The spectral table of sector ``name`` ("a" or "p")."""
@@ -160,24 +159,23 @@ class SectorTable:
 
 
 class CouplingTables(NamedTuple):
-    """Both sector tables, the mixed a x p pair ratio and the scalars of log|F|^2.
+    """Both sector tables, the mixed a x p pair ratio and the one scalar that
+    needs the momenta (the coupling's own are fields of :class:`Couplings`).
 
-    ``ap_ratio`` is sinh((gamma_a+gamma_p)/2)/sin((theta_a-theta_p)/2),
-    ``rho2`` = sinh(2ky)/sinh(2kx), and the log squared vacuum overlap is
-    ``log_vac2`` = (log(1 - k^2) + sum nu_p - sum nu_a) / 4, log(xi * xi_T).
+    ``ap_ratio`` is sinh((gamma_a+gamma_p)/2)/sin((theta_a-theta_p)/2), and the
+    log squared vacuum overlap is ``log_vac2`` = log(xi * xi_T).
     """
 
     a: SectorTable
     p: SectorTable
     ap_ratio: np.ndarray
-    rho2: float
-    log_rho2: float
     log_vac2: float
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def coupling_tables(c: Couplings) -> CouplingTables:
-    """The spectral tables of ``c``, built once per coupling value.
+    """The :class:`CouplingTables` of ``c``, built once per coupling value and
+    kept for the last 8 (each holds three N x N ratio grids).
 
     nu is taken from the two gamma arrays built here: :func:`nu_of_gamma`
     reads these tables, so calling it would re-enter the cache.  The pair
@@ -200,10 +198,8 @@ def coupling_tables(c: Couplings) -> CouplingTables:
             amp=np.exp(log_amp2 / 2.0), log_amp2=log_amp2, pair_ratio=ratio)
     ap_ratio = _read_only(np.sinh((gamma["a"][:, None] + gamma["p"][None, :]) / 2.0)
                           / np.sin((thetas["a"][:, None] - thetas["p"][None, :]) / 2.0))[0]
-    rho2 = c.sinh2ky / c.sinh2kx
-    return CouplingTables(
-        **tables, ap_ratio=ap_ratio, rho2=rho2, log_rho2=math.log(rho2),
-        log_vac2=(math.log1p(-c.k**2) + tables["p"].nu.sum() - tables["a"].nu.sum()) / 4.0)
+    return CouplingTables(**tables, ap_ratio=ap_ratio, log_vac2=(
+        math.log1p(-c.k**2) + tables["p"].nu.sum() - tables["a"].nu.sum()) / 4.0)
 
 
 def torus_dy(n: int, m_height: int, dx: int, dy: int, eps_x: int) -> int:

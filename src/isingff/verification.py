@@ -162,21 +162,19 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
         _rel(np.exp(-(gam + sgn * 1j * thetas) / 2.0), -sqk * sn_cn_dn[f"eta{sgn}"][0])
         for sgn in (1.0, -1.0)))
 
-    gamma_0 = 2.0 * (c.ky - c.kx_star)
-    gamma_pi = 2.0 * (c.ky + c.kx_star)
     sn, cn, dn = real("uu")
-    sh_0 = np.sinh((gam + gamma_0) / 2.0)
-    sh_pi = np.sinh((gam + gamma_pi) / 2.0)
+    sh_0 = np.sinh((gam + c.gamma_0) / 2.0)
+    sh_pi = np.sinh((gam + c.gamma_pi) / 2.0)
     out["sn_shift_quarter"] = _rel(real("uu_k")[0],
                                    c.sinh2ky * np.sin(thetas / 2.0) / sh_0)
     out["sn_of_u_theta"] = _rel(sn, -c.sinh2ky * np.cos(thetas / 2.0) / sh_pi)
     sn_double = np.where(np.abs(2.0 * uu) > 1e-12, real("2uu")[0], 0.0)
     out["sn_double_u_theta"] = _rel(sn_double,
                                     -c.sinh2ky * np.sin(thetas) / np.sinh(gam))
-    out["k_sn_squared"] = _rel(k * sn**2, np.sinh((gamma_pi - gam) / 2.0) / sh_pi)
+    out["k_sn_squared"] = _rel(k * sn**2, np.sinh((c.gamma_pi - gam) / 2.0) / sh_pi)
     out["cn_of_u_theta"] = _rel(cn, np.sin(thetas / 2.0) * np.sqrt(
-        c.sinh2ky * math.sinh(gamma_pi) / (sh_0 * sh_pi)))
-    out["dn_of_u_theta"] = _rel(dn, np.sqrt(math.sinh(gamma_pi) * sh_0
+        c.sinh2ky * math.sinh(c.gamma_pi) / (sh_0 * sh_pi)))
+    out["dn_of_u_theta"] = _rel(dn, np.sqrt(math.sinh(c.gamma_pi) * sh_0
                                             / (c.sinh2ky * sh_pi)))
 
     sn1, sn2 = sn[:half][apart], real("u2")[0]
@@ -184,8 +182,8 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
         _rel(real("u1_u2")[0],
              c.sinh2ky * np.sin((t1 - t2) / 2.0) / np.sinh((g1 + g2) / 2.0)),
         _rel(1.0 - kk * sn1**2 * sn2**2,
-             math.sinh(gamma_pi) * np.sinh((g1 + g2) / 2.0)
-             / (np.sinh((gamma_pi + g1) / 2.0) * np.sinh((gamma_pi + g2) / 2.0))))
+             math.sinh(c.gamma_pi) * np.sinh((g1 + g2) / 2.0)
+             / (np.sinh((c.gamma_pi + g1) / 2.0) * np.sinh((c.gamma_pi + g2) / 2.0))))
 
     out["sqrt_b_elliptic"] = _rel(cf._b_elliptic_of(sn, cn, dn, k) ** 2,
                                   b_of_theta(thetas, c))
@@ -198,10 +196,9 @@ def elliptic_suite(c: Couplings) -> dict[str, float]:
     out["cn_kernel"] = _rel((b1 * b2 - 1.0 / (b1 * b2)) / (2.0 * np.sin((s1 + s2) / 2.0)),
                             -1j * c.sinh2kx_star / root * cn)
     direct = sqk * sn
-    rho = math.sqrt(c.sinh2ky / c.sinh2kx)
     out["sn_shift_iKprime"] = _worst(
         *(_rel(sqk * sn_cn_dn[f"d{sgn}"][0], 1.0 / direct) for sgn in (1.0, -1.0)),
-        _rel(direct, rho * np.sin((s1 - s2) / 2.0) / np.sinh((h1 + h2) / 2.0)))
+        _rel(direct, math.sqrt(c.rho2) * np.sin((s1 - s2) / 2.0) / np.sinh((h1 + h2) / 2.0)))
     return out
 
 

@@ -7,21 +7,26 @@ tag, its argv, the exit code, stdout, and the last stderr line (the error
 line of exits 2-4, and of exit 5 where a check raises; empty otherwise).  Warnings carry
 file paths, so they are caught and not stored.
 
-A nonzero exit that the ROADMAP names as a known fault is tagged with the
-item that owns it, so a mend shows as that line's exit code moving.
+A call list that the ROADMAP names as a known fault is tagged with the item
+that owns it; ``faults.py`` claims every nonzero exit by its fault.
 
 Rewrite the corpus from the repository root with
 
     PYTHONPATH=src python3 tests/golden/generate.py
+
+or, with ``--check``, replay it without writing: every line whose exit code,
+stdout or stderr moved is printed, and the exit code is 1 if any moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import platform
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -176,13 +181,36 @@ def run(argv: list[str]) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": lines[-1] if lines else ""}
 
 
-def main() -> None:
+def check() -> int:
+    """Replay the stored calls and print each moved line; 1 if any moved."""
+    header, *stored = (json.loads(line) for line in CORPUS.read_text().splitlines())
+    if header["stack"] != stack():
+        print(f"corpus written on {header['stack']}, this stack is {stack()}", file=sys.stderr)
+    moved = 0
+    for line in stored:
+        new = run(line["argv"])
+        streams = [name for name in ("stdout", "stderr") if new[name] != line[name]]
+        if new["exit"] != line["exit"] or streams:
+            moved += 1
+            print(f"{line['tag']}: {shlex.join(line['argv'])}: exit {line['exit']} -> "
+                  f"{new['exit']}; {' and '.join(streams) or 'no output'} moved")
+    print(f"{moved} of {len(stored)} lines moved", file=sys.stderr)
+    return 1 if moved else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Write or check the golden CLI corpus.")
+    parser.add_argument("--check", action="store_true",
+                        help="replay the corpus without writing; exit 1 if a line moved")
+    if parser.parse_args().check:
+        return check()
     lines = [json.dumps({"stack": stack()}, sort_keys=True)]
     for tag, argv in calls():
         lines.append(json.dumps({"tag": tag, "argv": argv, **run(argv)}, sort_keys=True))
     CORPUS.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} calls to {CORPUS}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,9 +11,9 @@ from isingff import verification
 from isingff.cauchy import b_elliptic, ising_eta, ising_modulus, u_of_theta
 from isingff.elliptic import jacobi_sn_cn_dn
 from isingff.exceptions import DomainError
-from isingff.spectral import (SECTORS, Couplings, b_of_theta, coupling_tables,
-                              gamma_of_theta, log_sinh, nu_of_gamma, quasimomenta,
-                              sqrt_b_of_theta)
+from isingff.spectral import (SECTORS, Couplings, CouplingTables, b_of_theta,
+                              coupling_tables, gamma_of_theta, log_sinh, nu_of_gamma,
+                              quasimomenta, sqrt_b_of_theta)
 from isingff.verification import elliptic_suite
 
 C = Couplings.from_kx_ky(0.4, 0.7, 5)
@@ -76,6 +76,20 @@ class TestCouplings:
             assert getattr(c, name) == getattr(C, name)
         with pytest.raises(DomainError, match="ferromagnetic"):
             Couplings(n=8, kx=0.1, ky=0.2)
+
+    @pytest.mark.parametrize("kx, ky", [(0.4, 0.7), (0.3, 0.9), (0.4407, 0.4407), (6.0, 6.0)])
+    def test_derived_fields_are_their_formulas(self, kx, ky):
+        # each scalar is formed once, here, and read by every other module
+        c = Couplings(8, kx, ky)
+        assert c.sinh2kx == math.sinh(2.0 * c.kx) and c.sinh2ky == math.sinh(2.0 * c.ky)
+        assert c.sinh2kx_star == math.sinh(2.0 * c.kx_star)
+        assert c.s == c.sinh2kx * c.sinh2ky and c.k == c.sinh2kx_star / c.sinh2ky
+        assert c.xi == abs(1.0 - c.s ** (-2)) ** 0.25
+        assert c.gamma_0 == 2.0 * (c.ky - c.kx_star)
+        assert c.gamma_pi == 2.0 * (c.ky + c.kx_star)
+        assert c.rho2 == math.sinh(2.0 * c.ky) / math.sinh(2.0 * c.kx)
+        assert c.log_rho2 == math.log(c.rho2)
+        assert CouplingTables._fields == ("a", "p", "ap_ratio", "log_vac2")
 
     @pytest.mark.parametrize("derived", [{"eta": 0.0}, {"kx_star": 1.0}])
     def test_derived_values_are_not_inputs(self, derived):
@@ -183,8 +197,11 @@ class TestSectorTable:
         with pytest.raises(AttributeError):
             C.not_a_table
         assert not hasattr(C, "gamma_x")
-        assert copy.deepcopy(C) == C
-        assert pickle.loads(pickle.dumps(C)) == C
+        # copies compare and hash by (n, kx, ky) and carry the same derived fields
+        for same in (copy.deepcopy(C), pickle.loads(pickle.dumps(C)), dataclasses.replace(C)):
+            assert same == C and hash(same) == hash(C) and repr(same) == repr(C)
+            assert all(getattr(same, f.name) == getattr(C, f.name)
+                       for f in dataclasses.fields(C))
 
     def test_one_table_per_coupling_value(self):
         c1 = Couplings.from_kx_ky(0.4, 0.7, 16)
@@ -193,6 +210,18 @@ class TestSectorTable:
         for sector in SECTORS:
             assert c1.sector(sector) is c2.sector(sector)
         assert coupling_tables(c1) is coupling_tables(c2)
+
+    def test_ninth_coupling_evicts_the_least_recently_used_table(self):
+        coupling_tables.cache_clear()
+        cs = [Couplings.from_kx_ky(0.4, 0.7, n) for n in range(2, 11)]
+        first = [coupling_tables(c) for c in cs[:8]]
+        assert coupling_tables(cs[0]) is first[0]       # cs[1] is now the oldest
+        coupling_tables(cs[8])
+        info = coupling_tables.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 9, 8, 8)
+        assert coupling_tables(cs[0]) is first[0]
+        assert coupling_tables(cs[1]) is not first[1]
+        assert coupling_tables.cache_info().misses == 10
 
     def test_unknown_sector(self):
         with pytest.raises(DomainError):
